@@ -114,16 +114,17 @@ def test_residuals_are_checked_independently():
     assert scored["bad"] and scored["cause"] == "residual" and not scored["exact"]
 
 
-def test_bridge_scores_deviation_and_flags_structure():
+def test_bridge_fails_any_wrong_verdict():
     plans = {name: plan_from_json(harness.golden_text(name)) for name in harness.BRIDGE_PROBLEMS}
     _, _, score = harness.bridge_workload(1, harness.SIZES["smoke"], plans)
-    bases = [(e.am_basis, e.am_basis) for e in problems.LIBRARY.values() if e.am_basis is not None]
     good = EquivalenceVerdict(True, 1e-14, True, 4, 1)
     too_far = EquivalenceVerdict(False, 3e-6, True, 4, 1)
     wrong_size = EquivalenceVerdict(False, 1e-14, False, 4, 1)
-    scored = score([([good] * 4, bases), ([good, good, too_far, good], bases)])
-    assert scored["ok_pct"] == 50.0 and scored["bad"] == 0
-    assert score([([good, wrong_size, good, good], bases)])["bad"] == 1
+    templates = [True] * 4
+    scored = score([good, good, too_far, good, templates])
+    assert scored["ok_pct"] == 75.0 and scored["exact_pct"] == 80.0 and scored["bad"] == 1
+    assert score([good, wrong_size, good, good, templates])["bad"] == 1
+    assert score([good, good, good, good, [True, False, True, True]])["bad"] == 1
 
 
 def test_refuses_to_run_without_the_program(tmp_path):

@@ -148,11 +148,18 @@ class Tracer:
                 if p >= 0:
                     stage_calls[STAGES[spans[p][0]]] += 1
         op_total = sum(r[2] - r[1] for r in spans if r[0] == OP_SPAN)
-        layer_self = sum(st["self_s"] for name, st in layers.items() if name != OP_SPAN)
+        # The self time of an entry span (a layer the benchmark calls
+        # directly, such as generate_plan or solve_instance) holds all the
+        # work no inner layer covers, so only inner layers count as covered.
+        covered = sum(
+            (rec[2] - rec[1]) - child[i]
+            for i, rec in enumerate(spans)
+            if rec[0] != OP_SPAN and rec[3] >= 0 and spans[rec[3]][0] != OP_SPAN
+        )
         return {
             "layers": layers,
             "stage_calls": stage_calls,
-            "covered_pct": 100.0 * layer_self / op_total if op_total > 0 else 0.0,
+            "covered_pct": 100.0 * covered / op_total if op_total > 0 else 0.0,
             "spans": len(spans),
             "absent": list(self.absent),
         }
