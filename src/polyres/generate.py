@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .lattice import Displacement, convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
 from .linalg import PRIMES
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
@@ -197,17 +199,8 @@ class PartitionCheck:
 def recovery_pairs_exist(layout: MatrixLayout) -> bool:
     """Instance-independent solvability of the eigenvector read-off: every
     non-hidden variable needs a pair (m, x_i * m) inside B1."""
-    from .poly import mono_mul
-
-    n = layout.template.system.n_vars
-    b1 = set(layout.b1)
-    for i in range(n):
-        if i == layout.hidden_var - 1:
-            continue
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        if not any(mono_mul(m, e_i) in b1 for m in b1):
-            return False
-    return True
+    _, src, _, starts = layout.ratio_pairs
+    return bool(np.all(np.diff(starts, append=len(src)) > 0))
 
 
 def verify_partition(cand: FavourableCandidate, cfg: SearchConfig) -> PartitionCheck:

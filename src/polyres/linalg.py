@@ -2,9 +2,10 @@
 
 The prime-field routines back the offline rank decisions; moduli are kept
 below 2^31 so products of two reduced entries fit in int64 and the numpy
-row operations stay exact.  The floating side provides Gauss-Jordan
-elimination, Schur complements and a nonsymmetric eigensolver (Hessenberg
-reduction followed by shifted QR with deflation).
+row operations stay exact.  The floating side provides RREF with partial
+pivoting, an equilibrated Schur complement of the pivot block, and the
+nonsymmetric eigensolver of the online stage: LAPACK through numpy, with
+a residual postcondition on every returned pair.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ class SingularPivotError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    def __init__(self, index: int, iterations: int):
+    def __init__(self, index: int, residual: float):
         self.index = index
-        self.iterations = iterations
-        super().__init__(f"QR iteration stalled at eigenvalue index {index} after {iterations} sweeps")
+        self.residual = residual
+        super().__init__(
+            f"eigenpair {index} misses the residual bound (||Av - lambda v|| = {residual:.3e})"
+        )
 
 
 def _modp(m: np.ndarray, p: int) -> np.ndarray:
@@ -110,22 +113,9 @@ def float_rref(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, lis
     return a, pivots
 
 
-@dataclass(frozen=True)
-class GJResult:
-    matrix: np.ndarray
-    pivot_cols: tuple[int, ...]
-
-
-def gj_eliminate(m: np.ndarray, p: int | None = None, tol: float | None = None) -> GJResult:
-    """Gauss-Jordan elimination; exact over F_p when p is given, else floating."""
-    if p is not None:
-        a, piv = modp_rref(m, p)
-    else:
-        a, piv = float_rref(m, tol)
-    return GJResult(a, tuple(piv))
-
-
 RCOND_MIN = 1e-12  # below this the pivot block counts as a solver failure
+
+
 
 
 def schur_complement(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
@@ -133,28 +123,36 @@ def schur_complement(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
 
     ``split = (top_rows, left_cols)`` places the pivot block A12 at
     m[:top_rows, left_cols:], which must be square and well conditioned.
+    The rows of [A11 A12] and then the columns of A12 are scaled by powers
+    of two (the equilibration of LAPACK xGEEQU), with the column scaling
+    carried into A22; the scaling is exact, so it leaves the result
+    unchanged and only the conditioning of the pivot solve improves.  One
+    LU factorization of the scaled A12 yields both A12^{-1} A11 and the
+    1-norm reciprocal condition number that gates it.
     """
     top, left = split
     a = np.asarray(m)
-    a11, a12 = a[:top, :left], a[:top, left:]
-    a21, a22 = a[top:, :left], a[top:, left:]
+    a12 = a[:top, left:]
     if a12.shape[0] != a12.shape[1]:
         raise ValueError(f"pivot block is {a12.shape}, not square")
     if a12.size == 0:
-        return a21.copy()
-    norm = np.linalg.norm(a12, 1)
-    if norm == 0.0:
-        raise SingularPivotError(0.0)
-    rcond = 1.0 / np.linalg.cond(a12, 1)
+        return a[top:, :left].copy()
+    _, row_exp = np.frexp(np.max(np.abs(a[:top]), axis=1))
+    upper = a[:top] * np.ldexp(1.0, -row_exp)[:, None]
+    _, col_exp = np.frexp(np.max(np.abs(upper[:, left:]), axis=0))
+    col_scale = np.ldexp(1.0, -col_exp)
+    a12 = upper[:, left:] * col_scale
+    try:
+        sol = np.linalg.solve(a12, np.hstack([upper[:, :left], np.eye(top)]))
+    except np.linalg.LinAlgError:
+        raise SingularPivotError(0.0) from None
+    rcond = 1.0 / (np.linalg.norm(a12, 1) * np.linalg.norm(sol[:, left:], 1))
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularPivotError(float(rcond))
-    if not a22.any():
-        return a21.copy()
-    y = np.linalg.solve(a12, a11)
-    return a21 - a22 @ y
+    return a[top:, :left] - (a[top:, left:] * col_scale) @ sol[:, :left]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigResult:
     values: np.ndarray
     vectors: np.ndarray  # column k pairs with values[k], unit 2-norm
@@ -163,177 +161,28 @@ class EigResult:
         return [(self.values[k], self.vectors[:, k]) for k in range(len(self.values))]
 
 
-def _givens(a: complex, b: complex) -> tuple[complex, complex, float]:
-    r = float(np.hypot(abs(a), abs(b)))
-    return a, b, r
-
-
-def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary reduction to upper Hessenberg form: A = Q H Q^H."""
-    h = a.astype(np.complex128, copy=True)
-    n = h.shape[0]
-    q = np.eye(n, dtype=np.complex128)
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        alpha = -np.exp(1j * np.angle(x[0])) * nx if x[0] != 0 else -nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        # H := P H P with P = I - 2 v v^H acting on the trailing block
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h, q
-
-
-def _wilkinson_shift(t11: complex, t12: complex, t21: complex, t22: complex) -> complex:
-    tr, dt = t11 + t22, t11 * t22 - t12 * t21
-    disc = np.sqrt(complex(tr * tr / 4.0 - dt))
-    l1, l2 = tr / 2.0 + disc, tr / 2.0 - disc
-    return l1 if abs(l1 - t22) <= abs(l2 - t22) else l2
-
-
-def eig(a: np.ndarray, tol: float = 1e-8, max_sweeps_per_eig: int = 30) -> EigResult:
-    """All complex eigenpairs of a square matrix via shifted QR iteration.
+def eig(a: np.ndarray, tol: float = 1e-8) -> EigResult:
+    """All complex eigenpairs of a square matrix (LAPACK xGEEV via numpy).
 
     Each returned pair satisfies ||A v - lambda v|| <= tol * ||A||_F with
-    ||v|| = 1; exceeding the sweep cap raises EigenConvergenceError naming
-    the stalled index.
+    ||v|| = 1; a pair that misses the bound raises EigenConvergenceError
+    naming its index.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if not np.all(np.isfinite(np.asarray(a, dtype=np.complex128))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    a_norm = float(np.linalg.norm(a))
-    if n == 0:
-        return EigResult(np.zeros(0, dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128))
-    if n == 1:
-        return EigResult(
-            np.array([complex(a[0, 0])]), np.ones((1, 1), dtype=np.complex128)
-        )
-
-    h, z = _hessenberg(a)
-    eps = np.finfo(np.float64).eps
-    budget = max_sweeps_per_eig * n
-    hi = n - 1
-    sweeps_here = 0
-    while hi > 0:
-        # deflate when the subdiagonal entry is negligible
-        s = abs(h[hi - 1, hi - 1]) + abs(h[hi, hi])
-        if s == 0.0:
-            s = a_norm if a_norm else 1.0
-        if abs(h[hi, hi - 1]) <= eps * s:
-            h[hi, hi - 1] = 0.0
-            hi -= 1
-            sweeps_here = 0
-            continue
-        if budget <= 0:
-            raise EigenConvergenceError(hi, max_sweeps_per_eig * n)
-        budget -= 1
-        sweeps_here += 1
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = a_norm if a_norm else 1.0
-            if abs(h[lo, lo - 1]) <= eps * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if sweeps_here % 12 == 0:
-            # exceptional shift to break symmetric stalls
-            sigma = h[hi, hi] + 1.5 * abs(h[hi, hi - 1])
-        else:
-            sigma = _wilkinson_shift(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-        # explicit shifted QR sweep on the active window [lo, hi]
-        for k in range(lo, hi + 1):
-            h[k, k] -= sigma
-        rots = []
-        for k in range(lo, hi):
-            x, y, r = _givens(h[k, k], h[k + 1, k])
-            if r == 0.0:
-                rots.append((1.0 + 0j, 0.0 + 0j, 1.0))
-                continue
-            rots.append((x, y, r))
-            top = (np.conj(x) * h[k, k:] + np.conj(y) * h[k + 1, k:]) / r
-            bot = (-y * h[k, k:] + x * h[k + 1, k:]) / r
-            h[k, k:], h[k + 1, k:] = top, bot
-        for k in range(lo, hi):
-            x, y, r = rots[k - lo]
-            top_limit = min(k + 2, hi) + 1
-            ck = (x * h[:top_limit, k] + y * h[:top_limit, k + 1]) / r
-            ck1 = (-np.conj(y) * h[:top_limit, k] + np.conj(x) * h[:top_limit, k + 1]) / r
-            h[:top_limit, k], h[:top_limit, k + 1] = ck, ck1
-            zk = (x * z[:, k] + y * z[:, k + 1]) / r
-            zk1 = (-np.conj(y) * z[:, k] + np.conj(x) * z[:, k + 1]) / r
-            z[:, k], z[:, k + 1] = zk, zk1
-        for k in range(lo, hi + 1):
-            h[k, k] += sigma
-
-    values = np.diag(h).copy()
-    t_norm = max(float(np.linalg.norm(h)), 1.0)
-    vectors = np.empty((n, n), dtype=np.complex128)
-    for k in range(n):
-        y = np.zeros(n, dtype=np.complex128)
-        y[k] = 1.0
-        lam = values[k]
-        for i in range(k - 1, -1, -1):
-            num = h[i, i + 1 : k + 1] @ y[i + 1 : k + 1]
-            den = h[i, i] - lam
-            if abs(den) < eps * t_norm:
-                den = eps * t_norm
-            y[i] = -num / den
-            big = abs(y[i])
-            if big > 1e100:
-                y[: k + 1] /= big
-        v = z @ y
-        vectors[:, k] = v / np.linalg.norm(v)
-
-    worst_idx, worst = -1, 0.0
-    av = np.asarray(a, dtype=np.complex128) @ vectors
-    for k in range(n):
-        res = float(np.linalg.norm(av[:, k] - values[k] * vectors[:, k]))
-        if res > worst:
-            worst, worst_idx = res, k
-    if worst > tol * max(a_norm, 1e-300):
-        raise EigenConvergenceError(worst_idx, max_sweeps_per_eig * n)
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as e:
+        raise EigenConvergenceError(0, float("inf")) from e
+    values = values.astype(np.complex128, copy=False)
+    vectors = vectors.astype(np.complex128, copy=False)
+    if not len(values):
+        return EigResult(values, vectors)
+    residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > tol * max(float(np.linalg.norm(a)), 1e-300):
+        raise EigenConvergenceError(worst, float(residuals[worst]))
     return EigResult(values, vectors)
-
-
-def pep_to_gep(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Companion linearization of M0 + x M1 + ... + x^l Ml into a pencil.
-
-    Returns (A, B) with A y = x B y; generalized eigenvalues are the roots
-    of det(sum_i x^i Mi) counted with linearization multiplicity.
-    """
-    if len(mats) < 2:
-        raise ValueError("need degree at least 1 (two coefficient matrices)")
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
-    k = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (k, k):
-            raise ValueError("coefficient matrices must be square and same size")
-    l = len(mats) - 1
-    dim = l * k
-    a = np.zeros((dim, dim))
-    b = np.eye(dim)
-    for j in range(l - 1):
-        a[j * k : (j + 1) * k, (j + 1) * k : (j + 2) * k] = np.eye(k)
-    for j in range(l):
-        a[(l - 1) * k :, j * k : (j + 1) * k] = -mats[j]
-    b[(l - 1) * k :, (l - 1) * k :] = mats[l]
-    return a, b
-
-
-def gep_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the pencil (A, B) for invertible B."""
-    return eig(np.linalg.solve(b, a)).values

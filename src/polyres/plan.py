@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -240,6 +241,27 @@ class MatrixLayout:
     def b2(self) -> tuple[Mono, ...]:
         return self.template.cols[self.n_b1 :]
 
+    @cached_property
+    def ratio_pairs(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """Index form of the pairs (m, x_i * m) inside B1 that the eigenvector
+        read-off uses, for every variable except x_k: ``(free, src, dst,
+        starts)``.  The pairs of variable ``free[j]`` (0-based) are
+        ``src[s:e], dst[s:e]`` with ``s, e = starts[j], starts[j + 1]`` (``e``
+        is ``len(src)`` for the last one) and b1[dst] = x_i * b1[src]."""
+        n = self.template.system.n_vars
+        pos = {m: j for j, m in enumerate(self.b1)}
+        free = tuple(i for i in range(n) if i != self.hidden_var - 1)
+        src, dst, starts = [], [], []
+        for i in free:
+            starts.append(len(src))
+            e_i = tuple(1 if j == i else 0 for j in range(n))
+            for m, j in pos.items():
+                k = pos.get(mono_mul(m, e_i))
+                if k is not None:
+                    src.append(j)
+                    dst.append(k)
+        return free, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(starts, dtype=np.intp)
+
     def upper_row_ids(self) -> list[int]:
         return list(range(self.n_upper))
 
@@ -312,7 +334,7 @@ class SolverPlan:
     def aug_system(self) -> SystemTemplate:
         return self.layout.template.system
 
-    @property
+    @cached_property
     def base_system(self) -> SystemTemplate:
         s = self.aug_system
         return SystemTemplate(s.n_vars, s.var_names, s.polys[:-1])

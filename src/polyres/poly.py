@@ -10,8 +10,12 @@ threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 Mono = tuple[int, ...]
 
@@ -89,6 +93,19 @@ class SystemTemplate:
                     raise SystemFormatError(
                         f"exponent vector {t.exps} has length {len(t.exps)}, expected {self.n_vars}"
                     )
+
+    @cached_property
+    def residual_table(self) -> tuple[np.ndarray, tuple[tuple[Term | None, ...], ...]]:
+        """``(exps, terms)`` for normalized_residual: the terms of each
+        polynomial padded with None to a common count, and their exponent
+        vectors as an int array of shape (polynomials, terms, n_vars)."""
+        width = max(len(f.terms) for f in self.polys)
+        terms = tuple(f.terms + (None,) * (width - len(f.terms)) for f in self.polys)
+        exps = np.zeros((len(terms), width, self.n_vars), dtype=np.intp)
+        for i, f in enumerate(self.polys):
+            for t, term in enumerate(f.terms):
+                exps[i, t] = term.exps
+        return exps, terms
 
     def slots(self) -> list[str]:
         """All user coefficient slot names, in first-appearance order."""
@@ -193,7 +210,11 @@ def dump_system(system: SystemTemplate) -> str:
 
 
 def parse_instance(text: str) -> dict[str, float]:
-    """Parse an instance file: a flat JSON map slot name -> number."""
+    """Parse an instance file: a flat JSON map slot name -> finite number.
+
+    JSON booleans, ``NaN`` and ``Infinity``, and numbers too large for a
+    float are rejected here rather than surfacing later as a numeric failure.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -202,9 +223,15 @@ def parse_instance(text: str) -> dict[str, float]:
         raise SystemFormatError("instance file must be a flat object")
     out = {}
     for k, v in doc.items():
-        if not isinstance(v, (int, float)):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SystemFormatError(f"value for slot {k!r} is not a number")
-        out[str(k)] = float(v)
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise SystemFormatError(f"value for slot {k!r} is not a finite number")
+        out[str(k)] = x
     return out
 
 
@@ -234,23 +261,36 @@ def evaluate(f: PolynomialTemplate, coeffs: CoefficientAssignment, point: Sequen
 
 
 def normalized_residual(
-    system: SystemTemplate, coeffs: CoefficientAssignment, point: Sequence[complex]
-) -> float:
-    """max_i |f_i(p)| / (sum_a |c_{i,a} p^a| + 1); zero iff every f_i vanishes."""
-    worst = 0.0
-    for f in system.polys:
-        num = 0.0 + 0.0j
-        den = 1.0
-        for t in f.terms:
-            mono_val = 1.0 + 0.0j
-            for x, e in zip(point, t.exps):
-                if e:
-                    mono_val *= x**e
-            contrib = term_value(t, coeffs) * mono_val
-            num += contrib
-            den += abs(contrib)
-        worst = max(worst, abs(num) / den)
-    return worst
+    system: SystemTemplate, coeffs: CoefficientAssignment, points
+) -> float | np.ndarray:
+    """max_i |f_i(p)| / (sum_a |c_{i,a} p^a| + 1); zero iff every f_i vanishes.
+
+    ``points`` is one point (length n_vars), giving a float, or an
+    ``(N, n_vars)`` array, giving N residuals.  Every operation is
+    elementwise over the points, so a point's residual does not depend on
+    the batch it is evaluated in.
+    """
+    exps, terms = system.residual_table
+    pts = np.asarray(points, dtype=np.complex128)
+    batch = pts.reshape(-1, system.n_vars)
+    # powers[d, j, v] = batch[j, v] ** d, by repeated multiplication
+    powers = np.empty((int(exps.max(initial=0)) + 1, *batch.shape), dtype=np.complex128)
+    powers[0] = 1.0
+    for d in range(1, len(powers)):
+        powers[d] = powers[d - 1] * batch
+    # (polynomial, term, point) values of each p^a, then of c_{i,a} p^a
+    mono = powers[exps[..., 0], :, 0]
+    for v in range(1, system.n_vars):
+        mono = mono * powers[exps[..., v], :, v]
+    coef = np.array([[0.0 if t is None else term_value(t, coeffs) for t in row] for row in terms])
+    contrib = coef[:, :, None] * mono
+    num = contrib[:, 0].copy()
+    den = 1.0 + np.abs(contrib[:, 0])
+    for t in range(1, contrib.shape[1]):
+        num += contrib[:, t]
+        den += np.abs(contrib[:, t])
+    worst = np.max(np.abs(num) / den, axis=0)
+    return float(worst[0]) if pts.ndim == 1 else worst
 
 
 @dataclass(frozen=True)

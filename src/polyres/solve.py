@@ -1,7 +1,7 @@
 """Online stage: fill a plan with numbers, Schur-reduce, eigendecompose.
 
 Failures that count toward the benchmark failure rate (singular pivot
-block, stalled eigeniteration, unrecoverable eigenvector) raise
+block, eigenpair failing its residual bound, unrecoverable eigenvector) raise
 SolveFailure; caller bugs such as missing coefficient slots raise their
 own exceptions and are never silently absorbed.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import EigenConvergenceError, SingularPivotError, eig, schur_complement
 from .plan import SolverPlan
-from .poly import mono_mul, normalized_residual
+from .poly import normalized_residual
 
 REAL_COORD_TOL = 1e-6
 FAILURE_RESIDUAL = 1e-3  # benchmark failure threshold on normalized residuals
@@ -33,43 +33,55 @@ class UnrecoverableVariableError(SolveFailure):
         super().__init__(f"no monomial pair in B1 recovers variable {var_name}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverInstance:
+    """A plan filled with one instance's numbers: the full matrix is
+    ``a_part + u0 * u_part``; the lower rows multiply x_k - u0."""
+
     plan: SolverPlan
     coeffs: dict
-    upper_a11: np.ndarray
-    upper_a12: np.ndarray
-    lower_const: np.ndarray  # x_k-part of the lower block (A21 | A22)
-    lower_hidden: np.ndarray  # u0-part of the lower block (B21 | B22)
+    a_part: np.ndarray
+    u_part: np.ndarray
 
     @property
     def variant(self) -> str:
         return self.plan.layout.variant
 
+    @property
+    def upper_a11(self) -> np.ndarray:
+        lay = self.plan.layout
+        return self.a_part[: lay.n_upper, : lay.n_b1]
+
+    @property
+    def upper_a12(self) -> np.ndarray:
+        lay = self.plan.layout
+        return self.a_part[: lay.n_upper, lay.n_b1 :]
+
+    @property
+    def lower_const(self) -> np.ndarray:
+        """x_k-part of the lower block (A21 | A22)."""
+        return self.a_part[self.plan.layout.n_upper :]
+
+    @property
+    def lower_hidden(self) -> np.ndarray:
+        """u0-part of the lower block (B21 | B22)."""
+        return self.u_part[self.plan.layout.n_upper :]
+
 
 def fill(plan: SolverPlan, coeffs) -> SolverInstance:
     """Write every layout cell from its (polynomial, term, multiplier) source."""
-    lay = plan.layout
-    a_part, u_part = lay.template.fill_parts(coeffs)
-    nu, nb1 = lay.n_upper, lay.n_b1
-    return SolverInstance(
-        plan,
-        dict(coeffs),
-        a_part[:nu, :nb1].copy(),
-        a_part[:nu, nb1:].copy(),
-        a_part[nu:, :].copy(),
-        u_part[nu:, :].copy(),
-    )
+    a_part, u_part = plan.layout.template.fill_parts(coeffs)
+    return SolverInstance(plan, dict(coeffs), a_part, u_part)
 
 
 def schur_matrix(inst: SolverInstance) -> np.ndarray:
     """The eigenproblem matrix X of the plan's partition variant."""
-    lower = inst.lower_const if inst.variant == "v1" else inst.lower_hidden
-    m = np.block([[inst.upper_a11, inst.upper_a12], [lower]])
-    return schur_complement(m, (inst.plan.layout.n_upper, inst.plan.layout.n_b1))
+    lay = inst.plan.layout
+    m = inst.a_part if inst.variant == "v1" else np.vstack((inst.a_part[: lay.n_upper], inst.lower_hidden))
+    return schur_complement(m, (lay.n_upper, lay.n_b1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
     point: tuple[complex, ...]
     eigvalue: complex
@@ -77,7 +89,7 @@ class Root:
     is_real: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionSet:
     roots: tuple[Root, ...]
     n_solutions_bound: int
@@ -86,43 +98,45 @@ class SolutionSet:
         return [r for r in self.roots if r.is_real]
 
 
-def recover(eigvec: np.ndarray, plan: SolverPlan, x_k_value: complex) -> tuple[complex, ...]:
-    """Full solution vector from one eigenvector over the B1 monomials.
+def recover(eigvecs: np.ndarray, plan: SolverPlan, x_k_value) -> np.ndarray:
+    """Full solution vectors from eigenvectors over the B1 monomials.
 
-    Every variable except x_k is read off as a least-squares ratio over the
-    pairs (m, x_i * m) lying in B1; x_k comes from the eigenvalue, not the
-    vector.  Recovery is invariant under rescaling of the eigenvector.
+    ``eigvecs`` is one vector, giving one point of length n_vars, or a
+    matrix whose columns are vectors, giving one row per column;
+    ``x_k_value`` is a scalar or one value per column.  Every
+    variable except x_k is read off as a least-squares ratio over the pairs
+    (m, x_i * m) lying in B1; x_k comes from the eigenvalue, not the vector.
+    Recovery is invariant under rescaling of each eigenvector.
     """
     lay = plan.layout
-    n = lay.template.system.n_vars
-    pos = {m: i for i, m in enumerate(lay.b1)}
-    v = np.asarray(eigvec, dtype=np.complex128)
-    if not v.any():
+    free, src, dst, starts = lay.ratio_pairs
+    v = np.asarray(eigvecs, dtype=np.complex128)
+    single = v.ndim == 1
+    if single:
+        v = v[:, None]
+    if not v.any(axis=0).all():
         raise ValueError("eigenvector is zero")
-    one = tuple(0 for _ in range(n))
-    if one in pos and abs(v[pos[one]]) > 0:
-        v = v / v[pos[one]]
-    point = [0j] * n
-    for i in range(n):
-        if i == lay.hidden_var - 1:
-            point[i] = complex(x_k_value)
-            continue
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        num = 0j
-        den = 0.0
-        for m, idx in pos.items():
-            j = pos.get(mono_mul(m, e_i))
-            if j is not None:
-                num += np.conj(v[idx]) * v[j]
-                den += abs(v[idx]) ** 2
-        if den == 0.0:
-            raise UnrecoverableVariableError(lay.template.system.var_names[i])
-        point[i] = num / den
-    return tuple(point)
+    points = np.empty((v.shape[1], lay.template.system.n_vars), dtype=np.complex128)
+    points[:, lay.hidden_var - 1] = x_k_value
+    if free and v.shape[1]:
+        names = lay.template.system.var_names
+        no_pairs = np.flatnonzero(np.diff(starts, append=len(src)) == 0)
+        if no_pairs.size:
+            raise UnrecoverableVariableError(names[free[no_pairs[0]]])
+        vs = v[src]
+        num = np.add.reduceat(vs.conj() * v[dst], starts, axis=0)
+        den = np.add.reduceat(vs.real**2 + vs.imag**2, starts, axis=0)
+        stuck = np.flatnonzero((den == 0.0).any(axis=1))
+        if stuck.size:
+            raise UnrecoverableVariableError(names[free[stuck[0]]])
+        points[:, free] = (num / den).T
+    return points[0] if single else points
 
 
 def solve(inst: SolverInstance, tol: float = 1e-8) -> SolutionSet:
-    """All roots recoverable from the plan's eigenproblem; residuals are
+    """All roots recoverable from the plan's eigenproblem, in ascending order
+    of their eigenvalue (real part, then imaginary part), so the result does
+    not depend on the order the eigensolver returns pairs in.  Residuals are
     recomputed from the original polynomial templates, never copied."""
     plan = inst.plan
     try:
@@ -130,28 +144,28 @@ def solve(inst: SolverInstance, tol: float = 1e-8) -> SolutionSet:
         res = eig(x, tol=tol)
     except (SingularPivotError, EigenConvergenceError) as e:
         raise SolveFailure(str(e)) from e
-    base = plan.base_system
-    # For the alternate partition a root coordinate u0 appears as -1/u0, so
-    # lambda = 0 is never an affine root; zero eigenvalues are the parasitic
-    # ones the relaxation introduces.  A defective zero block of size m
-    # perturbs to magnitude (eps * scale)^(1/m); culling at the cube root
-    # keeps headroom for blocks up to size three.
-    eps = float(np.finfo(np.float64).eps)
-    cull = (eps * (1.0 + float(np.linalg.norm(x)))) ** (1.0 / 3.0)
-    roots = []
-    for lam, vec in res.pairs():
-        if plan.layout.variant == "v1":
-            xk = lam
-        else:
-            if abs(lam) < cull:
-                continue  # parasitic (zero) eigenvalue of the alt form
-            xk = -1.0 / lam
-        point = recover(vec, plan, xk)
-        resid = normalized_residual(base, inst.coeffs, point)
-        biggest = max(abs(c) for c in point) if point else 0.0
-        is_real = all(abs(c.imag) <= REAL_COORD_TOL * (1.0 + biggest) for c in point)
-        roots.append(Root(point, complex(lam), float(resid), bool(is_real)))
-    return SolutionSet(tuple(roots), plan.n_solutions)
+    lam, vecs = res.values, res.vectors
+    v1 = plan.layout.variant == "v1"
+    if not v1:
+        # For the alternate partition a root coordinate u0 appears as -1/u0,
+        # so lambda = 0 is never an affine root; zero eigenvalues are the
+        # parasitic ones the relaxation introduces.  A defective zero block
+        # of size m perturbs to magnitude (eps * scale)^(1/m); culling at the
+        # cube root keeps headroom for blocks up to size three.
+        eps = float(np.finfo(np.float64).eps)
+        keep = np.abs(lam) >= (eps * (1.0 + float(np.linalg.norm(x)))) ** (1.0 / 3.0)
+        lam, vecs = lam[keep], vecs[:, keep]
+    order = np.lexsort((lam.imag, lam.real))
+    lam, vecs = lam[order], vecs[:, order]
+    points = recover(vecs, plan, lam if v1 else -1.0 / lam)
+    resid = normalized_residual(plan.base_system, inst.coeffs, points)
+    biggest = np.abs(points).max(axis=1, initial=0.0)
+    is_real = np.all(np.abs(points.imag) <= REAL_COORD_TOL * (1.0 + biggest)[:, None], axis=1)
+    pts = [tuple(p) for p in points.tolist()]
+    # a v1 eigenvalue is the hidden coordinate itself: share the object
+    lams = [p[plan.layout.hidden_var - 1] for p in pts] if v1 else lam.tolist()
+    roots = tuple(map(Root, pts, lams, resid.tolist(), is_real.tolist()))
+    return SolutionSet(roots, plan.n_solutions)
 
 
 def solve_instance(plan: SolverPlan, coeffs, tol: float = 1e-8) -> SolutionSet:

@@ -84,6 +84,20 @@ class TestSolve:
         assert "'c'" in err
 
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_instance_rejected(self, tmp_path, capsys, value):
+        sys_path, _ = write_problem(tmp_path, "univariate_quadratic")
+        plan_path = tmp_path / "q.plan"
+        main(["generate", "--system", str(sys_path), "--out", str(plan_path), "--seed", "1"])
+        bad = tmp_path / "bad.inst"
+        bad.write_text('{"a": 1.0, "b": %s, "c": 6.0}' % value)
+        capsys.readouterr()
+        code = main(["solve", "--plan", str(plan_path), "--instance", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'b'" in err and "not a finite number" in err
+
+
 class TestBench:
     def test_report_fields_and_determinism(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "two_conics")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from polyres.poly import (
     parse_instance,
     parse_system,
     support,
+    term_value,
 )
 from polyres.problems import get
 
@@ -82,6 +84,8 @@ class TestParseSystem:
         assert parse_instance('{"a": 1, "b": -5.0}') == {"a": 1.0, "b": -5.0}
         with pytest.raises(SystemFormatError):
             parse_instance('{"a": "oops"}')
+        with pytest.raises(SystemFormatError, match="not a number"):
+            parse_instance('{"a": true}')
 
 
 class TestSupport:
@@ -150,6 +154,23 @@ class TestNormalizedResidual:
         sys1 = get("univariate_linear").system
         r = normalized_residual(sys1, {"a": 1.0, "b": -2.0}, [3.0])
         assert r == pytest.approx(1.0 / 6.0)
+
+    def test_batch_matches_single_points_and_loop_reference(self):
+        entry = get("three_quadrics")
+        rng = np.random.default_rng(4)
+        coeffs = entry.random_instance(rng)
+        pts = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+        batch = normalized_residual(entry.system, coeffs, pts)
+        assert batch.shape == (9,)
+        for p, r in zip(pts, batch):
+            # elementwise arithmetic only: batching cannot change a bit
+            assert normalized_residual(entry.system, coeffs, p) == r
+            want = max(
+                abs(evaluate(f, coeffs, p))
+                / (1.0 + sum(abs(term_value(t, coeffs) * np.prod(p ** np.array(t.exps))) for t in f.terms))
+                for f in entry.system.polys
+            )
+            assert r == pytest.approx(want, rel=1e-12)
 
     def test_all_zero_coefficients(self):
         sys1 = get("univariate_linear").system

@@ -72,6 +72,24 @@ class TestSolve:
             assert abs(r.point[0] * r.point[1] - 0.25) < 1e-8
 
 
+    def test_roots_in_canonical_order(self, two_conics_plan, monkeypatch):
+        # the eigensolver's pair order must not reach the output: the same
+        # pairs handed over reversed give the identical solution set
+        import polyres.solve as solve_mod
+        from polyres.linalg import EigResult, eig
+
+        sols = solve_instance(two_conics_plan, CONIC_INSTANCE)
+        keys = [(r.eigvalue.real, r.eigvalue.imag) for r in sols.roots]
+        assert keys == sorted(keys)
+
+        def reversed_eig(a, tol=1e-8):
+            res = eig(a, tol)
+            return EigResult(res.values[::-1], res.vectors[:, ::-1])
+
+        monkeypatch.setattr(solve_mod, "eig", reversed_eig)
+        assert solve_instance(two_conics_plan, CONIC_INSTANCE) == sols
+
+
 class TestRecover:
     def test_pair_from_constant(self, univariate_quadratic_plan):
         plan = univariate_quadratic_plan
