@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import augment
-from .linalg import float_rref
+from .linalg import float_rref, modp_eliminate
 from .plan import (
     PLAN_VERSION,
     MatrixLayout,
@@ -85,23 +85,8 @@ class ActionMatrix:
 
 def _row_basis_modp(m: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """First row basis in row order plus the (intrinsic) pivot column set."""
-    basis: dict[int, np.ndarray] = {}
-    kept: list[int] = []
-    for i in range(m.shape[0]):
-        r = m[i] % p
-        while True:
-            nz = np.nonzero(r)[0]
-            if nz.size == 0:
-                break
-            c = int(nz[0])
-            if c in basis:
-                r = (r - r[c] * basis[c]) % p
-            else:
-                inv = pow(int(r[c]), p - 2, p)
-                basis[c] = (r * inv) % p
-                kept.append(i)
-                break
-    return kept, sorted(basis)
+    _, rows, cols = modp_eliminate(m, p)
+    return sorted(rows), cols
 
 
 def build_template(

@@ -83,10 +83,10 @@ def cmd_generate(args) -> int:
         return EXIT_NO_SOLVER
     plan = outcome.plan
     Path(args.out).write_text(plan_to_json(plan), encoding="utf-8")
-    upper, eps = plan.layout.n_upper, plan.layout.shape[1]
+    upper = plan.layout.n_upper
     print(f"hidden variable: x_{plan.layout.hidden_var}")
     print(f"variant: {plan.layout.variant}")
-    print(f"solver size: {upper}x{eps} (matrix inverse {upper}x{upper}, eigenproblem {eps - upper})")
+    print(f"solver size: {plan.size_label} (matrix inverse {upper}x{upper}, eigenproblem {plan.n_solutions})")
     print(f"candidates examined: {outcome.candidates_seen}")
     print(f"plan written to {args.out}")
     return EXIT_OK
@@ -145,6 +145,19 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _generic_points(system, plan, seed: int, salt: int) -> list:
+    """Points of one generic instance drawn from (seed, salt): the Sylvester
+    resultant's for 2 polynomials in 2 variables, otherwise the plan's
+    solutions with residual <= 1e-8."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
+    coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
+    if system.n_vars == 2 and len(system.polys) == 2:
+        f = numeric_poly(system.polys[0], coeffs)
+        g = numeric_poly(system.polys[1], coeffs)
+        return list(sylvester_bivariate(f, g, hide=2).points)
+    return [r.point for r in solve_instance(plan, coeffs).roots if r.residual <= 1e-8]
+
+
 def _root_count_for(system, plan, args) -> int:
     if args.roots is not None:
         return args.roots
@@ -153,17 +166,7 @@ def _root_count_for(system, plan, args) -> int:
         coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
         deg = max(t.exps[0] for t in system.polys[0].terms)
         return len(univariate_roots([coeffs.get(_slot_at(system, e), 0.0) for e in range(deg + 1)]))
-    if system.n_vars == 2 and len(system.polys) == 2:
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 991]))
-        coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
-        f = numeric_poly(system.polys[0], coeffs)
-        g = numeric_poly(system.polys[1], coeffs)
-        return len(sylvester_bivariate(f, g, hide=2).points)
-    # fall back to counting residual-verified solutions of a generic instance
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 991]))
-    coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
-    sols = solve_instance(plan, coeffs)
-    return sum(1 for r in sols.roots if r.residual <= 1e-8)
+    return len(_generic_points(system, plan, args.seed, 991))
 
 
 def _slot_at(system, degree: int):
@@ -194,7 +197,7 @@ def cmd_compare(args) -> int:
         elif args.direction == "res2am":
             amplan, resplan = res_to_am(plan, r), plan
         else:
-            probe = _probe_roots(system, plan, args.seed)
+            probe = _generic_points(system, plan, args.seed, 917)
             amplan, resplan = res_to_am(plan, r, probe_roots=probe), plan
     except (UnsupportedCaseError, SolveFailure) as e:
         print(f"unsupported: {e}", file=sys.stderr)
@@ -202,18 +205,6 @@ def cmd_compare(args) -> int:
     verdict = check_equivalence(amplan, resplan, trials=args.trials, seed=args.seed)
     print(f"direction {args.direction}: {verdict}")
     return EXIT_OK if verdict.equivalent else EXIT_NUMERIC
-
-
-def _probe_roots(system, plan, seed: int):
-    if system.n_vars == 2 and len(system.polys) == 2:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 917]))
-        coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
-        f = numeric_poly(system.polys[0], coeffs)
-        g = numeric_poly(system.polys[1], coeffs)
-        return list(sylvester_bivariate(f, g, hide=2).points)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 917]))
-    coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
-    return [r.point for r in solve_instance(plan, coeffs).roots if r.residual <= 1e-8]
 
 
 def cmd_problems(args) -> int:

@@ -55,9 +55,6 @@ class SearchConfig:
     rank: RankCheckConfig = RankCheckConfig(primes=PRIMES[:3], assignments=2)
     squarify_retries: int = 32
 
-    def fresh_rank(self, salt: int) -> RankCheckConfig:
-        return replace(self.rank, seed=self.rank.seed + salt)
-
 
 @dataclass(frozen=True)
 class FavourableCandidate:
@@ -208,7 +205,8 @@ def verify_partition(cand: FavourableCandidate, cfg: SearchConfig) -> PartitionC
 
     The lower-block structure (u0-cells forming -I for v1, x_k-cells forming
     I for v2) holds by layout construction; what can genuinely fail is the
-    full column rank of A12.
+    full column rank of A12.  Every candidate search_candidates returns has
+    passed this check already, so generate_plan does not repeat it.
     """
     layout = build_layout(
         cand.aug_system, cand.hidden_var, cand.variant, cand.b_monos, cand.multipliers, cfg.order
@@ -377,15 +375,10 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
         candidates.extend(search_candidates(aug, k, cfg, reasons))
     if not candidates:
         raise NoSolverError(reasons)
-    scored = []
-    for cand in candidates:
-        check = verify_partition(cand, cfg)
-        if check.ok:
-            scored.append((cand, check.layout))
-        else:
-            reasons["partition"] = reasons.get("partition", 0) + 1
-    if not scored:
-        raise NoSolverError(reasons)
+    scored = [
+        (c, build_layout(c.aug_system, c.hidden_var, c.variant, c.b_monos, c.multipliers, cfg.order))
+        for c in candidates
+    ]
     scored.sort(key=lambda cl: _selection_key(*cl))
     for cand, layout in scored:
         if not recovery_pairs_exist(layout):

@@ -57,48 +57,32 @@ def _det_int(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    work = [row[:] for row in rows]
-    rank = 0
+def _frac_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; returns (rref, pivot columns).
+
+    A pivot column is one the columns before it do not span, so when the
+    columns are vectors the pivots pick the first basis in list order, and
+    every other column holds its coordinates in that basis.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
     ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
         for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
+            if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
-def _frac_solve(cols: list[IntVec], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve sum_j x_j * cols[j] = rhs; the system is known to be consistent."""
-    nrows, ncols = len(rhs), len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
-        r += 1
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][-1]
-    return x
+    return work, pivots
 
 
 @dataclass(frozen=True)
@@ -210,20 +194,8 @@ def _hull_full_dim(pts: list[IntVec]) -> tuple[list[int], list[tuple[IntVec, int
         return ids, facets
 
     # Greedy affinely independent seed simplex.
-    seed = [0]
-    basis: list[list[Fraction]] = []
-    for i in range(1, len(pts)):
-        w = [Fraction(x) for x in _sub(pts[i], pts[0])]
-        for b in basis:
-            lead = next((j for j, x in enumerate(b) if x != 0))
-            if w[lead] != 0:
-                f = w[lead] / b[lead]
-                w = [x - f * y for x, y in zip(w, b)]
-        if any(x != 0 for x in w):
-            basis.append(w)
-            seed.append(i)
-        if len(seed) == d + 1:
-            break
+    _, picked = _frac_rref([[q[j] - pts[0][j] for q in pts[1:]] for j in range(d)])
+    seed = [0] + [i + 1 for i in picked]
     if len(seed) != d + 1:
         raise ValueError("points are not full-dimensional")
 
@@ -265,7 +237,7 @@ def _hull_full_dim(pts: list[IntVec]) -> tuple[list[int], list[tuple[IntVec, int
     extreme = []
     for v in candidates:
         active = [list(n) for (n, b) in ineqs if _dot(n, pts[v]) == b]
-        if _frac_rank([[Fraction(x) for x in row] for row in active]) == d:
+        if len(_frac_rref(active)[1]) == d:
             extreme.append(v)
     return extreme, ineqs
 
@@ -279,41 +251,17 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
 
-    # Affine frame: independent integer directions spanning the hull.
+    # Affine frame: the first independent directions p - v0; the other
+    # columns of the reduced frame hold each point's coordinates in it.
     v0 = pts[0]
-    dirs: list[IntVec] = []
-    basis: list[list[Fraction]] = []
-    for p in pts[1:]:
-        w = [Fraction(x) for x in _sub(p, v0)]
-        for b in basis:
-            lead = next(j for j, x in enumerate(b) if x != 0)
-            if w[lead] != 0:
-                f = w[lead] / b[lead]
-                w = [x - f * y for x, y in zip(w, b)]
-        if any(x != 0 for x in w):
-            basis.append(w)
-            dirs.append(_sub(p, v0))
+    frame, picked = _frac_rref([[p[i] - v0[i] for p in pts[1:]] for i in range(n)])
+    dirs = [_sub(pts[k + 1], v0) for k in picked]
     d = len(dirs)
 
     # Equations of the affine hull: integer basis of the normal space.
     equations = []
     if d < n:
-        rows = [[Fraction(dirs[j][i]) for i in range(n)] for j in range(d)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, d) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(d):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
+        rows, pivots = _frac_rref(dirs)
         free = [c for c in range(n) if c not in pivots]
         for fc in free:
             vec = [Fraction(0)] * n
@@ -330,7 +278,7 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
         return LatticePolytope(n, (v0,), (), tuple(equations))
 
     # Subspace coordinates, scaled to integers per axis.
-    coords = [_frac_solve(dirs, [Fraction(x) for x in _sub(p, v0)]) for p in pts]
+    coords = [[Fraction(0)] * d] + [[frame[j][k] for j in range(d)] for k in range(len(pts) - 1)]
     scales = []
     for j in range(d):
         s = 1
@@ -344,18 +292,16 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
 
     # Lift facet inequalities back to ambient coordinates: on the affine hull,
     # y_j = scales[j] * <P_j, x - v0> where P is a rational left inverse of
-    # the direction matrix.
-    gram = [[Fraction(_dot(dirs[a], dirs[b])) for b in range(d)] for a in range(d)]
-    p_rows = []
-    for i in range(n):
-        rhs = [Fraction(dirs[a][i]) for a in range(d)]
-        p_rows.append(_frac_solve(_gram_cols(gram), rhs))
+    # the direction matrix, P = G^-1 D with G the Gram matrix, read off
+    # the reduced form of [G | D].
+    gram_dirs = [[_dot(dirs[a], dirs[b]) for b in range(d)] + list(dirs[a]) for a in range(d)]
+    inv, _ = _frac_rref(gram_dirs)
     facets = []
     for a_vec, b_off in ineqs:
         w = [Fraction(0)] * n
         for j in range(d):
             for i in range(n):
-                w[i] += a_vec[j] * scales[j] * p_rows[i][j]
+                w[i] += a_vec[j] * scales[j] * inv[j][d + i]
         denom = 1
         for x in w:
             denom = denom * x.denominator // gcd(denom, x.denominator)
@@ -368,10 +314,6 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
         offset = (Fraction(b_off) * denom / g) + Fraction(_dot(iw, v0))
         facets.append(HalfSpace(iw, offset))
     return LatticePolytope(n, vertices, tuple(facets), tuple(equations))
-
-
-def _gram_cols(gram: list[list[Fraction]]) -> list[tuple]:
-    return [tuple(gram[i][j] for i in range(len(gram))) for j in range(len(gram))]
 
 
 def minkowski_sum(polys: Sequence[LatticePolytope]) -> LatticePolytope:

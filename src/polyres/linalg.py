@@ -1,8 +1,8 @@
 """Dense linear algebra in two regimes: exact prime-field and floating point.
 
-The prime-field routines back the offline rank decisions; moduli are kept
-below 2^31 so products of two reduced entries fit in int64 and the numpy
-row operations stay exact.  The floating side provides RREF with partial
+One prime-field elimination backs the offline rank decisions; moduli
+are kept below 2^31 so products of two reduced entries fit in int64 and
+the numpy row operations stay exact.  The floating side provides RREF with partial
 pivoting, an equilibrated Schur complement of the pivot block, and the
 nonsymmetric eigensolver of the online stage: LAPACK through numpy, with
 a residual postcondition on every returned pair.
@@ -37,54 +37,46 @@ def _modp(m: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(m, dtype=np.int64) % p
 
 
+def modp_eliminate(
+    m: np.ndarray, p: int, reduce: bool = False
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Gaussian elimination over F_p that never swaps rows.
+
+    Column by column, the pivot is the first row, in row order, that has
+    not been a pivot yet; it is scaled to 1 and cleared from the non-pivot
+    rows below it in that column.  A row is therefore only ever reduced by
+    pivot rows that precede it, so ``sorted(rows)`` is the first row basis
+    in row order, ``cols`` the pivot columns and ``len(cols)`` the rank.
+    With ``reduce`` the pivot is also cleared from the earlier pivot rows,
+    and ``a[rows]`` is the reduced row echelon form.
+    """
+    a = _modp(m, p).copy()
+    free = np.ones(a.shape[0], dtype=bool)
+    rows: list[int] = []
+    cols: list[int] = []
+    for c in range(a.shape[1]):
+        if len(rows) == a.shape[0]:
+            break
+        live = np.flatnonzero(free & (a[:, c] != 0))
+        if live.size == 0:
+            continue
+        r = int(live[0])
+        free[r] = False
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        hit = live[1:]
+        if reduce:
+            done = np.flatnonzero(~free & (a[:, c] != 0))
+            hit = np.concatenate([hit, done[done != r]])
+        if hit.size:
+            a[hit] = (a[hit] - a[hit, c, None] * a[r]) % p
+        rows.append(r)
+        cols.append(c)
+    return a, rows, cols
+
+
 def exact_rank(m: np.ndarray, p: int) -> int:
-    """Rank over F_p by fraction-free Gaussian elimination."""
-    a = _modp(m, p).copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            a[r + 1 :][mask] = (a[r + 1 :][mask] - below[mask, None] * a[r]) % p
-        r += 1
-    return r
-
-
-def modp_rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (rref, pivot columns)."""
-    a = _modp(m, p).copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        for i in others:
-            if i != r:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    """Rank over F_p."""
+    return len(modp_eliminate(m, p)[2])
 
 
 def float_rref(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, list[int]]:

@@ -101,9 +101,6 @@ class TemplateMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
 
-    def col_index(self) -> dict[Mono, int]:
-        return {m: j for j, m in enumerate(self.cols)}
-
     def instantiate_modp(self, p: int, values: dict[str, int]) -> np.ndarray:
         """Dense matrix over F_p; ``values`` maps every slot and 'u0' to ints."""
         lookup = np.empty(len(self._slot_names) + 2, dtype=np.int64)

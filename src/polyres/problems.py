@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import modp_rref
+from .linalg import modp_eliminate
 from .poly import Mono, PolynomialTemplate, SystemTemplate, Term
 
 
@@ -247,7 +247,8 @@ def rel_pose_field_instance(prime: int, trial: int, seed: int) -> dict:
     for _ in range(8):
         x1, y1, x2, y2 = (rng.randrange(1, prime) for _ in range(4))
         rows.append([v % prime for v in _rel_pose_lifted_row(x1, y1, x2, y2, 1)])
-    rref, pivots = modp_rref(np.array(rows, dtype=np.int64), prime)
+    a, pivot_rows, pivots = modp_eliminate(np.array(rows, dtype=np.int64), prime, reduce=True)
+    rref = a[pivot_rows]
     free = [c for c in range(12) if c not in pivots]
     if len(free) != 4:
         return rel_pose_field_instance(prime, trial + 1000, seed)

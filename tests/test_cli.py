@@ -152,6 +152,15 @@ class TestCompare:
         )
         assert code == 0
 
+    def test_conics_resalt2am(self, tmp_path, capsys):
+        sys_path, _ = write_problem(tmp_path, "two_conics")
+        code = main(
+            ["compare", "--system", str(sys_path), "--direction", "resalt2am", "--trials", "20", "--seed", "3"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "equivalent" in out and "NOT" not in out
+
     def test_zero_root_resalt_rejected(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "zero_coordinate_pair")
         code = main(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polyres.lattice import (
     Displacement,
+    _frac_rref,
     convex_hull,
     displacement_grid,
     lattice_points,
@@ -188,6 +189,24 @@ class TestOracleEquivalence:
         zero = Displacement((Fraction(0), Fraction(0)))
         np_, nq, ns = (len(lattice_points(x, zero)) for x in (p, q, s))
         assert ns >= max(np_, nq)
+
+
+class TestFracRref:
+    def test_small_rational(self):
+        rref, pivots = _frac_rref([[Fraction(1, 2), 1, Fraction(1, 3)], [1, 2, 1]])
+        assert rref == [[1, 2, 0], [0, 0, 1]]
+        assert pivots == [0, 2]
+
+    def test_pivots_pick_first_basis_of_columns(self):
+        # vector 1 = 2 * vector 0 and vector 3 = vector 0 + vector 2
+        vecs = [(1, 0, 1), (2, 0, 2), (0, 1, 0), (1, 1, 1), (0, 0, 1)]
+        rref, pivots = _frac_rref([[v[i] for v in vecs] for i in range(3)])
+        assert pivots == [0, 2, 4]
+        assert [row[1] for row in rref] == [2, 0, 0]
+        assert [row[3] for row in rref] == [1, 1, 0]
+
+    def test_empty(self):
+        assert _frac_rref([]) == ([], [])
 
 
 class TestUnitSimplex:

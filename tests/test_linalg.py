@@ -8,7 +8,7 @@ from polyres.linalg import (
     eig,
     exact_rank,
     float_rref,
-    modp_rref,
+    modp_eliminate,
     schur_complement,
 )
 from polyres.oracle import univariate_roots
@@ -61,8 +61,70 @@ class TestGJEliminate:
 
     def test_field_rref_rank_matches_exact_rank(self, rng):
         m = rng.integers(0, P, size=(8, 5))
-        _, pivots = modp_rref(m, P)
+        _, _, pivots = modp_eliminate(m, P, reduce=True)
         assert len(pivots) == exact_rank(m, P)
+
+
+def _reference_rref(m, p):
+    """Textbook Gauss-Jordan over F_p on Python ints, with row swaps."""
+    a = [[int(x) % p for x in row] for row in m]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def _first_row_basis(m, p):
+    """Rows that raise the rank of the rows before them."""
+    ranks = [len(_reference_rref(m[: i + 1], p)[1]) for i in range(len(m))]
+    return [i for i in range(len(m)) if ranks[i] > (ranks[i - 1] if i else 0)]
+
+
+class TestModpEliminate:
+    def test_interleaved_dependent_rows(self):
+        r0 = np.array([0, 1, 2, 0, 5])
+        r2 = np.array([3, 0, 0, 1, 1])
+        r4 = np.array([0, 0, 0, 1, 4])
+        # rows 1, 3 and 5 are dependent; row 3 sits ahead of independent row 4,
+        # and column 0 pivots on row 2, after the unused row 0
+        m = np.array([r0, 2 * r0, r2, r0 - r2, r4, 3 * r2 + r4]) % P
+        a, rows, cols = modp_eliminate(m, P)
+        assert sorted(rows) == _first_row_basis(m, P) == [0, 2, 4]
+        assert cols == _reference_rref(m, P)[1] == [0, 1, 3]
+        assert not a[[1, 3, 5]].any()
+
+    @pytest.mark.parametrize("p", [7, P])
+    def test_random_low_rank_matches_reference(self, rng, p):
+        for _ in range(20):
+            r, c = rng.integers(1, 9, size=2)
+            k = int(rng.integers(1, min(r, c) + 1))
+            m = rng.integers(0, p, size=(r, k)) @ rng.integers(0, p, size=(k, c)) % p
+            m[rng.integers(0, r)] = 0
+            _, rows, cols = modp_eliminate(m, p)
+            assert sorted(rows) == _first_row_basis(m, p)
+            assert cols == _reference_rref(m, p)[1]
+            assert exact_rank(m, p) == len(cols)
+
+    def test_reduce_reproduces_rref(self, rng):
+        for _ in range(20):
+            m = rng.integers(0, P, size=(6, 3)) @ rng.integers(0, P, size=(3, 8)) % P
+            m = np.vstack([m[:2], m[:1] * 5 % P, m[2:]])
+            ref, ref_pivots = _reference_rref(m, P)
+            a, rows, cols = modp_eliminate(m, P, reduce=True)
+            assert cols == ref_pivots
+            assert a[rows].tolist() == ref
+            assert rows == modp_eliminate(m, P)[1]
 
 
 class TestSchurComplement:
