@@ -23,6 +23,7 @@ from .plan import (
     RankCheckConfig,
     SolverPlan,
     TemplateMatrix,
+    plan_document,
 )
 from .poly import (
     MonomialOrder,
@@ -393,11 +394,7 @@ def amplan_to_json(plan: AmPlan) -> str:
 
 
 def amplan_from_json(text: str) -> AmPlan:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PlanFormatError(f"not a valid plan file: {e.msg}") from e
-    try:
+    with plan_document(text) as doc:
         if doc["kind"] != "action-matrix":
             raise PlanFormatError(f"expected an action-matrix plan, got {doc['kind']!r}")
         meta = doc["meta"]
@@ -414,7 +411,3 @@ def amplan_from_json(text: str) -> AmPlan:
             bool(meta["reciprocal"]),
             tuple(tuple(m) for m in doc["removed_excess"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, PlanFormatError):
-            raise
-        raise PlanFormatError(f"plan file is missing or corrupts a section: {e}") from e

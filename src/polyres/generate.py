@@ -44,41 +44,33 @@ class SquarifyExhausted(RuntimeError):
     """No row-removal sequence kept the partition valid within the retry cap."""
 
 
+SQUARIFY_RETRIES = 32
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     delta_magnitudes: tuple[Fraction, ...] = (Fraction(1, 10), Fraction(1, 1000))
     max_subset_size: int | None = None
-    max_subsets: int | None = None
     order: MonomialOrder = MonomialOrder()
     variants: tuple[str, ...] = ("v1", "v2")
     seed: int = 0
     rank: RankCheckConfig = RankCheckConfig(primes=PRIMES[:3], assignments=2)
-    squarify_retries: int = 32
 
 
 @dataclass(frozen=True)
 class FavourableCandidate:
-    """A monomial set passing the row-count, coverage and rank conditions."""
+    """A favourable monomial set as the block layout that passed the
+    row-count, coverage and rank conditions, with the rows the reduction
+    stages have removed from it so far."""
 
-    aug_system: SystemTemplate
-    hidden_var: int
-    variant: str
+    layout: MatrixLayout
     delta: tuple[Fraction, ...]
     subset_mask: int
-    b_monos: tuple[Mono, ...]  # canonical sorted tuple, unordered otherwise
-    multipliers: tuple[frozenset[Mono], ...]
+    deleted: tuple[tuple[int, Mono], ...] = ()
 
-    @property
-    def n_b1(self) -> int:
-        return len(self.multipliers[-1])
 
-    def key(self):
-        return (
-            self.hidden_var,
-            self.variant,
-            self.b_monos,
-            tuple(tuple(sorted(t)) for t in self.multipliers),
-        )
+def _tick(reasons: dict[str, int], name: str):
+    reasons[name] = reasons.get(name, 0) + 1
 
 
 def augment(system: SystemTemplate, k: int) -> SystemTemplate:
@@ -93,15 +85,11 @@ def augment(system: SystemTemplate, k: int) -> SystemTemplate:
 
 
 def _subset_masks(m_aug: int, cfg: SearchConfig):
-    masks = []
     for size in range(1, m_aug + 1):
         if cfg.max_subset_size is not None and size > cfg.max_subset_size:
             break
         for combo in itertools.combinations(range(m_aug), size):
-            masks.append(sum(1 << i for i in combo))
-    if cfg.max_subsets is not None:
-        masks = masks[: cfg.max_subsets]
-    return masks
+            yield sum(1 << i for i in combo)
 
 
 def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchConfig,
@@ -109,13 +97,11 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     """Sweep (subset, displacement) pairs and emit favourable candidates.
 
     The Minkowski sum always includes the unit simplex; both set-partition
-    variants are emitted when their A12 block has full column rank.
+    variants are emitted when their A12 block has full column rank.  Each
+    rank verdict is made once per monomial set (and variant) and reused when
+    another (subset, displacement) pair reproduces the set.
     """
     reasons = reasons if reasons is not None else {}
-
-    def tick(name: str):
-        reasons[name] = reasons.get(name, 0) + 1
-
     n = aug_system.n_vars
     m_aug = len(aug_system.polys)
     polytopes = [convex_hull(support(f)) for f in aug_system.polys]
@@ -125,8 +111,8 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
         deltas.extend(displacement_grid(n, Fraction(mag)))
 
     out: list[FavourableCandidate] = []
-    seen: set = set()
     ext_cache: dict[frozenset[Mono], tuple] = {}
+    # base_key -> full column rank; (variant, base_key) -> A12 full column rank
     rank_cache: dict[tuple, bool] = {}
 
     for mask in _subset_masks(m_aug, cfg):
@@ -138,7 +124,7 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
                 pts = frozenset(lattice_points(q, delta))
                 b_cache[delta.delta] = pts
             if not pts:
-                tick("empty_lattice")
+                _tick(reasons, "empty_lattice")
                 continue
             ext = ext_cache.get(pts)
             if ext is None:
@@ -147,13 +133,12 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
             b_set = ext.monomials
             t_sets = ext.multipliers
             if min(len(t) for t in t_sets) == 0:
-                tick("coverage")
+                _tick(reasons, "coverage")
                 continue
             if sum(len(t) for t in t_sets) < len(b_set):
-                tick("row_count")
+                _tick(reasons, "row_count")
                 continue
-            b_sorted = tuple(sorted(b_set))
-            base_key = (hidden_var, b_sorted, tuple(tuple(sorted(t)) for t in t_sets))
+            base_key = (hidden_var, tuple(sorted(b_set)), tuple(tuple(sorted(t)) for t in t_sets))
             full_rank = rank_cache.get(base_key)
             layout_v1 = None
             if full_rank is None:
@@ -161,36 +146,28 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
                 full_rank = has_full_column_rank(layout_v1.template, None, cfg.rank)
                 rank_cache[base_key] = full_rank
             if not full_rank:
-                tick("column_rank")
+                _tick(reasons, "column_rank")
                 continue
             for variant in cfg.variants:
-                cand = FavourableCandidate(
-                    aug_system, hidden_var, variant, delta.delta, mask, b_sorted, t_sets
-                )
-                if cand.key() in seen:
-                    continue
-                layout = (
-                    layout_v1
-                    if variant == "v1" and layout_v1 is not None
-                    else build_layout(aug_system, hidden_var, variant, b_set, t_sets, cfg.order)
-                )
-                if not has_full_column_rank(
-                    layout.template, layout.a12_cols(), cfg.rank, layout.upper_row_ids()
-                ):
-                    tick("a12_rank")
-                    continue
-                seen.add(cand.key())
-                out.append(cand)
+                a12_key = (variant, base_key)
+                a12_rank = rank_cache.get(a12_key)
+                if a12_rank is None:
+                    layout = (
+                        layout_v1
+                        if variant == "v1" and layout_v1 is not None
+                        else build_layout(aug_system, hidden_var, variant, b_set, t_sets, cfg.order)
+                    )
+                    a12_rank = has_full_column_rank(
+                        layout.template, layout.a12_cols(), cfg.rank, layout.upper_row_ids()
+                    )
+                    rank_cache[a12_key] = a12_rank
+                    if a12_rank:
+                        out.append(FavourableCandidate(layout, delta.delta, mask))
+                if not a12_rank:
+                    _tick(reasons, "a12_rank")
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
-
-
-@dataclass(frozen=True)
-class PartitionCheck:
-    ok: bool
-    layout: MatrixLayout | None
-    reason: str = ""
 
 
 def recovery_pairs_exist(layout: MatrixLayout) -> bool:
@@ -200,23 +177,25 @@ def recovery_pairs_exist(layout: MatrixLayout) -> bool:
     return bool(np.all(np.diff(starts, append=len(src)) > 0))
 
 
-def verify_partition(cand: FavourableCandidate, cfg: SearchConfig) -> PartitionCheck:
-    """Build the block layout and verify the Schur complement exists.
+def verify_partition(layout: MatrixLayout, cfg: SearchConfig) -> bool:
+    """From-scratch test of a trial layout: every T_i is nonempty, the
+    matrix has full column rank, and A12 has full column rank on the upper
+    rows, so the Schur complement exists.
 
     The lower-block structure (u0-cells forming -I for v1, x_k-cells forming
-    I for v2) holds by layout construction; what can genuinely fail is the
-    full column rank of A12.  Every candidate search_candidates returns has
-    passed this check already, so generate_plan does not repeat it.
+    I for v2) holds by layout construction, and both reduction stages keep
+    at least as many rows as columns.
     """
-    layout = build_layout(
-        cand.aug_system, cand.hidden_var, cand.variant, cand.b_monos, cand.multipliers, cfg.order
+    if not all(layout.multiplier_sets()):
+        return False
+    tm = layout.template
+    return has_full_column_rank(tm, None, cfg.rank) and has_full_column_rank(
+        tm, layout.a12_cols(), cfg.rank, layout.upper_row_ids()
     )
-    if not has_full_column_rank(layout.template, layout.a12_cols(), cfg.rank, layout.upper_row_ids()):
-        return PartitionCheck(False, None, "no Schur complement: A12 rank deficient")
-    return PartitionCheck(True, layout)
 
 
-def _selection_key(cand: FavourableCandidate, layout: MatrixLayout):
+def _selection_key(layout: MatrixLayout):
+    """Smallest eigenproblem first, then smallest matrix, then layout order."""
     p, eps = layout.shape
     return (
         layout.n_b1,
@@ -229,32 +208,17 @@ def _selection_key(cand: FavourableCandidate, layout: MatrixLayout):
     )
 
 
-def select_best(scored: list[tuple[FavourableCandidate, MatrixLayout]]):
-    """Smallest eigenproblem first, then smallest matrix, then layout order."""
-    if not scored:
-        raise ValueError("no candidates to select from")
-    return min(scored, key=lambda cl: _selection_key(*cl))
+def _without(layout: MatrixLayout, rows, cols, cfg: SearchConfig) -> MatrixLayout:
+    """Canonical layout of the same construction with the multiples ``rows``
+    and the monomials ``cols`` removed."""
+    t_sets = layout.multiplier_sets()
+    for poly_idx, mult in rows:
+        t_sets[poly_idx].discard(mult)
+    b_set = frozenset(layout.template.cols).difference(cols)
+    return build_layout(layout.template.system, layout.hidden_var, layout.variant, b_set, t_sets, cfg.order)
 
 
-def _conditions_hold(cand: FavourableCandidate, cfg: SearchConfig) -> tuple[bool, MatrixLayout | None]:
-    t_sets = cand.multipliers
-    if min(len(t) for t in t_sets) == 0:
-        return False, None
-    if sum(len(t) for t in t_sets) < len(cand.b_monos):
-        return False, None
-    layout = build_layout(
-        cand.aug_system, cand.hidden_var, cand.variant, cand.b_monos, t_sets, cfg.order
-    )
-    if not has_full_column_rank(layout.template, None, cfg.rank):
-        return False, None
-    if not has_full_column_rank(layout.template, layout.a12_cols(), cfg.rank, layout.upper_row_ids()):
-        return False, None
-    return True, layout
-
-
-def reduce_rowcol(
-    cand: FavourableCandidate, layout: MatrixLayout, cfg: SearchConfig
-) -> tuple[FavourableCandidate, MatrixLayout, list[tuple[int, Mono]]]:
+def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCandidate:
     """Remove column groups and their supporting rows while the favourable
     conditions and the block partition survive; loops to a fixpoint.
 
@@ -264,13 +228,12 @@ def reduce_rowcol(
     rows stand for.
     """
     rng = random.Random(f"rowcol:{cfg.seed}")
-    deleted: list[tuple[int, Mono]] = []
     while True:
+        layout = cand.layout
         tm = layout.template
         p, eps = tm.shape
         col_order = list(range(eps))
         rng.shuffle(col_order)
-        accepted = False
         for c in col_order:
             rows_hit = tm.structural_rows_of_col(c)
             if not rows_hit or len(rows_hit) == p:
@@ -281,81 +244,50 @@ def reduce_rowcol(
             s, l = len(rows_hit), len(cols_hit)
             if p - s < eps - l or eps - l == 0:
                 continue
-            removed_multipliers = [tm.rows[r] for r in sorted(rows_hit)]
-            new_t = list(cand.multipliers)
-            for poly_idx, mult in removed_multipliers:
-                new_t[poly_idx] = new_t[poly_idx] - {mult}
-            removed_monos = {tm.cols[c2] for c2 in cols_hit}
-            new_b = tuple(sorted(frozenset(cand.b_monos) - removed_monos))
-            trial = replace(cand, b_monos=new_b, multipliers=tuple(new_t))
-            ok, new_layout = _conditions_hold(trial, cfg)
-            if not ok:
+            removed = tuple(tm.rows[r] for r in sorted(rows_hit))
+            trial = _without(layout, removed, [tm.cols[c2] for c2 in cols_hit], cfg)
+            if not verify_partition(trial, cfg):
                 continue
-            assert new_layout.n_b1 <= layout.n_b1, "row-column removal grew B1"
-            cand, layout = trial, new_layout
-            deleted.extend(removed_multipliers)
-            accepted = True
+            assert trial.n_b1 <= layout.n_b1, "row-column removal grew B1"
+            cand = replace(cand, layout=trial, deleted=cand.deleted + removed)
             break
-        if not accepted:
-            return cand, layout, deleted
+        else:
+            return cand
 
 
-def squarify(
-    cand: FavourableCandidate,
-    layout: MatrixLayout,
-    cfg: SearchConfig,
-) -> SolverPlan:
+def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
     """Remove extra rows until the matrix is square, lower block first.
 
     Each removal is re-validated against the favourable conditions and the
-    partition; dead ends restart with a fresh removal order up to the
-    configured retry cap.
+    partition; dead ends restart with a fresh removal order, at most
+    SQUARIFY_RETRIES times.
     """
-    base_deleted: list[tuple[int, Mono]] = []
-    m_last = len(cand.aug_system.polys) - 1
-    for attempt in range(cfg.squarify_retries):
+    m_last = len(cand.layout.template.system.polys) - 1
+    for attempt in range(SQUARIFY_RETRIES):
         rng = random.Random(f"squarify:{cfg.seed}:{attempt}")
-        cur, cur_layout = cand, layout
-        deleted = list(base_deleted)
+        layout, deleted = cand.layout, list(cand.deleted)
         tried: set[tuple[int, Mono]] = set()
-        dead = False
-        while cur_layout.shape[0] > cur_layout.shape[1]:
-            pool = sorted(t for t in cur.multipliers[m_last] if (m_last, t) not in tried)
+        while layout.shape[0] > layout.shape[1]:
+            t_sets = layout.multiplier_sets()
+            pool = sorted(t for t in t_sets[m_last] if (m_last, t) not in tried)
             if pool:
                 poly_idx, mult = m_last, pool[rng.randrange(len(pool))]
             else:
-                open_polys = [
-                    i
-                    for i in range(m_last)
-                    if any((i, t) not in tried for t in cur.multipliers[i])
-                ]
+                open_polys = [i for i in range(m_last) if any((i, t) not in tried for t in t_sets[i])]
                 if not open_polys:
-                    dead = True
                     break
                 poly_idx = open_polys[rng.randrange(len(open_polys))]
-                pool = sorted(t for t in cur.multipliers[poly_idx] if (poly_idx, t) not in tried)
+                pool = sorted(t for t in t_sets[poly_idx] if (poly_idx, t) not in tried)
                 mult = pool[rng.randrange(len(pool))]
             tried.add((poly_idx, mult))
-            new_t = list(cur.multipliers)
-            new_t[poly_idx] = new_t[poly_idx] - {mult}
-            trial = replace(cur, multipliers=tuple(new_t))
-            ok, new_layout = _conditions_hold(trial, cfg)
-            if not ok:
-                continue
-            cur, cur_layout = trial, new_layout
-            deleted.append((poly_idx, mult))
-        if not dead and cur_layout.shape[0] == cur_layout.shape[1]:
-            return SolverPlan(
-                cur_layout,
-                cfg.order.kind,
-                cfg.seed,
-                cur.delta,
-                cur.subset_mask,
-                tuple(deleted),
-            )
-    raise SquarifyExhausted(
-        f"no valid removal sequence after {cfg.squarify_retries} attempts"
-    )
+            trial = _without(layout, [(poly_idx, mult)], (), cfg)
+            if verify_partition(trial, cfg):
+                layout = trial
+                deleted.append((poly_idx, mult))
+        else:
+            # full column rank keeps rows >= columns, so the matrix is square
+            return SolverPlan(layout, cfg.order.kind, cfg.seed, cand.delta, cand.subset_mask, tuple(deleted))
+    raise SquarifyExhausted(f"no valid removal sequence after {SQUARIFY_RETRIES} attempts")
 
 
 @dataclass(frozen=True)
@@ -371,36 +303,22 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     reasons: dict[str, int] = {}
     candidates: list[FavourableCandidate] = []
     for k in range(1, system.n_vars + 1):
-        aug = augment(system, k)
-        candidates.extend(search_candidates(aug, k, cfg, reasons))
+        candidates.extend(search_candidates(augment(system, k), k, cfg, reasons))
     if not candidates:
         raise NoSolverError(reasons)
-    scored = [
-        (c, build_layout(c.aug_system, c.hidden_var, c.variant, c.b_monos, c.multipliers, cfg.order))
-        for c in candidates
-    ]
-    scored.sort(key=lambda cl: _selection_key(*cl))
-    for cand, layout in scored:
-        if not recovery_pairs_exist(layout):
-            reasons["unrecoverable_b1"] = reasons.get("unrecoverable_b1", 0) + 1
+    candidates.sort(key=lambda c: _selection_key(c.layout))
+    for cand in candidates:
+        if not recovery_pairs_exist(cand.layout):
+            _tick(reasons, "unrecoverable_b1")
             continue
-        reduced_cand, reduced_layout, deleted = reduce_rowcol(cand, layout, cfg)
         try:
-            plan = squarify(reduced_cand, reduced_layout, cfg)
+            plan = squarify(reduce_rowcol(cand, cfg), cfg)
         except SquarifyExhausted:
-            reasons["squarify_exhausted"] = reasons.get("squarify_exhausted", 0) + 1
+            _tick(reasons, "squarify_exhausted")
             continue
         if not recovery_pairs_exist(plan.layout):
             # row removal can strip the pairs the eigenvector read-off needs
-            reasons["unrecoverable_b1"] = reasons.get("unrecoverable_b1", 0) + 1
+            _tick(reasons, "unrecoverable_b1")
             continue
-        plan = SolverPlan(
-            plan.layout,
-            plan.order_kind,
-            plan.seed,
-            plan.delta,
-            plan.subset_mask,
-            tuple(deleted) + plan.deleted_rows,
-        )
         return GenerateOutcome(plan, len(candidates), reasons)
     raise NoSolverError(reasons)

@@ -60,17 +60,6 @@ def univariate_roots(coeffs: Sequence[complex], degree: int | None = None) -> np
     return np.linalg.eigvals(comp)
 
 
-def _poly_eval(p: NumPoly, point) -> complex:
-    total = 0j
-    for exps, c in p.items():
-        v = complex(c)
-        for x, e in zip(point, exps):
-            if e:
-                v *= x**e
-        total += v
-    return total
-
-
 def _plain_residual(p: NumPoly, point) -> float:
     num = 0j
     den = 1.0

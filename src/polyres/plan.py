@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,9 +66,10 @@ class TemplateMatrix:
         if len(col_index) != len(self.cols):
             raise ValueError("duplicate column monomials")
         slot_ids = {name: i for i, name in enumerate(sorted(self.system.slots()))}
-        cells = []
-        enc_rows, enc_cols, enc_slots, enc_consts = [], [], [], []
+        enc_rows, enc_cols, enc_terms, enc_slots, enc_consts = [], [], [], [], []
         for r, (poly_idx, mult) in enumerate(self.rows):
+            if not 0 <= poly_idx < len(self.system.polys):
+                raise ValueError(f"row {(poly_idx, mult)} names no polynomial of the system")
             f = self.system.polys[poly_idx]
             for t_idx, term in enumerate(f.terms):
                 mono = mono_mul(mult, term.exps)
@@ -78,9 +80,9 @@ class TemplateMatrix:
                     raise ValueError(
                         f"row {(poly_idx, mult)} produces monomial {mono} outside the column set"
                     )
-                cells.append((r, j, poly_idx, t_idx))
                 enc_rows.append(r)
                 enc_cols.append(j)
+                enc_terms.append(t_idx)
                 if term.slot is None:
                     enc_slots.append(_SLOT_LITERAL)
                 elif term.slot == HIDDEN_SLOT:
@@ -88,18 +90,24 @@ class TemplateMatrix:
                 else:
                     enc_slots.append(slot_ids[term.slot])
                 enc_consts.append(term.const)
-        if len({(r, c) for r, c, _, _ in cells}) != len(cells):
-            raise ValueError("two terms collide in one matrix cell")
-        object.__setattr__(self, "cells", tuple(cells))
         object.__setattr__(self, "_slot_names", tuple(sorted(slot_ids)))
         object.__setattr__(self, "_enc_rows", np.array(enc_rows, dtype=np.int64))
         object.__setattr__(self, "_enc_cols", np.array(enc_cols, dtype=np.int64))
+        object.__setattr__(self, "_enc_terms", np.array(enc_terms, dtype=np.int64))
         object.__setattr__(self, "_enc_slots", np.array(enc_slots, dtype=np.int64))
         object.__setattr__(self, "_enc_consts", np.array(enc_consts, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(row, column, polynomial, term) of every cell a term fills, row by
+        row.  Built on demand: only plan files need it, and the offline
+        search keeps many templates alive."""
+        rows, cols, terms = self._enc_rows.tolist(), self._enc_cols.tolist(), self._enc_terms.tolist()
+        return tuple((r, j, self.rows[r][0], t) for r, j, t in zip(rows, cols, terms))
 
     def instantiate_modp(self, p: int, values: dict[str, int]) -> np.ndarray:
         """Dense matrix over F_p; ``values`` maps every slot and 'u0' to ints."""
@@ -372,14 +380,26 @@ def plan_to_json(plan: SolverPlan) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def plan_from_json(text: str) -> SolverPlan:
-    from .generate import augment  # deferred: generate imports this module
-
+@contextmanager
+def plan_document(text: str):
+    """Parse a plan file; whatever a missing or corrupt section raises while
+    the caller reads the document becomes a PlanFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise PlanFormatError(f"not a valid plan file: {e.msg}") from e
     try:
+        yield doc
+    except PlanFormatError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+        raise PlanFormatError(f"plan file is missing or corrupts a section: {e}") from e
+
+
+def plan_from_json(text: str) -> SolverPlan:
+    from .generate import augment  # deferred: generate imports this module
+
+    with plan_document(text) as doc:
         if doc["kind"] != "resultant":
             raise PlanFormatError(f"expected a resultant plan, got kind {doc['kind']!r}")
         if doc["version"] != PLAN_VERSION:
@@ -405,7 +425,3 @@ def plan_from_json(text: str) -> SolverPlan:
             tuple((int(p), tuple(m)) for p, m in doc["deleted_rows"]),
             meta.get("origin", "search"),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, PlanFormatError):
-            raise
-        raise PlanFormatError(f"plan file is missing or corrupts a section: {e}") from e

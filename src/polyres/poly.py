@@ -304,13 +304,6 @@ class Extension:
     multipliers: tuple[frozenset[Mono], ...]
     monomials: frozenset[Mono]
 
-    @property
-    def products(self) -> list[tuple[int, Mono]]:
-        out = []
-        for i, ts in enumerate(self.multipliers):
-            out.extend((i, t) for t in sorted(ts))
-        return out
-
 
 def extend_system(polys: Sequence[PolynomialTemplate], b_prime: Iterable[Mono]) -> Extension:
     """Largest monomial-multiple extension of each polynomial inside B'.

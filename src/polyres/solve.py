@@ -94,9 +94,6 @@ class SolutionSet:
     roots: tuple[Root, ...]
     n_solutions_bound: int
 
-    def real_roots(self) -> list[Root]:
-        return [r for r in self.roots if r.is_real]
-
 
 def recover(eigvecs: np.ndarray, plan: SolverPlan, x_k_value) -> np.ndarray:
     """Full solution vectors from eigenvectors over the B1 monomials.

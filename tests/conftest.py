@@ -22,8 +22,13 @@ def univariate_quadratic_plan():
 
 
 @pytest.fixture(scope="session")
-def two_conics_plan():
-    return generate_plan(get("two_conics").system, SearchConfig(seed=1, variants=("v1",))).plan
+def two_conics_outcome():
+    return generate_plan(get("two_conics").system, SearchConfig(seed=1, variants=("v1",)))
+
+
+@pytest.fixture(scope="session")
+def two_conics_plan(two_conics_outcome):
+    return two_conics_outcome.plan
 
 
 @pytest.fixture(scope="session")
@@ -32,8 +37,13 @@ def two_conics_plan_v2():
 
 
 @pytest.fixture(scope="session")
-def three_quadrics_plan():
-    return generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",))).plan
+def three_quadrics_outcome():
+    return generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
+
+
+@pytest.fixture(scope="session")
+def three_quadrics_plan(three_quadrics_outcome):
+    return three_quadrics_outcome.plan
 
 
 @pytest.fixture()

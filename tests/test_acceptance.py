@@ -230,12 +230,11 @@ def test_criterion_6_reduction_safety():
                 for c in cands
                 if c.subset_mask == plan.subset_mask
                 and c.delta == plan.delta
-                and c.variant == lay.variant
+                and c.layout.variant == lay.variant
             ]
             assert origin
-            pre = verify_partition(origin[0], cfg)
-            assert pre.ok
-            assert plan.n_solutions <= pre.layout.n_b1
+            assert verify_partition(origin[0].layout, cfg)
+            assert plan.n_solutions <= origin[0].layout.n_b1
             checked += 1
     assert checked >= 6
     report(6, f"{checked} plans re-validated over fresh primes {FRESH.primes}")

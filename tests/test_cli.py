@@ -3,6 +3,7 @@ import json
 import pytest
 
 from polyres.cli import main
+from polyres.plan import plan_to_json
 from polyres.poly import dump_system
 from polyres.problems import get
 from polyres.solve import BenchReport
@@ -70,6 +71,26 @@ class TestSolve:
         assert out.count("root ") == 4
         for line in out.strip().splitlines():
             assert float(line.split("residual=")[1].split()[0]) < 1e-8
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["rows"][0].__setitem__(0, 9),  # no such polynomial
+            lambda doc: doc.__setitem__("blocks", 7),
+            lambda doc: doc["meta"].__setitem__("seed", float("inf")),
+        ],
+        ids=["row-poly-index", "blocks-not-object", "infinite-seed"],
+    )
+    def test_corrupt_plan_exits_2(self, tmp_path, capsys, two_conics_plan, corrupt):
+        _, inst_path = write_problem(tmp_path, "two_conics")
+        doc = json.loads(plan_to_json(two_conics_plan))
+        corrupt(doc)
+        plan_path = tmp_path / "bad.plan"
+        plan_path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--plan", str(plan_path), "--instance", str(inst_path)])
+        assert exc.value.code == 2
+        assert "bad plan file" in capsys.readouterr().err
 
     def test_missing_slot_named(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "univariate_quadratic")

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+import polyres.generate
 from polyres.generate import (
     FavourableCandidate,
     NoSolverError,
     SearchConfig,
+    _selection_key,
     augment,
     generate_plan,
     reduce_rowcol,
     search_candidates,
-    select_best,
     squarify,
     verify_partition,
 )
@@ -19,6 +20,7 @@ from polyres.linalg import PRIMES
 from polyres.plan import (
     PlanFormatError,
     RankCheckConfig,
+    build_layout,
     has_full_column_rank,
     plan_from_json,
     plan_to_json,
@@ -35,6 +37,16 @@ from polyres.problems import get
 
 TENTH = Fraction(1, 10)
 FRESH_RANK = RankCheckConfig(primes=PRIMES[3:6], assignments=2, seed=99)
+
+
+def _candidate(aug, hidden_var, b, multipliers, subset_mask):
+    """A v1 candidate at zero displacement, laid out as the search lays it out."""
+    layout = build_layout(aug, hidden_var, "v1", b, multipliers, SearchConfig().order)
+    return FavourableCandidate(layout, tuple(Fraction(0) for _ in range(aug.n_vars)), subset_mask)
+
+
+def _smallest(cands):
+    return min(cands, key=lambda c: (c.layout.n_b1, sorted(c.layout.template.cols)))
 
 
 class TestAugment:
@@ -60,10 +72,12 @@ class TestSearchCandidates:
     def test_univariate_linear_candidate(self):
         aug = augment(get("univariate_linear").system, 1)
         cands = search_candidates(aug, 1, SearchConfig(seed=1))
-        keys = {(c.b_monos, tuple(sorted(c.multipliers[0])), tuple(sorted(c.multipliers[1])), c.variant) for c in cands}
+        keys = set()
+        for c in cands:
+            t0, t1 = c.layout.multiplier_sets()
+            keys.add((tuple(sorted(c.layout.template.cols)), tuple(sorted(t0)), tuple(sorted(t1)), c.layout.variant))
         assert (((0,), (1,)), ((0,),), ((0,),), "v1") in keys
-        best = min(cands, key=lambda c: c.n_b1)
-        assert best.n_b1 == 1
+        assert min(c.layout.n_b1 for c in cands) == 1
 
     def test_example_system_matches_lattice(self):
         entry = get("example_system")
@@ -80,7 +94,7 @@ class TestSearchCandidates:
         q = minkowski_sum([unit_simplex(2), polys[0], polys[1]])
         pts = lattice_points(q, Displacement(delta))
         ext = extend_system(aug.polys, pts)
-        assert frozenset(cand.b_monos) == ext.monomials
+        assert frozenset(cand.layout.template.cols) == ext.monomials
         # the example's 17 monomials survive inside the extended set
         example_b = {
             (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1),
@@ -103,6 +117,26 @@ class TestSearchCandidates:
         search_candidates(augment(sparse, 1), 1, SearchConfig(seed=1), reasons)
         assert reasons.get("coverage", 0) > 0
 
+    def test_no_rank_check_twice(self, monkeypatch):
+        # (subset, displacement) pairs that reproduce a monomial set reuse its
+        # full-rank and A12 verdicts instead of checking the same input again
+        checked = []
+        real = polyres.generate.has_full_column_rank
+
+        def recording(tm, cols, cfg, row_ids=None):
+            checked.append((tm.cols, tm.rows, None if cols is None else tuple(cols),
+                            None if row_ids is None else tuple(row_ids)))
+            return real(tm, cols, cfg, row_ids)
+
+        monkeypatch.setattr(polyres.generate, "has_full_column_rank", recording)
+        reasons = {}
+        aug = augment(get("zero_coordinate_pair").system, 1)
+        cands = search_candidates(aug, 1, SearchConfig(seed=1), reasons)
+        assert checked and len(checked) == len(set(checked))
+        # a reused rejection still counts once per (subset, displacement) pair
+        assert reasons == {"coverage": 50, "empty_lattice": 2, "a12_rank": 20}
+        assert len(cands) == 31
+
 
 class TestPartition:
     def test_univariate_layout_blocks(self, univariate_linear_plan):
@@ -113,50 +147,48 @@ class TestPartition:
         assert inst.lower_hidden.tolist() == [[-1.0, 0.0]]  # B21 = -I, B22 = 0
 
     def test_rank_deficient_a12_rejected(self):
+        cfg = SearchConfig(seed=1)
         aug = augment(get("univariate_linear").system, 1)
-        cand = FavourableCandidate(
-            aug,
-            1,
-            "v1",
-            (Fraction(0),),
-            0b11,
-            ((0,), (1,), (2,)),
-            (frozenset({(0,)}), frozenset({(0,), (1,)})),
-        )
-        check = verify_partition(cand, SearchConfig(seed=1))
-        assert not check.ok
-        assert "Schur" in check.reason
+        cand = _candidate(aug, 1, ((0,), (1,), (2,)), (frozenset({(0,)}), frozenset({(0,), (1,)})), 0b11)
+        # the whole matrix has full column rank; only A12 (no Schur complement) fails
+        assert has_full_column_rank(cand.layout.template, None, cfg.rank)
+        assert not verify_partition(cand.layout, cfg)
+
+    def test_empty_multiplier_set_rejected(self):
+        cfg = SearchConfig(seed=1)
+        aug = augment(get("univariate_quadratic").system, 1)
+        b = ((0,), (1,), (2,), (3,))
+        cand = _candidate(aug, 1, b, (frozenset({(0,), (1,)}), frozenset({(0,), (1,), (2,)})), 0b11)
+        assert verify_partition(cand.layout, cfg)
+        no_upper = build_layout(aug, 1, "v1", b, (frozenset(), frozenset({(0,), (1,), (2,)})), cfg.order)
+        assert not verify_partition(no_upper, cfg)
 
     def test_two_conics_b1_bound(self, two_conics_plan):
         assert two_conics_plan.n_solutions >= 4
 
 
-class TestSelectBest:
+class TestSelection:
     def test_smallest_eigenproblem_wins(self):
         entry = get("univariate_quadratic")
         aug = augment(entry.system, 1)
         cfg = SearchConfig(seed=1)
         cands = search_candidates(aug, 1, cfg)
-        scored = []
-        for c in cands:
-            chk = verify_partition(c, cfg)
-            if chk.ok:
-                scored.append((c, chk.layout))
-        sizes = {layout.n_b1 for _, layout in scored}
-        assert min(sizes) == 2
-        best_cand, best_layout = select_best(scored)
-        assert best_layout.n_b1 == 2
+        # every candidate the search emits already passes the partition test
+        assert all(verify_partition(c.layout, cfg) for c in cands)
+        assert min(c.layout.n_b1 for c in cands) == 2
+        best = min(cands, key=lambda c: _selection_key(c.layout)).layout
+        assert best.n_b1 == 2
         # tie-break: among equal |B1|, the smaller matrix wins
-        same_n = [(c, l) for c, l in scored if l.n_b1 == best_layout.n_b1]
-        areas = [l.shape[0] * l.shape[1] for _, l in same_n]
-        assert best_layout.shape[0] * best_layout.shape[1] == min(areas)
+        areas = [c.layout.shape[0] * c.layout.shape[1] for c in cands if c.layout.n_b1 == best.n_b1]
+        assert best.shape[0] * best.shape[1] == min(areas)
 
-    def test_single_candidate(self, univariate_linear_plan):
+    def test_generate_plan_reduces_first_candidate(self):
         cfg = SearchConfig(seed=1)
-        aug = augment(get("univariate_linear").system, 1)
-        cands = search_candidates(aug, 1, cfg)
-        chk = verify_partition(cands[0], cfg)
-        assert select_best([(cands[0], chk.layout)])[0] is cands[0]
+        system = get("univariate_quadratic").system
+        cands = search_candidates(augment(system, 1), 1, cfg)
+        best = min(cands, key=lambda c: _selection_key(c.layout))
+        expected = squarify(reduce_rowcol(best, cfg), cfg)
+        assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
 
 
 def _padded_candidate():
@@ -182,7 +214,7 @@ def _padded_candidate():
         frozenset({(0, 0), (1, 0)}),
         frozenset({(0, 0)}),
     )
-    return FavourableCandidate(aug, 2, "v1", (Fraction(0), Fraction(0)), 0b1111, b, multipliers)
+    return _candidate(aug, 2, b, multipliers, 0b1111)
 
 
 class TestReduceRowcol:
@@ -190,44 +222,38 @@ class TestReduceRowcol:
         cfg = SearchConfig(seed=1)
         aug = augment(get("univariate_linear").system, 1)
         cands = search_candidates(aug, 1, cfg)
-        cand = min(cands, key=lambda c: (c.n_b1, c.b_monos))
-        chk = verify_partition(cand, cfg)
-        red, layout, deleted = reduce_rowcol(cand, chk.layout, cfg)
-        assert deleted == []
-        assert red.b_monos == cand.b_monos
+        cand = _smallest(cands)
+        red = reduce_rowcol(cand, cfg)
+        assert red.deleted == ()
+        assert red.layout.template.cols == cand.layout.template.cols
 
     def test_isolated_column_removed(self):
         cfg = SearchConfig(seed=5)
         cand = _padded_candidate()
-        chk = verify_partition(cand, cfg)
-        assert chk.ok
-        assert chk.layout.shape == (5, 5)
-        red, layout, deleted = reduce_rowcol(cand, chk.layout, cfg)
-        assert deleted == [(2, (1, 0))]
-        assert (4, 3) not in red.b_monos
-        assert layout.shape == (4, 4)
+        assert verify_partition(cand.layout, cfg)
+        assert cand.layout.shape == (5, 5)
+        red = reduce_rowcol(cand, cfg)
+        assert red.deleted == ((2, (1, 0)),)
+        assert (4, 3) not in red.layout.template.cols
+        assert red.layout.shape == (4, 4)
         # conditions re-validated from scratch on the reduced candidate
-        assert has_full_column_rank(layout.template, None, FRESH_RANK)
+        assert has_full_column_rank(red.layout.template, None, FRESH_RANK)
+        # the plan records the row-column removals ahead of any row removal
+        assert squarify(red, cfg).deleted_rows == red.deleted
 
     def test_emptying_removals_are_skipped(self):
         cfg = SearchConfig(seed=5)
-        cand = _padded_candidate()
-        chk = verify_partition(cand, cfg)
-        red, layout, deleted = reduce_rowcol(cand, chk.layout, cfg)
+        red = reduce_rowcol(_padded_candidate(), cfg)
         # the constant column's group would empty T_1 and T_{m+1}: skipped
-        assert all(len(t) > 0 for t in red.multipliers)
-        assert (0, 0) in red.b_monos
+        assert all(len(t) > 0 for t in red.layout.multiplier_sets())
+        assert (0, 0) in red.layout.template.cols
 
     def test_b1_never_grows(self, two_conics_plan):
         cfg = SearchConfig(seed=1)
         aug = augment(get("two_conics").system, two_conics_plan.layout.hidden_var)
         cands = search_candidates(aug, two_conics_plan.layout.hidden_var, cfg)
         for cand in cands[:6]:
-            chk = verify_partition(cand, cfg)
-            if not chk.ok:
-                continue
-            _, layout, _ = reduce_rowcol(cand, chk.layout, cfg)
-            assert layout.n_b1 <= chk.layout.n_b1
+            assert reduce_rowcol(cand, cfg).layout.n_b1 <= cand.layout.n_b1
 
 
 class TestSquarify:
@@ -235,10 +261,9 @@ class TestSquarify:
         cfg = SearchConfig(seed=1)
         aug = augment(get("univariate_linear").system, 1)
         cands = search_candidates(aug, 1, cfg)
-        cand = min(cands, key=lambda c: (c.n_b1, c.b_monos))
-        chk = verify_partition(cand, cfg)
-        assert chk.layout.shape[0] == chk.layout.shape[1]
-        plan = squarify(cand, chk.layout, cfg)
+        cand = _smallest(cands)
+        assert cand.layout.shape[0] == cand.layout.shape[1]
+        plan = squarify(cand, cfg)
         assert plan.deleted_rows == ()
 
     def test_tall_candidate_prefers_lower_block(self):
@@ -247,10 +272,9 @@ class TestSquarify:
         aug = augment(get("univariate_quadratic").system, 1)
         b = ((0,), (1,), (2,), (3,))
         mult = (frozenset({(0,), (1,)}), frozenset({(0,), (1,), (2,)}))
-        cand = FavourableCandidate(aug, 1, "v1", (Fraction(0),), 0b11, b, mult)
-        chk = verify_partition(cand, cfg)
-        assert chk.ok and chk.layout.shape == (5, 4)
-        plan = squarify(cand, chk.layout, cfg)
+        cand = _candidate(aug, 1, b, mult, 0b11)
+        assert verify_partition(cand.layout, cfg) and cand.layout.shape == (5, 4)
+        plan = squarify(cand, cfg)
         assert plan.layout.shape == (4, 4)
         assert len(plan.deleted_rows) == 1
         poly_idx, _ = plan.deleted_rows[0]
@@ -262,10 +286,9 @@ class TestSquarify:
         aug = augment(get("univariate_quadratic").system, 1)
         b = ((0,), (1,), (2,), (3,))
         mult = (frozenset({(0,), (1,)}), frozenset({(0,), (1,), (2,)}))
-        cand = FavourableCandidate(aug, 1, "v1", (Fraction(0),), 0b11, b, mult)
-        chk = verify_partition(cand, cfg)
-        p1 = squarify(cand, chk.layout, cfg)
-        p2 = squarify(cand, chk.layout, cfg)
+        cand = _candidate(aug, 1, b, mult, 0b11)
+        p1 = squarify(cand, cfg)
+        p2 = squarify(cand, cfg)
         assert plan_to_json(p1) == plan_to_json(p2)
 
 
