@@ -23,7 +23,10 @@ from .plan import (
     RankCheckConfig,
     SolverPlan,
     TemplateMatrix,
+    json_field,
+    json_mono,
     plan_document,
+    stored_template,
 )
 from .poly import (
     MonomialOrder,
@@ -399,15 +402,15 @@ def amplan_from_json(text: str) -> AmPlan:
             raise PlanFormatError(f"expected an action-matrix plan, got {doc['kind']!r}")
         meta = doc["meta"]
         base = parse_system(json.dumps(doc["system"]))
-        system = reciprocal_system(base, int(meta["hidden_var"])) if meta["reciprocal"] else base
-        cols = tuple(tuple(m) for m in doc["monomials"]["cols"])
-        rows = tuple((int(p), tuple(m)) for p, m in doc["rows"])
-        tm = TemplateMatrix(system, cols, rows, bool(doc["blocks"].get("projected", False)))
+        system = base
+        if meta["reciprocal"]:
+            system = reciprocal_system(base, json_field(meta["hidden_var"], "hidden_var", int))
+        tm = stored_template(doc, system, tuple(json_mono(m) for m in doc["monomials"]["cols"]))
         return AmPlan(
             tm,
-            int(meta["action_var"]),
-            int(meta["n_excess"]),
-            int(meta["n_reducible"]),
+            json_field(meta["action_var"], "action_var", int),
+            json_field(meta["n_excess"], "n_excess", int),
+            json_field(meta["n_reducible"], "n_reducible", int),
             bool(meta["reciprocal"]),
-            tuple(tuple(m) for m in doc["removed_excess"]),
+            tuple(json_mono(m) for m in doc["removed_excess"]),
         )

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Displacement, convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
+from .lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
 from .linalg import PRIMES
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
 from .poly import (
@@ -106,7 +106,7 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     m_aug = len(aug_system.polys)
     polytopes = [convex_hull(support(f)) for f in aug_system.polys]
     np0 = unit_simplex(n)
-    deltas: list[Displacement] = []
+    deltas: list[tuple[Fraction, ...]] = []
     for mag in cfg.delta_magnitudes:
         deltas.extend(displacement_grid(n, Fraction(mag)))
 
@@ -119,10 +119,10 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
         q = minkowski_sum([np0] + [polytopes[i] for i in range(m_aug) if mask >> i & 1])
         b_cache: dict[tuple, frozenset[Mono]] = {}
         for delta in deltas:
-            pts = b_cache.get(delta.delta)
+            pts = b_cache.get(delta)
             if pts is None:
                 pts = frozenset(lattice_points(q, delta))
-                b_cache[delta.delta] = pts
+                b_cache[delta] = pts
             if not pts:
                 _tick(reasons, "empty_lattice")
                 continue
@@ -162,7 +162,7 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
                     )
                     rank_cache[a12_key] = a12_rank
                     if a12_rank:
-                        out.append(FavourableCandidate(layout, delta.delta, mask))
+                        out.append(FavourableCandidate(layout, delta, mask))
                 if not a12_rank:
                     _tick(reasons, "a12_rank")
     if not out and not reasons:

@@ -1,17 +1,18 @@
 """Integer convex polytopes: hulls, Minkowski sums, shifted lattice points.
 
-All geometry is exact: hull facets carry primitive integer normals with
-rational offsets, and point-inclusion tests compare rationals.  Floating
-point is never consulted, so displacement vectors that graze lattice
-hyperplanes cannot flip membership.
+All geometry is exact and integral: hull facets and affine-hull equations
+carry primitive integer normals with integer offsets.  Rationals appear only
+in displacement vectors and in the affine frame of a lower-dimensional hull.
+Floating point is never consulted, so displacement vectors that graze
+lattice hyperplanes cannot flip membership.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -27,10 +28,15 @@ def _sub(a: IntVec, b: IntVec) -> IntVec:
 
 def _primitive(v: Iterable[int]) -> IntVec:
     v = tuple(v)
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = math.gcd(*v)
     return v if g in (0, 1) else tuple(x // g for x in v)
+
+
+def _integral(v: Iterable[Fraction]) -> IntVec:
+    """The primitive integer vector along a rational vector."""
+    v = tuple(v)
+    denom = math.lcm(*(x.denominator for x in v))
+    return _primitive(int(x * denom) for x in v)
 
 
 def _det_int(rows: list[list[int]]) -> int:
@@ -90,7 +96,7 @@ class HalfSpace:
     """normal . x <= offset with a primitive integer normal."""
 
     normal: IntVec
-    offset: Fraction
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class Hyperplane:
     """normal . x == offset; together these pin the polytope's affine hull."""
 
     normal: IntVec
-    offset: Fraction
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -122,22 +128,9 @@ class LatticePolytope:
         return True
 
 
-@dataclass(frozen=True)
-class Displacement:
-    """Shift vector whose entries are 0 or +/- one fixed magnitude."""
-
-    delta: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        mags = {abs(d) for d in self.delta if d != 0}
-        if len(mags) > 1:
-            raise ValueError(f"mixed displacement magnitudes {sorted(mags)}")
-
-
-def displacement_grid(n: int, magnitude: Fraction) -> list[Displacement]:
+def displacement_grid(n: int, magnitude: Fraction) -> list[tuple[Fraction, ...]]:
     """All 3^n displacements with entries in {-magnitude, 0, +magnitude}."""
-    vals = (-magnitude, Fraction(0), magnitude)
-    return [Displacement(tuple(c)) for c in itertools.product(vals, repeat=n)]
+    return list(itertools.product((-magnitude, Fraction(0), magnitude), repeat=n))
 
 
 def _simplex_facets(pts: list[IntVec], vert_ids: list[int], ref_sum: IntVec, k: int):
@@ -264,55 +257,36 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
         rows, pivots = _frac_rref(dirs)
         free = [c for c in range(n) if c not in pivots]
         for fc in free:
-            vec = [Fraction(0)] * n
-            vec[fc] = Fraction(1)
+            vec = [0] * n
+            vec[fc] = 1
             for row_idx, pc in enumerate(pivots):
                 vec[pc] = -rows[row_idx][fc]
-            denom = 1
-            for x in vec:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            ivec = _primitive(int(x * denom) for x in vec)
-            equations.append(Hyperplane(ivec, Fraction(_dot(ivec, v0))))
+            ivec = _integral(vec)
+            equations.append(Hyperplane(ivec, _dot(ivec, v0)))
 
     if d == 0:
         return LatticePolytope(n, (v0,), (), tuple(equations))
 
     # Subspace coordinates, scaled to integers per axis.
-    coords = [[Fraction(0)] * d] + [[frame[j][k] for j in range(d)] for k in range(len(pts) - 1)]
-    scales = []
-    for j in range(d):
-        s = 1
-        for c in coords:
-            s = s * c[j].denominator // gcd(s, c[j].denominator)
-        scales.append(s)
+    coords = [[0] * d] + [[frame[j][k] for j in range(d)] for k in range(len(pts) - 1)]
+    scales = [math.lcm(*(c[j].denominator for c in coords)) for j in range(d)]
     ipts = [tuple(int(c[j] * scales[j]) for j in range(d)) for c in coords]
 
     extreme_ids, ineqs = _hull_full_dim(ipts)
     vertices = tuple(sorted(pts[i] for i in extreme_ids))
 
-    # Lift facet inequalities back to ambient coordinates: on the affine hull,
+    # Lift facet normals back to ambient coordinates: on the affine hull,
     # y_j = scales[j] * <P_j, x - v0> where P is a rational left inverse of
     # the direction matrix, P = G^-1 D with G the Gram matrix, read off
-    # the reduced form of [G | D].
+    # the reduced form of [G | D].  A lifted facet still passes through
+    # integer hull vertices, so its offset is the largest value the integer
+    # normal takes on them.
     gram_dirs = [[_dot(dirs[a], dirs[b]) for b in range(d)] + list(dirs[a]) for a in range(d)]
     inv, _ = _frac_rref(gram_dirs)
     facets = []
-    for a_vec, b_off in ineqs:
-        w = [Fraction(0)] * n
-        for j in range(d):
-            for i in range(n):
-                w[i] += a_vec[j] * scales[j] * inv[j][d + i]
-        denom = 1
-        for x in w:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        iw = tuple(int(x * denom) for x in w)
-        g = 0
-        for x in iw:
-            g = gcd(g, abs(x))
-        g = g or 1
-        iw = tuple(x // g for x in iw)
-        offset = (Fraction(b_off) * denom / g) + Fraction(_dot(iw, v0))
-        facets.append(HalfSpace(iw, offset))
+    for a_vec, _ in ineqs:
+        iw = _integral(sum(a_vec[j] * scales[j] * inv[j][d + i] for j in range(d)) for i in range(n))
+        facets.append(HalfSpace(iw, max(_dot(iw, v) for v in vertices)))
     return LatticePolytope(n, vertices, tuple(facets), tuple(equations))
 
 
@@ -339,24 +313,30 @@ def unit_simplex(n: int) -> LatticePolytope:
     return convex_hull(pts)
 
 
-def lattice_points(q: LatticePolytope, delta: Displacement | Sequence[Fraction]) -> set[IntVec]:
-    """Integer z with z - delta inside or on q, by exact half-space tests."""
-    dvec = delta.delta if isinstance(delta, Displacement) else tuple(Fraction(x) for x in delta)
-    if len(dvec) != q.dim:
+def lattice_points(q: LatticePolytope, delta: Sequence[Fraction]) -> set[IntVec]:
+    """Integer z with z - delta inside or on q, by exact integer tests.
+
+    Normals and z are integral, so n.(z - delta) <= c holds exactly when
+    n.z <= floor(c + n.delta), and n.(z - delta) == c needs c + n.delta to
+    be an integer.
+    """
+    if len(delta) != q.dim:
         raise ValueError("displacement dimension mismatch")
-    eq_rhs = [(eq.normal, eq.offset + Fraction(_dot(eq.normal, dvec))) for eq in q.equations]
-    hs_rhs = [(hs.normal, hs.offset + Fraction(_dot(hs.normal, dvec))) for hs in q.facets]
+    eq_rhs = []
+    for eq in q.equations:
+        rhs = eq.offset + _dot(eq.normal, delta)
+        if rhs.denominator != 1:
+            return set()
+        eq_rhs.append((eq.normal, int(rhs)))
+    hs_rhs = [(hs.normal, math.floor(hs.offset + _dot(hs.normal, delta))) for hs in q.facets]
 
     ranges = []
     for i in range(q.dim):
-        lo = min(v[i] for v in q.vertices) + dvec[i]
-        hi = max(v[i] for v in q.vertices) + dvec[i]
-        # exact ceil(lo) and floor(hi) on Fractions
-        lo_i = -((-lo.numerator) // lo.denominator)
-        hi_i = hi.numerator // hi.denominator
-        if lo_i > hi_i:
+        lo = math.ceil(min(v[i] for v in q.vertices) + delta[i])
+        hi = math.floor(max(v[i] for v in q.vertices) + delta[i])
+        if lo > hi:
             return set()
-        ranges.append(range(lo_i, hi_i + 1))
+        ranges.append(range(lo, hi + 1))
 
     out = set()
     for z in itertools.product(*ranges):

@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import PRIMES, exact_rank
 from .poly import (
     HIDDEN_SLOT,
+    MonomialOrder,
     Mono,
     SystemTemplate,
     dump_system,
@@ -392,8 +393,37 @@ def plan_document(text: str):
         yield doc
     except PlanFormatError:
         raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as e:
         raise PlanFormatError(f"plan file is missing or corrupts a section: {e}") from e
+
+
+def json_field(value, name: str, *types: type):
+    """A plan field whose JSON type is one of ``types``: a float, string or
+    boolean standing in for an integer is corrupt."""
+    if type(value) not in types:
+        raise PlanFormatError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
+def json_mono(m) -> Mono:
+    """A monomial of a plan file: a list of integer exponents."""
+    return tuple(json_field(e, "exponent", int) for e in m)
+
+
+def json_rows(rows) -> tuple[tuple[int, Mono], ...]:
+    """Rows of a plan file: (polynomial index, multiplier monomial) pairs."""
+    return tuple((json_field(p, "polynomial index", int), json_mono(m)) for p, m in rows)
+
+
+def stored_template(doc, system: SystemTemplate, cols: tuple[Mono, ...]) -> TemplateMatrix:
+    """The template a plan document of this version stores; its cell map
+    must agree with the rows and columns it is built from."""
+    if doc["version"] != PLAN_VERSION:
+        raise PlanFormatError(f"unsupported plan version {doc['version']}")
+    tm = TemplateMatrix(system, cols, json_rows(doc["rows"]), bool(doc["blocks"].get("projected", False)))
+    if [list(c) for c in tm.cells] != doc["cells"]:
+        raise PlanFormatError("cell map disagrees with rows/monomials sections")
+    return tm
 
 
 def plan_from_json(text: str) -> SolverPlan:
@@ -402,26 +432,26 @@ def plan_from_json(text: str) -> SolverPlan:
     with plan_document(text) as doc:
         if doc["kind"] != "resultant":
             raise PlanFormatError(f"expected a resultant plan, got kind {doc['kind']!r}")
-        if doc["version"] != PLAN_VERSION:
-            raise PlanFormatError(f"unsupported plan version {doc['version']}")
         meta = doc["meta"]
         base = parse_system(json.dumps(doc["system"]))
-        aug = augment(base, meta["x_k"])
-        cols = tuple(tuple(m) for m in doc["monomials"]["b"])
-        rows = tuple((int(p), tuple(m)) for p, m in doc["rows"])
-        tm = TemplateMatrix(aug, cols, rows, bool(doc["blocks"].get("projected", False)))
+        x_k = json_field(meta["x_k"], "x_k", int)
+        tm = stored_template(doc, augment(base, x_k), tuple(json_mono(m) for m in doc["monomials"]["b"]))
         layout = MatrixLayout(
-            tm, meta["x_k"], meta["variant"], int(doc["monomials"]["n_b1"]), int(doc["blocks"]["n_upper"])
+            tm,
+            x_k,
+            meta["variant"],
+            json_field(doc["monomials"]["n_b1"], "n_b1", int),
+            json_field(doc["blocks"]["n_upper"], "n_upper", int),
         )
-        if [list(c) for c in tm.cells] != doc["cells"]:
-            raise PlanFormatError("cell map disagrees with rows/monomials sections")
-        delta = None if meta["delta"] is None else tuple(Fraction(d) for d in meta["delta"])
+        delta = meta["delta"]
+        if delta is not None:
+            delta = tuple(Fraction(json_field(d, "delta", str)) for d in delta)
         return SolverPlan(
             layout,
-            meta["order"],
-            int(meta["seed"]),
+            MonomialOrder(meta["order"]).kind,
+            json_field(meta["seed"], "seed", int),
             delta,
-            meta["subset_mask"],
-            tuple((int(p), tuple(m)) for p, m in doc["deleted_rows"]),
-            meta.get("origin", "search"),
+            json_field(meta["subset_mask"], "subset_mask", int, type(None)),
+            json_rows(doc["deleted_rows"]),
+            json_field(meta.get("origin", "search"), "origin", str),
         )

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from polyres.generate import SearchConfig, generate_plan
-from polyres.problems import get
+from polyres.linalg import PRIMES
+from polyres.plan import RankCheckConfig
+from polyres.problems import get, rel_pose_field_instance
 
 
 def unit_normal_instance(system, rng):
@@ -44,6 +48,20 @@ def three_quadrics_outcome():
 @pytest.fixture(scope="session")
 def three_quadrics_plan(three_quadrics_outcome):
     return three_quadrics_outcome.plan
+
+
+@pytest.fixture(scope="session")
+def rel_pose_outcome():
+    """The stretch problem, generated as its golden plan was."""
+    rank = RankCheckConfig(primes=PRIMES[:3], assignments=2, seed=0, values_fn=rel_pose_field_instance)
+    cfg = SearchConfig(
+        seed=1,
+        delta_magnitudes=(Fraction(1, 10),),
+        variants=("v2", "v1"),
+        max_subset_size=2,
+        rank=rank,
+    )
+    return generate_plan(get("rel_pose_f_lambda_8pt").system, cfg)
 
 
 @pytest.fixture()

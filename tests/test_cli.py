@@ -78,8 +78,9 @@ class TestSolve:
             lambda doc: doc["rows"][0].__setitem__(0, 9),  # no such polynomial
             lambda doc: doc.__setitem__("blocks", 7),
             lambda doc: doc["meta"].__setitem__("seed", float("inf")),
+            lambda doc: doc["meta"]["delta"].__setitem__(0, "1/0"),
         ],
-        ids=["row-poly-index", "blocks-not-object", "infinite-seed"],
+        ids=["row-poly-index", "blocks-not-object", "infinite-seed", "zero-denominator-delta"],
     )
     def test_corrupt_plan_exits_2(self, tmp_path, capsys, two_conics_plan, corrupt):
         _, inst_path = write_problem(tmp_path, "two_conics")

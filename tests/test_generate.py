@@ -15,7 +15,7 @@ from polyres.generate import (
     squarify,
     verify_partition,
 )
-from polyres.lattice import Displacement, convex_hull, lattice_points, minkowski_sum, unit_simplex
+from polyres.lattice import convex_hull, lattice_points, minkowski_sum, unit_simplex
 from polyres.linalg import PRIMES
 from polyres.plan import (
     PlanFormatError,
@@ -92,7 +92,7 @@ class TestSearchCandidates:
         # reproduce the expected favourable set through the lattice layer
         polys = [convex_hull(support(f)) for f in aug.polys]
         q = minkowski_sum([unit_simplex(2), polys[0], polys[1]])
-        pts = lattice_points(q, Displacement(delta))
+        pts = lattice_points(q, delta)
         ext = extend_system(aug.polys, pts)
         assert frozenset(cand.layout.template.cols) == ext.monomials
         # the example's 17 monomials survive inside the extended set

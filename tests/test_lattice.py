@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyres.lattice import (
-    Displacement,
+    _dot,
     _frac_rref,
     convex_hull,
     displacement_grid,
@@ -129,27 +129,33 @@ class TestMinkowskiSum:
 class TestLatticePoints:
     def test_example_minkowski_interior(self):
         q = minkowski_sum([convex_hull(A1), convex_hull(A2)])
-        pts = lattice_points(q, Displacement((-TENTH, -TENTH)))
+        pts = lattice_points(q, (-TENTH, -TENTH))
         assert pts == EXAMPLE_B
 
     def test_unit_simplex_unshifted(self):
-        pts = lattice_points(unit_simplex(2), Displacement((Fraction(0), Fraction(0))))
+        pts = lattice_points(unit_simplex(2), (Fraction(0), Fraction(0)))
         assert pts == {(0, 0), (1, 0), (0, 1)}
 
     def test_unit_simplex_shifted(self):
-        pts = lattice_points(unit_simplex(2), Displacement((-TENTH, -TENTH)))
+        pts = lattice_points(unit_simplex(2), (-TENTH, -TENTH))
         assert pts == {(0, 0)}
 
     def test_vertices_inside_unshifted(self):
         for poly in (convex_hull(A1), convex_hull(A2), unit_simplex(3)):
-            zero = Displacement(tuple(Fraction(0) for _ in range(poly.dim)))
+            zero = tuple(Fraction(0) for _ in range(poly.dim))
             assert set(poly.vertices) <= lattice_points(poly, zero)
 
     def test_lower_dimensional_polytope(self):
         seg = convex_hull([(0, 0), (3, 0)])
-        zero = Displacement((Fraction(0), Fraction(0)))
+        zero = (Fraction(0), Fraction(0))
         assert lattice_points(seg, zero) == {(0, 0), (1, 0), (2, 0), (3, 0)}
-        assert lattice_points(seg, Displacement((Fraction(0), -TENTH))) == set()
+        assert lattice_points(seg, (Fraction(0), -TENTH)) == set()
+
+    def test_displacement_off_the_affine_hull(self):
+        # the triangle x + y + z = 2 in 3-D; a shift along (1, -1, 0) stays in its plane
+        tri = convex_hull([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        assert lattice_points(tri, (TENTH, TENTH, TENTH)) == set()
+        assert lattice_points(tri, (TENTH, -TENTH, Fraction(0))) == {(1, 0, 1), (1, 1, 0), (2, 0, 0)}
 
 
 class TestDisplacement:
@@ -157,23 +163,47 @@ class TestDisplacement:
         assert len(displacement_grid(2, TENTH)) == 9
         assert len(displacement_grid(3, TENTH)) == 27
 
-    def test_mixed_magnitudes_rejected(self):
-        with pytest.raises(ValueError):
-            Displacement((Fraction(1, 10), Fraction(1, 5)))
-
 
 point_sets_2d = st.sets(
     st.tuples(st.integers(-3, 4), st.integers(-3, 4)), min_size=1, max_size=9
 )
 
 
+@st.composite
+def point_sets_3d(draw):
+    """Integer points p0 + sum c_i u_i over k = 1, 2 or 3 small directions:
+    collinear, coplanar and full-dimensional sets, degenerate ones too."""
+    k = draw(st.integers(1, 3))
+    p0 = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=k, max_size=k))
+    params = draw(st.sets(st.tuples(*[st.integers(0, 2)] * k), min_size=1, max_size=8))
+    return {tuple(p0[i] + sum(c * u[i] for c, u in zip(cs, dirs)) for i in range(3)) for cs in params}
+
+
 class TestOracleEquivalence:
+    @given(pts=point_sets_3d(), delta=st.sampled_from(displacement_grid(3, TENTH)))
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    def test_integral_geometry_3d(self, pts, delta):
+        hull = convex_hull(pts)
+        for eq in hull.equations:
+            assert type(eq.offset) is int
+            assert all(_dot(eq.normal, v) == eq.offset for v in hull.vertices)
+        for hs in hull.facets:
+            assert type(hs.offset) is int
+            assert all(_dot(hs.normal, v) <= hs.offset for v in hull.vertices)
+            assert any(_dot(hs.normal, v) == hs.offset for v in hull.vertices)
+        lo = [min(p[i] for p in pts) - 1 for i in range(3)]
+        hi = [max(p[i] for p in pts) + 1 for i in range(3)]
+        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        expected = {z for z in box if hull.contains(tuple(zi - d for zi, d in zip(z, delta)))}
+        assert lattice_points(hull, delta) == expected
+
     @given(pts=point_sets_2d, di=st.integers(-1, 1), dj=st.integers(-1, 1))
     @settings(max_examples=40, deadline=None)
     def test_membership_against_caratheodory(self, pts, di, dj):
         hull = convex_hull(pts)
         delta = (di * TENTH, dj * TENTH)
-        got = lattice_points(hull, Displacement(delta))
+        got = lattice_points(hull, delta)
         lo = [min(p[i] for p in pts) - 1 for i in range(2)]
         hi = [max(p[i] for p in pts) + 1 for i in range(2)]
         for z in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
@@ -186,7 +216,7 @@ class TestOracleEquivalence:
     def test_sum_has_no_fewer_points(self, pts1, pts2):
         p, q = convex_hull(pts1), convex_hull(pts2)
         s = minkowski_sum([p, q])
-        zero = Displacement((Fraction(0), Fraction(0)))
+        zero = (Fraction(0), Fraction(0))
         np_, nq, ns = (len(lattice_points(x, zero)) for x in (p, q, s))
         assert ns >= max(np_, nq)
 

@@ -24,11 +24,23 @@ FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None
     [
         ("two_conics", 40, {"row_count": 32, "coverage": 112}),
         ("three_quadrics", 102, {"row_count": 432, "coverage": 378, "column_rank": 540, "empty_lattice": 18}),
+        (
+            "rel_pose_f_lambda_8pt",
+            85,
+            {
+                "coverage": 3532,
+                "row_count": 176,
+                "column_rank": 516,
+                "empty_lattice": 165,
+                "a12_rank": 285,
+                "unrecoverable_b1": 11,
+            },
+        ),
     ],
 )
 def test_golden_plan_bytes(name, seen, reasons, request):
-    # SearchConfig(seed=1, variants=("v1",)), as the golden plans were generated
-    outcome = request.getfixturevalue(f"{name}_outcome")
+    # the session fixtures use the configurations the golden plans were generated with
+    outcome = request.getfixturevalue("rel_pose_outcome" if name.startswith("rel_pose") else f"{name}_outcome")
     assert plan_to_json(outcome.plan) == (GOLDEN / f"{name}.plan").read_text(encoding="utf-8")
     assert outcome.candidates_seen == seen
     assert outcome.reasons == reasons
@@ -86,6 +98,41 @@ def test_corrupt_plan_loads_or_raises_format_error(data):
         load(bad)
     except PlanFormatError:
         pass
+
+
+# (plan: 0 resultant, 1 action-matrix; path; replacement): a value of the
+# wrong JSON type, an unknown version or order, or a cell map that disagrees
+JUNK_SECTIONS = [
+    (0, ("meta", "order"), "bogus"),
+    (0, ("meta", "subset_mask"), "x"),
+    (0, ("meta", "subset_mask"), 1.5),
+    (0, ("meta", "origin"), 7),
+    (0, ("meta", "seed"), 1.5),
+    (0, ("meta", "seed"), "1"),
+    (0, ("meta", "x_k"), 1.0),
+    (0, ("monomials", "n_b1"), 4.0),
+    (0, ("blocks", "n_upper"), 5.0),
+    (0, ("meta", "delta", 0), -0.1),
+    (0, ("rows", 0, 0), 0.0),
+    (0, ("rows", 8, 1, 0), 0.0),
+    (0, ("monomials", "b", 0, 0), 2.0),
+    (0, ("deleted_rows", 0, 0), 2.5),
+    (1, ("version",), 99),
+    (1, ("cells",), []),
+    (1, ("meta", "n_excess"), 2.0),
+    (1, ("monomials", "cols", 0, 1), 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "plan, path, value",
+    JUNK_SECTIONS,
+    ids=[f"{('resultant', 'am')[p]}-{'.'.join(map(str, path))}-{v!r}" for p, path, v in JUNK_SECTIONS],
+)
+def test_junk_section_rejected(plan, path, value):
+    text, load, _ = _plan_texts()[plan]
+    with pytest.raises(PlanFormatError):
+        load(json.dumps(_replaced(json.loads(text), path, value)))
 
 
 def _keys_reversed(node):
