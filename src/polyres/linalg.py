@@ -149,9 +149,6 @@ class EigResult:
     values: np.ndarray
     vectors: np.ndarray  # column k pairs with values[k], unit 2-norm
 
-    def pairs(self):
-        return [(self.values[k], self.vectors[:, k]) for k in range(len(self.values))]
-
 
 def eig(a: np.ndarray, tol: float = 1e-8) -> EigResult:
     """All complex eigenpairs of a square matrix (LAPACK xGEEV via numpy).

@@ -113,8 +113,8 @@ class TemplateMatrix:
     def instantiate_modp(self, p: int, values: dict[str, int]) -> np.ndarray:
         """Dense matrix over F_p; ``values`` maps every slot and 'u0' to ints."""
         lookup = np.empty(len(self._slot_names) + 2, dtype=np.int64)
-        lookup[0] = 1  # literal
-        lookup[1] = values[HIDDEN_SLOT] % p
+        lookup[_SLOT_LITERAL + 2] = 1
+        lookup[_SLOT_HIDDEN + 2] = values[HIDDEN_SLOT] % p
         for i, name in enumerate(self._slot_names):
             lookup[i + 2] = values[name] % p
         consts = np.rint(self._enc_consts).astype(np.int64)
@@ -128,8 +128,8 @@ class TemplateMatrix:
     def fill_parts(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """Float instantiation split as (A, B) with the full matrix A + u0*B."""
         lookup = np.empty(len(self._slot_names) + 2, dtype=np.float64)
-        lookup[0] = 1.0
-        lookup[1] = 1.0  # hidden-variable cells land in B with their constant
+        lookup[_SLOT_LITERAL + 2] = 1.0
+        lookup[_SLOT_HIDDEN + 2] = 1.0  # hidden-variable cells land in B with their constant
         for i, name in enumerate(self._slot_names):
             try:
                 lookup[i + 2] = coeffs[name]
@@ -153,7 +153,13 @@ class TemplateMatrix:
 
 @dataclass(frozen=True)
 class RankCheckConfig:
-    """Multi-prime exact rank protocol: every trial must agree.
+    """Exact rank protocol over prime fields, one trial per (prime, assignment).
+
+    A rank verdict is decided by the first trial (``primes[0]``, assignment
+    0): full column rank there is a nonzero maximal minor of the
+    integer-coefficient template, which certifies generic full rank, and only
+    a deficient trial can be wrong (with probability <= deg/p).  A row-basis
+    choice is not certified by one trial, so it needs every trial to agree.
 
     ``values_fn(prime, trial, seed) -> {slot: int}`` overrides the generic
     random assignment; problems whose coefficients obey algebraic relations
@@ -185,17 +191,15 @@ class RankCheckConfig:
 
 def has_full_column_rank(tm: TemplateMatrix, cols: list[int] | None, cfg: RankCheckConfig,
                          row_ids: list[int] | None = None) -> bool:
-    """Exact full-column-rank test of a column (and optional row) selection."""
-    names = list(tm._slot_names)
-    for p, t in cfg.trials():
-        m = tm.instantiate_modp(p, cfg.trial_values(names, p, t))
-        if row_ids is not None:
-            m = m[row_ids, :]
-        if cols is not None:
-            m = m[:, cols]
-        if exact_rank(m, p) != m.shape[1]:
-            return False
-    return True
+    """Exact full-column-rank test of a column (and optional row) selection,
+    decided by the config's first trial."""
+    p = cfg.primes[0]
+    m = tm.instantiate_modp(p, cfg.trial_values(tm._slot_names, p, 0))
+    if row_ids is not None:
+        m = m[row_ids, :]
+    if cols is not None:
+        m = m[:, cols]
+    return exact_rank(m, p) == m.shape[1]
 
 
 @dataclass(frozen=True)

@@ -124,12 +124,11 @@ CoefficientAssignment = Mapping[str, complex]
 class MonomialOrder:
     """Strict multiplicative total order on exponent vectors.
 
-    kind: "grevlex" (default), "grlex" or "lex"; ``perm`` reorders variables
-    before comparison (perm[0] is the most significant variable).
+    kind: "grevlex" (default), "grlex" or "lex"; the variables rank
+    x1 > x2 > ... > xn.
     """
 
     kind: str = "grevlex"
-    perm: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "grlex", "lex"):
@@ -137,14 +136,13 @@ class MonomialOrder:
 
     def key(self, mono: Mono):
         """Sort key; larger key = larger monomial."""
-        m = mono if self.perm is None else tuple(mono[i] for i in self.perm)
         if self.kind == "lex":
-            return m
+            return mono
         if self.kind == "grlex":
-            return (sum(m), m)
+            return (sum(mono), mono)
         # grevlex: higher total degree first; ties broken so that the monomial
         # with the *smaller* last differing exponent is larger.
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(mono), tuple(-e for e in reversed(mono)))
 
     def sort_desc(self, monos: Iterable[Mono]) -> list[Mono]:
         return sorted(monos, key=self.key, reverse=True)

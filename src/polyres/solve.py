@@ -48,21 +48,6 @@ class SolverInstance:
         return self.plan.layout.variant
 
     @property
-    def upper_a11(self) -> np.ndarray:
-        lay = self.plan.layout
-        return self.a_part[: lay.n_upper, : lay.n_b1]
-
-    @property
-    def upper_a12(self) -> np.ndarray:
-        lay = self.plan.layout
-        return self.a_part[: lay.n_upper, lay.n_b1 :]
-
-    @property
-    def lower_const(self) -> np.ndarray:
-        """x_k-part of the lower block (A21 | A22)."""
-        return self.a_part[self.plan.layout.n_upper :]
-
-    @property
     def lower_hidden(self) -> np.ndarray:
         """u0-part of the lower block (B21 | B22)."""
         return self.u_part[self.plan.layout.n_upper :]

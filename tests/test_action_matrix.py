@@ -127,8 +127,9 @@ class TestAmToRes:
                 unit = np.zeros(len(b1))
                 unit[b1.index(fm)] = 1.0
                 # integer equality, no tolerance: these rows are structural
-                assert inst.lower_const[j, : len(b1)].tolist() == unit.tolist()
-                assert inst.lower_const[j, len(b1) :].tolist() == [0.0] * lay.n_b2
+                lower = inst.a_part[lay.n_upper + j]
+                assert lower[: len(b1)].tolist() == unit.tolist()
+                assert lower[len(b1) :].tolist() == [0.0] * lay.n_b2
                 assert x[j].tolist() == unit.tolist()
                 assert mf[j].tolist() == unit.tolist()
 
@@ -137,9 +138,11 @@ class TestAmToRes:
         rp = am_to_res(amp)
         lay = rp.layout
         inst = fill(rp, CONIC)
-        rref, pivots = float_rref(np.hstack([inst.upper_a12, inst.upper_a11]))
+        a11 = inst.a_part[: lay.n_upper, : lay.n_b1]
+        a12 = inst.a_part[: lay.n_upper, lay.n_b1 :]
+        rref, pivots = float_rref(np.hstack([a12, a11]))
         assert tuple(pivots) == tuple(range(lay.n_b2))
-        tail = np.linalg.solve(inst.upper_a12, inst.upper_a11)
+        tail = np.linalg.solve(a12, a11)
         assert np.allclose(rref[:, lay.n_b2 :], tail, atol=1e-9)
 
     def test_reciprocal_rejected(self, two_conics_plan_v2):

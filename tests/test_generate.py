@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import polyres.generate
+import polyres.plan
 from polyres.generate import (
     FavourableCandidate,
     NoSolverError,
@@ -35,8 +38,10 @@ from polyres.poly import (
 )
 from polyres.problems import get
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 TENTH = Fraction(1, 10)
-FRESH_RANK = RankCheckConfig(primes=PRIMES[3:6], assignments=2, seed=99)
+# one single-witness config per fresh (prime, seed): six fresh points per check
+FRESH_RANK = tuple(RankCheckConfig(primes=(p,), assignments=1, seed=s) for p in PRIMES[3:6] for s in (99, 100))
 
 
 def _candidate(aug, hidden_var, b, multipliers, subset_mask):
@@ -137,13 +142,38 @@ class TestSearchCandidates:
         assert reasons == {"coverage": 50, "empty_lattice": 2, "a12_rank": 20}
         assert len(cands) == 31
 
+    def test_first_trial_decides_rank(self, monkeypatch):
+        # full column rank at one point is a nonzero maximal minor of the
+        # integer template, so the first trial decides and no other is computed
+        tm = plan_from_json((GOLDEN / "two_conics.plan").read_text(encoding="utf-8")).layout.template
+        primes = []
+        real = polyres.plan.exact_rank
+
+        def counting(m, p):
+            primes.append(p)
+            return real(m, p)
+
+        def zero_slots_on(zero_trial):
+            def values_fn(prime, trial, seed):
+                rng = random.Random(f"{prime}:{trial}")
+                return {s: 0 if trial == zero_trial else rng.randrange(1, prime) for s in tm.system.slots()}
+
+            return values_fn
+
+        monkeypatch.setattr(polyres.plan, "exact_rank", counting)
+        assert has_full_column_rank(tm, None, RankCheckConfig(values_fn=zero_slots_on(1)))
+        assert primes == [PRIMES[0]]
+        assert not has_full_column_rank(tm, None, RankCheckConfig(values_fn=zero_slots_on(0)))
+        assert primes == [PRIMES[0]] * 2
+
 
 class TestPartition:
     def test_univariate_layout_blocks(self, univariate_linear_plan):
         from polyres.solve import fill
 
         inst = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
-        assert inst.lower_const.tolist() == [[0.0, 1.0]]  # A21 = [0], A22 = [1]
+        n_upper = univariate_linear_plan.layout.n_upper
+        assert inst.a_part[n_upper:].tolist() == [[0.0, 1.0]]  # A21 = [0], A22 = [1]
         assert inst.lower_hidden.tolist() == [[-1.0, 0.0]]  # B21 = -I, B22 = 0
 
     def test_rank_deficient_a12_rejected(self):
@@ -237,7 +267,7 @@ class TestReduceRowcol:
         assert (4, 3) not in red.layout.template.cols
         assert red.layout.shape == (4, 4)
         # conditions re-validated from scratch on the reduced candidate
-        assert has_full_column_rank(red.layout.template, None, FRESH_RANK)
+        assert all(has_full_column_rank(red.layout.template, None, fresh) for fresh in FRESH_RANK)
         # the plan records the row-column removals ahead of any row removal
         assert squarify(red, cfg).deleted_rows == red.deleted
 
@@ -327,8 +357,9 @@ class TestPlanInvariants:
             t_sets = lay.multiplier_sets()
             assert sum(len(t) for t in t_sets) >= lay.shape[1]
             assert min(len(t) for t in t_sets) > 0
-            assert has_full_column_rank(lay.template, None, FRESH_RANK)
-            assert has_full_column_rank(lay.template, lay.a12_cols(), FRESH_RANK, lay.upper_row_ids())
+            for fresh in FRESH_RANK:
+                assert has_full_column_rank(lay.template, None, fresh)
+                assert has_full_column_rank(lay.template, lay.a12_cols(), fresh, lay.upper_row_ids())
 
     def test_n_at_least_root_count(
         self, univariate_linear_plan, univariate_quadratic_plan, two_conics_plan, three_quadrics_plan

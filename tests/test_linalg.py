@@ -187,7 +187,7 @@ class TestEig:
             a = rng.standard_normal((12, 12))
             res = eig(a)
             fro = np.linalg.norm(a)
-            for lam, v in res.pairs():
+            for lam, v in zip(res.values, res.vectors.T):
                 assert np.linalg.norm(a @ v - lam * v) <= 1e-8 * fro
                 assert np.linalg.norm(v) == pytest.approx(1.0)
 

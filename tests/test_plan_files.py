@@ -3,16 +3,19 @@ they store."""
 
 import copy
 import json
+import random
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyres.action_matrix import amplan_from_json, amplan_to_json, res_to_am
+from polyres.linalg import PRIMES
 from polyres.plan import PlanFormatError, TemplateMatrix, plan_from_json, plan_to_json
-from polyres.poly import PolynomialTemplate, SystemTemplate, Term
+from polyres.poly import HIDDEN_SLOT, PolynomialTemplate, SystemTemplate, Term
 from polyres.problems import get
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -163,6 +166,27 @@ def test_cell_map():
     assert tm.cells == ((0, 0, 0, 0), (0, 1, 0, 1), (1, 1, 0, 0), (1, 2, 0, 1))
     projected = TemplateMatrix(LINE, ((1,),), ((0, (0,)),), project_missing=True)
     assert projected.cells == ((0, 0, 0, 0),)
+
+
+def test_zero_hidden_value_zeroes_exactly_the_hidden_cells():
+    tm = plan_from_json(_plan_texts()[0][0]).layout.template
+    p = PRIMES[0]
+    rng = random.Random(0)
+    values = {s: rng.randrange(1, p) for s in tm.system.slots()}
+    m = tm.instantiate_modp(p, {**values, HIDDEN_SLOT: 0})
+    kinds = {}
+    for r, j, poly, t in tm.cells:
+        term = tm.system.polys[poly].terms[t]
+        kind = term.slot if term.slot in (None, HIDDEN_SLOT) else "slot"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == HIDDEN_SLOT:
+            assert m[r, j] == 0
+        elif kind is None:
+            assert m[r, j] == int(term.const) % p  # a literal keeps its constant
+        else:
+            assert m[r, j] == int(term.const) * values[term.slot] % p
+    assert kinds[None] == kinds[HIDDEN_SLOT] > 0 and kinds["slot"] > 0
+    assert np.count_nonzero(m) == len(tm.cells) - kinds[HIDDEN_SLOT]
 
 
 @pytest.mark.parametrize("poly_idx", [1, -1])

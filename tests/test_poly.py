@@ -239,7 +239,3 @@ class TestMonomialOrder:
         assert order.key((1, 0)) > order.key((0, 1))
         assert order.key((2, 0)) > order.key((0, 2))
         assert order.key((1, 1)) > order.key((0, 2))
-
-    def test_permutation(self):
-        order = MonomialOrder("lex", perm=(1, 0))
-        assert order.key((0, 1)) > order.key((5, 0))

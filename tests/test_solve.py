@@ -24,9 +24,10 @@ CONIC_INSTANCE = {"a": 1.0, "b": 1.0, "c": -1.0, "d": 1.0, "e": -0.25}
 class TestFill:
     def test_univariate_blocks(self, univariate_linear_plan):
         inst = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
-        assert inst.upper_a11.tolist() == [[-2.0]]
-        assert inst.upper_a12.tolist() == [[1.0]]
-        assert inst.lower_const.tolist() == [[0.0, 1.0]]
+        lay = univariate_linear_plan.layout
+        assert inst.a_part[: lay.n_upper, : lay.n_b1].tolist() == [[-2.0]]  # A11
+        assert inst.a_part[: lay.n_upper, lay.n_b1 :].tolist() == [[1.0]]  # A12
+        assert inst.a_part[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 | A22
         assert inst.lower_hidden.tolist() == [[-1.0, 0.0]]
 
     def test_missing_slot_named(self, univariate_linear_plan):
@@ -42,10 +43,8 @@ class TestFill:
         rng = np.random.default_rng(0)
         coeffs = {s: float(rng.standard_normal()) for s in get("two_conics").system.slots()}
         inst = fill(two_conics_plan, coeffs)
-        eps = two_conics_plan.layout.shape[1]
-        nu = two_conics_plan.layout.n_upper
-        assert inst.upper_a11.shape[0] == nu
-        assert inst.upper_a11.shape[1] + inst.upper_a12.shape[1] == eps
+        assert inst.a_part.shape == inst.u_part.shape == two_conics_plan.layout.shape
+        assert inst.lower_hidden.shape == (two_conics_plan.layout.n_b1, two_conics_plan.layout.shape[1])
 
 
 class TestSolve:
@@ -107,7 +106,7 @@ class TestRecover:
         from polyres.linalg import eig
 
         res = eig(schur_matrix(inst))
-        for lam, vec in res.pairs():
+        for lam, vec in zip(res.values, res.vectors.T):
             p1 = recover(vec, two_conics_plan, lam)
             p2 = recover(vec * (0.3 - 1.7j), two_conics_plan, lam)
             assert max(abs(a - b) for a, b in zip(p1, p2)) < 1e-9
