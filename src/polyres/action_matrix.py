@@ -167,14 +167,14 @@ def build_template(
     return AmPlan(reduced, action_var, n_e - len(removed), n_r, reciprocal, removed)
 
 
-def extract_action_matrix(plan: AmPlan, coeffs, tol: float | None = None) -> ActionMatrix:
+def extract_action_matrix(plan: AmPlan, coeffs) -> ActionMatrix:
     """Fill the template, eliminate, and read the action matrix off the
     reduced rows; unit rows appear where the action keeps a basis monomial
     inside the basis."""
     a_part, u_part = plan.template.fill_parts(coeffs)
     if u_part.any():
         raise ValueError("an elimination template cannot contain hidden-variable cells")
-    rref, pivots = float_rref(a_part, tol)
+    rref, pivots = float_rref(a_part)
     n_left = plan.n_excess + plan.n_reducible
     if tuple(pivots) != tuple(range(n_left)):
         raise SingularTemplateError(
@@ -291,6 +291,9 @@ def res_to_am(plan: SolverPlan, root_count: int, probe_roots=None) -> AmPlan:
     return AmPlan(tm, sys_a.n_vars, len(b2), len(reducible), reciprocal=True)
 
 
+EQUIVALENCE_TOL = 1e-8  # a trial passes when max |M_f - sign * X| <= this * (1 + ||X||)
+
+
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     equivalent: bool
@@ -308,7 +311,7 @@ class EquivalenceVerdict:
 
 
 def check_equivalence(
-    amplan: AmPlan, resplan: SolverPlan, trials: int = 100, seed: int = 0, tol: float = 1e-8
+    amplan: AmPlan, resplan: SolverPlan, trials: int = 100, seed: int = 0
 ) -> EquivalenceVerdict:
     """Definition-of-equivalence check on random instances.
 
@@ -351,7 +354,7 @@ def check_equivalence(
         mf_aligned = mf[np.ix_(perm, perm)]
         dev = float(np.max(np.abs(mf_aligned - sign * x)))
         worst = max(worst, dev)
-        if dev > tol * (1.0 + float(np.linalg.norm(x))):
+        if dev > EQUIVALENCE_TOL * (1.0 + float(np.linalg.norm(x))):
             ok = False
     return EquivalenceVerdict(ok, worst, size_match, trials, sign)
 

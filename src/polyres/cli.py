@@ -164,16 +164,10 @@ def _root_count_for(system, plan, args) -> int:
     if system.n_vars == 1:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 991]))
         coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
-        deg = max(t.exps[0] for t in system.polys[0].terms)
-        return len(univariate_roots([coeffs.get(_slot_at(system, e), 0.0) for e in range(deg + 1)]))
+        f = numeric_poly(system.polys[0], coeffs)
+        deg = max(e for (e,) in f)
+        return len(univariate_roots([f.get((e,), 0.0) for e in range(deg + 1)]))
     return len(_generic_points(system, plan, args.seed, 991))
-
-
-def _slot_at(system, degree: int):
-    for t in system.polys[0].terms:
-        if t.exps[0] == degree:
-            return t.slot
-    return None
 
 
 def cmd_compare(args) -> int:

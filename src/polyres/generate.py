@@ -112,7 +112,8 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
 
     out: list[FavourableCandidate] = []
     ext_cache: dict[frozenset[Mono], tuple] = {}
-    # base_key -> full column rank; (variant, base_key) -> A12 full column rank
+    # t_sets -> full column rank; (variant, t_sets) -> A12 full column rank.
+    # The multiplier sets fix B, and hidden_var is fixed within this call.
     rank_cache: dict[tuple, bool] = {}
 
     for mask in _subset_masks(m_aug, cfg):
@@ -138,18 +139,17 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
             if sum(len(t) for t in t_sets) < len(b_set):
                 _tick(reasons, "row_count")
                 continue
-            base_key = (hidden_var, tuple(sorted(b_set)), tuple(tuple(sorted(t)) for t in t_sets))
-            full_rank = rank_cache.get(base_key)
+            full_rank = rank_cache.get(t_sets)
             layout_v1 = None
             if full_rank is None:
                 layout_v1 = build_layout(aug_system, hidden_var, "v1", b_set, t_sets, cfg.order)
                 full_rank = has_full_column_rank(layout_v1.template, None, cfg.rank)
-                rank_cache[base_key] = full_rank
+                rank_cache[t_sets] = full_rank
             if not full_rank:
                 _tick(reasons, "column_rank")
                 continue
             for variant in cfg.variants:
-                a12_key = (variant, base_key)
+                a12_key = (variant, t_sets)
                 a12_rank = rank_cache.get(a12_key)
                 if a12_rank is None:
                     layout = (

@@ -2,7 +2,8 @@
 
 All geometry is exact and integral: hull facets and affine-hull equations
 carry primitive integer normals with integer offsets.  Rationals appear only
-in displacement vectors and in the affine frame of a lower-dimensional hull.
+in displacement vectors and in the one elimination that finds a point set's
+affine hull.
 Floating point is never consulted, so displacement vectors that graze
 lattice hyperplanes cannot flip membership.
 """
@@ -133,15 +134,6 @@ def displacement_grid(n: int, magnitude: Fraction) -> list[tuple[Fraction, ...]]
     return list(itertools.product((-magnitude, Fraction(0), magnitude), repeat=n))
 
 
-def _simplex_facets(pts: list[IntVec], vert_ids: list[int], ref_sum: IntVec, k: int):
-    """Facets of a full-dimensional simplex given by d+1 point ids."""
-    facets = {}
-    for omit in vert_ids:
-        ids = frozenset(v for v in vert_ids if v != omit)
-        facets[ids] = _make_facet(pts, ids, ref_sum, k)
-    return facets
-
-
 def _make_facet(pts: list[IntVec], ids: frozenset[int], ref_sum: IntVec, k: int):
     """Oriented supporting hyperplane through d affinely independent points.
 
@@ -170,31 +162,19 @@ def _make_facet(pts: list[IntVec], ids: frozenset[int], ref_sum: IntVec, k: int)
     return normal, offset
 
 
-def _hull_full_dim(pts: list[IntVec]) -> tuple[list[int], list[tuple[IntVec, int]]]:
+def _hull_full_dim(pts: list[IntVec], seed: list[int]) -> tuple[list[int], list[tuple[IntVec, int]]]:
     """Beneath-beyond hull of full-dimensional integer points.
 
-    Returns (extreme point ids, deduplicated facet inequalities).  Visibility
-    is strict, so every horizon ridge spans a proper hyperplane with the new
-    point; coplanar insertions only create duplicate hyperplanes, which are
-    merged afterwards.
+    seed holds the ids of d+1 affinely independent points.  Returns (extreme
+    point ids, deduplicated facet inequalities).  Visibility is strict, so
+    every horizon ridge spans a proper hyperplane with the new point;
+    coplanar insertions only create duplicate hyperplanes, which are merged
+    afterwards.
     """
     d = len(pts[0])
-    if d == 1:
-        lo = min(range(len(pts)), key=lambda i: pts[i][0])
-        hi = max(range(len(pts)), key=lambda i: pts[i][0])
-        facets = [((1,), pts[hi][0]), ((-1,), -pts[lo][0])]
-        ids = [lo] if lo == hi else [lo, hi]
-        return ids, facets
-
-    # Greedy affinely independent seed simplex.
-    _, picked = _frac_rref([[q[j] - pts[0][j] for q in pts[1:]] for j in range(d)])
-    seed = [0] + [i + 1 for i in picked]
-    if len(seed) != d + 1:
-        raise ValueError("points are not full-dimensional")
-
     ref_sum = tuple(sum(pts[i][j] for i in seed) for j in range(d))
     k = d + 1
-    facets = _simplex_facets(pts, seed, ref_sum, k)
+    facets = {ids: _make_facet(pts, ids, ref_sum, k) for ids in (frozenset(seed) - {v} for v in seed)}
 
     for i in sorted(set(range(len(pts))) - set(seed)):
         p = pts[i]
@@ -221,10 +201,7 @@ def _hull_full_dim(pts: list[IntVec]) -> tuple[list[int], list[tuple[IntVec, int
         if any(c != 2 for c in check.values()):
             raise AssertionError("hull surface is not ridge-2-regular")
 
-    dedup: dict[tuple[IntVec, int], None] = {}
-    for n, b in facets.values():
-        dedup[(n, b)] = None
-    ineqs = list(dedup.keys())
+    ineqs = list(dict.fromkeys(facets.values()))
 
     candidates = sorted({v for ids in facets for v in ids})
     extreme = []
@@ -236,7 +213,14 @@ def _hull_full_dim(pts: list[IntVec]) -> tuple[list[int], list[tuple[IntVec, int
 
 
 def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
-    """Exact hull of integer points: extreme vertices plus facet inequalities."""
+    """Exact hull of integer points: extreme vertices plus facet inequalities.
+
+    The hull is taken in pivot coordinates, the pivot columns of the reduced
+    direction matrix.  On the affine hull, dropping the other coordinates is
+    an injective integer map into Z^d, so the projected points are integers,
+    a facet's normal is its projected normal with zeros elsewhere, and its
+    offset carries over unchanged.
+    """
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
         raise ValueError("need at least one point")
@@ -244,49 +228,35 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
 
-    # Affine frame: the first independent directions p - v0; the other
-    # columns of the reduced frame hold each point's coordinates in it.
+    # The first independent directions p - v0 span the affine hull.
     v0 = pts[0]
-    frame, picked = _frac_rref([[p[i] - v0[i] for p in pts[1:]] for i in range(n)])
+    _, picked = _frac_rref([[p[i] - v0[i] for p in pts[1:]] for i in range(n)])
     dirs = [_sub(pts[k + 1], v0) for k in picked]
-    d = len(dirs)
 
     # Equations of the affine hull: integer basis of the normal space.
+    rows, pivots = _frac_rref(dirs)
     equations = []
-    if d < n:
-        rows, pivots = _frac_rref(dirs)
-        free = [c for c in range(n) if c not in pivots]
-        for fc in free:
-            vec = [0] * n
-            vec[fc] = 1
-            for row_idx, pc in enumerate(pivots):
-                vec[pc] = -rows[row_idx][fc]
-            ivec = _integral(vec)
-            equations.append(Hyperplane(ivec, _dot(ivec, v0)))
+    free = [c for c in range(n) if c not in pivots]
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -rows[row_idx][fc]
+        ivec = _integral(vec)
+        equations.append(Hyperplane(ivec, _dot(ivec, v0)))
 
-    if d == 0:
+    if not dirs:
         return LatticePolytope(n, (v0,), (), tuple(equations))
 
-    # Subspace coordinates, scaled to integers per axis.
-    coords = [[0] * d] + [[frame[j][k] for j in range(d)] for k in range(len(pts) - 1)]
-    scales = [math.lcm(*(c[j].denominator for c in coords)) for j in range(d)]
-    ipts = [tuple(int(c[j] * scales[j]) for j in range(d)) for c in coords]
-
-    extreme_ids, ineqs = _hull_full_dim(ipts)
-    vertices = tuple(sorted(pts[i] for i in extreme_ids))
-
-    # Lift facet normals back to ambient coordinates: on the affine hull,
-    # y_j = scales[j] * <P_j, x - v0> where P is a rational left inverse of
-    # the direction matrix, P = G^-1 D with G the Gram matrix, read off
-    # the reduced form of [G | D].  A lifted facet still passes through
-    # integer hull vertices, so its offset is the largest value the integer
-    # normal takes on them.
-    gram_dirs = [[_dot(dirs[a], dirs[b]) for b in range(d)] + list(dirs[a]) for a in range(d)]
-    inv, _ = _frac_rref(gram_dirs)
+    proj = [tuple(p[c] for c in pivots) for p in pts]
+    extreme_ids, ineqs = _hull_full_dim(proj, [0] + [k + 1 for k in picked])
     facets = []
-    for a_vec, _ in ineqs:
-        iw = _integral(sum(a_vec[j] * scales[j] * inv[j][d + i] for j in range(d)) for i in range(n))
-        facets.append(HalfSpace(iw, max(_dot(iw, v) for v in vertices)))
+    for a_vec, b in ineqs:
+        normal = [0] * n
+        for c, a in zip(pivots, a_vec):
+            normal[c] = a
+        facets.append(HalfSpace(tuple(normal), b))
+    vertices = tuple(sorted(pts[i] for i in extreme_ids))
     return LatticePolytope(n, vertices, tuple(facets), tuple(equations))
 
 

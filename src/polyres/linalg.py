@@ -79,13 +79,13 @@ def exact_rank(m: np.ndarray, p: int) -> int:
     return len(modp_eliminate(m, p)[2])
 
 
-def float_rref(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, list[int]]:
-    """RREF with partial pivoting; pivots smaller than tol are treated as zero."""
+def float_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """RREF with partial pivoting; pivots no larger than max(rows, cols) *
+    eps * max(max |m|, 1) are treated as zero."""
     a = np.array(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64, copy=True)
     rows, cols = a.shape
-    if tol is None:
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        tol = max(rows, cols) * np.finfo(np.float64).eps * max(scale, 1.0)
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    tol = max(rows, cols) * np.finfo(np.float64).eps * max(scale, 1.0)
     pivots: list[int] = []
     r = 0
     for c in range(cols):

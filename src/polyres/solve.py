@@ -191,7 +191,6 @@ def benchmark(
     plan: SolverPlan,
     instance_generator,
     trials: int,
-    tol: float = 1e-8,
     seed: int = 0,
     record_timing: bool = False,
 ) -> BenchReport:
@@ -212,7 +211,7 @@ def benchmark(
         coeffs = instance_generator(rng)
         t0 = time.perf_counter()
         try:
-            sols = solve_instance(plan, coeffs, tol)
+            sols = solve_instance(plan, coeffs)
         except SolveFailure:
             failures += 1
             histogram[0] = histogram.get(0, 0) + 1

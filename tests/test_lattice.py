@@ -185,6 +185,7 @@ class TestOracleEquivalence:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     def test_integral_geometry_3d(self, pts, delta):
         hull = convex_hull(pts)
+        assert set(hull.vertices) == {p for p in pts if not frac_affine_membership(p, pts - {p})}
         for eq in hull.equations:
             assert type(eq.offset) is int
             assert all(_dot(eq.normal, v) == eq.offset for v in hull.vertices)
