@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import augment
 from .linalg import float_rref, modp_eliminate
 from .plan import (
     PLAN_VERSION,
@@ -34,10 +33,12 @@ from .poly import (
     PolynomialTemplate,
     SystemTemplate,
     Term,
+    augment,
     dump_system,
     mono_div,
     mono_mul,
     parse_system,
+    unit_mono,
 )
 
 
@@ -98,9 +99,6 @@ def build_template(
     basis: tuple[Mono, ...],
     action_var: int,
     multipliers,
-    order: MonomialOrder = MonomialOrder(),
-    rank: RankCheckConfig = RankCheckConfig(),
-    reciprocal: bool = False,
 ) -> AmPlan:
     """Construct the elimination template for a given quotient-ring basis.
 
@@ -112,7 +110,8 @@ def build_template(
     n = system.n_vars
     if not (1 <= action_var <= n):
         raise ValueError("action variable index out of range")
-    e_f = tuple(1 if i == action_var - 1 else 0 for i in range(n))
+    e_f = unit_mono(n, action_var - 1)
+    order = MonomialOrder()
     rows = []
     for i, t_set in enumerate(multipliers):
         rows.extend((i, t) for t in order.sort_desc(t_set))
@@ -141,6 +140,7 @@ def build_template(
     cols = tuple(excess) + tuple(reducible) + basis
     tm = TemplateMatrix(system, cols, tuple(rows))
 
+    rank = RankCheckConfig()
     decision = None
     for p, t in rank.trials():
         mat = tm.instantiate_modp(p, rank.trial_values(tm._slot_names, p, t))
@@ -164,7 +164,7 @@ def build_template(
     reduced = TemplateMatrix(
         system, kept_cols, tuple(tm.rows[i] for i in kept), project_missing=bool(removed)
     )
-    return AmPlan(reduced, action_var, n_e - len(removed), n_r, reciprocal, removed)
+    return AmPlan(reduced, action_var, n_e - len(removed), n_r, removed_excess=removed)
 
 
 def extract_action_matrix(plan: AmPlan, coeffs) -> ActionMatrix:
@@ -180,8 +180,7 @@ def extract_action_matrix(plan: AmPlan, coeffs) -> ActionMatrix:
         raise SingularTemplateError(
             f"elimination pivoted columns {pivots}, expected the first {n_left}"
         )
-    n = plan.template.system.n_vars
-    e_f = tuple(1 if i == plan.action_var - 1 else 0 for i in range(n))
+    e_f = unit_mono(plan.template.system.n_vars, plan.action_var - 1)
     basis = plan.basis
     basis_pos = {m: i for i, m in enumerate(basis)}
     red_pos = {m: i for i, m in enumerate(plan.reducible)}
@@ -233,8 +232,8 @@ def reciprocal_system(base: SystemTemplate, k: int) -> SystemTemplate:
         polys.append(
             PolynomialTemplate(tuple(Term(t.slot, t.exps + (0,), t.const) for t in f.terms))
         )
-    prod = tuple((1 if i == k - 1 else 0) for i in range(n)) + (1,)
-    zero = tuple(0 for _ in range(n + 1))
+    prod = unit_mono(n, k - 1) + (1,)
+    zero = (0,) * (n + 1)
     polys.append(PolynomialTemplate((Term(None, prod, 1.0), Term(None, zero, -1.0))))
     return SystemTemplate(n + 1, base.var_names + (name,), tuple(polys))
 
@@ -255,7 +254,7 @@ def res_to_am(plan: SolverPlan, root_count: int, probe_roots=None) -> AmPlan:
     base = plan.base_system
     k = lay.hidden_var
     n = base.n_vars
-    e_k = tuple(1 if i == k - 1 else 0 for i in range(n))
+    e_k = unit_mono(n, k - 1)
     upper_rows = lay.template.rows[: lay.n_upper]
 
     if lay.variant == "v1":
@@ -279,7 +278,7 @@ def res_to_am(plan: SolverPlan, root_count: int, probe_roots=None) -> AmPlan:
     ext = lambda m: tuple(m) + (0,)
     b1 = tuple(ext(m) for m in lay.b1)
     b2 = tuple(ext(m) for m in lay.b2)
-    e_lam = tuple(0 for _ in range(n)) + (1,)
+    e_lam = unit_mono(n + 1, n)
     reducible = tuple(mono_mul(m, e_lam) for m in b1)
     cols = b2 + reducible + b1
     rows = [(p, ext(m)) for p, m in upper_rows]

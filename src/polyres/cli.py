@@ -59,9 +59,10 @@ def _load_plan(path: str):
 
 
 def _search_config(args) -> SearchConfig:
-    mags = tuple(Fraction(part) for part in args.delta.split(",")) if args.delta else (
-        Fraction(1, 10),
-        Fraction(1, 1000),
+    mags = (
+        tuple(Fraction(part) for part in args.delta.split(","))
+        if args.delta
+        else SearchConfig.delta_magnitudes
     )
     variants = ("v1", "v2") if args.variant == "both" else (args.variant,)
     return SearchConfig(

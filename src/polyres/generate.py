@@ -19,16 +19,7 @@ import numpy as np
 from .lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
 from .linalg import PRIMES
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
-from .poly import (
-    HIDDEN_SLOT,
-    MonomialOrder,
-    Mono,
-    PolynomialTemplate,
-    SystemTemplate,
-    Term,
-    extend_system,
-    support,
-)
+from .poly import MonomialOrder, Mono, SystemTemplate, augment, extend_system, support
 
 
 class NoSolverError(RuntimeError):
@@ -73,17 +64,6 @@ def _tick(reasons: dict[str, int], name: str):
     reasons[name] = reasons.get(name, 0) + 1
 
 
-def augment(system: SystemTemplate, k: int) -> SystemTemplate:
-    """Append the extra polynomial x_k - u0 with the reserved hidden slot."""
-    if not (1 <= k <= system.n_vars):
-        raise ValueError(f"hidden variable index {k} outside 1..{system.n_vars}")
-    n = system.n_vars
-    e_k = tuple(1 if i == k - 1 else 0 for i in range(n))
-    zero = tuple(0 for _ in range(n))
-    extra = PolynomialTemplate((Term(None, e_k, 1.0), Term(HIDDEN_SLOT, zero, -1.0)))
-    return SystemTemplate(n, system.var_names, system.polys + (extra,))
-
-
 def _subset_masks(m_aug: int, cfg: SearchConfig):
     for size in range(1, m_aug + 1):
         if cfg.max_subset_size is not None and size > cfg.max_subset_size:
@@ -106,9 +86,9 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     m_aug = len(aug_system.polys)
     polytopes = [convex_hull(support(f)) for f in aug_system.polys]
     np0 = unit_simplex(n)
-    deltas: list[tuple[Fraction, ...]] = []
-    for mag in cfg.delta_magnitudes:
-        deltas.extend(displacement_grid(n, Fraction(mag)))
+    # every grid holds the zero vector: visit each distinct displacement once
+    grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
+    deltas = list(dict.fromkeys(d for grid in grids for d in grid))
 
     out: list[FavourableCandidate] = []
     ext_cache: dict[frozenset[Mono], tuple] = {}
@@ -118,12 +98,8 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
 
     for mask in _subset_masks(m_aug, cfg):
         q = minkowski_sum([np0] + [polytopes[i] for i in range(m_aug) if mask >> i & 1])
-        b_cache: dict[tuple, frozenset[Mono]] = {}
         for delta in deltas:
-            pts = b_cache.get(delta)
-            if pts is None:
-                pts = frozenset(lattice_points(q, delta))
-                b_cache[delta] = pts
+            pts = frozenset(lattice_points(q, delta))
             if not pts:
                 _tick(reasons, "empty_lattice")
                 continue

@@ -33,10 +33,6 @@ class EigenConvergenceError(RuntimeError):
         )
 
 
-def _modp(m: np.ndarray, p: int) -> np.ndarray:
-    return np.asarray(m, dtype=np.int64) % p
-
-
 def modp_eliminate(
     m: np.ndarray, p: int, reduce: bool = False
 ) -> tuple[np.ndarray, list[int], list[int]]:
@@ -50,7 +46,8 @@ def modp_eliminate(
     With ``reduce`` the pivot is also cleared from the earlier pivot rows,
     and ``a[rows]`` is the reduced row echelon form.
     """
-    a = _modp(m, p).copy()
+    # C order: rows are eliminated whole, and column selections arrive in F order
+    a = np.remainder(m, p, dtype=np.int64, order="C")
     free = np.ones(a.shape[0], dtype=bool)
     rows: list[int] = []
     cols: list[int] = []
@@ -106,8 +103,6 @@ def float_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 RCOND_MIN = 1e-12  # below this the pivot block counts as a solver failure
-
-
 
 
 def schur_complement(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Brute-force roots for test provenance, independent of the solver path.
 
-Univariate roots come from companion-matrix eigenvalues (library LAPACK
-route, deliberately not the in-house QR kernel); bivariate systems go
-through a Sylvester resultant whose determinant is recovered by
-evaluation and interpolation.
+Univariate roots come from companion-matrix eigenvalues (LAPACK through
+numpy); bivariate systems go through a Sylvester resultant whose
+determinant is recovered by evaluation and interpolation.
 """
 
 from __future__ import annotations

@@ -25,10 +25,12 @@ from .poly import (
     MonomialOrder,
     Mono,
     SystemTemplate,
+    augment,
     dump_system,
     mono_div,
     mono_mul,
     parse_system,
+    unit_mono,
 )
 
 PLAN_VERSION = 1
@@ -223,7 +225,7 @@ class MatrixLayout:
         n = self.template.system.n_vars
         if not (1 <= self.hidden_var <= n):
             raise ValueError(f"hidden variable index {self.hidden_var} out of range")
-        e_k = tuple(1 if i == self.hidden_var - 1 else 0 for i in range(n))
+        e_k = unit_mono(n, self.hidden_var - 1)
         last = len(self.template.system.polys) - 1
         for j, (poly_idx, mult) in enumerate(self.template.rows[self.n_upper :]):
             if poly_idx != last:
@@ -264,7 +266,7 @@ class MatrixLayout:
         src, dst, starts = [], [], []
         for i in free:
             starts.append(len(src))
-            e_i = tuple(1 if j == i else 0 for j in range(n))
+            e_i = unit_mono(n, i)
             for m, j in pos.items():
                 k = pos.get(mono_mul(m, e_i))
                 if k is not None:
@@ -295,8 +297,7 @@ def build_layout(
 ) -> MatrixLayout:
     """Canonical layout: columns sorted descending within b1 and b2, upper
     rows grouped by polynomial, lower rows aligned with b1."""
-    n = aug_system.n_vars
-    e_k = tuple(1 if i == hidden_var - 1 else 0 for i in range(n))
+    e_k = unit_mono(aug_system.n_vars, hidden_var - 1)
     b_set = frozenset(b_monos)
     t_last = multipliers[-1]
     if variant == "v1":
@@ -431,8 +432,6 @@ def stored_template(doc, system: SystemTemplate, cols: tuple[Mono, ...]) -> Temp
 
 
 def plan_from_json(text: str) -> SolverPlan:
-    from .generate import augment  # deferred: generate imports this module
-
     with plan_document(text) as doc:
         if doc["kind"] != "resultant":
             raise PlanFormatError(f"expected a resultant plan, got kind {doc['kind']!r}")

@@ -44,6 +44,11 @@ def mono_div(a: Mono, b: Mono) -> Mono | None:
     return q if all(e >= 0 for e in q) else None
 
 
+def unit_mono(n: int, i: int) -> Mono:
+    """Exponent vector of the variable with 0-based index ``i`` among ``n``."""
+    return tuple(int(j == i) for j in range(n))
+
+
 @dataclass(frozen=True)
 class Term:
     """One term: ``const * slot_value * x^exps``.
@@ -115,6 +120,16 @@ class SystemTemplate:
                 if t.slot is not None and t.slot != HIDDEN_SLOT and t.slot not in out:
                     out.append(t.slot)
         return out
+
+
+def augment(system: SystemTemplate, k: int) -> SystemTemplate:
+    """Append the extra polynomial x_k - u0 with the reserved hidden slot."""
+    n = system.n_vars
+    if not (1 <= k <= n):
+        raise ValueError(f"hidden variable index {k} outside 1..{n}")
+    x_k = Term(None, unit_mono(n, k - 1), 1.0)
+    extra = PolynomialTemplate((x_k, Term(HIDDEN_SLOT, (0,) * n, -1.0)))
+    return SystemTemplate(n, system.var_names, system.polys + (extra,))
 
 
 CoefficientAssignment = Mapping[str, complex]

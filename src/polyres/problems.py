@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import modp_eliminate
-from .poly import Mono, PolynomialTemplate, SystemTemplate, Term
+from .poly import Mono, PolynomialTemplate, SystemTemplate, Term, unit_mono
 
 
 def monomials_up_to_degree(n_vars: int, degree: int) -> list[Mono]:
@@ -33,7 +33,6 @@ class ProblemLibraryEntry:
     am_multiplier_degree: int | None = None
     oracle_hide: int | None = None  # hidden variable for the bivariate oracle
     instance_fn: object = None  # structured float-instance sampler
-    field_instance_fn: object = None  # structured mod-p sampler for rank checks
 
     def random_instance(self, rng) -> dict:
         if self.instance_fn is not None:
@@ -156,10 +155,10 @@ def _rel_pose_system() -> SystemTemplate:
         tuple(Term(f"d{e[0]}{e[1]}{e[2]}", e + (0,)) for e in _DET_MONOS)
     )
     polys = [f1]
+    null_monos = [unit_mono(3, i) for i in range(3)] + [(0, 0, 0)]  # a1, a2, a3, 1
     for j in range(3):
         terms = []
-        for i in range(4):
-            e = tuple(1 if t == i else 0 for t in range(3))
+        for i, e in enumerate(null_monos):
             terms.append(Term(f"w{j}_{i}", e + (0,)))
             terms.append(Term(f"g{j}_{i}", e + (1,)))
         polys.append(PolynomialTemplate(tuple(terms)))
@@ -277,7 +276,6 @@ def _rel_pose_entry() -> ProblemLibraryEntry:
         root_count=8,
         canonical_instance=None,
         instance_fn=rel_pose_float_instance,
-        field_instance_fn=rel_pose_field_instance,
     )
 
 

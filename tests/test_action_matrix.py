@@ -16,6 +16,7 @@ from polyres.action_matrix import (
 )
 from polyres.linalg import float_rref
 from polyres.oracle import numeric_poly, sylvester_bivariate
+from polyres.poly import unit_mono
 from polyres.problems import get
 from polyres.solve import fill, schur_matrix, solve_instance
 
@@ -116,7 +117,7 @@ class TestAmToRes:
         rp = am_to_res(amp)
         lay = rp.layout
         k = lay.hidden_var
-        e_k = tuple(1 if i == k - 1 else 0 for i in range(2))
+        e_k = unit_mono(2, k - 1)
         inst = fill(rp, CONIC)
         x = schur_matrix(inst)
         mf = extract_action_matrix(amp, CONIC).matrix

@@ -6,6 +6,7 @@ import pytest
 
 import polyres.generate
 import polyres.plan
+import polyres.poly
 from polyres.generate import (
     FavourableCandidate,
     NoSolverError,
@@ -71,6 +72,10 @@ class TestAugment:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             augment(get("univariate_linear").system, 0)
+
+    def test_one_definition(self):
+        # the search re-exports the extra polynomial of the polynomial layer
+        assert polyres.generate.augment is polyres.poly.augment
 
 
 class TestSearchCandidates:
@@ -139,8 +144,20 @@ class TestSearchCandidates:
         cands = search_candidates(aug, 1, SearchConfig(seed=1), reasons)
         assert checked and len(checked) == len(set(checked))
         # a reused rejection still counts once per (subset, displacement) pair
-        assert reasons == {"coverage": 50, "empty_lattice": 2, "a12_rank": 20}
+        assert reasons == {"coverage": 50, "empty_lattice": 2, "a12_rank": 17}
         assert len(cands) == 31
+
+    def test_repeated_displacement_visited_once(self):
+        # a displacement that several magnitudes (here a repeated one) put on
+        # the grid is one (subset, displacement) pair: its rejections count once
+        aug = augment(get("two_conics").system, 1)
+        runs = []
+        for mags in ((TENTH,), (TENTH, TENTH)):
+            reasons = {}
+            cands = search_candidates(aug, 1, SearchConfig(seed=1, delta_magnitudes=mags), reasons)
+            runs.append((reasons, cands))
+        assert runs[0][0] == {"row_count": 8, "coverage": 28}
+        assert runs[1] == runs[0]
 
     def test_first_trial_decides_rank(self, monkeypatch):
         # full column rank at one point is a nonzero maximal minor of the
