@@ -171,10 +171,7 @@ def extract_action_matrix(plan: AmPlan, coeffs) -> ActionMatrix:
     """Fill the template, eliminate, and read the action matrix off the
     reduced rows; unit rows appear where the action keeps a basis monomial
     inside the basis."""
-    a_part, u_part = plan.template.fill_parts(coeffs)
-    if u_part.any():
-        raise ValueError("an elimination template cannot contain hidden-variable cells")
-    rref, pivots = float_rref(a_part)
+    rref, pivots = float_rref(plan.template.instantiate(coeffs, 1.0, 0.0))
     n_left = plan.n_excess + plan.n_reducible
     if tuple(pivots) != tuple(range(n_left)):
         raise SingularTemplateError(
@@ -322,6 +319,8 @@ def check_equivalence(
     """
     from .solve import fill, schur_matrix
 
+    if trials < 1:
+        raise ValueError("need at least one trial")
     lay = resplan.layout
     n1 = lay.n_b1
     if amplan.reciprocal:

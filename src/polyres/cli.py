@@ -58,15 +58,20 @@ def _load_plan(path: str):
         raise SystemExit(EXIT_USAGE)
 
 
+def _delta_magnitudes(text: str | None) -> tuple[Fraction, ...]:
+    if not text:
+        return SearchConfig.delta_magnitudes
+    try:
+        return tuple(Fraction(part) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        print(f"error: --delta must be comma-separated numbers, got {text!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def _search_config(args) -> SearchConfig:
-    mags = (
-        tuple(Fraction(part) for part in args.delta.split(","))
-        if args.delta
-        else SearchConfig.delta_magnitudes
-    )
     variants = ("v1", "v2") if args.variant == "both" else (args.variant,)
     return SearchConfig(
-        delta_magnitudes=mags,
+        delta_magnitudes=_delta_magnitudes(args.delta),
         max_subset_size=args.max_subset,
         order=MonomialOrder(args.order),
         variants=variants,
@@ -172,6 +177,9 @@ def _root_count_for(system, plan, args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     system = _load_system(args.system)
     variant = "v2" if args.direction == "resalt2am" else "v1"
     cfg = SearchConfig(seed=args.seed, variants=(variant,))

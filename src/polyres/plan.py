@@ -35,6 +35,9 @@ from .poly import (
 
 PLAN_VERSION = 1
 
+# how a plan's eigenvalue maps to the hidden coordinate, by partition variant
+ROOT_TRANSFORMS = {"v1": "u0", "v2": "-1/lambda"}
+
 # slot id markers used in the vectorized cell encoding
 _SLOT_LITERAL = -1
 _SLOT_HIDDEN = -2
@@ -127,23 +130,24 @@ class TemplateMatrix:
         out[self._enc_rows, self._enc_cols] = vals
         return out
 
-    def fill_parts(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
-        """Float instantiation split as (A, B) with the full matrix A + u0*B."""
-        lookup = np.empty(len(self._slot_names) + 2, dtype=np.float64)
-        lookup[_SLOT_LITERAL + 2] = 1.0
-        lookup[_SLOT_HIDDEN + 2] = 1.0  # hidden-variable cells land in B with their constant
+    def instantiate(self, coeffs, literal, hidden) -> np.ndarray:
+        """Matrix of one instance with the literal cells (the x_k of x_k - u0)
+        scaled by ``literal`` and the u0 cells by ``hidden``: ``(1, u0)`` is
+        the pencil M(u0) = A + u0*B, ``(1, 0)`` is A, and ``(0, 1)`` is A
+        with B in the rows of the extra polynomial.  No two terms of a row share a
+        column, so a cell scaled by 0 is written as a plain zero; ``+ 0.0``
+        stores every zero as +0.0, like a cell no term writes."""
+        lookup = np.empty(len(self._slot_names) + 2, dtype=np.result_type(literal, hidden, 1.0))
+        lookup[_SLOT_LITERAL + 2] = literal
+        lookup[_SLOT_HIDDEN + 2] = hidden
         for i, name in enumerate(self._slot_names):
             try:
                 lookup[i + 2] = coeffs[name]
             except KeyError:
                 raise MissingSlotError(name) from None
-        vals = self._enc_consts * lookup[self._enc_slots + 2]
-        a = np.zeros(self.shape, dtype=np.float64)
-        b = np.zeros(self.shape, dtype=np.float64)
-        hidden = self._enc_slots == _SLOT_HIDDEN
-        a[self._enc_rows[~hidden], self._enc_cols[~hidden]] = vals[~hidden]
-        b[self._enc_rows[hidden], self._enc_cols[hidden]] = vals[hidden]
-        return a, b
+        out = np.zeros(self.shape, dtype=lookup.dtype)
+        out[self._enc_rows, self._enc_cols] = self._enc_consts * lookup[self._enc_slots + 2] + 0.0
+        return out
 
     def structural_cols_of_rows(self, row_ids) -> set[int]:
         mask = np.isin(self._enc_rows, list(row_ids))
@@ -374,7 +378,7 @@ def plan_to_json(plan: SolverPlan) -> str:
             "subset_mask": plan.subset_mask,
             "n_solutions": plan.n_solutions,
             "origin": plan.origin,
-            "root_transform": "u0" if lay.variant == "v1" else "-1/lambda",
+            "root_transform": ROOT_TRANSFORMS[lay.variant],
         },
         "system": json.loads(dump_system(plan.base_system)),
         "monomials": {"b": _mono_list(lay.template.cols), "n_b1": lay.n_b1},
@@ -446,6 +450,9 @@ def plan_from_json(text: str) -> SolverPlan:
             json_field(doc["monomials"]["n_b1"], "n_b1", int),
             json_field(doc["blocks"]["n_upper"], "n_upper", int),
         )
+        for name, value in (("n_solutions", layout.n_b1), ("root_transform", ROOT_TRANSFORMS[layout.variant])):
+            if json_field(meta[name], name, type(value)) != value:
+                raise PlanFormatError(f"meta.{name} is {meta[name]!r}, but the layout gives {value!r}")
         delta = meta["delta"]
         if delta is not None:
             delta = tuple(Fraction(json_field(d, "delta", str)) for d in delta)

@@ -195,7 +195,7 @@ def parse_system(text: str) -> SystemTemplate:
                 raise SystemFormatError(f"slot name must be a string, got {slot!r}")
             if slot == HIDDEN_SLOT:
                 raise SystemFormatError(f"slot name {HIDDEN_SLOT!r} is reserved")
-            if not isinstance(exps, list) or not all(isinstance(e, int) for e in exps):
+            if not isinstance(exps, list) or not all(type(e) is int for e in exps):
                 raise SystemFormatError(f"exponents must be a list of ints, got {exps!r}")
             if len(exps) != n:
                 raise SystemFormatError(

@@ -1,4 +1,5 @@
-"""Online stage: fill a plan with numbers, Schur-reduce, eigendecompose.
+"""Online stage: fill one matrix per instance (the plan's partition variant
+picks its cells), Schur-reduce, eigendecompose.
 
 Failures that count toward the benchmark failure rate (singular pivot
 block, eigenpair failing its residual bound, unrecoverable eigenvector) raise
@@ -35,35 +36,27 @@ class UnrecoverableVariableError(SolveFailure):
 
 @dataclass(frozen=True, slots=True)
 class SolverInstance:
-    """A plan filled with one instance's numbers: the full matrix is
-    ``a_part + u0 * u_part``; the lower rows multiply x_k - u0."""
+    """A plan filled with one instance's numbers: the one matrix whose Schur
+    complement is the eigenproblem of the plan's partition variant."""
 
     plan: SolverPlan
     coeffs: dict
-    a_part: np.ndarray
-    u_part: np.ndarray
-
-    @property
-    def variant(self) -> str:
-        return self.plan.layout.variant
-
-    @property
-    def lower_hidden(self) -> np.ndarray:
-        """u0-part of the lower block (B21 | B22)."""
-        return self.u_part[self.plan.layout.n_upper :]
+    matrix: np.ndarray
 
 
 def fill(plan: SolverPlan, coeffs) -> SolverInstance:
-    """Write every layout cell from its (polynomial, term, multiplier) source."""
-    a_part, u_part = plan.layout.template.fill_parts(coeffs)
-    return SolverInstance(plan, dict(coeffs), a_part, u_part)
+    """Write every layout cell from its (polynomial, term, multiplier) source.
+
+    The lower rows multiply x_k - u0; v1 keeps their x_k cells (eigenvalue
+    u0), v2 their u0 cells (eigenvalue -1/u0)."""
+    literal, hidden = (1.0, 0.0) if plan.layout.variant == "v1" else (0.0, 1.0)
+    return SolverInstance(plan, dict(coeffs), plan.layout.template.instantiate(coeffs, literal, hidden))
 
 
 def schur_matrix(inst: SolverInstance) -> np.ndarray:
-    """The eigenproblem matrix X of the plan's partition variant."""
+    """The eigenproblem matrix X: the Schur complement of the upper-right block."""
     lay = inst.plan.layout
-    m = inst.a_part if inst.variant == "v1" else np.vstack((inst.a_part[: lay.n_upper], inst.lower_hidden))
-    return schur_complement(m, (lay.n_upper, lay.n_b1))
+    return schur_complement(inst.matrix, (lay.n_upper, lay.n_b1))
 
 
 @dataclass(frozen=True, slots=True)

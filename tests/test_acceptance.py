@@ -126,15 +126,15 @@ def test_criterion_4_resultant_constraint_vanishing(
         # random u0 drawn at the magnitude scale of the tested roots, so that
         # numerator and denominator determinants live at a comparable scale
         scale = max(1.0, max(abs(complex(x)) for x in xk_values))
-        a_part, u_part = plan.layout.template.fill_parts(coeffs)
+        tm = plan.layout.template
         rand = []
         for _ in range(11):
-            s, ld = np.linalg.slogdet(a_part + scale * float(rng.standard_normal()) * u_part)
+            s, ld = np.linalg.slogdet(tm.instantiate(coeffs, 1.0, scale * float(rng.standard_normal())))
             rand.append(ld if s != 0 else -np.inf)
         med = float(np.median(rand))
         worst = -np.inf
         for xk in xk_values:
-            s, ld = np.linalg.slogdet(a_part.astype(complex) + complex(xk) * u_part)
+            s, ld = np.linalg.slogdet(tm.instantiate(coeffs, 1.0, complex(xk)))
             worst = max(worst, (ld.real if s != 0 else -np.inf) - med)
         return worst
 

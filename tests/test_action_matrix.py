@@ -38,7 +38,7 @@ class TestBuildTemplate:
         assert plan.excess == ()
         assert plan.reducible == ((2,),)
         assert plan.basis == ((0,), (1,))
-        a, _ = plan.template.fill_parts(QUAD)
+        a = plan.template.instantiate(QUAD, 1.0, 0.0)
         # columns ordered [reducible | basis] = [x^2, 1, x]
         assert a.tolist() == [[1.0, 6.0, -5.0]]
 
@@ -128,7 +128,7 @@ class TestAmToRes:
                 unit = np.zeros(len(b1))
                 unit[b1.index(fm)] = 1.0
                 # integer equality, no tolerance: these rows are structural
-                lower = inst.a_part[lay.n_upper + j]
+                lower = inst.matrix[lay.n_upper + j]
                 assert lower[: len(b1)].tolist() == unit.tolist()
                 assert lower[len(b1) :].tolist() == [0.0] * lay.n_b2
                 assert x[j].tolist() == unit.tolist()
@@ -139,8 +139,8 @@ class TestAmToRes:
         rp = am_to_res(amp)
         lay = rp.layout
         inst = fill(rp, CONIC)
-        a11 = inst.a_part[: lay.n_upper, : lay.n_b1]
-        a12 = inst.a_part[: lay.n_upper, lay.n_b1 :]
+        a11 = inst.matrix[: lay.n_upper, : lay.n_b1]
+        a12 = inst.matrix[: lay.n_upper, lay.n_b1 :]
         rref, pivots = float_rref(np.hstack([a12, a11]))
         assert tuple(pivots) == tuple(range(lay.n_b2))
         tail = np.linalg.solve(a12, a11)
@@ -204,6 +204,12 @@ class TestCheckEquivalence:
         amp = scratch_template("univariate_quadratic")
         verdict = check_equivalence(amp, two_conics_plan, trials=5, seed=1)
         assert not verdict.equivalent
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_no_verdict(self, two_conics_plan, trials):
+        amp = res_to_am(two_conics_plan, 4)
+        with pytest.raises(ValueError, match="at least one trial"):
+            check_equivalence(amp, two_conics_plan, trials=trials)
 
     def test_rescaled_polynomial_stays_equivalent(self, two_conics_plan):
         amp = res_to_am(two_conics_plan, 4)

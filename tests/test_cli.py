@@ -47,6 +47,27 @@ class TestGenerate:
         assert exc.value.code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["abc", "1/0", "0.1,"])
+    def test_malformed_delta_exits_2(self, tmp_path, capsys, delta):
+        sys_path, _ = write_problem(tmp_path, "univariate_linear")
+        out = tmp_path / "lin.plan"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--system", str(sys_path), "--out", str(out), "--delta", delta])
+        assert exc.value.code == 2
+        assert "--delta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_exponents_exit_2(self, tmp_path, capsys):
+        sys_path = tmp_path / "b.sys"
+        terms = [{"coeff": "a", "exps": [True]}, {"coeff": "b", "exps": [False]}]
+        sys_path.write_text(json.dumps({"variables": ["x"], "polynomials": [terms]}))
+        out = tmp_path / "b.plan"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--system", str(sys_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "list of ints" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_univariate_roots(self, tmp_path, capsys):
@@ -182,6 +203,20 @@ class TestCompare:
         out = capsys.readouterr().out
         assert code == 0
         assert "equivalent" in out and "NOT" not in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_usage_error(self, tmp_path, capsys, monkeypatch, trials):
+        sys_path, _ = write_problem(tmp_path, "two_conics")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("generated a plan for a check that has no trials")
+
+        monkeypatch.setattr("polyres.cli.generate_plan", no_search)
+        code = main(["compare", "--system", str(sys_path), "--direction", "res2am", "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: --trials must be at least 1" in captured.err
+        assert "equivalent" not in captured.out
 
     def test_zero_root_resalt_rejected(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "zero_coordinate_pair")

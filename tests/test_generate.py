@@ -188,10 +188,12 @@ class TestPartition:
     def test_univariate_layout_blocks(self, univariate_linear_plan):
         from polyres.solve import fill
 
-        inst = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
-        n_upper = univariate_linear_plan.layout.n_upper
-        assert inst.a_part[n_upper:].tolist() == [[0.0, 1.0]]  # A21 = [0], A22 = [1]
-        assert inst.lower_hidden.tolist() == [[-1.0, 0.0]]  # B21 = -I, B22 = 0
+        coeffs = {"a": 1.0, "b": -2.0}
+        inst = fill(univariate_linear_plan, coeffs)
+        lay = univariate_linear_plan.layout
+        assert inst.matrix[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 = [0], A22 = [1]
+        b = lay.template.instantiate(coeffs, 0.0, 1.0)
+        assert b[lay.n_upper :].tolist() == [[-1.0, 0.0]]  # B21 = -I, B22 = 0
 
     def test_rank_deficient_a12_rejected(self):
         cfg = SearchConfig(seed=1)

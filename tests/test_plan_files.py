@@ -120,6 +120,9 @@ JUNK_SECTIONS = [
     (0, ("rows", 8, 1, 0), 0.0),
     (0, ("monomials", "b", 0, 0), 2.0),
     (0, ("deleted_rows", 0, 0), 2.5),
+    (0, ("meta", "root_transform"), "-1/lambda"),
+    (0, ("meta", "n_solutions"), 99),
+    (0, ("meta", "n_solutions"), 4.0),
     (1, ("version",), 99),
     (1, ("cells",), []),
     (1, ("meta", "n_excess"), 2.0),

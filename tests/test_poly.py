@@ -75,6 +75,11 @@ class TestParseSystem:
         with pytest.raises(SystemFormatError, match="duplicate"):
             parse_system(json.dumps(doc))
 
+    def test_boolean_exponent_rejected(self):
+        doc = {"variables": ["x1", "x2"], "polynomials": [[{"coeff": "a", "exps": [True, True]}]]}
+        with pytest.raises(SystemFormatError, match="list of ints"):
+            parse_system(json.dumps(doc))
+
     def test_reserved_slot_rejected(self):
         doc = {"variables": ["x1"], "polynomials": [[{"coeff": "u0", "exps": [1]}]]}
         with pytest.raises(SystemFormatError, match="reserved"):

@@ -25,10 +25,11 @@ class TestFill:
     def test_univariate_blocks(self, univariate_linear_plan):
         inst = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
         lay = univariate_linear_plan.layout
-        assert inst.a_part[: lay.n_upper, : lay.n_b1].tolist() == [[-2.0]]  # A11
-        assert inst.a_part[: lay.n_upper, lay.n_b1 :].tolist() == [[1.0]]  # A12
-        assert inst.a_part[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 | A22
-        assert inst.lower_hidden.tolist() == [[-1.0, 0.0]]
+        assert inst.matrix[: lay.n_upper, : lay.n_b1].tolist() == [[-2.0]]  # A11
+        assert inst.matrix[: lay.n_upper, lay.n_b1 :].tolist() == [[1.0]]  # A12
+        assert inst.matrix[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 | A22
+        b = lay.template.instantiate({"a": 1.0, "b": -2.0}, 0.0, 1.0)
+        assert b[lay.n_upper :].tolist() == [[-1.0, 0.0]]  # B21 | B22
 
     def test_missing_slot_named(self, univariate_linear_plan):
         with pytest.raises(MissingSlotError, match="'b'"):
@@ -43,8 +44,9 @@ class TestFill:
         rng = np.random.default_rng(0)
         coeffs = {s: float(rng.standard_normal()) for s in get("two_conics").system.slots()}
         inst = fill(two_conics_plan, coeffs)
-        assert inst.a_part.shape == inst.u_part.shape == two_conics_plan.layout.shape
-        assert inst.lower_hidden.shape == (two_conics_plan.layout.n_b1, two_conics_plan.layout.shape[1])
+        assert inst.matrix.shape == two_conics_plan.layout.shape
+        # a dropped u0 cell (-1 * 0.0) is stored as +0.0, like a cell no term writes
+        assert not np.signbit(inst.matrix[inst.matrix == 0]).any()
 
 
 class TestSolve:
@@ -233,16 +235,16 @@ class TestBenchmark:
 
 class TestDetVanishing:
     def _ratio(self, plan, coeffs, roots_xk, rng):
-        a_part, u_part = plan.layout.template.fill_parts(coeffs)
+        tm = plan.layout.template
         rand_dets = []
         for _ in range(11):
             u0 = float(rng.standard_normal())
-            sign, logdet = np.linalg.slogdet(a_part + u0 * u_part)
+            sign, logdet = np.linalg.slogdet(tm.instantiate(coeffs, 1.0, u0))
             rand_dets.append(logdet if sign != 0 else -np.inf)
         med = float(np.median(rand_dets))
         worst = -np.inf
         for xk in roots_xk:
-            m = a_part.astype(complex) + complex(xk) * u_part
+            m = tm.instantiate(coeffs, 1.0, complex(xk))
             sign, logdet = np.linalg.slogdet(m)
             val = logdet.real if sign != 0 else -np.inf
             worst = max(worst, val - med)
