@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -69,6 +70,9 @@ def _delta_magnitudes(text: str | None) -> tuple[Fraction, ...]:
 
 
 def _search_config(args) -> SearchConfig:
+    if args.max_subset is not None and args.max_subset < 1:
+        print("error: --max-subset must be at least 1", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     variants = ("v1", "v2") if args.variant == "both" else (args.variant,)
     return SearchConfig(
         delta_magnitudes=_delta_magnitudes(args.delta),
@@ -103,6 +107,9 @@ def _fmt_complex(z: complex) -> str:
 
 
 def cmd_solve(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+        return EXIT_USAGE
     plan = _load_plan(args.plan)
     try:
         coeffs = parse_instance(_read(args.instance))
@@ -179,6 +186,9 @@ def _root_count_for(system, plan, args) -> int:
 def cmd_compare(args) -> int:
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.roots is not None and args.roots < 1:
+        print("error: --roots must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     system = _load_system(args.system)
     variant = "v2" if args.direction == "resalt2am" else "v1"

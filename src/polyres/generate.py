@@ -16,7 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
+from .lattice import (
+    LatticePolytope,
+    convex_hull,
+    displacement_grid,
+    lattice_points,
+    minkowski_sum,
+    shifted_offsets,
+    unit_simplex,
+)
 from .linalg import PRIMES
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
 from .poly import MonomialOrder, Mono, SystemTemplate, augment, extend_system, support
@@ -73,15 +81,21 @@ def _subset_masks(m_aug: int, cfg: SearchConfig):
 
 
 def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchConfig,
-                      reasons: dict[str, int] | None = None) -> list[FavourableCandidate]:
+                      reasons: dict[str, int] | None = None,
+                      sums: dict[tuple[LatticePolytope, ...], LatticePolytope] | None = None,
+                      ) -> list[FavourableCandidate]:
     """Sweep (subset, displacement) pairs and emit favourable candidates.
 
     The Minkowski sum always includes the unit simplex; both set-partition
     variants are emitted when their A12 block has full column rank.  Each
     rank verdict is made once per monomial set (and variant) and reused when
-    another (subset, displacement) pair reproduces the set.
+    another (subset, displacement) pair reproduces the set.  ``sums`` maps
+    summand tuples to their Minkowski sums; a caller that passes one dict to
+    several calls computes each sum once.  Within a subset, displacements
+    with equal shifted offsets share one lattice enumeration.
     """
     reasons = reasons if reasons is not None else {}
+    sums = sums if sums is not None else {}
     n = aug_system.n_vars
     m_aug = len(aug_system.polys)
     polytopes = [convex_hull(support(f)) for f in aug_system.polys]
@@ -97,9 +111,16 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     rank_cache: dict[tuple, bool] = {}
 
     for mask in _subset_masks(m_aug, cfg):
-        q = minkowski_sum([np0] + [polytopes[i] for i in range(m_aug) if mask >> i & 1])
+        summands = (np0, *(polytopes[i] for i in range(m_aug) if mask >> i & 1))
+        q = sums.get(summands)
+        if q is None:
+            q = sums[summands] = minkowski_sum(summands)
+        point_sets: dict[tuple | None, frozenset] = {}
         for delta in deltas:
-            pts = frozenset(lattice_points(q, delta))
+            offsets = shifted_offsets(q, delta)
+            pts = point_sets.get(offsets)
+            if pts is None:
+                pts = point_sets[offsets] = frozenset(lattice_points(q, delta))
             if not pts:
                 _tick(reasons, "empty_lattice")
                 continue
@@ -274,12 +295,17 @@ class GenerateOutcome:
 
 
 def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> GenerateOutcome:
-    """Full offline pipeline over every choice of hidden variable."""
+    """Full offline pipeline over every choice of hidden variable.
+
+    Only the summand x_k - u0 differs between hidden variables, so the
+    Minkowski sums of subsets without it are computed once for all k.
+    """
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
+    sums: dict[tuple[LatticePolytope, ...], LatticePolytope] = {}
     candidates: list[FavourableCandidate] = []
     for k in range(1, system.n_vars + 1):
-        candidates.extend(search_candidates(augment(system, k), k, cfg, reasons))
+        candidates.extend(search_candidates(augment(system, k), k, cfg, reasons, sums))
     if not candidates:
         raise NoSolverError(reasons)
     candidates.sort(key=lambda c: _selection_key(c.layout))

@@ -3,7 +3,8 @@
 All geometry is exact and integral: hull facets and affine-hull equations
 carry primitive integer normals with integer offsets.  Rationals appear only
 in displacement vectors and in the one elimination that finds a point set's
-affine hull.
+affine hull.  Lattice-point tests run in int64 over the whole box at once,
+behind a guard that raises rather than let a dot product wrap.
 Floating point is never consulted, so displacement vectors that graze
 lattice hyperplanes cannot flip membership.
 """
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 IntVec = tuple[int, ...]
 
@@ -283,36 +286,54 @@ def unit_simplex(n: int) -> LatticePolytope:
     return convex_hull(pts)
 
 
-def lattice_points(q: LatticePolytope, delta: Sequence[Fraction]) -> set[IntVec]:
-    """Integer z with z - delta inside or on q, by exact integer tests.
+def shifted_offsets(q: LatticePolytope, delta: Sequence[Fraction]) -> tuple[IntVec, IntVec] | None:
+    """Right-hand sides of q + delta: (equation offsets, floored facet offsets).
 
     Normals and z are integral, so n.(z - delta) <= c holds exactly when
     n.z <= floor(c + n.delta), and n.(z - delta) == c needs c + n.delta to
-    be an integer.
+    be an integer.  These ints therefore decide every lattice point of
+    q + delta: displacements with equal offsets have equal point sets.
+    None when some equation has no integer solution, so the set is empty.
     """
     if len(delta) != q.dim:
         raise ValueError("displacement dimension mismatch")
+    denom = math.lcm(*(x.denominator for x in delta))
+    num = [int(x * denom) for x in delta]
     eq_rhs = []
     for eq in q.equations:
-        rhs = eq.offset + _dot(eq.normal, delta)
-        if rhs.denominator != 1:
-            return set()
-        eq_rhs.append((eq.normal, int(rhs)))
-    hs_rhs = [(hs.normal, math.floor(hs.offset + _dot(hs.normal, delta))) for hs in q.facets]
+        rhs, rem = divmod(eq.offset * denom + _dot(eq.normal, num), denom)
+        if rem:
+            return None
+        eq_rhs.append(rhs)
+    hs_rhs = tuple((hs.offset * denom + _dot(hs.normal, num)) // denom for hs in q.facets)
+    return tuple(eq_rhs), hs_rhs
 
-    ranges = []
-    for i in range(q.dim):
-        lo = math.ceil(min(v[i] for v in q.vertices) + delta[i])
-        hi = math.floor(max(v[i] for v in q.vertices) + delta[i])
-        if lo > hi:
-            return set()
-        ranges.append(range(lo, hi + 1))
 
-    out = set()
-    for z in itertools.product(*ranges):
-        ok = all(_dot(n, z) == rhs for n, rhs in eq_rhs) and all(
-            _dot(n, z) <= rhs for n, rhs in hs_rhs
-        )
-        if ok:
-            out.add(z)
-    return out
+def lattice_points(q: LatticePolytope, delta: Sequence[Fraction]) -> set[IntVec]:
+    """Integer z with z - delta inside or on q, by exact int64 tests.
+
+    Every z of the bounding box is tested at once against the offsets of
+    ``shifted_offsets``.  Raises OverflowError when a coordinate, an offset
+    or a dot product over the box could leave int64.
+    """
+    offsets = shifted_offsets(q, delta)
+    if offsets is None:
+        return set()
+    eq_rhs, hs_rhs = offsets
+    lo = [math.ceil(min(v[i] for v in q.vertices) + delta[i]) for i in range(q.dim)]
+    hi = [math.floor(max(v[i] for v in q.vertices) + delta[i]) for i in range(q.dim)]
+    if any(a > b for a, b in zip(lo, hi)):
+        return set()
+
+    normals = [eq.normal for eq in q.equations] + [hs.normal for hs in q.facets]
+    reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
+    bound = max([*reach, *map(abs, eq_rhs + hs_rhs)] + [_dot(map(abs, n), reach) for n in normals])
+    if bound >= 2**63:
+        raise OverflowError("lattice box exceeds int64 range")
+
+    box = np.indices([b - a + 1 for a, b in zip(lo, hi)]).reshape(q.dim, -1).T + np.array(lo)
+    dots = box @ np.array(normals, dtype=np.int64).T
+    n_eq = len(eq_rhs)
+    inside = np.all(dots[:, :n_eq] == np.array(eq_rhs, dtype=np.int64), axis=1)
+    inside &= np.all(dots[:, n_eq:] <= np.array(hs_rhs, dtype=np.int64), axis=1)
+    return set(map(tuple, box[inside].tolist()))

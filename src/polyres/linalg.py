@@ -10,6 +10,7 @@ a residual postcondition on every returned pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +151,11 @@ def eig(a: np.ndarray, tol: float = 1e-8) -> EigResult:
 
     Each returned pair satisfies ||A v - lambda v|| <= tol * ||A||_F with
     ||v|| = 1; a pair that misses the bound raises EigenConvergenceError
-    naming its index.
+    naming its index.  tol must be finite and >= 0: a NaN bound would pass
+    every pair unchecked.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")

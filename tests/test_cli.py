@@ -57,6 +57,16 @@ class TestGenerate:
         assert "--delta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_max_subset_below_one_exits_2(self, tmp_path, capsys, size):
+        sys_path, _ = write_problem(tmp_path, "univariate_linear")
+        out = tmp_path / "lin.plan"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--system", str(sys_path), "--out", str(out), "--max-subset", size])
+        assert exc.value.code == 2
+        assert "--max-subset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_boolean_exponents_exit_2(self, tmp_path, capsys):
         sys_path = tmp_path / "b.sys"
         terms = [{"coeff": "a", "exps": [True]}, {"coeff": "b", "exps": [False]}]
@@ -141,6 +151,21 @@ class TestSolve:
         assert "'b'" in err and "not a finite number" in err
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        # a NaN bound passes every eigenpair unchecked, and a negative one
+        # fails every pair as if the solve had broken down numerically
+        sys_path, inst_path = write_problem(tmp_path, "univariate_quadratic")
+        plan_path = tmp_path / "q.plan"
+        main(["generate", "--system", str(sys_path), "--out", str(plan_path), "--seed", "1"])
+        capsys.readouterr()
+        code = main(["solve", "--plan", str(plan_path), "--instance", str(inst_path), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--tol" in captured.err
+        assert "root" not in captured.out
+
+
 class TestBench:
     def test_report_fields_and_determinism(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "two_conics")
@@ -216,6 +241,20 @@ class TestCompare:
         captured = capsys.readouterr()
         assert code == 2
         assert "error: --trials must be at least 1" in captured.err
+        assert "equivalent" not in captured.out
+
+    @pytest.mark.parametrize("roots", ["0", "-1"])
+    def test_no_roots_usage_error(self, tmp_path, capsys, monkeypatch, roots):
+        sys_path, _ = write_problem(tmp_path, "two_conics")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("generated a plan for a bridge with no roots")
+
+        monkeypatch.setattr("polyres.cli.generate_plan", no_search)
+        code = main(["compare", "--system", str(sys_path), "--direction", "res2am", "--roots", roots])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: --roots must be at least 1" in captured.err
         assert "equivalent" not in captured.out
 
     def test_zero_root_resalt_rejected(self, tmp_path, capsys):

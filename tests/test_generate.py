@@ -159,6 +159,22 @@ class TestSearchCandidates:
         assert runs[0][0] == {"row_count": 8, "coverage": 28}
         assert runs[1] == runs[0]
 
+    def test_polytope_stage_shared(self, monkeypatch):
+        # one Minkowski sum per summand tuple over all hidden variables, one
+        # enumeration per shifted polytope of a subset, and nothing kept from
+        # one generate_plan call to the next
+        calls = dict.fromkeys(("lattice_points", "minkowski_sum"), 0)
+        for name in calls:
+            def counting(*args, _real=getattr(polyres.generate, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(polyres.generate, name, counting)
+        for _ in range(2):
+            calls.update(lattice_points=0, minkowski_sum=0)
+            generate_plan(get("two_conics").system, SearchConfig(seed=1, variants=("v1",)))
+            assert calls == {"lattice_points": 98, "minkowski_sum": 11}
+
     def test_first_trial_decides_rank(self, monkeypatch):
         # full column rank at one point is a nonzero maximal minor of the
         # integer template, so the first trial decides and no other is computed

@@ -12,6 +12,7 @@ from polyres.lattice import (
     displacement_grid,
     lattice_points,
     minkowski_sum,
+    shifted_offsets,
     unit_simplex,
 )
 
@@ -24,6 +25,7 @@ EXAMPLE_B = {
 }
 
 TENTH = Fraction(1, 10)
+MILLI = Fraction(1, 1000)
 
 
 def frac_affine_membership(point, vertices):
@@ -157,6 +159,28 @@ class TestLatticePoints:
         assert lattice_points(tri, (TENTH, TENTH, TENTH)) == set()
         assert lattice_points(tri, (TENTH, -TENTH, Fraction(0))) == {(1, 0, 1), (1, 1, 0), (2, 0, 0)}
 
+    def test_equal_offsets_equal_points(self):
+        # n.delta differs between the two grids, yet its floor often does not
+        q = minkowski_sum([convex_hull(A1), convex_hull(A2), unit_simplex(2)])
+        by_offsets: dict = {}
+        for delta in displacement_grid(2, TENTH) + displacement_grid(2, MILLI):
+            expected = brute_force_points(q, delta, (-1, -1), (7, 6))
+            assert lattice_points(q, delta) == expected
+            by_offsets.setdefault(shifted_offsets(q, delta), []).append(expected)
+        assert len(by_offsets) < 17  # some distinct displacements share offsets
+        for sets in by_offsets.values():
+            assert all(s == sets[0] for s in sets)
+
+    def test_int64_guard(self):
+        big = 2**62
+        zero = (Fraction(0), Fraction(0))
+        # the diagonal's equation x - y = 0 bounds |x| + |y| by 2^63 + 2 only
+        diagonal = convex_hull([(big, big), (big + 1, big + 1)])
+        with pytest.raises(OverflowError):
+            lattice_points(diagonal, zero)
+        axis = convex_hull([(big, 0), (big + 1, 0)])
+        assert lattice_points(axis, zero) == {(big, 0), (big + 1, 0)}
+
 
 class TestDisplacement:
     def test_grid_size(self):
@@ -180,6 +204,29 @@ def point_sets_3d(draw):
     return {tuple(p0[i] + sum(c * u[i] for c, u in zip(cs, dirs)) for i in range(3)) for cs in params}
 
 
+@st.composite
+def point_sets_4d(draw):
+    """The corners p0 + sum c_i u_i, c_i in {0, 2}, of k = 1 ... 4 small
+    directions, less a drawn few: dependent directions and dropped corners
+    give sets of every affine dimension, the doubled edges interior points."""
+    k = 4 - draw(st.integers(0, 3))
+    p0 = draw(st.tuples(*[st.integers(-2, 2)] * 4))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * 4), min_size=k, max_size=k))
+    cube = list(itertools.product((0, 2), repeat=k))
+    dropped = draw(st.sets(st.sampled_from(cube[1:]), max_size=len(cube) - 2))
+    return {
+        tuple(p0[i] + sum(c * u[i] for c, u in zip(cs, dirs)) for i in range(4))
+        for cs in cube
+        if cs not in dropped
+    }
+
+
+def brute_force_points(q, delta, lo, hi):
+    """Integer z of the box [lo, hi] with z - delta in q, by Fraction tests."""
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return {z for z in box if q.contains(tuple(zi - d for zi, d in zip(z, delta)))}
+
+
 class TestOracleEquivalence:
     @given(pts=point_sets_3d(), delta=st.sampled_from(displacement_grid(3, TENTH)))
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -195,9 +242,18 @@ class TestOracleEquivalence:
             assert any(_dot(hs.normal, v) == hs.offset for v in hull.vertices)
         lo = [min(p[i] for p in pts) - 1 for i in range(3)]
         hi = [max(p[i] for p in pts) + 1 for i in range(3)]
-        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        expected = {z for z in box if hull.contains(tuple(zi - d for zi, d in zip(z, delta)))}
-        assert lattice_points(hull, delta) == expected
+        assert lattice_points(hull, delta) == brute_force_points(hull, delta, lo, hi)
+
+    @given(
+        pts=point_sets_4d(),
+        delta=st.sampled_from(displacement_grid(4, TENTH) + displacement_grid(4, MILLI)),
+    )
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    def test_int64_box_4d(self, pts, delta):
+        hull = convex_hull(pts)
+        lo = [min(p[i] for p in pts) - 1 for i in range(4)]
+        hi = [max(p[i] for p in pts) + 1 for i in range(4)]
+        assert lattice_points(hull, delta) == brute_force_points(hull, delta, lo, hi)
 
     @given(pts=point_sets_2d, di=st.integers(-1, 1), dj=st.integers(-1, 1))
     @settings(max_examples=40, deadline=None)

@@ -206,6 +206,11 @@ class TestEig:
         with pytest.raises(ValueError):
             eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bound_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            eig(np.eye(2), tol=tol)
+
     def test_unmeetable_tol_names_index(self):
         # a non-normal matrix leaves a rounding-level residual that no
         # computed pair can push to zero, so tol = 0 must fail the postcondition
