@@ -9,23 +9,16 @@ hidden-variable plan and back, including the reciprocal-action construction
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import float_rref, modp_eliminate
 from .plan import (
-    PLAN_VERSION,
     MatrixLayout,
-    PlanFormatError,
     RankCheckConfig,
     SolverPlan,
     TemplateMatrix,
-    json_field,
-    json_mono,
-    plan_document,
-    stored_template,
 )
 from .poly import (
     MonomialOrder,
@@ -34,10 +27,8 @@ from .poly import (
     SystemTemplate,
     Term,
     augment,
-    dump_system,
     mono_div,
     mono_mul,
-    parse_system,
     unit_mono,
 )
 
@@ -77,9 +68,6 @@ class AmPlan:
     def reducible(self) -> tuple[Mono, ...]:
         return self.template.cols[self.n_excess : self.n_excess + self.n_reducible]
 
-    @property
-    def n_basis(self) -> int:
-        return len(self.template.cols) - self.n_excess - self.n_reducible
 
 
 @dataclass(frozen=True)
@@ -355,63 +343,3 @@ def check_equivalence(
         if dev > EQUIVALENCE_TOL * (1.0 + float(np.linalg.norm(x))):
             ok = False
     return EquivalenceVerdict(ok, worst, size_match, trials, sign)
-
-
-def _reciprocal_hidden_var(plan: AmPlan) -> int:
-    # the product term x_k * lam of the adjoined polynomial pins down k
-    extra = plan.template.system.polys[-1]
-    exps = next(t.exps for t in extra.terms if any(t.exps))
-    return next(i + 1 for i, e in enumerate(exps[:-1]) if e)
-
-
-def amplan_to_json(plan: AmPlan) -> str:
-    base = plan.template.system
-    hidden = None
-    if plan.reciprocal:
-        hidden = _reciprocal_hidden_var(plan)
-        base = SystemTemplate(
-            base.n_vars - 1,
-            base.var_names[:-1],
-            tuple(
-                PolynomialTemplate(tuple(Term(t.slot, t.exps[:-1], t.const) for t in f.terms))
-                for f in base.polys[:-1]
-            ),
-        )
-    doc = {
-        "kind": "action-matrix",
-        "version": PLAN_VERSION,
-        "meta": {
-            "action_var": plan.action_var,
-            "reciprocal": plan.reciprocal,
-            "hidden_var": hidden,
-            "n_excess": plan.n_excess,
-            "n_reducible": plan.n_reducible,
-        },
-        "system": json.loads(dump_system(base)),
-        "monomials": {"cols": [list(m) for m in plan.template.cols]},
-        "rows": [[p, list(m)] for p, m in plan.template.rows],
-        "blocks": {"projected": plan.template.project_missing},
-        "cells": [list(c) for c in plan.template.cells],
-        "removed_excess": [list(m) for m in plan.removed_excess],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def amplan_from_json(text: str) -> AmPlan:
-    with plan_document(text) as doc:
-        if doc["kind"] != "action-matrix":
-            raise PlanFormatError(f"expected an action-matrix plan, got {doc['kind']!r}")
-        meta = doc["meta"]
-        base = parse_system(json.dumps(doc["system"]))
-        system = base
-        if meta["reciprocal"]:
-            system = reciprocal_system(base, json_field(meta["hidden_var"], "hidden_var", int))
-        tm = stored_template(doc, system, tuple(json_mono(m) for m in doc["monomials"]["cols"]))
-        return AmPlan(
-            tm,
-            json_field(meta["action_var"], "action_var", int),
-            json_field(meta["n_excess"], "n_excess", int),
-            json_field(meta["n_reducible"], "n_reducible", int),
-            bool(meta["reciprocal"]),
-            tuple(json_mono(m) for m in doc["removed_excess"]),
-        )

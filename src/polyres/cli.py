@@ -91,6 +91,9 @@ def cmd_generate(args) -> int:
     except NoSolverError as e:
         print(f"no solver: {e}", file=sys.stderr)
         return EXIT_NO_SOLVER
+    except OverflowError as e:
+        print(f"error: --delta or an exponent of {args.system} is too large ({e})", file=sys.stderr)
+        return EXIT_USAGE
     plan = outcome.plan
     Path(args.out).write_text(plan_to_json(plan), encoding="utf-8")
     upper = plan.layout.n_upper

@@ -1,10 +1,11 @@
 """Offline solver generation.
 
-The search augments the input system with an extra polynomial x_k - u0,
+The search augments the input system with an extra polynomial x_k - u0 and
 sweeps subsets of Newton polytopes and displacement vectors to collect
-favourable monomial sets, verifies that the coefficient matrix block
-partitions into an eigenvalue problem, then shrinks the matrix by
-row-column removal and row removal until it is square.
+favourable monomial sets.  The candidates are then taken best first, by the
+size of their eigenproblem and matrix: the first whose coefficient matrix
+block partitions into an eigenvalue problem is shrunk by row-column removal
+and row removal until it is square.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class FavourableCandidate:
-    """A favourable monomial set as the block layout that passed the
-    row-count, coverage and rank conditions, with the rows the reduction
-    stages have removed from it so far."""
+    """A favourable monomial set as a block layout that passed the coverage
+    and row-count conditions, with the rows the reduction stages have removed
+    from it so far.  Its rank conditions are not checked yet."""
 
     layout: MatrixLayout
     delta: tuple[Fraction, ...]
@@ -84,15 +85,16 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
                       reasons: dict[str, int] | None = None,
                       sums: dict[tuple[LatticePolytope, ...], LatticePolytope] | None = None,
                       ) -> list[FavourableCandidate]:
-    """Sweep (subset, displacement) pairs and emit favourable candidates.
+    """Sweep (subset, displacement) pairs and emit unchecked candidates.
 
-    The Minkowski sum always includes the unit simplex; both set-partition
-    variants are emitted when their A12 block has full column rank.  Each
-    rank verdict is made once per monomial set (and variant) and reused when
-    another (subset, displacement) pair reproduces the set.  ``sums`` maps
-    summand tuples to their Minkowski sums; a caller that passes one dict to
-    several calls computes each sum once.  Within a subset, displacements
-    with equal shifted offsets share one lattice enumeration.
+    The Minkowski sum always includes the unit simplex.  A pair is rejected
+    only by counts: an empty lattice, an empty T_i (coverage) or fewer rows
+    than columns.  The first pair that yields a set of multipliers T_i emits
+    one layout per variant; later pairs with the same T_i emit nothing.
+    ``sums`` maps summand tuples to their Minkowski sums; a caller that
+    passes one dict to several calls computes each sum once.  Within a
+    subset, displacements with equal shifted offsets share one lattice
+    enumeration.
     """
     reasons = reasons if reasons is not None else {}
     sums = sums if sums is not None else {}
@@ -106,9 +108,8 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
 
     out: list[FavourableCandidate] = []
     ext_cache: dict[frozenset[Mono], tuple] = {}
-    # t_sets -> full column rank; (variant, t_sets) -> A12 full column rank.
-    # The multiplier sets fix B, and hidden_var is fixed within this call.
-    rank_cache: dict[tuple, bool] = {}
+    # the multiplier sets fix B, and hidden_var is fixed within this call
+    emitted: set[tuple[frozenset[Mono], ...]] = set()
 
     for mask in _subset_masks(m_aug, cfg):
         summands = (np0, *(polytopes[i] for i in range(m_aug) if mask >> i & 1))
@@ -136,32 +137,12 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
             if sum(len(t) for t in t_sets) < len(b_set):
                 _tick(reasons, "row_count")
                 continue
-            full_rank = rank_cache.get(t_sets)
-            layout_v1 = None
-            if full_rank is None:
-                layout_v1 = build_layout(aug_system, hidden_var, "v1", b_set, t_sets, cfg.order)
-                full_rank = has_full_column_rank(layout_v1.template, None, cfg.rank)
-                rank_cache[t_sets] = full_rank
-            if not full_rank:
-                _tick(reasons, "column_rank")
+            if t_sets in emitted:
                 continue
+            emitted.add(t_sets)
             for variant in cfg.variants:
-                a12_key = (variant, t_sets)
-                a12_rank = rank_cache.get(a12_key)
-                if a12_rank is None:
-                    layout = (
-                        layout_v1
-                        if variant == "v1" and layout_v1 is not None
-                        else build_layout(aug_system, hidden_var, variant, b_set, t_sets, cfg.order)
-                    )
-                    a12_rank = has_full_column_rank(
-                        layout.template, layout.a12_cols(), cfg.rank, layout.upper_row_ids()
-                    )
-                    rank_cache[a12_key] = a12_rank
-                    if a12_rank:
-                        out.append(FavourableCandidate(layout, delta, mask))
-                if not a12_rank:
-                    _tick(reasons, "a12_rank")
+                layout = build_layout(aug_system, hidden_var, variant, b_set, t_sets, cfg.order)
+                out.append(FavourableCandidate(layout, delta, mask))
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
@@ -174,21 +155,37 @@ def recovery_pairs_exist(layout: MatrixLayout) -> bool:
     return bool(np.all(np.diff(starts, append=len(src)) > 0))
 
 
+def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
+    """The first partition condition a layout fails, by its reason name, or
+    None: every T_i is nonempty ("coverage"), the matrix has full column rank
+    ("column_rank"), and A12 has full column rank on the upper rows
+    ("a12_rank"), so the Schur complement exists.
+
+    ``full_rank`` memoizes full-rank verdicts by (hidden variable, rows).
+    The v1 and v2 layouts of one set of multipliers share their rows and
+    their columns up to order, so they share one verdict.
+    """
+    if not all(layout.multiplier_sets()):
+        return "coverage"
+    tm = layout.template
+    key = (layout.hidden_var, tm.rows)
+    if key not in full_rank:
+        full_rank[key] = has_full_column_rank(tm, None, cfg.rank)
+    if not full_rank[key]:
+        return "column_rank"
+    if not has_full_column_rank(tm, layout.a12_cols(), cfg.rank, layout.upper_row_ids()):
+        return "a12_rank"
+    return None
+
+
 def verify_partition(layout: MatrixLayout, cfg: SearchConfig) -> bool:
-    """From-scratch test of a trial layout: every T_i is nonempty, the
-    matrix has full column rank, and A12 has full column rank on the upper
-    rows, so the Schur complement exists.
+    """From-scratch partition test of a trial layout (see partition_failure).
 
     The lower-block structure (u0-cells forming -I for v1, x_k-cells forming
     I for v2) holds by layout construction, and both reduction stages keep
     at least as many rows as columns.
     """
-    if not all(layout.multiplier_sets()):
-        return False
-    tm = layout.template
-    return has_full_column_rank(tm, None, cfg.rank) and has_full_column_rank(
-        tm, layout.a12_cols(), cfg.rank, layout.upper_row_ids()
-    )
+    return partition_failure(layout, cfg, {}) is None
 
 
 def _selection_key(layout: MatrixLayout):
@@ -297,6 +294,13 @@ class GenerateOutcome:
 def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> GenerateOutcome:
     """Full offline pipeline over every choice of hidden variable.
 
+    Every candidate is laid out first and sorted by ``_selection_key``,
+    which needs no rank check.  The candidates are then checked in that
+    order, partition first, then recovery pairs and the reduction, and the
+    first that passes them all is the plan.  Rank verdicts are
+    deterministic, so this is the plan an exhaustive check would select.
+    ``candidates_seen`` counts the candidates whose partition was checked.
+
     Only the summand x_k - u0 differs between hidden variables, so the
     Minkowski sums of subsets without it are computed once for all k.
     """
@@ -306,12 +310,14 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     candidates: list[FavourableCandidate] = []
     for k in range(1, system.n_vars + 1):
         candidates.extend(search_candidates(augment(system, k), k, cfg, reasons, sums))
-    if not candidates:
-        raise NoSolverError(reasons)
     candidates.sort(key=lambda c: _selection_key(c.layout))
-    for cand in candidates:
-        if not recovery_pairs_exist(cand.layout):
-            _tick(reasons, "unrecoverable_b1")
+    full_rank: dict[tuple, bool] = {}
+    for seen, cand in enumerate(candidates, 1):
+        failure = partition_failure(cand.layout, cfg, full_rank)
+        if failure is None and not recovery_pairs_exist(cand.layout):
+            failure = "unrecoverable_b1"
+        if failure is not None:
+            _tick(reasons, failure)
             continue
         try:
             plan = squarify(reduce_rowcol(cand, cfg), cfg)
@@ -322,5 +328,5 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
             # row removal can strip the pairs the eigenvector read-off needs
             _tick(reasons, "unrecoverable_b1")
             continue
-        return GenerateOutcome(plan, len(candidates), reasons)
+        return GenerateOutcome(plan, seen, reasons)
     raise NoSolverError(reasons)

@@ -118,10 +118,6 @@ class LatticePolytope:
     facets: tuple[HalfSpace, ...]
     equations: tuple[Hyperplane, ...]
 
-    @property
-    def affine_dim(self) -> int:
-        return self.dim - len(self.equations)
-
     def contains(self, point: Sequence[Fraction]) -> bool:
         for eq in self.equations:
             if _dot(eq.normal, point) != eq.offset:

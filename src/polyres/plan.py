@@ -68,16 +68,26 @@ class TemplateMatrix:
     project_missing: bool = False
 
     def __post_init__(self):
-        col_index = {m: j for j, m in enumerate(self.cols)}
-        if len(col_index) != len(self.cols):
+        if len(set(self.cols)) != len(self.cols):
             raise ValueError("duplicate column monomials")
-        slot_ids = {name: i for i, name in enumerate(sorted(self.system.slots()))}
-        enc_rows, enc_cols, enc_terms, enc_slots, enc_consts = [], [], [], [], []
-        for r, (poly_idx, mult) in enumerate(self.rows):
+        for poly_idx, mult in self.rows:
             if not 0 <= poly_idx < len(self.system.polys):
                 raise ValueError(f"row {(poly_idx, mult)} names no polynomial of the system")
-            f = self.system.polys[poly_idx]
-            for t_idx, term in enumerate(f.terms):
+
+    @cached_property
+    def _slot_names(self) -> tuple[str, ...]:
+        return tuple(sorted(self.system.slots()))
+
+    @cached_property
+    def _encoding(self) -> tuple[np.ndarray, ...]:
+        """(row, column, term, slot id, constant) arrays of every cell a term
+        fills, row by row.  Built on first use: the offline search keeps many
+        layouts alive and checks few of them."""
+        col_index = {m: j for j, m in enumerate(self.cols)}
+        slot_ids = {name: i for i, name in enumerate(self._slot_names)}
+        enc_rows, enc_cols, enc_terms, enc_slots, enc_consts = [], [], [], [], []
+        for r, (poly_idx, mult) in enumerate(self.rows):
+            for t_idx, term in enumerate(self.system.polys[poly_idx].terms):
                 mono = mono_mul(mult, term.exps)
                 j = col_index.get(mono)
                 if j is None:
@@ -96,12 +106,8 @@ class TemplateMatrix:
                 else:
                     enc_slots.append(slot_ids[term.slot])
                 enc_consts.append(term.const)
-        object.__setattr__(self, "_slot_names", tuple(sorted(slot_ids)))
-        object.__setattr__(self, "_enc_rows", np.array(enc_rows, dtype=np.int64))
-        object.__setattr__(self, "_enc_cols", np.array(enc_cols, dtype=np.int64))
-        object.__setattr__(self, "_enc_terms", np.array(enc_terms, dtype=np.int64))
-        object.__setattr__(self, "_enc_slots", np.array(enc_slots, dtype=np.int64))
-        object.__setattr__(self, "_enc_consts", np.array(enc_consts, dtype=np.float64))
+        ints = (np.array(a, dtype=np.int64) for a in (enc_rows, enc_cols, enc_terms, enc_slots))
+        return (*ints, np.array(enc_consts, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,9 +116,8 @@ class TemplateMatrix:
     @cached_property
     def cells(self) -> tuple[tuple[int, int, int, int], ...]:
         """(row, column, polynomial, term) of every cell a term fills, row by
-        row.  Built on demand: only plan files need it, and the offline
-        search keeps many templates alive."""
-        rows, cols, terms = self._enc_rows.tolist(), self._enc_cols.tolist(), self._enc_terms.tolist()
+        row.  Built on demand: only plan files need it."""
+        rows, cols, terms = (a.tolist() for a in self._encoding[:3])
         return tuple((r, j, self.rows[r][0], t) for r, j, t in zip(rows, cols, terms))
 
     def instantiate_modp(self, p: int, values: dict[str, int]) -> np.ndarray:
@@ -122,12 +127,13 @@ class TemplateMatrix:
         lookup[_SLOT_HIDDEN + 2] = values[HIDDEN_SLOT] % p
         for i, name in enumerate(self._slot_names):
             lookup[i + 2] = values[name] % p
-        consts = np.rint(self._enc_consts).astype(np.int64)
-        if not np.array_equal(consts, self._enc_consts):
+        enc_rows, enc_cols, _, enc_slots, enc_consts = self._encoding
+        consts = np.rint(enc_consts).astype(np.int64)
+        if not np.array_equal(consts, enc_consts):
             raise ValueError("non-integer literal constants cannot enter the prime field")
-        vals = (consts % p) * lookup[self._enc_slots + 2] % p
+        vals = (consts % p) * lookup[enc_slots + 2] % p
         out = np.zeros(self.shape, dtype=np.int64)
-        out[self._enc_rows, self._enc_cols] = vals
+        out[enc_rows, enc_cols] = vals
         return out
 
     def instantiate(self, coeffs, literal, hidden) -> np.ndarray:
@@ -145,16 +151,18 @@ class TemplateMatrix:
                 lookup[i + 2] = coeffs[name]
             except KeyError:
                 raise MissingSlotError(name) from None
+        enc_rows, enc_cols, _, enc_slots, enc_consts = self._encoding
         out = np.zeros(self.shape, dtype=lookup.dtype)
-        out[self._enc_rows, self._enc_cols] = self._enc_consts * lookup[self._enc_slots + 2] + 0.0
+        out[enc_rows, enc_cols] = enc_consts * lookup[enc_slots + 2] + 0.0
         return out
 
     def structural_cols_of_rows(self, row_ids) -> set[int]:
-        mask = np.isin(self._enc_rows, list(row_ids))
-        return set(int(c) for c in self._enc_cols[mask])
+        enc_rows, enc_cols = self._encoding[:2]
+        return set(int(c) for c in enc_cols[np.isin(enc_rows, list(row_ids))])
 
     def structural_rows_of_col(self, col: int) -> set[int]:
-        return set(int(r) for r in self._enc_rows[self._enc_cols == col])
+        enc_rows, enc_cols = self._encoding[:2]
+        return set(int(r) for r in enc_rows[enc_cols == col])
 
 
 @dataclass(frozen=True)
@@ -244,10 +252,6 @@ class MatrixLayout:
     @property
     def shape(self) -> tuple[int, int]:
         return self.template.shape
-
-    @property
-    def n_b2(self) -> int:
-        return len(self.template.cols) - self.n_b1
 
     @property
     def b1(self) -> tuple[Mono, ...]:
@@ -424,25 +428,24 @@ def json_rows(rows) -> tuple[tuple[int, Mono], ...]:
     return tuple((json_field(p, "polynomial index", int), json_mono(m)) for p, m in rows)
 
 
-def stored_template(doc, system: SystemTemplate, cols: tuple[Mono, ...]) -> TemplateMatrix:
-    """The template a plan document of this version stores; its cell map
-    must agree with the rows and columns it is built from."""
-    if doc["version"] != PLAN_VERSION:
-        raise PlanFormatError(f"unsupported plan version {doc['version']}")
-    tm = TemplateMatrix(system, cols, json_rows(doc["rows"]), bool(doc["blocks"].get("projected", False)))
-    if [list(c) for c in tm.cells] != doc["cells"]:
-        raise PlanFormatError("cell map disagrees with rows/monomials sections")
-    return tm
-
-
 def plan_from_json(text: str) -> SolverPlan:
     with plan_document(text) as doc:
         if doc["kind"] != "resultant":
             raise PlanFormatError(f"expected a resultant plan, got kind {doc['kind']!r}")
+        if doc["version"] != PLAN_VERSION:
+            raise PlanFormatError(f"unsupported plan version {doc['version']}")
         meta = doc["meta"]
         base = parse_system(json.dumps(doc["system"]))
         x_k = json_field(meta["x_k"], "x_k", int)
-        tm = stored_template(doc, augment(base, x_k), tuple(json_mono(m) for m in doc["monomials"]["b"]))
+        tm = TemplateMatrix(
+            augment(base, x_k),
+            tuple(json_mono(m) for m in doc["monomials"]["b"]),
+            json_rows(doc["rows"]),
+            bool(doc["blocks"].get("projected", False)),
+        )
+        # the stored cell map must agree with the rows and columns it is built from
+        if [list(c) for c in tm.cells] != doc["cells"]:
+            raise PlanFormatError("cell map disagrees with rows/monomials sections")
         layout = MatrixLayout(
             tm,
             x_k,

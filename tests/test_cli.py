@@ -78,6 +78,21 @@ class TestGenerate:
         assert "list of ints" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["delta", "exponent"])
+    def test_lattice_beyond_int64_exits_2(self, tmp_path, capsys, source):
+        sys_path, _ = write_problem(tmp_path, "two_conics")
+        argv = ["generate", "--system", str(sys_path), "--out", str(tmp_path / "c.plan")]
+        if source == "delta":
+            argv += ["--delta", "1e30"]
+        else:
+            doc = json.loads(sys_path.read_text())
+            doc["polynomials"][0][0]["exps"] = [10**19, 0]
+            sys_path.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too large" in err and "int64" in err
+        assert not (tmp_path / "c.plan").exists()
+
 
 class TestSolve:
     def test_univariate_roots(self, tmp_path, capsys):

@@ -11,9 +11,11 @@ from polyres.generate import (
     FavourableCandidate,
     NoSolverError,
     SearchConfig,
+    SquarifyExhausted,
     _selection_key,
     augment,
     generate_plan,
+    recovery_pairs_exist,
     reduce_rowcol,
     search_candidates,
     squarify,
@@ -128,24 +130,34 @@ class TestSearchCandidates:
         assert reasons.get("coverage", 0) > 0
 
     def test_no_rank_check_twice(self, monkeypatch):
-        # (subset, displacement) pairs that reproduce a monomial set reuse its
-        # full-rank and A12 verdicts instead of checking the same input again
+        # over a whole generate_plan, no rank check runs twice on one input:
+        # the same system, rows and set of column monomials, so the v1 and v2
+        # layouts of one set of multipliers share their full-rank check
         checked = []
         real = polyres.generate.has_full_column_rank
 
         def recording(tm, cols, cfg, row_ids=None):
-            checked.append((tm.cols, tm.rows, None if cols is None else tuple(cols),
-                            None if row_ids is None else tuple(row_ids)))
+            rows = tm.rows if row_ids is None else tuple(tm.rows[i] for i in row_ids)
+            checked.append((tm.system, rows, frozenset(tm.cols if cols is None else (tm.cols[j] for j in cols))))
             return real(tm, cols, cfg, row_ids)
 
         monkeypatch.setattr(polyres.generate, "has_full_column_rank", recording)
-        reasons = {}
-        aug = augment(get("zero_coordinate_pair").system, 1)
-        cands = search_candidates(aug, 1, SearchConfig(seed=1), reasons)
+        outcome = generate_plan(get("zero_coordinate_pair").system, SearchConfig(seed=1))
         assert checked and len(checked) == len(set(checked))
-        # a reused rejection still counts once per (subset, displacement) pair
-        assert reasons == {"coverage": 50, "empty_lattice": 2, "a12_rank": 17}
-        assert len(cands) == 31
+        assert len(checked) == 44
+        assert outcome.reasons == {"coverage": 100, "empty_lattice": 4, "unrecoverable_b1": 23, "a12_rank": 2}
+        assert outcome.candidates_seen == 26
+
+    def test_search_checks_no_rank(self, monkeypatch):
+        # the sweep only enumerates: its rejections are count-level
+        def refuse(*args):
+            raise AssertionError("search_candidates made a rank check")
+
+        monkeypatch.setattr(polyres.generate, "has_full_column_rank", refuse)
+        reasons = {}
+        cands = search_candidates(augment(get("zero_coordinate_pair").system, 1), 1, SearchConfig(seed=1), reasons)
+        assert reasons == {"coverage": 50, "empty_lattice": 2}
+        assert len(cands) == 36
 
     def test_repeated_displacement_visited_once(self):
         # a displacement that several magnitudes (here a repeated one) put on
@@ -237,9 +249,8 @@ class TestSelection:
         entry = get("univariate_quadratic")
         aug = augment(entry.system, 1)
         cfg = SearchConfig(seed=1)
-        cands = search_candidates(aug, 1, cfg)
-        # every candidate the search emits already passes the partition test
-        assert all(verify_partition(c.layout, cfg) for c in cands)
+        cands = [c for c in search_candidates(aug, 1, cfg) if verify_partition(c.layout, cfg)]
+        assert cands
         assert min(c.layout.n_b1 for c in cands) == 2
         best = min(cands, key=lambda c: _selection_key(c.layout)).layout
         assert best.n_b1 == 2
@@ -250,9 +261,37 @@ class TestSelection:
     def test_generate_plan_reduces_first_candidate(self):
         cfg = SearchConfig(seed=1)
         system = get("univariate_quadratic").system
-        cands = search_candidates(augment(system, 1), 1, cfg)
+        cands = [c for c in search_candidates(augment(system, 1), 1, cfg) if verify_partition(c.layout, cfg)]
         best = min(cands, key=lambda c: _selection_key(c.layout))
         expected = squarify(reduce_rowcol(best, cfg), cfg)
+        assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
+
+    @pytest.mark.parametrize("name", ["univariate_quadratic", "two_conics", "zero_coordinate_pair", "example_system"])
+    def test_best_first_matches_exhaustive(self, name):
+        # reference selection: check the partition of every candidate of every
+        # hidden variable, stable-sort the survivors, reduce the first that
+        # keeps its recovery pairs and reduces to a square plan
+        cfg = SearchConfig(seed=0)
+        system = get(name).system
+        survivors = [
+            c
+            for k in range(1, system.n_vars + 1)
+            for c in search_candidates(augment(system, k), k, cfg)
+            if verify_partition(c.layout, cfg)
+        ]
+        survivors.sort(key=lambda c: _selection_key(c.layout))
+        expected = None
+        for cand in survivors:
+            if not recovery_pairs_exist(cand.layout):
+                continue
+            try:
+                plan = squarify(reduce_rowcol(cand, cfg), cfg)
+            except SquarifyExhausted:
+                continue
+            if recovery_pairs_exist(plan.layout):
+                expected = plan
+                break
+        assert expected is not None
         assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
 
 
@@ -317,7 +356,7 @@ class TestReduceRowcol:
         cfg = SearchConfig(seed=1)
         aug = augment(get("two_conics").system, two_conics_plan.layout.hidden_var)
         cands = search_candidates(aug, two_conics_plan.layout.hidden_var, cfg)
-        for cand in cands[:6]:
+        for cand in [c for c in cands if verify_partition(c.layout, cfg)][:6]:
             assert reduce_rowcol(cand, cfg).layout.n_b1 <= cand.layout.n_b1
 
 

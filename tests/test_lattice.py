@@ -77,12 +77,12 @@ class TestConvexHull:
     def test_single_point(self):
         hull = convex_hull([(3, 3)])
         assert hull.vertices == ((3, 3),)
-        assert hull.affine_dim == 0
+        assert hull.dim - len(hull.equations) == 0
 
     def test_collinear(self):
         hull = convex_hull([(0, 0), (1, 0), (2, 0)])
         assert set(hull.vertices) == {(0, 0), (2, 0)}
-        assert hull.affine_dim == 1
+        assert hull.dim - len(hull.equations) == 1
 
     def test_extreme_points_match_oracle(self):
         pts = A1
@@ -100,7 +100,7 @@ class TestConvexHull:
     def test_3d_degenerate_slab(self):
         pts = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]
         hull = convex_hull(pts)
-        assert hull.affine_dim == 2
+        assert hull.dim - len(hull.equations) == 2
         assert set(hull.vertices) == {(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)}
 
 

@@ -12,37 +12,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyres.action_matrix import amplan_from_json, amplan_to_json, res_to_am
 from polyres.linalg import PRIMES
-from polyres.plan import PlanFormatError, TemplateMatrix, plan_from_json, plan_to_json
-from polyres.poly import HIDDEN_SLOT, PolynomialTemplate, SystemTemplate, Term
-from polyres.problems import get
+from polyres.plan import PlanFormatError, TemplateMatrix, build_layout, plan_from_json, plan_to_json
+from polyres.poly import HIDDEN_SLOT, MonomialOrder, PolynomialTemplate, SystemTemplate, Term
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
 
-@pytest.mark.parametrize(
-    "name, seen, reasons",
-    [
-        ("two_conics", 40, {"row_count": 32, "coverage": 106}),
-        ("three_quadrics", 102, {"row_count": 432, "coverage": 375, "column_rank": 522, "empty_lattice": 18}),
-        (
-            "rel_pose_f_lambda_8pt",
-            85,
-            {
-                "coverage": 3532,
-                "row_count": 176,
-                "column_rank": 516,
-                "empty_lattice": 165,
-                "a12_rank": 285,
-                "unrecoverable_b1": 11,
-            },
-        ),
-    ],
-)
-def test_golden_plan_bytes(name, seen, reasons, request):
-    # the session fixtures use the configurations the golden plans were generated with
+GOLDEN_COUNTS = {
+    "two_conics": (1, {"row_count": 32, "coverage": 106}),
+    "three_quadrics": (43, {"row_count": 432, "coverage": 375, "column_rank": 42, "empty_lattice": 18}),
+    "rel_pose_f_lambda_8pt": (
+        221,
+        {
+            "coverage": 3532,
+            "row_count": 176,
+            "column_rank": 190,
+            "empty_lattice": 165,
+            "a12_rank": 19,
+            "unrecoverable_b1": 11,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COUNTS)
+def test_golden_plan_bytes(name, request):
+    # the session fixtures use the configurations the golden plans were generated with;
+    # the search checks candidates best first, so it stops at the first plan
+    seen, reasons = GOLDEN_COUNTS[name]
     outcome = request.getfixturevalue("rel_pose_outcome" if name.startswith("rel_pose") else f"{name}_outcome")
     assert plan_to_json(outcome.plan) == (GOLDEN / f"{name}.plan").read_text(encoding="utf-8")
     assert outcome.candidates_seen == seen
@@ -50,12 +49,9 @@ def test_golden_plan_bytes(name, seen, reasons, request):
 
 
 @cache
-def _plan_texts():
-    """(text, loader, writer) of the golden two_conics plan and of its
-    action-matrix rewrite."""
-    text = (GOLDEN / "two_conics.plan").read_text(encoding="utf-8")
-    am_text = amplan_to_json(res_to_am(plan_from_json(text), get("two_conics").root_count))
-    return (text, plan_from_json, plan_to_json), (am_text, amplan_from_json, amplan_to_json)
+def _plan_text() -> str:
+    """The golden two_conics plan."""
+    return (GOLDEN / "two_conics.plan").read_text(encoding="utf-8")
 
 
 def _paths(node, path=()):
@@ -93,52 +89,46 @@ JUNK = st.one_of(
 @FUZZ
 @given(data=st.data())
 def test_corrupt_plan_loads_or_raises_format_error(data):
-    text, load, _ = data.draw(st.sampled_from(_plan_texts()))
-    doc = json.loads(text)
+    doc = json.loads(_plan_text())
     path = data.draw(st.sampled_from(list(_paths(doc))))
     bad = json.dumps(_replaced(doc, path, data.draw(JUNK)))
     try:
-        load(bad)
+        plan_from_json(bad)
     except PlanFormatError:
         pass
 
 
-# (plan: 0 resultant, 1 action-matrix; path; replacement): a value of the
-# wrong JSON type, an unknown version or order, or a cell map that disagrees
+# (path, replacement): a value of the wrong JSON type, an unknown version or
+# order, a cell map or metadata that disagrees with the layout
 JUNK_SECTIONS = [
-    (0, ("meta", "order"), "bogus"),
-    (0, ("meta", "subset_mask"), "x"),
-    (0, ("meta", "subset_mask"), 1.5),
-    (0, ("meta", "origin"), 7),
-    (0, ("meta", "seed"), 1.5),
-    (0, ("meta", "seed"), "1"),
-    (0, ("meta", "x_k"), 1.0),
-    (0, ("monomials", "n_b1"), 4.0),
-    (0, ("blocks", "n_upper"), 5.0),
-    (0, ("meta", "delta", 0), -0.1),
-    (0, ("rows", 0, 0), 0.0),
-    (0, ("rows", 8, 1, 0), 0.0),
-    (0, ("monomials", "b", 0, 0), 2.0),
-    (0, ("deleted_rows", 0, 0), 2.5),
-    (0, ("meta", "root_transform"), "-1/lambda"),
-    (0, ("meta", "n_solutions"), 99),
-    (0, ("meta", "n_solutions"), 4.0),
-    (1, ("version",), 99),
-    (1, ("cells",), []),
-    (1, ("meta", "n_excess"), 2.0),
-    (1, ("monomials", "cols", 0, 1), 1.0),
+    (("version",), 99),
+    (("cells",), []),
+    (("meta", "order"), "bogus"),
+    (("meta", "subset_mask"), "x"),
+    (("meta", "subset_mask"), 1.5),
+    (("meta", "origin"), 7),
+    (("meta", "seed"), 1.5),
+    (("meta", "seed"), "1"),
+    (("meta", "x_k"), 1.0),
+    (("monomials", "n_b1"), 4.0),
+    (("blocks", "n_upper"), 5.0),
+    (("meta", "delta", 0), -0.1),
+    (("rows", 0, 0), 0.0),
+    (("rows", 8, 1, 0), 0.0),
+    (("monomials", "b", 0, 0), 2.0),
+    (("deleted_rows", 0, 0), 2.5),
+    (("meta", "root_transform"), "-1/lambda"),
+    (("meta", "n_solutions"), 99),
+    (("meta", "n_solutions"), 4.0),
 ]
 
 
 @pytest.mark.parametrize(
-    "plan, path, value",
-    JUNK_SECTIONS,
-    ids=[f"{('resultant', 'am')[p]}-{'.'.join(map(str, path))}-{v!r}" for p, path, v in JUNK_SECTIONS],
+    "path, value", JUNK_SECTIONS, ids=[f"resultant-{'.'.join(map(str, path))}-{v!r}" for path, v in JUNK_SECTIONS]
 )
-def test_junk_section_rejected(plan, path, value):
-    text, load, _ = _plan_texts()[plan]
+def test_junk_section_rejected(path, value):
     with pytest.raises(PlanFormatError):
-        load(json.dumps(_replaced(json.loads(text), path, value)))
+        plan_from_json(json.dumps(_replaced(json.loads(_plan_text()), path, value)))
 
 
 def _keys_reversed(node):
@@ -152,13 +142,13 @@ def _keys_reversed(node):
 @FUZZ
 @given(data=st.data())
 def test_unmodified_plan_round_trips(data):
-    text, load, dump = data.draw(st.sampled_from(_plan_texts()))
+    text = _plan_text()
     # the same document in another key order and layout reads back to the same bytes
     doc = json.loads(text)
     if data.draw(st.booleans()):
         doc = _keys_reversed(doc)
     respelled = json.dumps(doc, indent=data.draw(st.sampled_from([None, 0, 2])))
-    assert dump(load(respelled)) == text
+    assert plan_to_json(plan_from_json(respelled)) == text
 
 
 LINE = SystemTemplate(1, ("x",), (PolynomialTemplate((Term("a", (1,)), Term("b", (0,)))),))
@@ -171,8 +161,25 @@ def test_cell_map():
     assert projected.cells == ((0, 0, 0, 0),)
 
 
+@pytest.mark.parametrize("use", ["instantiate", "instantiate_modp", "cells"])
+def test_cell_encoding_built_on_first_use(use):
+    # the offline search keeps every candidate's layout alive until its turn,
+    # so a layout holds no cell encoding before a matrix or cell map is asked for
+    lay = plan_from_json(_plan_text()).layout
+    tm = build_layout(lay.template.system, lay.hidden_var, lay.variant, lay.template.cols,
+                      lay.multiplier_sets(), MonomialOrder()).template
+    assert "_encoding" not in vars(tm)
+    values = {s: 1 for s in (*tm.system.slots(), HIDDEN_SLOT)}
+    {
+        "instantiate": lambda: tm.instantiate(values, 1.0, 0.5),
+        "instantiate_modp": lambda: tm.instantiate_modp(PRIMES[0], values),
+        "cells": lambda: tm.cells,
+    }[use]()
+    assert "_encoding" in vars(tm)
+
+
 def test_zero_hidden_value_zeroes_exactly_the_hidden_cells():
-    tm = plan_from_json(_plan_texts()[0][0]).layout.template
+    tm = plan_from_json(_plan_text()).layout.template
     p = PRIMES[0]
     rng = random.Random(0)
     values = {s: rng.randrange(1, p) for s in tm.system.slots()}
