@@ -143,6 +143,9 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
     plan = _load_plan(args.plan)
     slots = plan.base_system.slots()
 
@@ -192,6 +195,9 @@ def cmd_compare(args) -> int:
         return EXIT_USAGE
     if args.roots is not None and args.roots < 1:
         print("error: --roots must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be at least 0", file=sys.stderr)
         return EXIT_USAGE
     system = _load_system(args.system)
     variant = "v2" if args.direction == "resalt2am" else "v1"

@@ -2,11 +2,12 @@
 
 All geometry is exact and integral: hull facets and affine-hull equations
 carry primitive integer normals with integer offsets.  Rationals appear only
-in displacement vectors and in the one elimination that finds a point set's
-affine hull.  Lattice-point tests run in int64 over the whole box at once,
-behind a guard that raises rather than let a dot product wrap.
-Floating point is never consulted, so displacement vectors that graze
-lattice hyperplanes cannot flip membership.
+in displacement vectors.  One integer Gauss-Jordan kernel, ``_rref``, finds
+facet normals and affine-hull equations as null vectors, picks a point set's
+independent directions and tests extreme vertices.  Lattice-point tests run
+in int64 over the whole box at once, behind a guard that raises rather than
+let a dot product wrap.  Floating point is never consulted, so displacement
+vectors that graze lattice hyperplanes cannot flip membership.
 """
 
 from __future__ import annotations
@@ -36,63 +37,50 @@ def _primitive(v: Iterable[int]) -> IntVec:
     return v if g in (0, 1) else tuple(x // g for x in v)
 
 
-def _integral(v: Iterable[Fraction]) -> IntVec:
-    """The primitive integer vector along a rational vector."""
-    v = tuple(v)
-    denom = math.lcm(*(x.denominator for x in v))
-    return _primitive(int(x * denom) for x in v)
+def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[int]]:
+    """Integer Gauss-Jordan elimination; returns (reduced rows, pivot columns).
 
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a small integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _frac_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rref, pivot columns).
-
-    A pivot column is one the columns before it do not span, so when the
-    columns are vectors the pivots pick the first basis in list order, and
-    every other column holds its coordinates in that basis.
+    Each pivot is cleared from every other row by cross-multiplying, and
+    every row is kept primitive, so entries stay integers and small.  Pivot
+    entries are positive.  A pivot column is one the columns before it do
+    not span, so when the columns are vectors the pivots pick the first
+    basis in list order.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
+    work = [_primitive(row) for row in rows]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         if r == len(work):
             break
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        row = work[piv] if work[piv][c] > 0 else tuple(-x for x in work[piv])
+        work[piv] = work[r]
+        work[r] = row
+        a = row[c]
+        for i, other in enumerate(work):
+            f = other[c]
+            if f and i != r:
+                work[i] = _primitive(a * x - f * y for x, y in zip(other, row))
         pivots.append(c)
     return work, pivots
+
+
+def _null_space(reduced: list[IntVec], pivots: list[int], ncols: int) -> list[IntVec]:
+    """Integer basis of {x : rows . x = 0}, from ``_rref(rows)``: one
+    primitive vector per free column, positive there and zero at the other
+    free columns."""
+    scale = math.lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = scale
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        basis.append(_primitive(vec))
+    return basis
 
 
 @dataclass(frozen=True)
@@ -142,15 +130,10 @@ def _make_facet(pts: list[IntVec], ids: frozenset[int], ref_sum: IntVec, k: int)
     """
     members = sorted(ids)
     q0 = pts[members[0]]
-    rows = [list(_sub(pts[i], q0)) for i in members[1:]]
-    d = len(q0)
-    normal = []
-    for j in range(d):
-        minor = [row[:j] + row[j + 1 :] for row in rows]
-        normal.append((-1) ** j * _det_int(minor))
-    normal = _primitive(normal)
-    if all(x == 0 for x in normal):
+    normals = _null_space(*_rref([_sub(pts[i], q0) for i in members[1:]]), len(q0))
+    if len(normals) != 1:
         raise ValueError("degenerate facet: points are affinely dependent")
+    normal = normals[0]
     offset = _dot(normal, q0)
     side = _dot(normal, ref_sum) - k * offset
     if side == 0:
@@ -205,8 +188,8 @@ def _hull_full_dim(pts: list[IntVec], seed: list[int]) -> tuple[list[int], list[
     candidates = sorted({v for ids in facets for v in ids})
     extreme = []
     for v in candidates:
-        active = [list(n) for (n, b) in ineqs if _dot(n, pts[v]) == b]
-        if len(_frac_rref(active)[1]) == d:
+        active = [n for (n, b) in ineqs if _dot(n, pts[v]) == b]
+        if len(_rref(active)[1]) == d:
             extreme.append(v)
     return extreme, ineqs
 
@@ -229,20 +212,12 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
 
     # The first independent directions p - v0 span the affine hull.
     v0 = pts[0]
-    _, picked = _frac_rref([[p[i] - v0[i] for p in pts[1:]] for i in range(n)])
+    _, picked = _rref([[p[i] - v0[i] for p in pts[1:]] for i in range(n)])
     dirs = [_sub(pts[k + 1], v0) for k in picked]
+    reduced, pivots = _rref(dirs)
 
     # Equations of the affine hull: integer basis of the normal space.
-    rows, pivots = _frac_rref(dirs)
-    equations = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rows[row_idx][fc]
-        ivec = _integral(vec)
-        equations.append(Hyperplane(ivec, _dot(ivec, v0)))
+    equations = [Hyperplane(v, _dot(v, v0)) for v in _null_space(reduced, pivots, n)]
 
     if not dirs:
         return LatticePolytope(n, (v0,), (), tuple(equations))

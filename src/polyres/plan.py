@@ -432,7 +432,7 @@ def plan_from_json(text: str) -> SolverPlan:
     with plan_document(text) as doc:
         if doc["kind"] != "resultant":
             raise PlanFormatError(f"expected a resultant plan, got kind {doc['kind']!r}")
-        if doc["version"] != PLAN_VERSION:
+        if json_field(doc["version"], "version", int) != PLAN_VERSION:
             raise PlanFormatError(f"unsupported plan version {doc['version']}")
         meta = doc["meta"]
         base = parse_system(json.dumps(doc["system"]))
@@ -441,7 +441,7 @@ def plan_from_json(text: str) -> SolverPlan:
             augment(base, x_k),
             tuple(json_mono(m) for m in doc["monomials"]["b"]),
             json_rows(doc["rows"]),
-            bool(doc["blocks"].get("projected", False)),
+            json_field(doc["blocks"].get("projected", False), "projected", bool),
         )
         # the stored cell map must agree with the rows and columns it is built from
         if [list(c) for c in tm.cells] != doc["cells"]:

@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polyres.generate import SearchConfig, generate_plan
 from polyres.linalg import PRIMES
 from polyres.plan import RankCheckConfig
 from polyres.problems import get, rel_pose_field_instance
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("polyres", derandomize=True, database=None, deadline=None)
+settings.load_profile("polyres")
 
 
 def unit_normal_instance(system, rng):

@@ -41,6 +41,12 @@ class TestGenerate:
         eig_size = int(text.split("eigenproblem ")[1].split(")")[0])
         assert eig_size >= 4
 
+    def test_negative_seed_accepted(self, tmp_path, capsys):
+        sys_path, _ = write_problem(tmp_path, "univariate_linear")
+        out = tmp_path / "lin.plan"
+        assert main(["generate", "--system", str(sys_path), "--out", str(out), "--seed", "-1"]) == 0
+        assert out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--system", str(tmp_path / "nope.sys"), "--out", str(tmp_path / "o")])
@@ -282,6 +288,26 @@ class TestCompare:
         # already at generation (no usable alternate-form plan exists)
         assert code == 3
         assert "unsupported" in err or "no solver" in err
+
+
+@pytest.mark.parametrize("command", ["bench", "compare"])
+def test_negative_seed_usage_error(tmp_path, capsys, monkeypatch, command):
+    # numpy's SeedSequence rejects a negative seed; the command must stop first
+    sys_path, _ = write_problem(tmp_path, "two_conics")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work for a negative seed")
+
+    monkeypatch.setattr("polyres.cli._load_plan", no_work)
+    monkeypatch.setattr("polyres.cli.generate_plan", no_work)
+    argv = {
+        "bench": ["bench", "--plan", str(tmp_path / "c.plan"), "--trials", "5", "--report", str(tmp_path / "r")],
+        "compare": ["compare", "--system", str(sys_path), "--direction", "res2am"],
+    }[command]
+    code = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: --seed must be at least 0" in captured.err
 
 
 class TestProblemsCommand:

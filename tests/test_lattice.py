@@ -1,13 +1,16 @@
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyres.lattice import (
     _dot,
-    _frac_rref,
+    _null_space,
+    _rref,
     convex_hull,
     displacement_grid,
     lattice_points,
@@ -15,6 +18,7 @@ from polyres.lattice import (
     shifted_offsets,
     unit_simplex,
 )
+from polyres.linalg import modp_eliminate
 
 A1 = [(3, 3), (2, 3), (3, 2), (2, 2), (0, 3), (2, 1), (0, 2), (1, 1), (2, 0), (0, 1)]
 A2 = [(2, 0), (0, 1), (1, 0), (0, 0)]
@@ -229,15 +233,15 @@ def brute_force_points(q, delta, lo, hi):
 
 class TestOracleEquivalence:
     @given(pts=point_sets_3d(), delta=st.sampled_from(displacement_grid(3, TENTH)))
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60)
     def test_integral_geometry_3d(self, pts, delta):
         hull = convex_hull(pts)
         assert set(hull.vertices) == {p for p in pts if not frac_affine_membership(p, pts - {p})}
         for eq in hull.equations:
-            assert type(eq.offset) is int
+            assert type(eq.offset) is int and all(type(x) is int for x in eq.normal)
             assert all(_dot(eq.normal, v) == eq.offset for v in hull.vertices)
         for hs in hull.facets:
-            assert type(hs.offset) is int
+            assert type(hs.offset) is int and all(type(x) is int for x in hs.normal)
             assert all(_dot(hs.normal, v) <= hs.offset for v in hull.vertices)
             assert any(_dot(hs.normal, v) == hs.offset for v in hull.vertices)
         lo = [min(p[i] for p in pts) - 1 for i in range(3)]
@@ -248,7 +252,7 @@ class TestOracleEquivalence:
         pts=point_sets_4d(),
         delta=st.sampled_from(displacement_grid(4, TENTH) + displacement_grid(4, MILLI)),
     )
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=40)
     def test_int64_box_4d(self, pts, delta):
         hull = convex_hull(pts)
         lo = [min(p[i] for p in pts) - 1 for i in range(4)]
@@ -256,7 +260,7 @@ class TestOracleEquivalence:
         assert lattice_points(hull, delta) == brute_force_points(hull, delta, lo, hi)
 
     @given(pts=point_sets_2d, di=st.integers(-1, 1), dj=st.integers(-1, 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_membership_against_caratheodory(self, pts, di, dj):
         hull = convex_hull(pts)
         delta = (di * TENTH, dj * TENTH)
@@ -269,7 +273,7 @@ class TestOracleEquivalence:
             assert (z in got) == expected, (z, delta, sorted(pts))
 
     @given(pts1=point_sets_2d, pts2=point_sets_2d)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_sum_has_no_fewer_points(self, pts1, pts2):
         p, q = convex_hull(pts1), convex_hull(pts2)
         s = minkowski_sum([p, q])
@@ -278,22 +282,46 @@ class TestOracleEquivalence:
         assert ns >= max(np_, nq)
 
 
-class TestFracRref:
-    def test_small_rational(self):
-        rref, pivots = _frac_rref([[Fraction(1, 2), 1, Fraction(1, 3)], [1, 2, 1]])
-        assert rref == [[1, 2, 0], [0, 0, 1]]
-        assert pivots == [0, 2]
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+class TestRref:
+    def test_rows_stay_primitive(self):
+        # the rational form is [[1, 0, 11/2], [0, 1, -7]]
+        rref, pivots = _rref([[2, 1, 4], [4, 3, 1]])
+        assert rref == [(2, 0, 11), (0, 1, -7)]
+        assert pivots == [0, 1]
+        assert _null_space(rref, pivots, 3) == [(-11, 14, 2)]
 
     def test_pivots_pick_first_basis_of_columns(self):
         # vector 1 = 2 * vector 0 and vector 3 = vector 0 + vector 2
         vecs = [(1, 0, 1), (2, 0, 2), (0, 1, 0), (1, 1, 1), (0, 0, 1)]
-        rref, pivots = _frac_rref([[v[i] for v in vecs] for i in range(3)])
+        rref, pivots = _rref([[v[i] for v in vecs] for i in range(3)])
         assert pivots == [0, 2, 4]
         assert [row[1] for row in rref] == [2, 0, 0]
         assert [row[3] for row in rref] == [1, 1, 0]
 
     def test_empty(self):
-        assert _frac_rref([]) == ([], [])
+        assert _rref([]) == ([], [])
+        assert _null_space([], [], 2) == [(1, 0), (0, 1)]
+
+    @given(m=small_matrices())
+    @settings(max_examples=200)
+    def test_against_prime_field(self, m):
+        # every minor is at most 5! * 3^5 in size, far below the prime
+        rref, pivots = _rref(m)
+        assert pivots == modp_eliminate(np.array(m), 2147483647)[2]
+        n = len(m[0])
+        basis = _null_space(rref, pivots, n)
+        free = [c for c in range(n) if c not in pivots]
+        assert len(basis) == n - len(pivots)
+        for fc, vec in zip(free, basis):
+            assert math.gcd(*vec) == 1 and vec[fc] > 0
+            assert all(_dot(row, vec) == 0 for row in m)
 
 
 class TestUnitSimplex:

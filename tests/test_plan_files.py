@@ -17,7 +17,7 @@ from polyres.plan import PlanFormatError, TemplateMatrix, build_layout, plan_fro
 from polyres.poly import HIDDEN_SLOT, MonomialOrder, PolynomialTemplate, SystemTemplate, Term
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+FUZZ = settings(max_examples=200)
 
 
 GOLDEN_COUNTS = {
@@ -102,6 +102,10 @@ def test_corrupt_plan_loads_or_raises_format_error(data):
 # order, a cell map or metadata that disagrees with the layout
 JUNK_SECTIONS = [
     (("version",), 99),
+    (("version",), 1.0),
+    (("version",), True),
+    (("blocks", "projected"), "yes"),
+    (("blocks", "projected"), 1),
     (("cells",), []),
     (("meta", "order"), "bogus"),
     (("meta", "subset_mask"), "x"),

@@ -187,7 +187,7 @@ small_monos = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 class TestProperties:
     @given(shift=small_monos)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_support_shift(self, shift):
         f = get("example_system").system.polys[1]
         shifted = PolynomialTemplate(
@@ -196,7 +196,7 @@ class TestProperties:
         assert support(shifted) == {mono_mul(shift, a) for a in support(f)}
 
     @given(extra=st.sets(small_monos, max_size=6))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_extension_monotone(self, extra):
         entry = get("two_conics")
         b_small = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)}
@@ -207,7 +207,7 @@ class TestProperties:
             assert ts <= tb
 
     @given(slot_bump=st.floats(-2, 2, allow_nan=False), x=st.floats(-3, 3, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_evaluate_linear_in_slots(self, slot_bump, x):
         f = get("univariate_quadratic").system.polys[0]
         base = {"a": 1.0, "b": 2.0, "c": 3.0}
@@ -217,7 +217,7 @@ class TestProperties:
         assert v1 - v0 == pytest.approx(slot_bump * x, abs=1e-9)
 
     @given(x=st.floats(-3, 3, allow_nan=False), y=st.floats(-3, 3, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_residual_zero_iff_vanishes(self, x, y):
         sys1 = get("two_conics").system
         coeffs = {"a": 1.0, "b": 2.0, "c": -1.0, "d": 1.0, "e": -0.5}
@@ -228,7 +228,7 @@ class TestProperties:
 
 class TestMonomialOrder:
     @given(a=small_monos, b=small_monos, c=small_monos, m=small_monos)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_total_multiplicative(self, a, b, c, m):
         for kind in ("grevlex", "grlex", "lex"):
             order = MonomialOrder(kind)
