@@ -10,11 +10,10 @@ families.
 
 from .generate import SearchConfig, augment, generate_plan
 from .plan import SolverPlan, plan_from_json, plan_to_json
-from .poly import MonomialOrder, SystemTemplate, parse_instance, parse_system
+from .poly import SystemTemplate, parse_instance, parse_system
 from .solve import benchmark, solve_instance
 
 __all__ = [
-    "MonomialOrder",
     "SearchConfig",
     "SolverPlan",
     "SystemTemplate",

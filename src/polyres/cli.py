@@ -26,7 +26,7 @@ from .action_matrix import (
 from .generate import NoSolverError, SearchConfig, generate_plan
 from .oracle import numeric_poly, sylvester_bivariate, univariate_roots
 from .plan import MissingSlotError, PlanFormatError, plan_from_json, plan_to_json
-from .poly import MonomialOrder, SystemFormatError, dump_system, parse_instance, parse_system
+from .poly import SystemFormatError, dump_system, parse_instance, parse_system
 from .solve import SolveFailure, benchmark, solve_instance
 
 EXIT_OK = 0
@@ -77,7 +77,6 @@ def _search_config(args) -> SearchConfig:
     return SearchConfig(
         delta_magnitudes=_delta_magnitudes(args.delta),
         max_subset_size=args.max_subset,
-        order=MonomialOrder(args.order),
         variants=variants,
         seed=args.seed,
     )
@@ -264,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--delta", default=None, help="comma-separated displacement magnitudes")
     g.add_argument("--max-subset", type=int, default=None)
-    g.add_argument("--order", default="grevlex", choices=["grevlex", "grlex", "lex"])
     g.add_argument("--variant", default="both", choices=["v1", "v2", "both"])
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_generate)

@@ -26,9 +26,8 @@ from .lattice import (
     shifted_offsets,
     unit_simplex,
 )
-from .linalg import PRIMES
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
-from .poly import MonomialOrder, Mono, SystemTemplate, augment, extend_system, support
+from .poly import Mono, SystemTemplate, augment, extend_system, support
 
 
 class NoSolverError(RuntimeError):
@@ -51,10 +50,9 @@ SQUARIFY_RETRIES = 32
 class SearchConfig:
     delta_magnitudes: tuple[Fraction, ...] = (Fraction(1, 10), Fraction(1, 1000))
     max_subset_size: int | None = None
-    order: MonomialOrder = MonomialOrder()
     variants: tuple[str, ...] = ("v1", "v2")
     seed: int = 0
-    rank: RankCheckConfig = RankCheckConfig(primes=PRIMES[:3], assignments=2)
+    rank: RankCheckConfig = RankCheckConfig()
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
                 continue
             emitted.add(t_sets)
             for variant in cfg.variants:
-                layout = build_layout(aug_system, hidden_var, variant, b_set, t_sets, cfg.order)
+                layout = build_layout(aug_system, hidden_var, variant, b_set, t_sets)
                 out.append(FavourableCandidate(layout, delta, mask))
     if not out and not reasons:
         reasons["empty_search_space"] = 1
@@ -202,14 +200,14 @@ def _selection_key(layout: MatrixLayout):
     )
 
 
-def _without(layout: MatrixLayout, rows, cols, cfg: SearchConfig) -> MatrixLayout:
+def _without(layout: MatrixLayout, rows, cols) -> MatrixLayout:
     """Canonical layout of the same construction with the multiples ``rows``
     and the monomials ``cols`` removed."""
     t_sets = layout.multiplier_sets()
     for poly_idx, mult in rows:
         t_sets[poly_idx].discard(mult)
     b_set = frozenset(layout.template.cols).difference(cols)
-    return build_layout(layout.template.system, layout.hidden_var, layout.variant, b_set, t_sets, cfg.order)
+    return build_layout(layout.template.system, layout.hidden_var, layout.variant, b_set, t_sets)
 
 
 def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCandidate:
@@ -239,7 +237,7 @@ def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCan
             if p - s < eps - l or eps - l == 0:
                 continue
             removed = tuple(tm.rows[r] for r in sorted(rows_hit))
-            trial = _without(layout, removed, [tm.cols[c2] for c2 in cols_hit], cfg)
+            trial = _without(layout, removed, [tm.cols[c2] for c2 in cols_hit])
             if not verify_partition(trial, cfg):
                 continue
             assert trial.n_b1 <= layout.n_b1, "row-column removal grew B1"
@@ -274,13 +272,13 @@ def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
                 pool = sorted(t for t in t_sets[poly_idx] if (poly_idx, t) not in tried)
                 mult = pool[rng.randrange(len(pool))]
             tried.add((poly_idx, mult))
-            trial = _without(layout, [(poly_idx, mult)], (), cfg)
+            trial = _without(layout, [(poly_idx, mult)], ())
             if verify_partition(trial, cfg):
                 layout = trial
                 deleted.append((poly_idx, mult))
         else:
             # full column rank keeps rows >= columns, so the matrix is square
-            return SolverPlan(layout, cfg.order.kind, cfg.seed, cand.delta, cand.subset_mask, tuple(deleted))
+            return SolverPlan(layout, cfg.seed, cand.delta, cand.subset_mask, tuple(deleted))
     raise SquarifyExhausted(f"no valid removal sequence after {SQUARIFY_RETRIES} attempts")
 
 

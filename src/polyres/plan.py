@@ -22,7 +22,6 @@ import numpy as np
 from .linalg import PRIMES, exact_rank
 from .poly import (
     HIDDEN_SLOT,
-    MonomialOrder,
     Mono,
     SystemTemplate,
     augment,
@@ -30,6 +29,7 @@ from .poly import (
     mono_div,
     mono_mul,
     parse_system,
+    sort_desc,
     unit_mono,
 )
 
@@ -301,7 +301,6 @@ def build_layout(
     variant: str,
     b_monos,
     multipliers,
-    order,
 ) -> MatrixLayout:
     """Canonical layout: columns sorted descending within b1 and b2, upper
     rows grouped by polynomial, lower rows aligned with b1."""
@@ -314,11 +313,11 @@ def build_layout(
         b1_set = frozenset(mono_mul(t, e_k) for t in t_last)
     if not b1_set <= b_set:
         raise ValueError("b1 monomials escape the favourable set")
-    b1 = order.sort_desc(b1_set)
-    b2 = order.sort_desc(b_set - b1_set)
+    b1 = sort_desc(b1_set)
+    b2 = sort_desc(b_set - b1_set)
     rows = []
     for i in range(len(aug_system.polys) - 1):
-        rows.extend((i, t) for t in order.sort_desc(multipliers[i]))
+        rows.extend((i, t) for t in sort_desc(multipliers[i]))
     n_upper = len(rows)
     last = len(aug_system.polys) - 1
     for mono in b1:
@@ -333,7 +332,6 @@ class SolverPlan:
     """Offline artifact: a square hidden-variable matrix plus bookkeeping."""
 
     layout: MatrixLayout
-    order_kind: str
     seed: int
     delta: tuple[Fraction, ...] | None
     subset_mask: int | None
@@ -375,7 +373,7 @@ def plan_to_json(plan: SolverPlan) -> str:
         "version": PLAN_VERSION,
         "meta": {
             "seed": plan.seed,
-            "order": plan.order_kind,
+            "order": "grevlex",  # the one monomial order, see poly.sort_desc
             "variant": lay.variant,
             "x_k": lay.hidden_var,
             "delta": None if plan.delta is None else [str(d) for d in plan.delta],
@@ -435,6 +433,8 @@ def plan_from_json(text: str) -> SolverPlan:
         if json_field(doc["version"], "version", int) != PLAN_VERSION:
             raise PlanFormatError(f"unsupported plan version {doc['version']}")
         meta = doc["meta"]
+        if meta["order"] != "grevlex":
+            raise PlanFormatError(f"unsupported monomial order {meta['order']!r}")
         base = parse_system(json.dumps(doc["system"]))
         x_k = json_field(meta["x_k"], "x_k", int)
         tm = TemplateMatrix(
@@ -461,7 +461,6 @@ def plan_from_json(text: str) -> SolverPlan:
             delta = tuple(Fraction(json_field(d, "delta", str)) for d in delta)
         return SolverPlan(
             layout,
-            MonomialOrder(meta["order"]).kind,
             json_field(meta["seed"], "seed", int),
             delta,
             json_field(meta["subset_mask"], "subset_mask", int, type(None)),

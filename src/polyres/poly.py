@@ -135,32 +135,15 @@ def augment(system: SystemTemplate, k: int) -> SystemTemplate:
 CoefficientAssignment = Mapping[str, complex]
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Strict multiplicative total order on exponent vectors.
+def grevlex_key(mono: Mono):
+    """Sort key of grevlex, the one monomial order, with x1 > ... > xn: higher total degree
+    first, then the *smaller* last differing exponent; larger key = larger monomial."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
 
-    kind: "grevlex" (default), "grlex" or "lex"; the variables rank
-    x1 > x2 > ... > xn.
-    """
 
-    kind: str = "grevlex"
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "grlex", "lex"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-
-    def key(self, mono: Mono):
-        """Sort key; larger key = larger monomial."""
-        if self.kind == "lex":
-            return mono
-        if self.kind == "grlex":
-            return (sum(mono), mono)
-        # grevlex: higher total degree first; ties broken so that the monomial
-        # with the *smaller* last differing exponent is larger.
-        return (sum(mono), tuple(-e for e in reversed(mono)))
-
-    def sort_desc(self, monos: Iterable[Mono]) -> list[Mono]:
-        return sorted(monos, key=self.key, reverse=True)
+def sort_desc(monos: Iterable[Mono]) -> list[Mono]:
+    """Monomials from largest to smallest in grevlex."""
+    return sorted(monos, key=grevlex_key, reverse=True)
 
 
 def parse_system(text: str) -> SystemTemplate:
@@ -178,6 +161,8 @@ def parse_system(text: str) -> SystemTemplate:
         raise SystemFormatError(f"missing field {e.args[0]!r}") from e
     if not isinstance(names, list) or not names or not all(isinstance(v, str) for v in names):
         raise SystemFormatError("'variables' must be a non-empty list of names")
+    if len(set(names)) != len(names):
+        raise SystemFormatError(f"variable {max(names, key=names.count)!r} is named more than once")
     n = len(names)
     if not isinstance(polys_doc, list) or not polys_doc:
         raise SystemFormatError("'polynomials' must be a non-empty list")

@@ -165,26 +165,27 @@ def _rel_pose_system() -> SystemTemplate:
     return SystemTemplate(4, ("a1", "a2", "a3", "lam"), tuple(polys))
 
 
-def _rel_pose_slots_from_basis(basis_cols, mul, add, neg):
-    """Slot values from a 12x4 null-space basis under the given arithmetic."""
+def _rel_pose_slots_from_basis(basis_cols):
+    """Slot values from a 12x4 null-space basis of ints or floats."""
     bi = [[[basis_cols[3 * r + c][i] for c in range(3)] for r in range(3)] for i in range(4)]
     det: dict[tuple, object] = {}
     for assign in itertools.product(range(4), repeat=3):
         for perm, sign in _PERM_SIGNS:
-            v = mul(mul(bi[assign[0]][0][perm[0]], bi[assign[1]][1][perm[1]]), bi[assign[2]][2][perm[2]])
+            v = bi[assign[0]][0][perm[0]] * bi[assign[1]][1][perm[1]] * bi[assign[2]][2][perm[2]]
             if sign < 0:
-                v = neg(v)
+                v = -v
             expo = [0, 0, 0]
             for i in assign:
                 if i < 3:
                     expo[i] += 1
             key = tuple(expo)
-            det[key] = add(det.get(key), v)
+            # the first term is stored as is: 0 + v would turn -0.0 into +0.0
+            det[key] = v if key not in det else det[key] + v
     slots = {f"d{e[0]}{e[1]}{e[2]}": det.get(e) for e in _DET_MONOS}
     for j in range(3):
         for i in range(4):
             slots[f"w{j}_{i}"] = basis_cols[9 + j][i]
-            slots[f"g{j}_{i}"] = neg(basis_cols[2 + 3 * j][i])
+            slots[f"g{j}_{i}"] = -basis_cols[2 + 3 * j][i]
     return slots
 
 
@@ -220,12 +221,7 @@ def rel_pose_float_instance(rng) -> dict:
         cols[fc][i] = 1.0
         for row_idx, pc in enumerate(pivots):
             cols[pc][i] = -float(rref[row_idx, fc])
-    return _rel_pose_slots_from_basis(
-        cols,
-        mul=lambda a, b: a * b,
-        add=lambda acc, v: v if acc is None else acc + v,
-        neg=lambda v: -v,
-    )
+    return _rel_pose_slots_from_basis(cols)
 
 
 _FIELD_CACHE: dict[tuple, dict] = {}
@@ -256,13 +252,8 @@ def rel_pose_field_instance(prime: int, trial: int, seed: int) -> dict:
         cols[fc][i] = 1
         for row_idx, pc in enumerate(pivots):
             cols[pc][i] = int((-rref[row_idx, fc]) % prime)
-    slots = _rel_pose_slots_from_basis(
-        cols,
-        mul=lambda a, b: (a * b) % prime,
-        add=lambda acc, v: v % prime if acc is None else (acc + v) % prime,
-        neg=lambda v: (-v) % prime,
-    )
-    slots = {k: int(v) % prime for k, v in slots.items()}
+    # exact integer arithmetic, reduced mod p once
+    slots = {k: int(v) % prime for k, v in _rel_pose_slots_from_basis(cols).items()}
     _FIELD_CACHE[key] = slots
     return slots
 

@@ -84,6 +84,18 @@ class TestGenerate:
         assert "list of ints" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_variable_exits_2(self, tmp_path, capsys):
+        sys_path, _ = write_problem(tmp_path, "two_conics")
+        doc = json.loads(sys_path.read_text())
+        doc["variables"] = ["x", "x"]
+        sys_path.write_text(json.dumps(doc))
+        out = tmp_path / "c.plan"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--system", str(sys_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "'x' is named more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["delta", "exponent"])
     def test_lattice_beyond_int64_exits_2(self, tmp_path, capsys, source):
         sys_path, _ = write_problem(tmp_path, "two_conics")

@@ -49,7 +49,7 @@ FRESH_RANK = tuple(RankCheckConfig(primes=(p,), assignments=1, seed=s) for p in 
 
 def _candidate(aug, hidden_var, b, multipliers, subset_mask):
     """A v1 candidate at zero displacement, laid out as the search lays it out."""
-    layout = build_layout(aug, hidden_var, "v1", b, multipliers, SearchConfig().order)
+    layout = build_layout(aug, hidden_var, "v1", b, multipliers)
     return FavourableCandidate(layout, tuple(Fraction(0) for _ in range(aug.n_vars)), subset_mask)
 
 
@@ -237,7 +237,7 @@ class TestPartition:
         b = ((0,), (1,), (2,), (3,))
         cand = _candidate(aug, 1, b, (frozenset({(0,), (1,)}), frozenset({(0,), (1,), (2,)})), 0b11)
         assert verify_partition(cand.layout, cfg)
-        no_upper = build_layout(aug, 1, "v1", b, (frozenset(), frozenset({(0,), (1,), (2,)})), cfg.order)
+        no_upper = build_layout(aug, 1, "v1", b, (frozenset(), frozenset({(0,), (1,), (2,)})))
         assert not verify_partition(no_upper, cfg)
 
     def test_two_conics_b1_bound(self, two_conics_plan):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from polyres.linalg import PRIMES
 from polyres.plan import PlanFormatError, TemplateMatrix, build_layout, plan_from_json, plan_to_json
-from polyres.poly import HIDDEN_SLOT, MonomialOrder, PolynomialTemplate, SystemTemplate, Term
+from polyres.poly import HIDDEN_SLOT, PolynomialTemplate, SystemTemplate, Term
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 FUZZ = settings(max_examples=200)
@@ -108,6 +108,8 @@ JUNK_SECTIONS = [
     (("blocks", "projected"), 1),
     (("cells",), []),
     (("meta", "order"), "bogus"),
+    (("meta", "order"), "lex"),
+    (("system", "variables"), ["x", "x"]),
     (("meta", "subset_mask"), "x"),
     (("meta", "subset_mask"), 1.5),
     (("meta", "origin"), 7),
@@ -171,7 +173,7 @@ def test_cell_encoding_built_on_first_use(use):
     # so a layout holds no cell encoding before a matrix or cell map is asked for
     lay = plan_from_json(_plan_text()).layout
     tm = build_layout(lay.template.system, lay.hidden_var, lay.variant, lay.template.cols,
-                      lay.multiplier_sets(), MonomialOrder()).template
+                      lay.multiplier_sets()).template
     assert "_encoding" not in vars(tm)
     values = {s: 1 for s in (*tm.system.slots(), HIDDEN_SLOT)}
     {

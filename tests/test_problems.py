@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
+import pytest
 
 from polyres.generate import SearchConfig, generate_plan
 from polyres.linalg import PRIMES
 from polyres.oracle import numeric_poly, sylvester_bivariate, univariate_roots
-from polyres.problems import LIBRARY, get, rel_pose_field_instance
+from polyres.problems import LIBRARY, _rel_pose_slots_from_basis, get, rel_pose_field_instance
 from polyres.solve import SolveFailure, solve_instance
 
 
@@ -44,6 +47,32 @@ class TestLibraryInvariants:
         assert a != c
         assert all(0 <= v < p for v in a.values())
         assert set(a) == set(get("rel_pose_f_lambda_8pt").system.slots())
+
+    @pytest.mark.parametrize("kind", [int, float])
+    def test_rel_pose_f1_is_the_pencil_determinant(self, kind):
+        # column i of a 12x4 null-space basis, read row by row, is the 3x3
+        # matrix B_i; f1(a) must be det(a1 B1 + a2 B2 + a3 B3 + B4)
+        rng = np.random.default_rng(5)
+        f1 = get("rel_pose_f_lambda_8pt").system.polys[0]
+        for _ in range(25):
+            if kind is int:
+                cols, a = rng.integers(-9, 10, (12, 4)).tolist(), rng.integers(-5, 6, 3).tolist()
+            else:
+                cols, a = rng.standard_normal((12, 4)).tolist(), rng.standard_normal(3).tolist()
+            slots = _rel_pose_slots_from_basis(cols)
+            entry = lambda r, c: sum(a[i] * cols[3 * r + c][i] for i in range(3)) + cols[3 * r + c][3]
+            m = [[entry(r, c) for c in range(3)] for r in range(3)]
+            det = (
+                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+            )
+            value = sum(slots[t.slot] * math.prod(x**e for x, e in zip(a, t.exps)) for t in f1.terms)
+            assert type(value) is kind
+            if kind is int:
+                assert value == det
+            else:
+                assert abs(value - det) <= 1e-12 * abs(det)
 
 
 class TestPipelineInvariant:

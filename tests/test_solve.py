@@ -118,7 +118,6 @@ class TestRecover:
         # x2: the eigenvector read-off must name the stuck variable
         from polyres.generate import augment
         from polyres.plan import SolverPlan, build_layout
-        from polyres.poly import MonomialOrder
 
         system = SystemTemplate(
             2, ("x1", "x2"), (PolynomialTemplate((Term("a", (2, 0)), Term("b", (0, 0)))),)
@@ -126,9 +125,9 @@ class TestRecover:
         aug = augment(system, 1)
         layout = build_layout(
             aug, 1, "v1", {(0, 0), (1, 0), (2, 0)},
-            (frozenset({(0, 0)}), frozenset({(0, 0), (1, 0)})), MonomialOrder(),
+            (frozenset({(0, 0)}), frozenset({(0, 0), (1, 0)})),
         )
-        plan = SolverPlan(layout, "grevlex", 0, None, None)
+        plan = SolverPlan(layout, 0, None, None)
         with pytest.raises(UnrecoverableVariableError, match="x2"):
             solve_instance(plan, {"a": 1.0, "b": -4.0})
 
