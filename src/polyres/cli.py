@@ -43,6 +43,20 @@ def _read(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
+def _write(path, text: str, parents: bool = False) -> bool:
+    """Write ``text`` to ``path``, first creating its directory if ``parents``;
+    on failure print why and return False."""
+    p = Path(path)
+    try:
+        if parents:
+            p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(text, encoding="utf-8")
+    except OSError as e:
+        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        return False
+    return True
+
+
 def _load_system(path: str):
     try:
         return parse_system(_read(path))
@@ -94,7 +108,8 @@ def cmd_generate(args) -> int:
         print(f"error: --delta or an exponent of {args.system} is too large ({e})", file=sys.stderr)
         return EXIT_USAGE
     plan = outcome.plan
-    Path(args.out).write_text(plan_to_json(plan), encoding="utf-8")
+    if not _write(args.out, plan_to_json(plan)):
+        return EXIT_USAGE
     upper = plan.layout.n_upper
     print(f"hidden variable: x_{plan.layout.hidden_var}")
     print(f"variant: {plan.layout.variant}")
@@ -133,8 +148,8 @@ def cmd_solve(args) -> int:
         lines.append(f"root {i}: {coords}  residual={root.residual:.3e}  real={root.is_real}")
     out_text = "\n".join(lines) + "\n"
     sys.stdout.write(out_text)
-    if args.out:
-        Path(args.out).write_text(out_text, encoding="utf-8")
+    if args.out and not _write(args.out, out_text):
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -154,7 +169,8 @@ def cmd_bench(args) -> int:
     report = benchmark(
         plan, gen, trials=args.trials, seed=args.seed, record_timing=args.timing
     )
-    Path(args.report).write_text(report.to_json(), encoding="utf-8")
+    if not _write(args.report, report.to_json()):
+        return EXIT_USAGE
     print(
         f"trials={report.trials} fail%={report.fail_pct:.3f} "
         f"mean_log10={report.mean_log10} median_log10={report.median_log10}"
@@ -241,16 +257,13 @@ def cmd_problems(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sys_path = out_dir / f"{entry.name}.sys"
-    sys_path.write_text(dump_system(entry.system), encoding="utf-8")
-    print(f"wrote {sys_path}")
+    files = {out_dir / f"{entry.name}.sys": dump_system(entry.system)}
     if entry.canonical_instance is not None:
-        inst_path = out_dir / f"{entry.name}.inst"
-        inst_path.write_text(
-            json.dumps(entry.canonical_instance, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {inst_path}")
+        files[out_dir / f"{entry.name}.inst"] = json.dumps(entry.canonical_instance, sort_keys=True) + "\n"
+    for path, text in files.items():
+        if not _write(path, text, parents=True):
+            return EXIT_USAGE
+        print(f"wrote {path}")
     return EXIT_OK
 
 

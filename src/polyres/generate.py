@@ -250,17 +250,28 @@ def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCan
 def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
     """Remove extra rows until the matrix is square, lower block first.
 
-    Each removal is re-validated against the favourable conditions and the
-    partition; dead ends restart with a fresh removal order, at most
-    SQUARIFY_RETRIES times.
+    Each trial removal is decided on row and column index sets of the
+    candidate's one template, with the conditions of partition_failure:
+    every T_i stays nonempty, the surviving rows have full column rank, and
+    the surviving upper rows have full rank on the columns outside B1.  A
+    removed lower-block row takes its monomial out of B1 and into those
+    columns.  Dead ends restart with a fresh removal order, at most
+    SQUARIFY_RETRIES times; the plan's layout is built once, when the
+    matrix is square.
     """
-    m_last = len(cand.layout.template.system.polys) - 1
+    tm = cand.layout.template
+    n_upper, n_cols = cand.layout.n_upper, len(tm.cols)
+    m_last = len(tm.system.polys) - 1
+    row_id = {row: r for r, row in enumerate(tm.rows)}
     for attempt in range(SQUARIFY_RETRIES):
         rng = random.Random(f"squarify:{cfg.seed}:{attempt}")
-        layout, deleted = cand.layout, list(cand.deleted)
+        t_sets = cand.layout.multiplier_sets()
+        # surviving rows, and B1 by column: lower row n_upper + j owns column
+        # j, and an upper row r owns none (r - n_upper < 0)
+        rows, b1 = set(range(len(tm.rows))), set(range(cand.layout.n_b1))
+        removed: list[tuple[int, Mono]] = []
         tried: set[tuple[int, Mono]] = set()
-        while layout.shape[0] > layout.shape[1]:
-            t_sets = layout.multiplier_sets()
+        while len(rows) > n_cols:
             pool = sorted(t for t in t_sets[m_last] if (m_last, t) not in tried)
             if pool:
                 poly_idx, mult = m_last, pool[rng.randrange(len(pool))]
@@ -272,13 +283,29 @@ def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
                 pool = sorted(t for t in t_sets[poly_idx] if (poly_idx, t) not in tried)
                 mult = pool[rng.randrange(len(pool))]
             tried.add((poly_idx, mult))
-            trial = _without(layout, [(poly_idx, mult)], ())
-            if verify_partition(trial, cfg):
-                layout = trial
-                deleted.append((poly_idx, mult))
+            r = row_id[(poly_idx, mult)]
+            t_sets[poly_idx].discard(mult)
+            trial_rows = sorted(rows - {r})
+            trial_b1 = b1 - {r - n_upper}
+            if (
+                all(t_sets)
+                and has_full_column_rank(tm, None, cfg.rank, trial_rows)
+                and has_full_column_rank(
+                    tm,
+                    [c for c in range(n_cols) if c not in trial_b1],
+                    cfg.rank,
+                    [r2 for r2 in trial_rows if r2 < n_upper],
+                )
+            ):
+                rows.discard(r)
+                b1 = trial_b1
+                removed.append((poly_idx, mult))
+            else:
+                t_sets[poly_idx].add(mult)
         else:
             # full column rank keeps rows >= columns, so the matrix is square
-            return SolverPlan(layout, cfg.seed, cand.delta, cand.subset_mask, tuple(deleted))
+            layout = _without(cand.layout, removed, ())
+            return SolverPlan(layout, cfg.seed, cand.delta, cand.subset_mask, cand.deleted + tuple(removed))
     raise SquarifyExhausted(f"no valid removal sequence after {SQUARIFY_RETRIES} attempts")
 
 

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -306,24 +308,39 @@ class Extension:
 def extend_system(polys: Sequence[PolynomialTemplate], b_prime: Iterable[Mono]) -> Extension:
     """Largest monomial-multiple extension of each polynomial inside B'.
 
+    T_i holds every t = b - anchor >= 0, for b in B' and anchor the smallest
+    support monomial of f_i, with t + a in B' for each support monomial a.
+    Each monomial is keyed by one int in balanced base r; the entries of
+    every b - anchor + a lie strictly between -r/2 and r/2, so their keys
+    are distinct and a shift by a monomial is one integer addition.
     Empty multiplier sets are a legal outcome, reported to the caller.
     """
     b_set = frozenset(b_prime)
     if not b_set:
         raise ValueError("B' must be nonempty")
+    supps = [sorted(support(f)) for f in polys]
+    top = max(map(abs, chain.from_iterable(b_set))) + max((max(a) for supp in supps for a in supp), default=0)
+    places = [(2 * top + 3) ** j for j in range(len(next(iter(b_set))))]
+
+    def key(m: Mono) -> int:
+        return sum(map(mul, m, places))
+
+    mono_of = {key(b): b for b in b_set}
     multipliers = []
-    used: set[Mono] = set()
-    for f in polys:
-        supp = sorted(support(f))
+    used: set[int] = set()
+    for supp in supps:
         anchor = supp[0]
+        # b + (a - anchor) for every support monomial a but the anchor itself
+        steps = [key(a) - key(anchor) for a in supp[1:]]
+        fits = list(mono_of)
+        for s in steps:
+            fits = [k for k in fits if k + s in mono_of]
         t_i = set()
-        for b in b_set:
-            t = mono_div(b, anchor)
-            if t is None:
-                continue
-            shifted = [mono_mul(t, a) for a in supp]
-            if all(s in b_set for s in shifted):
+        for k in fits:
+            t = tuple(map(sub, mono_of[k], anchor))
+            if min(t) >= 0:
                 t_i.add(t)
-                used.update(shifted)
+                used.add(k)
+                used.update(k + s for s in steps)
         multipliers.append(frozenset(t_i))
-    return Extension(tuple(multipliers), frozenset(used))
+    return Extension(tuple(multipliers), frozenset(mono_of[k] for k in used))

@@ -322,6 +322,27 @@ def test_negative_seed_usage_error(tmp_path, capsys, monkeypatch, command):
     assert "error: --seed must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "bench", "problems"])
+def test_unwritable_output_exits_2(tmp_path, capsys, univariate_quadratic_plan, command):
+    sys_path, inst_path = write_problem(tmp_path, "univariate_quadratic")
+    plan_path = tmp_path / "q.plan"
+    plan_path.write_text(plan_to_json(univariate_quadratic_plan))
+    missing = tmp_path / "no" / "such" / "dir" / "out"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argv, target = {
+        "generate": (["generate", "--system", str(sys_path), "--out", str(missing)], missing),
+        "solve": (["solve", "--plan", str(plan_path), "--instance", str(inst_path), "--out", str(missing)], missing),
+        "bench": (["bench", "--plan", str(plan_path), "--trials", "3", "--report", str(missing)], missing),
+        # --dir names an existing file, so no directory can be made there
+        "problems": (["problems", "write", "univariate_quadratic", "--dir", str(a_file)],
+                     a_file / "univariate_quadratic.sys"),
+    }[command]
+    assert main(argv) == 2
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert not missing.parent.exists() and a_file.read_text() == ""
+
+
 class TestProblemsCommand:
     def test_list(self, capsys):
         assert main(["problems", "list"]) == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,16 @@ import polyres.generate
 import polyres.plan
 import polyres.poly
 from polyres.generate import (
+    SQUARIFY_RETRIES,
     FavourableCandidate,
     NoSolverError,
     SearchConfig,
     SquarifyExhausted,
     _selection_key,
+    _without,
     augment,
     generate_plan,
+    partition_failure,
     recovery_pairs_exist,
     reduce_rowcol,
     search_candidates,
@@ -26,6 +30,7 @@ from polyres.linalg import PRIMES
 from polyres.plan import (
     PlanFormatError,
     RankCheckConfig,
+    SolverPlan,
     build_layout,
     has_full_column_rank,
     plan_from_json,
@@ -394,6 +399,104 @@ class TestSquarify:
         p1 = squarify(cand, cfg)
         p2 = squarify(cand, cfg)
         assert plan_to_json(p1) == plan_to_json(p2)
+
+
+def _squarify_by_layouts(cand, cfg, refusals):
+    """squarify with a rebuilt and re-verified layout for every trial
+    removal; appends the reason of each refused trial to ``refusals``."""
+    m_last = len(cand.layout.template.system.polys) - 1
+    for attempt in range(SQUARIFY_RETRIES):
+        rng = random.Random(f"squarify:{cfg.seed}:{attempt}")
+        layout, deleted = cand.layout, list(cand.deleted)
+        tried = set()
+        while layout.shape[0] > layout.shape[1]:
+            t_sets = layout.multiplier_sets()
+            pool = sorted(t for t in t_sets[m_last] if (m_last, t) not in tried)
+            if pool:
+                poly_idx, mult = m_last, pool[rng.randrange(len(pool))]
+            else:
+                open_polys = [i for i in range(m_last) if any((i, t) not in tried for t in t_sets[i])]
+                if not open_polys:
+                    break
+                poly_idx = open_polys[rng.randrange(len(open_polys))]
+                pool = sorted(t for t in t_sets[poly_idx] if (poly_idx, t) not in tried)
+                mult = pool[rng.randrange(len(pool))]
+            tried.add((poly_idx, mult))
+            trial = _without(layout, [(poly_idx, mult)], ())
+            if verify_partition(trial, cfg):
+                layout = trial
+                deleted.append((poly_idx, mult))
+            else:
+                refusals.append(partition_failure(trial, cfg, {}))
+        else:
+            return SolverPlan(layout, cfg.seed, cand.delta, cand.subset_mask, tuple(deleted))
+    raise SquarifyExhausted("replay exhausted")
+
+
+@cache
+def _first_partitioned(name):
+    """The candidate generate_plan reduces first: best first, with a valid
+    partition and recovery pairs (neither depends on the seed)."""
+    cfg = SearchConfig(variants=("v1",))
+    system = get(name).system
+    cands = [c for k in range(1, system.n_vars + 1) for c in search_candidates(augment(system, k), k, cfg)]
+    cands.sort(key=lambda c: _selection_key(c.layout))
+    return next(c for c in cands if verify_partition(c.layout, cfg) and recovery_pairs_exist(c.layout))
+
+
+def _replay_cases():
+    aug = augment(get("univariate_quadratic").system, 1)
+    tall = _candidate(aug, 1, ((0,), (1,), (2,), (3,)), (frozenset({(0,), (1,)}), frozenset({(0,), (1,), (2,)})), 0b11)
+    linear = _smallest(search_candidates(augment(get("univariate_linear").system, 1), 1, SearchConfig(seed=1)))
+    # two lines in x1 over {1, x1, x1^2}, every T_i = {1, x1}: 6 rows, 3 columns,
+    # so upper rows go too, and some trials would empty a T_i
+    line = PolynomialTemplate((Term("a", (1,)), Term("b", (0,))))
+    other = PolynomialTemplate((Term("c", (1,)), Term("d", (0,))))
+    aug = augment(SystemTemplate(1, ("x1",), (line, other)), 1)
+    lines = _candidate(aug, 1, ((0,), (1,), (2,)), (frozenset({(0,), (1,)}),) * 3, 0b111)
+    # two even quadratics over {1, x1, x1^2}: no upper row touches x1, so
+    # dropping the lower row of x1 keeps full column rank but moves a zero
+    # column of the upper rows into A12
+    even = PolynomialTemplate((Term("a", (2,)), Term("c", (0,))))
+    even2 = PolynomialTemplate((Term("b", (2,)), Term("d", (0,))))
+    aug = augment(SystemTemplate(1, ("x1",), (even, even2)), 1)
+    one = frozenset({(0,)})
+    evens = _candidate(aug, 1, ((0,), (1,), (2,)), (one, one, frozenset({(0,), (1,)})), 0b111)
+    for seed in range(4):
+        cfg = SearchConfig(seed=seed)
+        yield f"univariate_linear-{seed}", linear, cfg
+        yield f"tall_quadratic-{seed}", tall, cfg
+        yield f"two_lines-{seed}", lines, cfg
+        yield f"even_quadratics-{seed}", evens, cfg
+        for name in ("two_conics", "three_quadrics", "zero_coordinate_pair"):
+            yield f"{name}-{seed}", reduce_rowcol(_first_partitioned(name), cfg), cfg
+
+
+class TestSquarifyReplay:
+    def test_index_sets_match_rebuilt_layouts(self):
+        # squarify decides each trial on index sets of the candidate's one
+        # template; rebuilding the trial layout must give the same verdicts
+        refusals = []
+        for label, cand, cfg in _replay_cases():
+            want = _squarify_by_layouts(cand, cfg, refusals)
+            got = squarify(cand, cfg)
+            assert plan_to_json(got) == plan_to_json(want), label
+            assert got.deleted_rows == want.deleted_rows, label
+        assert set(refusals) == {"coverage", "column_rank", "a12_rank"}
+
+    def test_one_layout_per_plan(self, monkeypatch):
+        calls = []
+        real = polyres.generate.build_layout
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polyres.generate, "build_layout", counting)
+        cand = reduce_rowcol(_first_partitioned("three_quadrics"), SearchConfig(seed=1))
+        calls.clear()
+        plan = squarify(cand, SearchConfig(seed=1))
+        assert plan.deleted_rows != cand.deleted and len(calls) == 1
 
 
 class TestEmitPlan:

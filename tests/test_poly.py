@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyres.poly import (
+    Extension,
     PolynomialTemplate,
     SystemFormatError,
     Term,
@@ -13,6 +14,7 @@ from polyres.poly import (
     evaluate,
     extend_system,
     grevlex_key,
+    mono_div,
     mono_mul,
     normalized_residual,
     parse_instance,
@@ -141,6 +143,83 @@ class TestExtendSystem:
         f = PolynomialTemplate((Term("a", (5,)),))
         ext = extend_system([f], {(0,), (1,)})
         assert ext.multipliers[0] == frozenset()
+
+
+def _extend_by_sets(polys, b_prime):
+    """extend_system's set-based definition: divide each b in B' by the
+    anchor, then look up every product t * a in B'."""
+    b_set = frozenset(b_prime)
+    multipliers, used = [], set()
+    for f in polys:
+        supp = sorted(support(f))
+        t_i = set()
+        for b in b_set:
+            t = mono_div(b, supp[0])
+            if t is None:
+                continue
+            shifted = [mono_mul(t, a) for a in supp]
+            if all(s in b_set for s in shifted):
+                t_i.add(t)
+                used.update(shifted)
+        multipliers.append(frozenset(t_i))
+    return Extension(tuple(multipliers), frozenset(used))
+
+
+def _polys(supports):
+    return [PolynomialTemplate(tuple(Term(f"c{i}_{j}", a) for j, a in enumerate(s))) for i, s in enumerate(supports)]
+
+
+@st.composite
+def _extension_inputs(draw):
+    """1-4 variables, 1-4 polynomials without a constant term (so the anchor
+    is nonzero), and a B' made of some whole shifted supports, a few more
+    points (some with negative entries), minus a few points."""
+    n = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    supports = draw(st.lists(st.sets(mono.filter(any), min_size=1, max_size=4), min_size=1, max_size=4))
+    b_set = draw(st.sets(st.tuples(*[st.integers(-2, 5)] * n), max_size=12))
+    for _ in range(draw(st.integers(0, 6))):
+        supp = draw(st.sampled_from(supports))
+        shift = draw(mono)
+        b_set |= {mono_mul(shift, a) for a in supp}
+    b_set -= draw(st.sets(st.sampled_from(sorted(b_set)), max_size=3)) if b_set else set()
+    b_set = b_set or {draw(mono)}
+    return _polys([sorted(s) for s in supports]), b_set
+
+
+class TestExtendByKeys:
+    @given(_extension_inputs())
+    @settings(max_examples=300)
+    def test_matches_set_definition(self, case):
+        polys, b_set = case
+        assert extend_system(polys, b_set) == _extend_by_sets(polys, b_set)
+
+    @pytest.mark.parametrize(
+        "supports, b_set",
+        [
+            # empty T_1 beside a nonempty T_2; the anchor (0, 1) is nonzero
+            ([[(0, 1), (2, 2)], [(1, 0), (0, 1)]], {(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)}),
+            # a one-point B' holding one shifted one-term polynomial
+            ([[(1, 2)]], {(3, 2)}),
+            # a one-point B' that holds no multiple
+            ([[(1, 0), (0, 1)]], {(1, 1)}),
+            # b - anchor has a negative entry, yet every b - anchor + a lies in B'
+            ([[(1, 0), (2, 1)]], {(0, 1), (1, 2), (1, 0), (2, 1), (3, 2)}),
+            # no polynomials
+            ([], {(0, 0), (1, 1)}),
+        ],
+    )
+    def test_edge_cases(self, supports, b_set):
+        polys = _polys(supports)
+        assert extend_system(polys, b_set) == _extend_by_sets(polys, b_set)
+
+    def test_empty_system(self):
+        assert extend_system([], {(1, 2)}) == Extension((), frozenset())
+
+    def test_empty_b_prime_rejected(self):
+        f = PolynomialTemplate((Term("a", (1,)),))
+        with pytest.raises(ValueError):
+            extend_system([f], set())
 
 
 class TestEvaluate:
