@@ -8,8 +8,10 @@ Exit codes: 0 success, 2 usage or malformed input, 3 no solver found,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +59,21 @@ def _write(path, text: str, parents: bool = False) -> bool:
     return True
 
 
+def _writable(path) -> bool:
+    """Whether ``path`` can be written as a file, judged before any work is
+    done: it is not a directory, and its parent is one.  If not, print why,
+    as _write does."""
+    p = Path(path)
+    if p.is_dir():
+        code = errno.EISDIR
+    elif not p.parent.is_dir():
+        code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+    else:
+        return True
+    print(f"error: cannot write {path}: {os.strerror(code)}", file=sys.stderr)
+    return False
+
+
 def _load_system(path: str):
     try:
         return parse_system(_read(path))
@@ -99,6 +116,9 @@ def _search_config(args) -> SearchConfig:
 def cmd_generate(args) -> int:
     system = _load_system(args.system)
     cfg = _search_config(args)
+    if not _writable(args.out):
+        # the search can take minutes: fail before it, not after
+        return EXIT_USAGE
     try:
         outcome = generate_plan(system, cfg)
     except NoSolverError as e:

@@ -26,7 +26,7 @@ from .lattice import (
     shifted_offsets,
     unit_simplex,
 )
-from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
+from .plan import MatrixLayout, RankCheckConfig, SolverPlan, TemplateMatrix, build_layout, has_full_column_rank
 from .poly import Mono, SystemTemplate, augment, extend_system, support
 
 
@@ -153,36 +153,47 @@ def recovery_pairs_exist(layout: MatrixLayout) -> bool:
     return bool(np.all(np.diff(starts, append=len(src)) > 0))
 
 
-def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
-    """The first partition condition a layout fails, by its reason name, or
-    None: every T_i is nonempty ("coverage"), the matrix has full column rank
-    ("column_rank"), and A12 has full column rank on the upper rows
-    ("a12_rank"), so the Schur complement exists.
-
-    ``full_rank`` memoizes full-rank verdicts by (hidden variable, rows).
-    The v1 and v2 layouts of one set of multipliers share their rows and
-    their columns up to order, so they share one verdict.
-    """
-    if not all(layout.multiplier_sets()):
+def _partition_failure(tm: TemplateMatrix, cfg: SearchConfig, rows, cols, b1, n_upper: int,
+                       full_rank: dict | None = None) -> str | None:
+    """The first partition condition the ``rows`` x ``cols`` submatrix of
+    ``tm`` fails, by its reason name, or None; ``b1`` is its B1 columns and
+    the rows before ``n_upper`` its upper block, all index sets of ``tm``.
+    Every polynomial keeps a row ("coverage"), the submatrix has full column
+    rank ("column_rank"), and the upper rows have full rank on the columns
+    outside B1 ("a12_rank"), so the Schur complement exists.  ``full_rank``
+    memoizes full-rank verdicts by (system, rows)."""
+    if len({tm.rows[r][0] for r in rows}) < len(tm.system.polys):
         return "coverage"
-    tm = layout.template
-    key = (layout.hidden_var, tm.rows)
-    if key not in full_rank:
-        full_rank[key] = has_full_column_rank(tm, None, cfg.rank)
-    if not full_rank[key]:
+    rows, cols = sorted(rows), sorted(cols)
+    if full_rank is None:
+        full = has_full_column_rank(tm, cols, cfg.rank, rows)
+    else:
+        key = (tm.system, tuple(tm.rows[r] for r in rows))
+        full = full_rank.get(key)
+        if full is None:
+            full = full_rank[key] = has_full_column_rank(tm, cols, cfg.rank, rows)
+    if not full:
         return "column_rank"
-    if not has_full_column_rank(tm, layout.a12_cols(), cfg.rank, layout.upper_row_ids()):
+    upper = [r for r in rows if r < n_upper]
+    if not has_full_column_rank(tm, [c for c in cols if c not in b1], cfg.rank, upper):
         return "a12_rank"
     return None
 
 
-def verify_partition(layout: MatrixLayout, cfg: SearchConfig) -> bool:
-    """From-scratch partition test of a trial layout (see partition_failure).
+def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
+    """_partition_failure of a whole layout.  The v1 and v2 layouts of one
+    set of multipliers share their rows and their columns up to order, so
+    they share one ``full_rank`` verdict."""
+    n_rows, n_cols = layout.shape
+    return _partition_failure(layout.template, cfg, range(n_rows), range(n_cols), range(layout.n_b1),
+                              layout.n_upper, full_rank)
 
-    The lower-block structure (u0-cells forming -I for v1, x_k-cells forming
-    I for v2) holds by layout construction, and both reduction stages keep
-    at least as many rows as columns.
-    """
+
+def verify_partition(layout: MatrixLayout, cfg: SearchConfig) -> bool:
+    """From-scratch partition test of a whole layout, with a fresh memo.  The
+    pipeline does not call it; tests hold its index-set decisions to it on
+    rebuilt layouts.  The lower-block structure (u0-cells forming -I for v1,
+    x_k-cells forming I for v2) holds by layout construction."""
     return partition_failure(layout, cfg, {}) is None
 
 
@@ -217,14 +228,17 @@ def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCan
     A removal is attempted only when the surviving rows keep their full
     monomial support, i.e. every removed column is touched exclusively by
     removed rows; anything else would silently change the polynomials the
-    rows stand for.
+    rows stand for.  So a surviving column meets only surviving rows, and
+    each trial is decided on index sets of the candidate's one template, as
+    in squarify; the result's layout is built once, if anything went.
     """
     rng = random.Random(f"rowcol:{cfg.seed}")
+    tm, b1 = cand.layout.template, range(cand.layout.n_b1)
+    rows, cols = set(range(len(tm.rows))), set(range(len(tm.cols)))
+    deleted: list[tuple[int, Mono]] = []
     while True:
-        layout = cand.layout
-        tm = layout.template
-        p, eps = tm.shape
-        col_order = list(range(eps))
+        p, eps = len(rows), len(cols)
+        col_order = sorted(cols)  # the order of a rebuilt layout's columns
         rng.shuffle(col_order)
         for c in col_order:
             rows_hit = tm.structural_rows_of_col(c)
@@ -236,31 +250,30 @@ def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCan
             s, l = len(rows_hit), len(cols_hit)
             if p - s < eps - l or eps - l == 0:
                 continue
-            removed = tuple(tm.rows[r] for r in sorted(rows_hit))
-            trial = _without(layout, removed, [tm.cols[c2] for c2 in cols_hit])
-            if not verify_partition(trial, cfg):
-                continue
-            assert trial.n_b1 <= layout.n_b1, "row-column removal grew B1"
-            cand = replace(cand, layout=trial, deleted=cand.deleted + removed)
-            break
+            if _partition_failure(tm, cfg, rows - rows_hit, cols - cols_hit, b1, cand.layout.n_upper) is None:
+                rows -= rows_hit
+                cols -= cols_hit
+                deleted.extend(tm.rows[r] for r in sorted(rows_hit))
+                break
         else:
-            return cand
+            break
+    if deleted:
+        layout = _without(cand.layout, deleted, [m for c, m in enumerate(tm.cols) if c not in cols])
+        cand = replace(cand, layout=layout, deleted=cand.deleted + tuple(deleted))
+    return cand
 
 
 def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
     """Remove extra rows until the matrix is square, lower block first.
 
-    Each trial removal is decided on row and column index sets of the
-    candidate's one template, with the conditions of partition_failure:
-    every T_i stays nonempty, the surviving rows have full column rank, and
-    the surviving upper rows have full rank on the columns outside B1.  A
-    removed lower-block row takes its monomial out of B1 and into those
-    columns.  Dead ends restart with a fresh removal order, at most
+    Each trial removal is decided by _partition_failure on index sets of
+    the candidate's one template; a removed lower-block row moves its column
+    from B1 into A12.  Dead ends restart with a fresh removal order, at most
     SQUARIFY_RETRIES times; the plan's layout is built once, when the
     matrix is square.
     """
     tm = cand.layout.template
-    n_upper, n_cols = cand.layout.n_upper, len(tm.cols)
+    n_upper, cols = cand.layout.n_upper, range(len(tm.cols))
     m_last = len(tm.system.polys) - 1
     row_id = {row: r for r, row in enumerate(tm.rows)}
     for attempt in range(SQUARIFY_RETRIES):
@@ -271,7 +284,7 @@ def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
         rows, b1 = set(range(len(tm.rows))), set(range(cand.layout.n_b1))
         removed: list[tuple[int, Mono]] = []
         tried: set[tuple[int, Mono]] = set()
-        while len(rows) > n_cols:
+        while len(rows) > len(cols):
             pool = sorted(t for t in t_sets[m_last] if (m_last, t) not in tried)
             if pool:
                 poly_idx, mult = m_last, pool[rng.randrange(len(pool))]
@@ -284,24 +297,11 @@ def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
                 mult = pool[rng.randrange(len(pool))]
             tried.add((poly_idx, mult))
             r = row_id[(poly_idx, mult)]
-            t_sets[poly_idx].discard(mult)
-            trial_rows = sorted(rows - {r})
-            trial_b1 = b1 - {r - n_upper}
-            if (
-                all(t_sets)
-                and has_full_column_rank(tm, None, cfg.rank, trial_rows)
-                and has_full_column_rank(
-                    tm,
-                    [c for c in range(n_cols) if c not in trial_b1],
-                    cfg.rank,
-                    [r2 for r2 in trial_rows if r2 < n_upper],
-                )
-            ):
-                rows.discard(r)
-                b1 = trial_b1
+            trial_rows, trial_b1 = rows - {r}, b1 - {r - n_upper}
+            if _partition_failure(tm, cfg, trial_rows, cols, trial_b1, n_upper) is None:
+                rows, b1 = trial_rows, trial_b1
+                t_sets[poly_idx].discard(mult)
                 removed.append((poly_idx, mult))
-            else:
-                t_sets[poly_idx].add(mult)
         else:
             # full column rank keeps rows >= columns, so the matrix is square
             layout = _without(cand.layout, removed, ())

@@ -237,6 +237,8 @@ class MatrixLayout:
         n = self.template.system.n_vars
         if not (1 <= self.hidden_var <= n):
             raise ValueError(f"hidden variable index {self.hidden_var} out of range")
+        if not 0 <= self.n_upper <= len(self.template.rows):
+            raise ValueError(f"upper block of {self.n_upper} rows in a {len(self.template.rows)}-row matrix")
         e_k = unit_mono(n, self.hidden_var - 1)
         last = len(self.template.system.polys) - 1
         for j, (poly_idx, mult) in enumerate(self.template.rows[self.n_upper :]):
@@ -281,12 +283,6 @@ class MatrixLayout:
                     src.append(j)
                     dst.append(k)
         return free, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(starts, dtype=np.intp)
-
-    def upper_row_ids(self) -> list[int]:
-        return list(range(self.n_upper))
-
-    def a12_cols(self) -> list[int]:
-        return list(range(self.n_b1, len(self.template.cols)))
 
     def multiplier_sets(self) -> list[set[Mono]]:
         out = [set() for _ in self.template.system.polys]
@@ -342,6 +338,8 @@ class SolverPlan:
         rows, cols = self.layout.shape
         if rows != cols:
             raise ValueError(f"plan layout must be square, got {rows}x{cols}")
+        if self.layout.n_b1 < 1:
+            raise ValueError("plan layout has an empty eigenvalue block (n_b1 = 0)")
 
     @property
     def n_solutions(self) -> int:

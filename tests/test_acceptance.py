@@ -221,9 +221,10 @@ def test_criterion_6_reduction_safety():
             t_sets = lay.multiplier_sets()
             assert sum(len(t) for t in t_sets) >= lay.shape[1]  # row count
             assert min(len(t) for t in t_sets) > 0  # coverage
+            upper, a12 = list(range(lay.n_upper)), list(range(lay.n_b1, lay.shape[1]))
             for fresh in FRESH:
                 assert has_full_column_rank(lay.template, None, fresh)  # full rank
-                assert has_full_column_rank(lay.template, lay.a12_cols(), fresh, lay.upper_row_ids())
+                assert has_full_column_rank(lay.template, a12, fresh, upper)
             # locate the originating candidate: reduction must not grow B1
             aug = augment(system, lay.hidden_var)
             cands = search_candidates(aug, lay.hidden_var, cfg)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import polyres.cli
 from polyres.cli import main
 from polyres.plan import plan_to_json
 from polyres.poly import dump_system
@@ -19,6 +20,11 @@ def write_problem(tmp_path, name, instance=None):
         inst_path = tmp_path / f"{name}.inst"
         inst_path.write_text(json.dumps(inst))
     return sys_path, inst_path
+
+
+def _set_blocks(doc, n_upper, n_b1):
+    doc["blocks"]["n_upper"] = n_upper
+    doc["monomials"]["n_b1"] = doc["meta"]["n_solutions"] = n_b1
 
 
 class TestGenerate:
@@ -143,8 +149,13 @@ class TestSolve:
             lambda doc: doc.__setitem__("blocks", 7),
             lambda doc: doc["meta"].__setitem__("seed", float("inf")),
             lambda doc: doc["meta"]["delta"].__setitem__(0, "1/0"),
+            # block sizes that agree with each other: a negative upper block,
+            # and no eigenvalue block at all
+            lambda doc: _set_blocks(doc, -4, 13),
+            lambda doc: _set_blocks(doc, 9, 0),
         ],
-        ids=["row-poly-index", "blocks-not-object", "infinite-seed", "zero-denominator-delta"],
+        ids=["row-poly-index", "blocks-not-object", "infinite-seed", "zero-denominator-delta",
+             "negative-upper-block", "empty-b1"],
     )
     def test_corrupt_plan_exits_2(self, tmp_path, capsys, two_conics_plan, corrupt):
         _, inst_path = write_problem(tmp_path, "two_conics")
@@ -341,6 +352,24 @@ def test_unwritable_output_exits_2(tmp_path, capsys, univariate_quadratic_plan, 
     assert main(argv) == 2
     assert f"error: cannot write {target}: " in capsys.readouterr().err
     assert not missing.parent.exists() and a_file.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("no/such/dir/out", "No such file or directory"), ("a_file/out", "Not a directory"), (".", "Is a directory")],
+    ids=["missing-parent", "parent-is-file", "is-directory"],
+)
+def test_unwritable_generate_output_fails_before_search(tmp_path, capsys, monkeypatch, target, reason):
+    def refuse(*args):
+        raise AssertionError("generate searched for a plan it cannot write")
+
+    monkeypatch.setattr(polyres.cli, "generate_plan", refuse)
+    sys_path, _ = write_problem(tmp_path, "univariate_quadratic")
+    (tmp_path / "a_file").write_text("")
+    out = tmp_path / target
+    assert main(["generate", "--system", str(sys_path), "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: {reason}" in capsys.readouterr().err
+    assert (tmp_path / "a_file").read_text() == ""
 
 
 class TestProblemsCommand:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -42,6 +43,7 @@ from polyres.poly import (
     SystemTemplate,
     Term,
     extend_system,
+    mono_mul,
     support,
 )
 from polyres.problems import get
@@ -300,30 +302,37 @@ class TestSelection:
         assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
 
 
+def _with_far(line, line2, far, far_mults):
+    """Two lines in x1, x2 and the polynomials ``far``, each multiplied by
+    ``far_mults``, hidden x2 and B1 = {1}.  The far multiples meet no line,
+    so their columns fall into structurally isolated groups."""
+    system = SystemTemplate(2, ("x1", "x2"), (line, line2, *far))
+    far_cols = {mono_mul(m, t.exps) for poly in far for t in poly.terms for m in far_mults}
+    multipliers = (frozenset({(0, 0)}),) * 2 + (frozenset(far_mults),) * len(far) + (frozenset({(0, 0)}),)
+    return _candidate(augment(system, 2), 2, {(0, 0), (1, 0), (0, 1), *far_cols}, multipliers, 0)
+
+
+LINE = PolynomialTemplate((Term("a", (1, 0)), Term("b", (0, 1)), Term("c", (0, 0))))
+LINE2 = PolynomialTemplate((Term("a2", (1, 0)), Term("b2", (0, 1)), Term("c2", (0, 0))))
+# lines that miss x2: the upper rows are zero on its column outside B1
+FLAT = PolynomialTemplate((Term("a", (1, 0)), Term("c", (0, 0))))
+FLAT2 = PolynomialTemplate((Term("a2", (1, 0)), Term("c2", (0, 0))))
+FAR_G = PolynomialTemplate((Term("g", (3, 3)),))
+FAR_H = PolynomialTemplate((Term("h", (5, 5)),))
+# two binomials on one support: each multiple of one shares both its
+# columns with the same multiple of the other, a group of two rows
+PAIR_G = PolynomialTemplate((Term("g", (3, 3)), Term("g2", (4, 3))))
+PAIR_H = PolynomialTemplate((Term("h", (3, 3)), Term("h2", (4, 3))))
+ONE_X1 = ((0, 0), (1, 0))
+
+
 def _padded_candidate():
     """Two generic lines, one far-off single-monomial polynomial, hidden x2.
 
     The column of x1^4 x2^3 is touched only by the x1-multiple of the
     single-monomial polynomial: an isolated column with one redundant row.
     """
-    system = SystemTemplate(
-        2,
-        ("x1", "x2"),
-        (
-            PolynomialTemplate((Term("a", (1, 0)), Term("b", (0, 1)), Term("c", (0, 0)))),
-            PolynomialTemplate((Term("a2", (1, 0)), Term("b2", (0, 1)), Term("c2", (0, 0)))),
-            PolynomialTemplate((Term("g", (3, 3)),)),
-        ),
-    )
-    aug = augment(system, 2)
-    b = ((0, 0), (1, 0), (0, 1), (3, 3), (4, 3))
-    multipliers = (
-        frozenset({(0, 0)}),
-        frozenset({(0, 0)}),
-        frozenset({(0, 0), (1, 0)}),
-        frozenset({(0, 0)}),
-    )
-    return _candidate(aug, 2, b, multipliers, 0b1111)
+    return replace(_with_far(LINE, LINE2, (FAR_G,), ONE_X1), subset_mask=0b1111)
 
 
 class TestReduceRowcol:
@@ -499,6 +508,93 @@ class TestSquarifyReplay:
         assert plan.deleted_rows != cand.deleted and len(calls) == 1
 
 
+def _rowcol_replay_cases():
+    # each far polynomial can lose one multiple, not both (coverage)
+    built = {
+        "padded": _padded_candidate(),
+        # at every seed, one group of g and then one of h go
+        "two_groups": _with_far(LINE, LINE2, (FAR_G, FAR_H), ONE_X1),
+        # at every seed, one group of two rows goes
+        "pairs": _with_far(LINE, LINE2, (PAIR_G, PAIR_H), ((0, 0), (3, 0))),
+        # every trial is refused for column rank
+        "equal_lines": _with_far(LINE, LINE, (FAR_G,), ONE_X1),
+        # every trial is refused for A12 rank
+        "flat_lines": _with_far(FLAT, FLAT2, (FAR_G,), ONE_X1),
+    }
+    for seed in range(8):
+        cfg = SearchConfig(seed=seed)
+        for label, cand in built.items():
+            yield f"{label}-{seed}", cand, cfg
+    for seed in range(3):
+        for name in ("two_conics", "three_quadrics", "zero_coordinate_pair"):
+            yield f"{name}-{seed}", _first_partitioned(name), SearchConfig(seed=seed)
+
+
+def _reduce_rowcol_by_layouts(cand, cfg, refusals):
+    """reduce_rowcol with a rebuilt and re-verified layout for every trial
+    removal; appends the reason of each refused trial to ``refusals``."""
+    rng = random.Random(f"rowcol:{cfg.seed}")
+    while True:
+        layout = cand.layout
+        tm = layout.template
+        p, eps = tm.shape
+        col_order = list(range(eps))
+        rng.shuffle(col_order)
+        for c in col_order:
+            rows_hit = tm.structural_rows_of_col(c)
+            if not rows_hit or len(rows_hit) == p:
+                continue
+            cols_hit = tm.structural_cols_of_rows(rows_hit)
+            if any(not tm.structural_rows_of_col(c2) <= rows_hit for c2 in cols_hit):
+                continue
+            s, l = len(rows_hit), len(cols_hit)
+            if p - s < eps - l or eps - l == 0:
+                continue
+            removed = tuple(tm.rows[r] for r in sorted(rows_hit))
+            trial = _without(layout, removed, [tm.cols[c2] for c2 in cols_hit])
+            if not verify_partition(trial, cfg):
+                refusals.append(partition_failure(trial, cfg, {}))
+                continue
+            cand = replace(cand, layout=trial, deleted=cand.deleted + removed)
+            break
+        else:
+            return cand
+
+
+class TestReduceRowcolReplay:
+    def test_index_sets_match_rebuilt_layouts(self):
+        # reduce_rowcol decides each trial on index sets of the candidate's
+        # one template; rebuilding the trial layout must give the same result
+        refusals = []
+        for label, cand, cfg in _rowcol_replay_cases():
+            want = _reduce_rowcol_by_layouts(cand, cfg, refusals)
+            assert reduce_rowcol(cand, cfg) == want, label
+            if label.startswith(("two_groups", "pairs")):
+                assert len(want.deleted) == 2, label
+            elif label.startswith(("equal_lines", "flat_lines")):
+                assert want == cand, label
+        assert set(refusals) == {"coverage", "column_rank", "a12_rank"}
+
+    def test_at_most_one_layout(self, monkeypatch):
+        calls = []
+        real = polyres.generate.build_layout
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polyres.generate, "build_layout", counting)
+        cfg = SearchConfig(seed=5)
+        # one layout for the result, however many groups go and trials run
+        for cand in (_padded_candidate(), _with_far(LINE, LINE2, (FAR_G, FAR_H), ONE_X1)):
+            calls.clear()
+            assert reduce_rowcol(cand, cfg).deleted and len(calls) == 1
+        # none when nothing goes
+        calls.clear()
+        cand = _first_partitioned("three_quadrics")
+        assert reduce_rowcol(cand, cfg) == cand and calls == []
+
+
 class TestEmitPlan:
     def test_round_trip(self, univariate_linear_plan, two_conics_plan):
         for plan in (univariate_linear_plan, two_conics_plan):
@@ -534,9 +630,10 @@ class TestPlanInvariants:
             t_sets = lay.multiplier_sets()
             assert sum(len(t) for t in t_sets) >= lay.shape[1]
             assert min(len(t) for t in t_sets) > 0
+            upper, a12 = list(range(lay.n_upper)), list(range(lay.n_b1, lay.shape[1]))
             for fresh in FRESH_RANK:
                 assert has_full_column_rank(lay.template, None, fresh)
-                assert has_full_column_rank(lay.template, lay.a12_cols(), fresh, lay.upper_row_ids())
+                assert has_full_column_rank(lay.template, a12, fresh, upper)
 
     def test_n_at_least_root_count(
         self, univariate_linear_plan, univariate_quadratic_plan, two_conics_plan, three_quadrics_plan

@@ -137,6 +137,18 @@ def test_junk_section_rejected(path, value):
         plan_from_json(json.dumps(_replaced(json.loads(_plan_text()), path, value)))
 
 
+@pytest.mark.parametrize("n_upper, n_b1", [(-4, 13), (9, 0), (10, -1)])
+def test_block_sizes_outside_the_matrix_rejected(n_upper, n_b1):
+    # each edit keeps n_upper + n_b1 = 9 rows and n_solutions = n_b1, so only
+    # the block bounds can tell: the upper block must lie within the matrix,
+    # and a plan needs an eigenvalue block
+    doc = json.loads(_plan_text())
+    doc["blocks"]["n_upper"] = n_upper
+    doc["monomials"]["n_b1"] = doc["meta"]["n_solutions"] = n_b1
+    with pytest.raises(PlanFormatError):
+        plan_from_json(json.dumps(doc))
+
+
 def _keys_reversed(node):
     if isinstance(node, dict):
         return {key: _keys_reversed(node[key]) for key in reversed(node)}
