@@ -38,11 +38,16 @@ EXIT_NUMERIC = 4
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
+    """The UTF-8 text of ``path``; any read failure prints why and exits 2."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
         print(f"error: file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return p.read_text(encoding="utf-8")
+    except OSError as e:
+        print(f"error: cannot read {path}: {e.strerror or e}", file=sys.stderr)
+    except UnicodeDecodeError as e:
+        print(f"error: cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _write(path, text: str, parents: bool = False) -> bool:

@@ -153,9 +153,9 @@ def recovery_pairs_exist(layout: MatrixLayout) -> bool:
     return bool(np.all(np.diff(starts, append=len(src)) > 0))
 
 
-def _partition_failure(tm: TemplateMatrix, cfg: SearchConfig, rows, cols, b1, n_upper: int,
+def _partition_failure(tm: TemplateMatrix, cfg: SearchConfig, rows, b1, n_upper: int,
                        full_rank: dict | None = None) -> str | None:
-    """The first partition condition the ``rows`` x ``cols`` submatrix of
+    """The first partition condition the ``rows`` x all-columns submatrix of
     ``tm`` fails, by its reason name, or None; ``b1`` is its B1 columns and
     the rows before ``n_upper`` its upper block, all index sets of ``tm``.
     Every polynomial keeps a row ("coverage"), the submatrix has full column
@@ -164,18 +164,18 @@ def _partition_failure(tm: TemplateMatrix, cfg: SearchConfig, rows, cols, b1, n_
     memoizes full-rank verdicts by (system, rows)."""
     if len({tm.rows[r][0] for r in rows}) < len(tm.system.polys):
         return "coverage"
-    rows, cols = sorted(rows), sorted(cols)
+    rows = sorted(rows)
     if full_rank is None:
-        full = has_full_column_rank(tm, cols, cfg.rank, rows)
+        full = has_full_column_rank(tm, None, cfg.rank, rows)
     else:
         key = (tm.system, tuple(tm.rows[r] for r in rows))
         full = full_rank.get(key)
         if full is None:
-            full = full_rank[key] = has_full_column_rank(tm, cols, cfg.rank, rows)
+            full = full_rank[key] = has_full_column_rank(tm, None, cfg.rank, rows)
     if not full:
         return "column_rank"
     upper = [r for r in rows if r < n_upper]
-    if not has_full_column_rank(tm, [c for c in cols if c not in b1], cfg.rank, upper):
+    if not has_full_column_rank(tm, [c for c in range(len(tm.cols)) if c not in b1], cfg.rank, upper):
         return "a12_rank"
     return None
 
@@ -184,8 +184,7 @@ def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[t
     """_partition_failure of a whole layout.  The v1 and v2 layouts of one
     set of multipliers share their rows and their columns up to order, so
     they share one ``full_rank`` verdict."""
-    n_rows, n_cols = layout.shape
-    return _partition_failure(layout.template, cfg, range(n_rows), range(n_cols), range(layout.n_b1),
+    return _partition_failure(layout.template, cfg, range(layout.shape[0]), range(layout.n_b1),
                               layout.n_upper, full_rank)
 
 
@@ -222,35 +221,31 @@ def _without(layout: MatrixLayout, rows, cols) -> MatrixLayout:
 
 
 def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCandidate:
-    """Remove column groups and their supporting rows while the favourable
-    conditions and the block partition survive; loops to a fixpoint.
+    """Remove column groups and their supporting rows while every polynomial
+    keeps a row; loops to a fixpoint.  ``cand`` must pass the partition test.
 
-    A removal is attempted only when the surviving rows keep their full
-    monomial support, i.e. every removed column is touched exclusively by
-    removed rows; anything else would silently change the polynomials the
-    rows stand for.  So a surviving column meets only surviving rows, and
-    each trial is decided on index sets of the candidate's one template, as
-    in squarify; the result's layout is built once, if anything went.
+    A group is the rows of one column, taken only when no other row touches
+    the group's columns; anything else would silently change the polynomials
+    the rows stand for.  Such a group is a diagonal block of the matrix, so
+    the rest keeps full column rank and full rank of A12, and only coverage
+    can refuse it.  A surviving column meets only surviving rows; the
+    result's layout is built once, if anything went.
     """
     rng = random.Random(f"rowcol:{cfg.seed}")
-    tm, b1 = cand.layout.template, range(cand.layout.n_b1)
+    tm = cand.layout.template
     rows, cols = set(range(len(tm.rows))), set(range(len(tm.cols)))
     deleted: list[tuple[int, Mono]] = []
     while True:
-        p, eps = len(rows), len(cols)
         col_order = sorted(cols)  # the order of a rebuilt layout's columns
         rng.shuffle(col_order)
         for c in col_order:
             rows_hit = tm.structural_rows_of_col(c)
-            if not rows_hit or len(rows_hit) == p:
+            if not 0 < len(rows_hit) < len(rows):
                 continue
             cols_hit = tm.structural_cols_of_rows(rows_hit)
             if any(not tm.structural_rows_of_col(c2) <= rows_hit for c2 in cols_hit):
                 continue
-            s, l = len(rows_hit), len(cols_hit)
-            if p - s < eps - l or eps - l == 0:
-                continue
-            if _partition_failure(tm, cfg, rows - rows_hit, cols - cols_hit, b1, cand.layout.n_upper) is None:
+            if len({tm.rows[r][0] for r in rows - rows_hit}) == len(tm.system.polys):
                 rows -= rows_hit
                 cols -= cols_hit
                 deleted.extend(tm.rows[r] for r in sorted(rows_hit))
@@ -273,34 +268,33 @@ def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
     matrix is square.
     """
     tm = cand.layout.template
-    n_upper, cols = cand.layout.n_upper, range(len(tm.cols))
+    n_upper, n_cols = cand.layout.n_upper, len(tm.cols)
     m_last = len(tm.system.polys) - 1
     row_id = {row: r for r, row in enumerate(tm.rows)}
+    mults = [sorted(t) for t in cand.layout.multiplier_sets()]
     for attempt in range(SQUARIFY_RETRIES):
         rng = random.Random(f"squarify:{cfg.seed}:{attempt}")
-        t_sets = cand.layout.multiplier_sets()
         # surviving rows, and B1 by column: lower row n_upper + j owns column
         # j, and an upper row r owns none (r - n_upper < 0)
         rows, b1 = set(range(len(tm.rows))), set(range(cand.layout.n_b1))
         removed: list[tuple[int, Mono]] = []
         tried: set[tuple[int, Mono]] = set()
-        while len(rows) > len(cols):
-            pool = sorted(t for t in t_sets[m_last] if (m_last, t) not in tried)
+        while len(rows) > n_cols:
+            pool = [t for t in mults[m_last] if (m_last, t) not in tried]
             if pool:
                 poly_idx, mult = m_last, pool[rng.randrange(len(pool))]
             else:
-                open_polys = [i for i in range(m_last) if any((i, t) not in tried for t in t_sets[i])]
+                open_polys = [i for i in range(m_last) if any((i, t) not in tried for t in mults[i])]
                 if not open_polys:
                     break
                 poly_idx = open_polys[rng.randrange(len(open_polys))]
-                pool = sorted(t for t in t_sets[poly_idx] if (poly_idx, t) not in tried)
+                pool = [t for t in mults[poly_idx] if (poly_idx, t) not in tried]
                 mult = pool[rng.randrange(len(pool))]
             tried.add((poly_idx, mult))
             r = row_id[(poly_idx, mult)]
             trial_rows, trial_b1 = rows - {r}, b1 - {r - n_upper}
-            if _partition_failure(tm, cfg, trial_rows, cols, trial_b1, n_upper) is None:
+            if _partition_failure(tm, cfg, trial_rows, trial_b1, n_upper) is None:
                 rows, b1 = trial_rows, trial_b1
-                t_sets[poly_idx].discard(mult)
                 removed.append((poly_idx, mult))
         else:
             # full column rank keeps rows >= columns, so the matrix is square

@@ -372,6 +372,34 @@ def test_unwritable_generate_output_fails_before_search(tmp_path, capsys, monkey
     assert (tmp_path / "a_file").read_text() == ""
 
 
+@pytest.mark.parametrize("bad, reason", [("directory", "Is a directory"), ("not-utf8", "not UTF-8")],
+                         ids=["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["generate-system", "solve-plan", "solve-instance", "bench-plan"])
+def test_unreadable_input_exits_2(tmp_path, capsys, univariate_quadratic_plan, command, bad, reason):
+    sys_path, inst_path = write_problem(tmp_path, "univariate_quadratic")
+    plan_path = tmp_path / "q.plan"
+    plan_path.write_text(plan_to_json(univariate_quadratic_plan))
+    if bad == "directory":
+        target = tmp_path / "a_dir"
+        target.mkdir()
+    else:
+        target = tmp_path / "latin1"
+        target.write_bytes(b"\xff" + sys_path.read_bytes())
+    out = tmp_path / "out"
+    argv = {
+        "generate-system": ["generate", "--system", str(target), "--out", str(out)],
+        "solve-plan": ["solve", "--plan", str(target), "--instance", str(inst_path)],
+        "solve-instance": ["solve", "--plan", str(plan_path), "--instance", str(target)],
+        "bench-plan": ["bench", "--plan", str(target), "--trials", "3", "--report", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {target}: {reason}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestProblemsCommand:
     def test_list(self, capsys):
         assert main(["problems", "list"]) == 0

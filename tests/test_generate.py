@@ -516,10 +516,6 @@ def _rowcol_replay_cases():
         "two_groups": _with_far(LINE, LINE2, (FAR_G, FAR_H), ONE_X1),
         # at every seed, one group of two rows goes
         "pairs": _with_far(LINE, LINE2, (PAIR_G, PAIR_H), ((0, 0), (3, 0))),
-        # every trial is refused for column rank
-        "equal_lines": _with_far(LINE, LINE, (FAR_G,), ONE_X1),
-        # every trial is refused for A12 rank
-        "flat_lines": _with_far(FLAT, FLAT2, (FAR_G,), ONE_X1),
     }
     for seed in range(8):
         cfg = SearchConfig(seed=seed)
@@ -564,16 +560,40 @@ def _reduce_rowcol_by_layouts(cand, cfg, refusals):
 class TestReduceRowcolReplay:
     def test_index_sets_match_rebuilt_layouts(self):
         # reduce_rowcol decides each trial on index sets of the candidate's
-        # one template; rebuilding the trial layout must give the same result
+        # one template; rebuilding and re-verifying every trial layout must
+        # give the same result.  Its inputs pass the partition, and a removed
+        # group is a diagonal block, so the rebuilt trials fail coverage only
         refusals = []
         for label, cand, cfg in _rowcol_replay_cases():
+            assert verify_partition(cand.layout, cfg), label
             want = _reduce_rowcol_by_layouts(cand, cfg, refusals)
             assert reduce_rowcol(cand, cfg) == want, label
             if label.startswith(("two_groups", "pairs")):
                 assert len(want.deleted) == 2, label
-            elif label.startswith(("equal_lines", "flat_lines")):
-                assert want == cand, label
-        assert set(refusals) == {"coverage", "column_rank", "a12_rank"}
+        assert set(refusals) == {"coverage"}
+
+    def test_no_rank_check(self, monkeypatch):
+        # the oracle re-verifies every trial, so it runs before the patch
+        cases = [(label, cand, cfg, _reduce_rowcol_by_layouts(cand, cfg, []))
+                 for label, cand, cfg in _rowcol_replay_cases()]
+
+        def refuse(*args):
+            raise AssertionError("reduce_rowcol made a rank check")
+
+        monkeypatch.setattr(polyres.generate, "has_full_column_rank", refuse)
+        for label, cand, cfg, want in cases:
+            assert reduce_rowcol(cand, cfg) == want, label
+
+    def test_rank_deficient_inputs_never_reduced(self):
+        # a far group next to two equal lines, or next to two lines that
+        # miss x2, is removable on coverage, but the whole matrix fails its
+        # partition: generate_plan rejects it before any reduction, outside
+        # reduce_rowcol's precondition
+        cfg = SearchConfig(seed=1)
+        equal_lines = _with_far(LINE, LINE, (FAR_G,), ONE_X1)
+        flat_lines = _with_far(FLAT, FLAT2, (FAR_G,), ONE_X1)
+        assert partition_failure(equal_lines.layout, cfg, {}) == "column_rank"
+        assert partition_failure(flat_lines.layout, cfg, {}) == "a12_rank"
 
     def test_at_most_one_layout(self, monkeypatch):
         calls = []
