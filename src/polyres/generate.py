@@ -26,6 +26,7 @@ from .lattice import (
     shifted_offsets,
     unit_simplex,
 )
+from .linalg import modp_left_kernel
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, TemplateMatrix, build_layout, has_full_column_rank
 from .poly import Mono, SystemTemplate, augment, extend_system, support
 
@@ -90,7 +91,8 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     than columns.  The first pair that yields a set of multipliers T_i emits
     one layout per variant; later pairs with the same T_i emit nothing.
     ``sums`` maps summand tuples to their Minkowski sums; a caller that
-    passes one dict to several calls computes each sum once.  Within a
+    passes one dict to several calls computes each sum once, from the sum
+    of its summands but the last when that is known.  Within a
     subset, displacements with equal shifted offsets share one lattice
     enumeration.
     """
@@ -113,7 +115,9 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
         summands = (np0, *(polytopes[i] for i in range(m_aug) if mask >> i & 1))
         q = sums.get(summands)
         if q is None:
-            q = sums[summands] = minkowski_sum(summands)
+            # minkowski_sum folds left, so a cached prefix sum is its first step
+            prefix = sums.get(summands[:-1])
+            q = sums[summands] = minkowski_sum(summands if prefix is None else (prefix, summands[-1]))
         point_sets: dict[tuple | None, frozenset] = {}
         for delta in deltas:
             offsets = shifted_offsets(q, delta)
@@ -233,18 +237,26 @@ def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCan
     """
     rng = random.Random(f"rowcol:{cfg.seed}")
     tm = cand.layout.template
+    # the group of each column that has one: its rows and the columns they
+    # touch, when no other row touches those; removals never change it
+    rows_of = [set() for _ in tm.cols]
+    cols_of = [set() for _ in tm.rows]
+    for r, c, _, _ in tm.cells:
+        rows_of[c].add(r)
+        cols_of[r].add(c)
+    groups = {}
+    for c, rows_hit in enumerate(rows_of):
+        if rows_hit and all(rows_of[c2] <= rows_hit for r in rows_hit for c2 in cols_of[r]):
+            groups[c] = rows_hit, set().union(*(cols_of[r] for r in rows_hit))
     rows, cols = set(range(len(tm.rows))), set(range(len(tm.cols)))
     deleted: list[tuple[int, Mono]] = []
     while True:
         col_order = sorted(cols)  # the order of a rebuilt layout's columns
         rng.shuffle(col_order)
         for c in col_order:
-            rows_hit = tm.structural_rows_of_col(c)
-            if not 0 < len(rows_hit) < len(rows):
+            if c not in groups:
                 continue
-            cols_hit = tm.structural_cols_of_rows(rows_hit)
-            if any(not tm.structural_rows_of_col(c2) <= rows_hit for c2 in cols_hit):
-                continue
+            rows_hit, cols_hit = groups[c]
             if len({tm.rows[r][0] for r in rows - rows_hit}) == len(tm.system.polys):
                 rows -= rows_hit
                 cols -= cols_hit
@@ -258,28 +270,60 @@ def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCan
     return cand
 
 
-def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
-    """Remove extra rows until the matrix is square, lower block first.
+def _restrict(k: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the vectors of span ``k`` on which a linear form is zero,
+    given its values ``d`` on the rows of ``k`` (not all zero): one pivot
+    step on the first row where it is nonzero, which is then dropped."""
+    i = int(np.flatnonzero(d)[0])
+    k = (k - (d * pow(int(d[i]), -1, p) % p)[:, None] * k[i] % p) % p
+    return np.delete(k, i, axis=0)
 
-    Each trial removal is decided by _partition_failure on index sets of
-    the candidate's one template; a removed lower-block row moves its column
-    from B1 into A12.  Dead ends restart with a fresh removal order, at most
-    SQUARIFY_RETRIES times; the plan's layout is built once, when the
-    matrix is square.
+
+def _remove_row(m: np.ndarray, k1: np.ndarray, k2: np.ndarray, r: int, n_upper: int, p: int):
+    """Trial removal of row ``r`` of ``m``, over F_p, from a partition that
+    holds: ``k1`` is the left kernel of the surviving rows x all columns
+    and ``k2`` that of the surviving upper rows x the columns outside B1,
+    both as vectors over all rows of ``m``, zero at removed ones.
+
+    The rest keeps full column rank exactly when some vector of ``k1`` is
+    nonzero at r.  An upper row keeps A12's full rank the same way in
+    ``k2``; a lower row moves its B1 column j = r - n_upper into A12, which
+    keeps full rank exactly when some vector of ``k2`` is not orthogonal to
+    that column.  Returns the rank condition the removal breaks and the
+    kernels unchanged, or None and the kernels of the rest.
     """
+    d1 = k1[:, r]
+    if not d1.any():
+        return "column_rank", k1, k2
+    d2 = k2[:, r] if r < n_upper else (k2 * m[:n_upper, r - n_upper] % p).sum(axis=1) % p
+    if not d2.any():
+        return "a12_rank", k1, k2
+    return None, _restrict(k1, d1, p), _restrict(k2, d2, p)
+
+
+def _square_removals(cand: FavourableCandidate, cfg: SearchConfig) -> list[tuple[int, Mono]]:
+    """The rows squarify removes from a candidate with more rows than
+    columns, in removal order."""
     tm = cand.layout.template
-    n_upper, n_cols = cand.layout.n_upper, len(tm.cols)
+    n_upper, n_b1, n_cols = cand.layout.n_upper, cand.layout.n_b1, len(tm.cols)
     m_last = len(tm.system.polys) - 1
     row_id = {row: r for r, row in enumerate(tm.rows)}
     mults = [sorted(t) for t in cand.layout.multiplier_sets()]
+    p = cfg.rank.primes[0]
+    m = tm.instantiate_modp(p, cfg.rank.trial_values(tm._slot_names, p, 0))
+    kernels = modp_left_kernel(m, p), modp_left_kernel(m[:n_upper, n_b1:], p)
+    # no removal mends a failed partition; with full column rank, a left
+    # kernel has one vector per extra row
+    if (0 in map(len, mults) or len(kernels[0]) != len(tm.rows) - n_cols
+            or len(kernels[1]) != n_upper - (n_cols - n_b1)):
+        raise SquarifyExhausted("the candidate fails its partition")
     for attempt in range(SQUARIFY_RETRIES):
         rng = random.Random(f"squarify:{cfg.seed}:{attempt}")
-        # surviving rows, and B1 by column: lower row n_upper + j owns column
-        # j, and an upper row r owns none (r - n_upper < 0)
-        rows, b1 = set(range(len(tm.rows))), set(range(cand.layout.n_b1))
+        k1, k2 = kernels
+        left = [len(t) for t in mults]  # surviving rows of each polynomial
         removed: list[tuple[int, Mono]] = []
         tried: set[tuple[int, Mono]] = set()
-        while len(rows) > n_cols:
+        while len(k1):  # until the matrix is square
             pool = [t for t in mults[m_last] if (m_last, t) not in tried]
             if pool:
                 poly_idx, mult = m_last, pool[rng.randrange(len(pool))]
@@ -291,16 +335,34 @@ def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
                 pool = [t for t in mults[poly_idx] if (poly_idx, t) not in tried]
                 mult = pool[rng.randrange(len(pool))]
             tried.add((poly_idx, mult))
-            r = row_id[(poly_idx, mult)]
-            trial_rows, trial_b1 = rows - {r}, b1 - {r - n_upper}
-            if _partition_failure(tm, cfg, trial_rows, trial_b1, n_upper) is None:
-                rows, b1 = trial_rows, trial_b1
+            if left[poly_idx] == 1:
+                continue  # coverage
+            failure, k1, k2 = _remove_row(m, k1, k2, row_id[(poly_idx, mult)], n_upper, p)
+            if failure is None:
+                left[poly_idx] -= 1
                 removed.append((poly_idx, mult))
         else:
-            # full column rank keeps rows >= columns, so the matrix is square
-            layout = _without(cand.layout, removed, ())
-            return SolverPlan(layout, cfg.seed, cand.delta, cand.subset_mask, cand.deleted + tuple(removed))
+            return removed
     raise SquarifyExhausted(f"no valid removal sequence after {SQUARIFY_RETRIES} attempts")
+
+
+def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
+    """Remove extra rows until the matrix is square, lower block first.
+
+    The candidate is instantiated once, at the point that decides
+    has_full_column_rank, and each trial removal is decided there by
+    _remove_row on two left kernels and by a count for coverage: the
+    verdicts of _partition_failure on the same index sets, with no rank
+    check.  A removed lower-block row moves its column from B1 into A12.
+    Dead ends restart with a fresh removal order, at most SQUARIFY_RETRIES
+    times; the plan's layout is built once, when the matrix is square.  A
+    tall candidate that fails its partition keeps failing it whatever is
+    removed, so it is exhausted at once.
+    """
+    rows, cols = cand.layout.shape
+    removed = _square_removals(cand, cfg) if rows > cols else []
+    layout = _without(cand.layout, removed, ())
+    return SolverPlan(layout, cfg.seed, cand.delta, cand.subset_mask, cand.deleted + tuple(removed))
 
 
 @dataclass(frozen=True)

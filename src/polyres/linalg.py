@@ -60,7 +60,7 @@ def modp_eliminate(
             continue
         r = int(live[0])
         free[r] = False
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         hit = live[1:]
         if reduce:
             done = np.flatnonzero(~free & (a[:, c] != 0))
@@ -75,6 +75,24 @@ def modp_eliminate(
 def exact_rank(m: np.ndarray, p: int) -> int:
     """Rank over F_p."""
     return len(modp_eliminate(m, p)[2])
+
+
+def modp_left_kernel(m: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the left kernel {y : y m = 0} over F_p, one vector per row.
+
+    Read off the reduced row echelon form of ``m.T``: each non-pivot column
+    f of it gives the vector that is 1 at f, zero at the other non-pivot
+    columns and minus column f of the echelon form at the pivot columns.
+    It has ``m.shape[0] - rank(m)`` rows.
+    """
+    a, rows, cols = modp_eliminate(np.asarray(m).T, p, reduce=True)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[cols] = False
+    free = np.flatnonzero(free)
+    k = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    k[np.arange(free.size), free] = 1
+    k[:, cols] = -a[rows][:, free].T % p
+    return k
 
 
 def float_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:

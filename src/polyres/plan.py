@@ -116,7 +116,7 @@ class TemplateMatrix:
     @cached_property
     def cells(self) -> tuple[tuple[int, int, int, int], ...]:
         """(row, column, polynomial, term) of every cell a term fills, row by
-        row.  Built on demand: only plan files need it."""
+        row.  Built on demand: plan files and row-column removal read it."""
         rows, cols, terms = (a.tolist() for a in self._encoding[:3])
         return tuple((r, j, self.rows[r][0], t) for r, j, t in zip(rows, cols, terms))
 

@@ -15,6 +15,8 @@ from polyres.generate import (
     NoSolverError,
     SearchConfig,
     SquarifyExhausted,
+    _partition_failure,
+    _remove_row,
     _selection_key,
     _without,
     augment,
@@ -27,11 +29,12 @@ from polyres.generate import (
     verify_partition,
 )
 from polyres.lattice import convex_hull, lattice_points, minkowski_sum, unit_simplex
-from polyres.linalg import PRIMES
+from polyres.linalg import PRIMES, modp_left_kernel
 from polyres.plan import (
     PlanFormatError,
     RankCheckConfig,
     SolverPlan,
+    TemplateMatrix,
     build_layout,
     has_full_column_rank,
     plan_from_json,
@@ -151,7 +154,8 @@ class TestSearchCandidates:
         monkeypatch.setattr(polyres.generate, "has_full_column_rank", recording)
         outcome = generate_plan(get("zero_coordinate_pair").system, SearchConfig(seed=1))
         assert checked and len(checked) == len(set(checked))
-        assert len(checked) == 44
+        # partition checks only: squarify decides its trials on left kernels
+        assert len(checked) == 40
         assert outcome.reasons == {"coverage": 100, "empty_lattice": 4, "unrecoverable_b1": 23, "a12_rank": 2}
         assert outcome.candidates_seen == 26
 
@@ -506,6 +510,98 @@ class TestSquarifyReplay:
         calls.clear()
         plan = squarify(cand, SearchConfig(seed=1))
         assert plan.deleted_rows != cand.deleted and len(calls) == 1
+
+
+def _kernel_cases():
+    """The distinct candidates of the squarify replay, and the library
+    candidates before their row-column removal."""
+    cands = {label.rsplit("-", 1)[0]: cand for label, cand, _ in _replay_cases()}
+    for name in ("two_conics", "three_quadrics", "zero_coordinate_pair"):
+        cands[f"{name}-unreduced"] = _first_partitioned(name)
+    return cands
+
+
+class TestSquarifyKernels:
+    def test_verdicts_match_partition_failure(self):
+        # random removal sequences over every row: each trial's verdict on
+        # the two left kernels (and the coverage count) is the reason
+        # _partition_failure gives on the same index sets
+        cfg = SearchConfig()
+        p = cfg.rank.primes[0]
+        reasons = []
+        for label, cand in _kernel_cases().items():
+            lay = cand.layout
+            tm, n_upper, n_b1 = lay.template, lay.n_upper, lay.n_b1
+            m = tm.instantiate_modp(p, cfg.rank.trial_values(tm._slot_names, p, 0))
+            assert _partition_failure(tm, cfg, range(len(tm.rows)), range(n_b1), n_upper) is None, label
+            for seed in range(6):
+                rng = random.Random(f"{label}:{seed}")
+                k1, k2 = modp_left_kernel(m, p), modp_left_kernel(m[:n_upper, n_b1:], p)
+                rows, b1 = set(range(len(tm.rows))), set(range(n_b1))
+                left = [len(t) for t in lay.multiplier_sets()]
+                for r in rng.sample(sorted(rows), len(rows)):
+                    trial_rows, trial_b1 = rows - {r}, b1 - {r - n_upper}
+                    want = _partition_failure(tm, cfg, trial_rows, trial_b1, n_upper)
+                    poly_idx = tm.rows[r][0]
+                    if left[poly_idx] == 1:
+                        got = "coverage"
+                    else:
+                        got, k1, k2 = _remove_row(m, k1, k2, r, n_upper, p)
+                    assert got == want, (label, seed, r)
+                    reasons.append(want)
+                    if want is None:
+                        rows, b1 = trial_rows, trial_b1
+                        left[poly_idx] -= 1
+                assert len(k1) == len(rows) - len(tm.cols), label
+        assert set(reasons) == {None, "coverage", "column_rank", "a12_rank"}
+
+    def test_no_rank_check(self, monkeypatch):
+        # the oracle re-verifies every trial, so it runs before the patch
+        cases = [(label, cand, cfg, _squarify_by_layouts(cand, cfg, []))
+                 for label, cand, cfg in _replay_cases()]
+
+        def refuse(*args):
+            raise AssertionError("squarify made a rank check")
+
+        instantiated = []
+        real = TemplateMatrix.instantiate_modp
+
+        def counting(tm, p, values):
+            instantiated.append(tm)
+            return real(tm, p, values)
+
+        monkeypatch.setattr(polyres.generate, "has_full_column_rank", refuse)
+        monkeypatch.setattr(TemplateMatrix, "instantiate_modp", counting)
+        for label, cand, cfg, want in cases:
+            instantiated.clear()
+            got = squarify(cand, cfg)
+            assert plan_to_json(got) == plan_to_json(want), label
+            # one instantiation when there is a row to remove, else none
+            rows, cols = cand.layout.shape
+            assert instantiated == [cand.layout.template] * (rows > cols), label
+
+    def test_failed_partition_exhausted_at_once(self, monkeypatch):
+        # outside the precondition every trial fails, as the oracle finds
+        # by trying them all; squarify sees it on the kernels' sizes
+        lines = tuple(PolynomialTemplate((Term(a, (1,)), Term(c, (0,)))) for a, c in ("ac", "bd", "ef"))
+        aug = augment(SystemTemplate(1, ("x1",), lines), 1)
+        b = ((0,), (1,), (2,))
+        one, two = frozenset({(0,)}), frozenset({(0,), (1,)})
+        cases = {
+            # no row touches x1^2
+            "column_rank": _candidate(aug, 1, b, (one, one, one, one), 0b1111),
+            # no upper row touches x1^2, the one column of A12
+            "a12_rank": _candidate(aug, 1, b, (one, one, one, two), 0b1111),
+            "coverage": _candidate(aug, 1, b, (one, one, frozenset(), two), 0b1011),
+        }
+        cfg = SearchConfig(seed=1)
+        for reason, cand in cases.items():
+            assert cand.layout.shape[0] > cand.layout.shape[1], reason
+            assert partition_failure(cand.layout, cfg, {}) == reason
+            with pytest.raises(SquarifyExhausted):
+                _squarify_by_layouts(cand, cfg, [])
+            with pytest.raises(SquarifyExhausted, match="fails its partition"):
+                squarify(cand, cfg)
 
 
 def _rowcol_replay_cases():

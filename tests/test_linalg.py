@@ -9,6 +9,7 @@ from polyres.linalg import (
     exact_rank,
     float_rref,
     modp_eliminate,
+    modp_left_kernel,
     schur_complement,
 )
 from polyres.oracle import univariate_roots
@@ -125,6 +126,40 @@ class TestModpEliminate:
             assert cols == ref_pivots
             assert a[rows].tolist() == ref
             assert rows == modp_eliminate(m, P)[1]
+
+
+def _product_modp(a, b, p):
+    """a @ b over F_p in exact integers."""
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64).reshape(len(a), b.shape[1])
+
+
+class TestModpLeftKernel:
+    @pytest.mark.parametrize("p", [7, P])
+    def test_basis_of_the_left_kernel(self, rng, p):
+        # random (k = min(r, c)), rank-deficient and zero matrices alike
+        for _ in range(40):
+            r, c = (int(x) for x in rng.integers(1, 9, size=2))
+            k = int(rng.integers(0, min(r, c) + 1))
+            m = _product_modp(rng.integers(0, p, size=(r, k)), rng.integers(0, p, size=(k, c)), p)
+            ker = modp_left_kernel(m, p)
+            assert ker.shape == (r - exact_rank(m, p), r)
+            assert exact_rank(ker, p) == len(ker)
+            assert not _product_modp(ker, m, p).any()
+
+    def test_zero_kernel(self, rng):
+        m = rng.integers(0, P, size=(4, 6))
+        assert exact_rank(m, P) == 4
+        assert modp_left_kernel(m, P).shape == (0, 4)
+        assert modp_left_kernel(np.eye(5, dtype=np.int64), P).shape == (0, 5)
+
+    def test_empty_shapes(self):
+        assert modp_left_kernel(np.zeros((3, 0), dtype=np.int64), P).tolist() == np.eye(3).tolist()
+        assert modp_left_kernel(np.zeros((0, 4), dtype=np.int64), P).shape == (0, 0)
+
+    def test_dependent_row(self):
+        # row 2 = 2 row 0 + 3 row 1: the one kernel vector is (-2, -3, 1)
+        m = np.array([[1, 0, 4], [0, 1, 5], [2, 3, 23]])
+        assert modp_left_kernel(m, 7).tolist() == [[5, 4, 1]]
 
 
 class TestSchurComplement:
