@@ -129,7 +129,7 @@ def build_template(
     rank = RankCheckConfig()
     decision = None
     for p, t in rank.trials():
-        mat = tm.instantiate_modp(p, rank.trial_values(tm._slot_names, p, t))
+        mat = rank.instantiate(tm, p, t)
         kept, pivots = _row_basis_modp(mat, p)
         if decision is None:
             decision = (kept, pivots)

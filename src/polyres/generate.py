@@ -27,7 +27,7 @@ from .lattice import (
     unit_simplex,
 )
 from .linalg import modp_left_kernel
-from .plan import MatrixLayout, RankCheckConfig, SolverPlan, TemplateMatrix, build_layout, has_full_column_rank
+from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
 from .poly import Mono, SystemTemplate, augment, extend_system, support
 
 
@@ -157,46 +157,34 @@ def recovery_pairs_exist(layout: MatrixLayout) -> bool:
     return bool(np.all(np.diff(starts, append=len(src)) > 0))
 
 
-def _partition_failure(tm: TemplateMatrix, cfg: SearchConfig, rows, b1, n_upper: int,
-                       full_rank: dict | None = None) -> str | None:
-    """The first partition condition the ``rows`` x all-columns submatrix of
-    ``tm`` fails, by its reason name, or None; ``b1`` is its B1 columns and
-    the rows before ``n_upper`` its upper block, all index sets of ``tm``.
-    Every polynomial keeps a row ("coverage"), the submatrix has full column
-    rank ("column_rank"), and the upper rows have full rank on the columns
-    outside B1 ("a12_rank"), so the Schur complement exists.  ``full_rank``
-    memoizes full-rank verdicts by (system, rows)."""
-    if len({tm.rows[r][0] for r in rows}) < len(tm.system.polys):
+def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
+    """The first partition condition ``layout`` fails, by its reason name,
+    or None.  Every polynomial keeps a row ("coverage"), the matrix has full
+    column rank ("column_rank"), and the upper rows have full rank on the
+    columns outside B1 ("a12_rank"), so the Schur complement exists.
+    ``full_rank`` memoizes full-rank verdicts by (system, rows): the v1 and
+    v2 layouts of one set of multipliers share their rows and their columns
+    up to order, so they share one verdict."""
+    tm = layout.template
+    if len({poly_idx for poly_idx, _ in tm.rows}) < len(tm.system.polys):
         return "coverage"
-    rows = sorted(rows)
-    if full_rank is None:
-        full = has_full_column_rank(tm, None, cfg.rank, rows)
-    else:
-        key = (tm.system, tuple(tm.rows[r] for r in rows))
-        full = full_rank.get(key)
-        if full is None:
-            full = full_rank[key] = has_full_column_rank(tm, None, cfg.rank, rows)
+    key = (tm.system, tm.rows)
+    full = full_rank.get(key)
+    if full is None:
+        full = full_rank[key] = has_full_column_rank(tm, None, cfg.rank)
     if not full:
         return "column_rank"
-    upper = [r for r in rows if r < n_upper]
-    if not has_full_column_rank(tm, [c for c in range(len(tm.cols)) if c not in b1], cfg.rank, upper):
+    a12 = list(range(layout.n_b1, len(tm.cols)))
+    if not has_full_column_rank(tm, a12, cfg.rank, list(range(layout.n_upper))):
         return "a12_rank"
     return None
 
 
-def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
-    """_partition_failure of a whole layout.  The v1 and v2 layouts of one
-    set of multipliers share their rows and their columns up to order, so
-    they share one ``full_rank`` verdict."""
-    return _partition_failure(layout.template, cfg, range(layout.shape[0]), range(layout.n_b1),
-                              layout.n_upper, full_rank)
-
-
 def verify_partition(layout: MatrixLayout, cfg: SearchConfig) -> bool:
     """From-scratch partition test of a whole layout, with a fresh memo.  The
-    pipeline does not call it; tests hold its index-set decisions to it on
-    rebuilt layouts.  The lower-block structure (u0-cells forming -I for v1,
-    x_k-cells forming I for v2) holds by layout construction."""
+    pipeline does not call it; tests hold the reduction stages' verdicts to
+    it on rebuilt layouts.  The lower-block structure (u0-cells forming -I
+    for v1, x_k-cells forming I for v2) holds by layout construction."""
     return partition_failure(layout, cfg, {}) is None
 
 
@@ -309,8 +297,8 @@ def _square_removals(cand: FavourableCandidate, cfg: SearchConfig) -> list[tuple
     m_last = len(tm.system.polys) - 1
     row_id = {row: r for r, row in enumerate(tm.rows)}
     mults = [sorted(t) for t in cand.layout.multiplier_sets()]
-    p = cfg.rank.primes[0]
-    m = tm.instantiate_modp(p, cfg.rank.trial_values(tm._slot_names, p, 0))
+    p, trial = cfg.rank.witness
+    m = cfg.rank.instantiate(tm, p, trial)
     kernels = modp_left_kernel(m, p), modp_left_kernel(m[:n_upper, n_b1:], p)
     # no removal mends a failed partition; with full column rank, a left
     # kernel has one vector per extra row
@@ -349,15 +337,15 @@ def _square_removals(cand: FavourableCandidate, cfg: SearchConfig) -> list[tuple
 def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
     """Remove extra rows until the matrix is square, lower block first.
 
-    The candidate is instantiated once, at the point that decides
-    has_full_column_rank, and each trial removal is decided there by
-    _remove_row on two left kernels and by a count for coverage: the
-    verdicts of _partition_failure on the same index sets, with no rank
-    check.  A removed lower-block row moves its column from B1 into A12.
-    Dead ends restart with a fresh removal order, at most SQUARIFY_RETRIES
-    times; the plan's layout is built once, when the matrix is square.  A
-    tall candidate that fails its partition keeps failing it whatever is
-    removed, so it is exhausted at once.
+    The candidate is instantiated once, at the rank config's witness, and
+    each trial removal is decided there by _remove_row on two left kernels
+    and by a count for coverage: the verdicts partition_failure gives on
+    the rebuilt trial layout, with no rank check.  A removed lower-block
+    row moves its column from B1 into A12.  Dead ends restart with a fresh
+    removal order, at most SQUARIFY_RETRIES times; the plan's layout is
+    built once, when the matrix is square.  A tall candidate that fails
+    its partition keeps failing it whatever is removed, so it is exhausted
+    at once.
     """
     rows, cols = cand.layout.shape
     removed = _square_removals(cand, cfg) if rows > cols else []

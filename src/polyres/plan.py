@@ -156,21 +156,13 @@ class TemplateMatrix:
         out[enc_rows, enc_cols] = enc_consts * lookup[enc_slots + 2] + 0.0
         return out
 
-    def structural_cols_of_rows(self, row_ids) -> set[int]:
-        enc_rows, enc_cols = self._encoding[:2]
-        return set(int(c) for c in enc_cols[np.isin(enc_rows, list(row_ids))])
-
-    def structural_rows_of_col(self, col: int) -> set[int]:
-        enc_rows, enc_cols = self._encoding[:2]
-        return set(int(r) for r in enc_rows[enc_cols == col])
-
 
 @dataclass(frozen=True)
 class RankCheckConfig:
     """Exact rank protocol over prime fields, one trial per (prime, assignment).
 
-    A rank verdict is decided by the first trial (``primes[0]``, assignment
-    0): full column rank there is a nonzero maximal minor of the
+    A rank verdict is decided at the ``witness`` trial (``primes[0]``,
+    assignment 0): full column rank there is a nonzero maximal minor of the
     integer-coefficient template, which certifies generic full rank, and only
     a deficient trial can be wrong (with probability <= deg/p).  A row-basis
     choice is not certified by one trial, so it needs every trial to agree.
@@ -185,17 +177,21 @@ class RankCheckConfig:
     seed: int = 0
     values_fn: object = None
 
-    def trial_values(self, slot_names, prime: int, trial: int) -> dict[str, int]:
+    @property
+    def witness(self) -> tuple[int, int]:
+        """The (prime, assignment) trial that decides every rank verdict."""
+        return self.primes[0], 0
+
+    def instantiate(self, tm: TemplateMatrix, prime: int, trial: int) -> np.ndarray:
+        """``tm`` over F_prime at the assignment of ``trial``: u0 and then
+        every slot, in name order, drawn at random, or the slots from
+        ``values_fn``."""
         rng = random.Random(f"rank:{self.seed}:{prime}:{trial}")
         values = {HIDDEN_SLOT: rng.randrange(1, prime)}
-        if self.values_fn is not None:
-            structured = self.values_fn(prime, trial, self.seed)
-            for name in sorted(slot_names):
-                values[name] = structured[name] % prime
-            return values
-        for name in sorted(slot_names):
-            values[name] = rng.randrange(1, prime)
-        return values
+        structured = None if self.values_fn is None else self.values_fn(prime, trial, self.seed)
+        for name in tm._slot_names:
+            values[name] = rng.randrange(1, prime) if structured is None else structured[name]
+        return tm.instantiate_modp(prime, values)
 
     def trials(self):
         for p in self.primes:
@@ -206,9 +202,9 @@ class RankCheckConfig:
 def has_full_column_rank(tm: TemplateMatrix, cols: list[int] | None, cfg: RankCheckConfig,
                          row_ids: list[int] | None = None) -> bool:
     """Exact full-column-rank test of a column (and optional row) selection,
-    decided by the config's first trial."""
-    p = cfg.primes[0]
-    m = tm.instantiate_modp(p, cfg.trial_values(tm._slot_names, p, 0))
+    decided at the config's witness."""
+    p, trial = cfg.witness
+    m = cfg.instantiate(tm, p, trial)
     if row_ids is not None:
         m = m[row_ids, :]
     if cols is not None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import modp_eliminate
+from .linalg import modp_left_kernel
 from .poly import Mono, PolynomialTemplate, SystemTemplate, Term, unit_mono
 
 
@@ -242,18 +242,13 @@ def rel_pose_field_instance(prime: int, trial: int, seed: int) -> dict:
     for _ in range(8):
         x1, y1, x2, y2 = (rng.randrange(1, prime) for _ in range(4))
         rows.append([v % prime for v in _rel_pose_lifted_row(x1, y1, x2, y2, 1)])
-    a, pivot_rows, pivots = modp_eliminate(np.array(rows, dtype=np.int64), prime, reduce=True)
-    rref = a[pivot_rows]
-    free = [c for c in range(12) if c not in pivots]
-    if len(free) != 4:
+    # the null space of the 8 x 12 rows, one basis vector per column
+    null = modp_left_kernel(np.array(rows, dtype=np.int64).T, prime)
+    if len(null) != 4:
         return rel_pose_field_instance(prime, trial + 1000, seed)
-    cols = [[0] * 4 for _ in range(12)]
-    for i, fc in enumerate(free):
-        cols[fc][i] = 1
-        for row_idx, pc in enumerate(pivots):
-            cols[pc][i] = int((-rref[row_idx, fc]) % prime)
-    # exact integer arithmetic, reduced mod p once
-    slots = {k: int(v) % prime for k, v in _rel_pose_slots_from_basis(cols).items()}
+    # exact arithmetic on Python ints (a product of three residues overflows
+    # int64), reduced mod p once
+    slots = {k: int(v) % prime for k, v in _rel_pose_slots_from_basis(null.T.tolist()).items()}
     _FIELD_CACHE[key] = slots
     return slots
 

@@ -2,9 +2,10 @@
 picks its cells), Schur-reduce, eigendecompose.
 
 Failures that count toward the benchmark failure rate (singular pivot
-block, eigenpair failing its residual bound, unrecoverable eigenvector) raise
-SolveFailure; caller bugs such as missing coefficient slots raise their
-own exceptions and are never silently absorbed.
+block, eigenpair failing its residual bound, unrecoverable eigenvector,
+non-finite root or residual) raise SolveFailure; caller bugs such as
+missing coefficient slots raise their own exceptions and are never
+silently absorbed.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ def solve(inst: SolverInstance, tol: float = 1e-8) -> SolutionSet:
     lam, vecs = lam[order], vecs[:, order]
     points = recover(vecs, plan, lam if v1 else -1.0 / lam)
     resid = normalized_residual(plan.base_system, inst.coeffs, points)
+    if not (np.isfinite(points).all() and np.isfinite(resid).all()):
+        raise SolveFailure("a recovered point or its residual is not finite")
     biggest = np.abs(points).max(axis=1, initial=0.0)
     is_real = np.all(np.abs(points.imag) <= REAL_COORD_TOL * (1.0 + biggest)[:, None], axis=1)
     pts = [tuple(p) for p in points.tolist()]
@@ -166,18 +169,6 @@ class BenchReport:
             "timing_us": self.timing_us,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "BenchReport":
-        doc = json.loads(text)
-        return BenchReport(
-            doc["trials"],
-            doc["mean_log10"],
-            doc["median_log10"],
-            doc["fail_pct"],
-            {int(k): v for k, v in doc["n_solutions_histogram"].items()},
-            doc["timing_us"],
-        )
 
 
 def benchmark(

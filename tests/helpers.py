@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# finite two_conics coefficients, scaled so far apart that two of the roots
+# the golden plan recovers overflow to NaN
+NON_FINITE_CONICS = {"a": -1e65, "b": 1e-49, "c": -1e173, "d": -1e-153, "e": -1e-149}
+
 
 def pair_max_dev(got, want) -> float:
     """Greedy minimum-distance pairing of two equal-size value multisets;

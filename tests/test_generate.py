@@ -15,7 +15,6 @@ from polyres.generate import (
     NoSolverError,
     SearchConfig,
     SquarifyExhausted,
-    _partition_failure,
     _remove_row,
     _selection_key,
     _without,
@@ -522,26 +521,33 @@ def _kernel_cases():
 
 
 class TestSquarifyKernels:
-    def test_verdicts_match_partition_failure(self):
+    def test_verdicts_match_partition_failure(self, monkeypatch):
+        # under the default rank config and one with another witness
+        for rank in (RankCheckConfig(), RankCheckConfig(primes=PRIMES[3:], seed=5)):
+            self._check_verdicts(rank, monkeypatch)
+
+    @staticmethod
+    def _check_verdicts(rank, monkeypatch):
         # random removal sequences over every row: each trial's verdict on
-        # the two left kernels (and the coverage count) is the reason
-        # _partition_failure gives on the same index sets
-        cfg = SearchConfig()
-        p = cfg.rank.primes[0]
+        # the two left kernels at the rank config's witness (and the coverage
+        # count) is the reason partition_failure gives on the rebuilt trial
+        # layout
+        cfg = SearchConfig(rank=rank)
+        p, trial = rank.witness
         reasons = []
         for label, cand in _kernel_cases().items():
             lay = cand.layout
             tm, n_upper, n_b1 = lay.template, lay.n_upper, lay.n_b1
-            m = tm.instantiate_modp(p, cfg.rank.trial_values(tm._slot_names, p, 0))
-            assert _partition_failure(tm, cfg, range(len(tm.rows)), range(n_b1), n_upper) is None, label
+            m = rank.instantiate(tm, p, trial)
+            assert verify_partition(lay, cfg), label
             for seed in range(6):
                 rng = random.Random(f"{label}:{seed}")
                 k1, k2 = modp_left_kernel(m, p), modp_left_kernel(m[:n_upper, n_b1:], p)
-                rows, b1 = set(range(len(tm.rows))), set(range(n_b1))
+                layout = lay
                 left = [len(t) for t in lay.multiplier_sets()]
-                for r in rng.sample(sorted(rows), len(rows)):
-                    trial_rows, trial_b1 = rows - {r}, b1 - {r - n_upper}
-                    want = _partition_failure(tm, cfg, trial_rows, trial_b1, n_upper)
+                for r in rng.sample(range(len(tm.rows)), len(tm.rows)):
+                    rebuilt = _without(layout, [tm.rows[r]], ())
+                    want = partition_failure(rebuilt, cfg, {})
                     poly_idx = tm.rows[r][0]
                     if left[poly_idx] == 1:
                         got = "coverage"
@@ -550,10 +556,28 @@ class TestSquarifyKernels:
                     assert got == want, (label, seed, r)
                     reasons.append(want)
                     if want is None:
-                        rows, b1 = trial_rows, trial_b1
+                        layout = rebuilt
                         left[poly_idx] -= 1
-                assert len(k1) == len(rows) - len(tm.cols), label
+                assert len(k1) == layout.shape[0] - layout.shape[1], label
         assert set(reasons) == {None, "coverage", "column_rank", "a12_rank"}
+        # squarify instantiates each tall candidate once, at the same witness,
+        # and removes the rows the rebuilt-layout replay removes
+        calls = []
+        real = RankCheckConfig.instantiate
+
+        def recording(self, tm, prime, trial):
+            calls.append((self, tm, prime, trial))
+            return real(self, tm, prime, trial)
+
+        for label, cand in _kernel_cases().items():
+            want = _squarify_by_layouts(cand, cfg, [])
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(RankCheckConfig, "instantiate", recording)
+                got = squarify(cand, cfg)
+            assert plan_to_json(got) == plan_to_json(want), label
+            rows, cols = cand.layout.shape
+            assert calls == [(rank, cand.layout.template, p, trial)] * (rows > cols), label
 
     def test_no_rank_check(self, monkeypatch):
         # the oracle re-verifies every trial, so it runs before the patch
@@ -622,6 +646,14 @@ def _rowcol_replay_cases():
             yield f"{name}-{seed}", _first_partitioned(name), SearchConfig(seed=seed)
 
 
+def _structural_rows_of_col(tm, col):
+    return {r for r, c, _, _ in tm.cells if c == col}
+
+
+def _structural_cols_of_rows(tm, row_ids):
+    return {c for r, c, _, _ in tm.cells if r in row_ids}
+
+
 def _reduce_rowcol_by_layouts(cand, cfg, refusals):
     """reduce_rowcol with a rebuilt and re-verified layout for every trial
     removal; appends the reason of each refused trial to ``refusals``."""
@@ -633,11 +665,11 @@ def _reduce_rowcol_by_layouts(cand, cfg, refusals):
         col_order = list(range(eps))
         rng.shuffle(col_order)
         for c in col_order:
-            rows_hit = tm.structural_rows_of_col(c)
+            rows_hit = _structural_rows_of_col(tm, c)
             if not rows_hit or len(rows_hit) == p:
                 continue
-            cols_hit = tm.structural_cols_of_rows(rows_hit)
-            if any(not tm.structural_rows_of_col(c2) <= rows_hit for c2 in cols_hit):
+            cols_hit = _structural_cols_of_rows(tm, rows_hit)
+            if any(not _structural_rows_of_col(tm, c2) <= rows_hit for c2 in cols_hit):
                 continue
             s, l = len(rows_hit), len(cols_hit)
             if p - s < eps - l or eps - l == 0:

@@ -1,12 +1,40 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from polyres.generate import SearchConfig, generate_plan
-from polyres.linalg import PRIMES
+from polyres.linalg import PRIMES, modp_eliminate
 from polyres.oracle import numeric_poly, sylvester_bivariate, univariate_roots
-from polyres.problems import LIBRARY, _rel_pose_slots_from_basis, get, rel_pose_field_instance
+from polyres.problems import (
+    LIBRARY,
+    _rel_pose_lifted_row,
+    _rel_pose_slots_from_basis,
+    get,
+    rel_pose_field_instance,
+)
+
+
+def _field_instance_by_rref(prime, trial, seed):
+    """rel_pose_field_instance with its null-space basis read off the reduced
+    row echelon form of the correspondence rows one free column at a time."""
+    rng = random.Random(f"relpose:{seed}:{prime}:{trial}")
+    rows = []
+    for _ in range(8):
+        x1, y1, x2, y2 = (rng.randrange(1, prime) for _ in range(4))
+        rows.append([v % prime for v in _rel_pose_lifted_row(x1, y1, x2, y2, 1)])
+    a, pivot_rows, pivots = modp_eliminate(np.array(rows, dtype=np.int64), prime, reduce=True)
+    rref = a[pivot_rows]
+    free = [c for c in range(12) if c not in pivots]
+    if len(free) != 4:
+        return _field_instance_by_rref(prime, trial + 1000, seed)
+    cols = [[0] * 4 for _ in range(12)]
+    for i, fc in enumerate(free):
+        cols[fc][i] = 1
+        for row_idx, pc in enumerate(pivots):
+            cols[pc][i] = int((-rref[row_idx, fc]) % prime)
+    return {k: int(v) % prime for k, v in _rel_pose_slots_from_basis(cols).items()}
 from polyres.solve import SolveFailure, solve_instance
 
 
@@ -47,6 +75,16 @@ class TestLibraryInvariants:
         assert a != c
         assert all(0 <= v < p for v in a.values())
         assert set(a) == set(get("rel_pose_f_lambda_8pt").system.slots())
+
+    def test_rel_pose_field_instance_matches_rref_read_off(self):
+        # the kernel routine's basis gives the slots of a by-hand read-off,
+        # in exact Python ints
+        for prime in PRIMES:
+            for trial in range(4):
+                for seed in range(3):
+                    got = rel_pose_field_instance(prime, trial, seed)
+                    assert got == _field_instance_by_rref(prime, trial, seed), (prime, trial, seed)
+                    assert all(type(v) is int for v in got.values())
 
     @pytest.mark.parametrize("kind", [int, float])
     def test_rel_pose_f1_is_the_pencil_determinant(self, kind):
