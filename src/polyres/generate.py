@@ -23,7 +23,6 @@ from .lattice import (
     displacement_grid,
     lattice_points,
     minkowski_sum,
-    shifted_offsets,
     unit_simplex,
 )
 from .linalg import modp_left_kernel
@@ -82,7 +81,7 @@ def _subset_masks(m_aug: int, cfg: SearchConfig):
 
 def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchConfig,
                       reasons: dict[str, int] | None = None,
-                      sums: dict[tuple[LatticePolytope, ...], LatticePolytope] | None = None,
+                      sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] | None = None,
                       ) -> list[FavourableCandidate]:
     """Sweep (subset, displacement) pairs and emit unchecked candidates.
 
@@ -90,11 +89,11 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     only by counts: an empty lattice, an empty T_i (coverage) or fewer rows
     than columns.  The first pair that yields a set of multipliers T_i emits
     one layout per variant; later pairs with the same T_i emit nothing.
-    ``sums`` maps summand tuples to their Minkowski sums; a caller that
-    passes one dict to several calls computes each sum once, from the sum
-    of its summands but the last when that is known.  Within a
-    subset, displacements with equal shifted offsets share one lattice
-    enumeration.
+    ``sums`` maps summand tuples without x_k - u0 to their Minkowski sums
+    and the sums' lattice point sets, one per displacement.  A caller that
+    passes one dict to several calls with the same displacement magnitudes
+    computes each sum once, from the sum of its summands but the last when
+    that is known, and enumerates it once, in one ``lattice_points`` call.
     """
     reasons = reasons if reasons is not None else {}
     sums = sums if sums is not None else {}
@@ -107,23 +106,23 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     deltas = list(dict.fromkeys(d for grid in grids for d in grid))
 
     out: list[FavourableCandidate] = []
+    own_sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] = {}
     ext_cache: dict[frozenset[Mono], tuple] = {}
     # the multiplier sets fix B, and hidden_var is fixed within this call
     emitted: set[tuple[frozenset[Mono], ...]] = set()
 
     for mask in _subset_masks(m_aug, cfg):
         summands = (np0, *(polytopes[i] for i in range(m_aug) if mask >> i & 1))
-        q = sums.get(summands)
-        if q is None:
+        # x_k - u0, the last polynomial, differs between calls: its sums are
+        # kept for this call only
+        cache = own_sums if mask >> (m_aug - 1) & 1 else sums
+        entry = cache.get(summands)
+        if entry is None:
             # minkowski_sum folds left, so a cached prefix sum is its first step
             prefix = sums.get(summands[:-1])
-            q = sums[summands] = minkowski_sum(summands if prefix is None else (prefix, summands[-1]))
-        point_sets: dict[tuple | None, frozenset] = {}
-        for delta in deltas:
-            offsets = shifted_offsets(q, delta)
-            pts = point_sets.get(offsets)
-            if pts is None:
-                pts = point_sets[offsets] = frozenset(lattice_points(q, delta))
+            q = minkowski_sum(summands if prefix is None else (prefix[0], summands[-1]))
+            entry = cache[summands] = q, lattice_points(q, deltas)
+        for delta, pts in zip(deltas, entry[1]):
             if not pts:
                 _tick(reasons, "empty_lattice")
                 continue
@@ -371,11 +370,12 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     ``candidates_seen`` counts the candidates whose partition was checked.
 
     Only the summand x_k - u0 differs between hidden variables, so the
-    Minkowski sums of subsets without it are computed once for all k.
+    Minkowski sums of subsets without it, and their lattice points, are
+    computed once for all k.
     """
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
-    sums: dict[tuple[LatticePolytope, ...], LatticePolytope] = {}
+    sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] = {}
     candidates: list[FavourableCandidate] = []
     for k in range(1, system.n_vars + 1):
         candidates.extend(search_candidates(augment(system, k), k, cfg, reasons, sums))

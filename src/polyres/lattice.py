@@ -4,10 +4,11 @@ All geometry is exact and integral: hull facets and affine-hull equations
 carry primitive integer normals with integer offsets.  Rationals appear only
 in displacement vectors.  One integer Gauss-Jordan kernel, ``_rref``, finds
 facet normals and affine-hull equations as null vectors, picks a point set's
-independent directions and tests extreme vertices.  Lattice-point tests run
-in int64 over the whole box at once, behind a guard that raises rather than
-let a dot product wrap.  Floating point is never consulted, so displacement
-vectors that graze lattice hyperplanes cannot flip membership.
+independent directions and tests extreme vertices.  Lattice points of one
+polytope under a whole list of displacements come from one pass: one box
+covering every shift, tested in int64 behind a guard that raises rather
+than let a dot product wrap.  Floating point is never consulted, so
+displacement vectors that graze lattice hyperplanes cannot flip membership.
 """
 
 from __future__ import annotations
@@ -105,15 +106,6 @@ class LatticePolytope:
     vertices: tuple[IntVec, ...]
     facets: tuple[HalfSpace, ...]
     equations: tuple[Hyperplane, ...]
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        for eq in self.equations:
-            if _dot(eq.normal, point) != eq.offset:
-                return False
-        for hs in self.facets:
-            if _dot(hs.normal, point) > hs.offset:
-                return False
-        return True
 
 
 def displacement_grid(n: int, magnitude: Fraction) -> list[tuple[Fraction, ...]]:
@@ -257,54 +249,61 @@ def unit_simplex(n: int) -> LatticePolytope:
     return convex_hull(pts)
 
 
-def shifted_offsets(q: LatticePolytope, delta: Sequence[Fraction]) -> tuple[IntVec, IntVec] | None:
-    """Right-hand sides of q + delta: (equation offsets, floored facet offsets).
+def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> list[frozenset[IntVec]]:
+    """For each delta of ``deltas``, the integer z with z - delta inside or on q.
 
     Normals and z are integral, so n.(z - delta) <= c holds exactly when
     n.z <= floor(c + n.delta), and n.(z - delta) == c needs c + n.delta to
-    be an integer.  These ints therefore decide every lattice point of
-    q + delta: displacements with equal offsets have equal point sets.
-    None when some equation has no integer solution, so the set is empty.
+    be an integer.  These floored offsets, exact from one matrix product
+    (int64 when it cannot wrap, Python ints otherwise), therefore decide
+    every lattice point of q + delta: displacements with equal offsets
+    share one set.  One bounding box covers every shift; its int64 dot
+    products with the normals are taken once, and each distinct offset row
+    costs one comparison.  Raises OverflowError when a coordinate, an
+    offset or a dot product over one displacement's box could leave int64.
     """
-    if len(delta) != q.dim:
+    if any(len(d) != q.dim for d in deltas):
         raise ValueError("displacement dimension mismatch")
-    denom = math.lcm(*(x.denominator for x in delta))
-    num = [int(x * denom) for x in delta]
-    eq_rhs = []
-    for eq in q.equations:
-        rhs, rem = divmod(eq.offset * denom + _dot(eq.normal, num), denom)
-        if rem:
-            return None
-        eq_rhs.append(rhs)
-    hs_rhs = tuple((hs.offset * denom + _dot(hs.normal, num)) // denom for hs in q.facets)
-    return tuple(eq_rhs), hs_rhs
-
-
-def lattice_points(q: LatticePolytope, delta: Sequence[Fraction]) -> set[IntVec]:
-    """Integer z with z - delta inside or on q, by exact int64 tests.
-
-    Every z of the bounding box is tested at once against the offsets of
-    ``shifted_offsets``.  Raises OverflowError when a coordinate, an offset
-    or a dot product over the box could leave int64.
-    """
-    offsets = shifted_offsets(q, delta)
-    if offsets is None:
-        return set()
-    eq_rhs, hs_rhs = offsets
-    lo = [math.ceil(min(v[i] for v in q.vertices) + delta[i]) for i in range(q.dim)]
-    hi = [math.floor(max(v[i] for v in q.vertices) + delta[i]) for i in range(q.dim)]
-    if any(a > b for a, b in zip(lo, hi)):
-        return set()
-
+    n_eq = len(q.equations)
     normals = [eq.normal for eq in q.equations] + [hs.normal for hs in q.facets]
-    reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-    bound = max([*reach, *map(abs, eq_rhs + hs_rhs)] + [_dot(map(abs, n), reach) for n in normals])
-    if bound >= 2**63:
-        raise OverflowError("lattice box exceeds int64 range")
+    offsets = [eq.offset for eq in q.equations] + [hs.offset for hs in q.facets]
+    denom = math.lcm(*(x.denominator for d in deltas for x in d))
+    nums = [[x.numerator * (denom // x.denominator) for x in d] for d in deltas]
+    # bounds every entry of the product below and of its factors
+    wide = denom * max(map(abs, offsets)) + max([1] + [abs(x) for d in nums for x in d]) * max(
+        sum(map(abs, n)) for n in normals)
+    dtype = np.int64 if wide < 2**63 else object
+    scaled = (np.array(nums, dtype=dtype).reshape(-1, q.dim) @ np.array(normals, dtype=dtype).T
+              + np.array(offsets, dtype=dtype) * denom)
+    rhs = scaled // denom
+    solvable = (scaled[:, :n_eq] % denom == 0).all(axis=1)
+    keys = [tuple(r) if ok else None for r, ok in zip(rhs.tolist(), solvable.tolist())]
+    live = [d for d, k in zip(deltas, keys) if k is not None]
+    rows = list(dict.fromkeys(k for k in keys if k is not None))
+    sets: dict[IntVec | None, frozenset[IntVec]] = {None: frozenset()}
+    if not rows:
+        return [frozenset()] * len(keys)
+    lo = [math.ceil(min(v[i] for v in q.vertices) + min(d[i] for d in live)) for i in range(q.dim)]
+    hi = [math.floor(max(v[i] for v in q.vertices) + max(d[i] for d in live)) for i in range(q.dim)]
+    if any(a > b for a, b in zip(lo, hi)):
+        return [frozenset()] * len(keys)
 
+    reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
+    bound = max([*reach, *(abs(x) for r in rows for x in r)] + [_dot(map(abs, n), reach) for n in normals])
+    if bound >= 2**63:
+        if len(live) == 1:
+            raise OverflowError("lattice box exceeds int64 range")
+        # the box of one displacement may fit where the box of all does not
+        for d, k in zip(deltas, keys):
+            if k not in sets:
+                sets[k] = lattice_points(q, [d])[0]
+        return [sets[k] for k in keys]
+
+    # an equation n.x == c is the two inequalities n.x <= c and -n.x <= -c
     box = np.indices([b - a + 1 for a, b in zip(lo, hi)]).reshape(q.dim, -1).T + np.array(lo)
-    dots = box @ np.array(normals, dtype=np.int64).T
-    n_eq = len(eq_rhs)
-    inside = np.all(dots[:, :n_eq] == np.array(eq_rhs, dtype=np.int64), axis=1)
-    inside &= np.all(dots[:, n_eq:] <= np.array(hs_rhs, dtype=np.int64), axis=1)
-    return set(map(tuple, box[inside].tolist()))
+    a = np.array(normals, dtype=np.int64)
+    dots = box @ np.concatenate([a, -a[:n_eq]]).T
+    b = np.array(rows, dtype=np.int64)
+    for k, r in zip(rows, np.concatenate([b, -b[:, :n_eq]], axis=1)):
+        sets[k] = frozenset(map(tuple, box[(dots <= r).all(axis=1)].tolist()))
+    return [sets[k] for k in keys]

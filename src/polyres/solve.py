@@ -105,7 +105,8 @@ def recover(eigvecs: np.ndarray, plan: SolverPlan, x_k_value) -> np.ndarray:
         stuck = np.flatnonzero((den == 0.0).any(axis=1))
         if stuck.size:
             raise UnrecoverableVariableError(names[free[stuck[0]]])
-        points[:, free] = (num / den).T
+        with np.errstate(over="ignore", invalid="ignore"):  # solve reports non-finite roots
+            points[:, free] = (num / den).T
     return points[0] if single else points
 
 

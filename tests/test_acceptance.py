@@ -43,7 +43,7 @@ def test_criterion_1_lattice_fidelity():
     p2 = convex_hull(support(entry.system.polys[1]))
     q = minkowski_sum([p1, p2])
     tenth = Fraction(1, 10)
-    got = lattice_points(q, (-tenth, -tenth))
+    got = lattice_points(q, [(-tenth, -tenth)])[0]
     expected = {
         (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1),
         (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),

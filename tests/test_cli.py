@@ -148,6 +148,7 @@ class TestSolve:
         for line in out.strip().splitlines():
             assert float(line.split("residual=")[1].split()[0]) < 1e-8
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_root_exits_4(self, tmp_path, capsys):
         # NaN roots are a numeric failure, not roots with a NaN residual
         _, inst_path = write_problem(tmp_path, "two_conics", NON_FINITE_CONICS)
@@ -156,6 +157,18 @@ class TestSolve:
         assert code == 4
         assert "not finite" in captured.err
         assert "root" not in captured.out
+
+    def test_non_finite_root_stderr_is_the_message(self, tmp_path):
+        # numpy warnings in a fresh process would go to stderr before it
+        _, inst_path = write_problem(tmp_path, "two_conics", NON_FINITE_CONICS)
+        src = Path(polyres.cli.__file__).resolve().parents[1]
+        argv = ["solve", "--plan", str(GOLDEN / "two_conics.plan"), "--instance", str(inst_path)]
+        script = f"import sys\nfrom polyres.cli import main\nsys.exit(main({argv!r}))\n"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 4
+        assert proc.stderr == "numeric failure: a recovered point or its residual is not finite\n"
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "corrupt",

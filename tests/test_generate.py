@@ -113,7 +113,7 @@ class TestSearchCandidates:
         # reproduce the expected favourable set through the lattice layer
         polys = [convex_hull(support(f)) for f in aug.polys]
         q = minkowski_sum([unit_simplex(2), polys[0], polys[1]])
-        pts = lattice_points(q, delta)
+        pts = lattice_points(q, [delta])[0]
         ext = extend_system(aug.polys, pts)
         assert frozenset(cand.layout.template.cols) == ext.monomials
         # the example's 17 monomials survive inside the extended set
@@ -183,8 +183,8 @@ class TestSearchCandidates:
 
     def test_polytope_stage_shared(self, monkeypatch):
         # one Minkowski sum per summand tuple over all hidden variables, one
-        # enumeration per shifted polytope of a subset, and nothing kept from
-        # one generate_plan call to the next
+        # lattice enumeration per sum for every displacement and hidden
+        # variable, and nothing kept from one generate_plan call to the next
         calls = dict.fromkeys(("lattice_points", "minkowski_sum"), 0)
         for name in calls:
             def counting(*args, _real=getattr(polyres.generate, name), _name=name):
@@ -195,7 +195,12 @@ class TestSearchCandidates:
         for _ in range(2):
             calls.update(lattice_points=0, minkowski_sum=0)
             generate_plan(get("two_conics").system, SearchConfig(seed=1, variants=("v1",)))
-            assert calls == {"lattice_points": 98, "minkowski_sum": 11}
+            assert calls == {"lattice_points": 11, "minkowski_sum": 11}
+        # the three base polytopes of three_quadrics are equal, so summand
+        # tuples with x_k - u0 recur within one hidden variable's sweep too
+        calls.update(lattice_points=0, minkowski_sum=0)
+        generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
+        assert calls == {"lattice_points": 15, "minkowski_sum": 15}
 
     def test_first_trial_decides_rank(self, monkeypatch):
         # full column rank at one point is a nonzero maximal minor of the

@@ -15,7 +15,6 @@ from polyres.lattice import (
     displacement_grid,
     lattice_points,
     minkowski_sum,
-    shifted_offsets,
     unit_simplex,
 )
 from polyres.linalg import modp_eliminate
@@ -99,7 +98,7 @@ class TestConvexHull:
     def test_every_input_point_inside(self):
         hull = convex_hull(A1)
         for p in A1:
-            assert hull.contains(tuple(Fraction(x) for x in p))
+            assert contains(hull, p)
 
     def test_3d_degenerate_slab(self):
         pts = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]
@@ -135,33 +134,33 @@ class TestMinkowskiSum:
 class TestLatticePoints:
     def test_example_minkowski_interior(self):
         q = minkowski_sum([convex_hull(A1), convex_hull(A2)])
-        pts = lattice_points(q, (-TENTH, -TENTH))
+        pts = lattice_points(q, [(-TENTH, -TENTH)])[0]
         assert pts == EXAMPLE_B
 
     def test_unit_simplex_unshifted(self):
-        pts = lattice_points(unit_simplex(2), (Fraction(0), Fraction(0)))
+        pts = lattice_points(unit_simplex(2), [(Fraction(0), Fraction(0))])[0]
         assert pts == {(0, 0), (1, 0), (0, 1)}
 
     def test_unit_simplex_shifted(self):
-        pts = lattice_points(unit_simplex(2), (-TENTH, -TENTH))
+        pts = lattice_points(unit_simplex(2), [(-TENTH, -TENTH)])[0]
         assert pts == {(0, 0)}
 
     def test_vertices_inside_unshifted(self):
         for poly in (convex_hull(A1), convex_hull(A2), unit_simplex(3)):
             zero = tuple(Fraction(0) for _ in range(poly.dim))
-            assert set(poly.vertices) <= lattice_points(poly, zero)
+            assert set(poly.vertices) <= lattice_points(poly, [zero])[0]
 
     def test_lower_dimensional_polytope(self):
         seg = convex_hull([(0, 0), (3, 0)])
         zero = (Fraction(0), Fraction(0))
-        assert lattice_points(seg, zero) == {(0, 0), (1, 0), (2, 0), (3, 0)}
-        assert lattice_points(seg, (Fraction(0), -TENTH)) == set()
+        assert lattice_points(seg, [zero])[0] == {(0, 0), (1, 0), (2, 0), (3, 0)}
+        assert lattice_points(seg, [(Fraction(0), -TENTH)])[0] == set()
 
     def test_displacement_off_the_affine_hull(self):
         # the triangle x + y + z = 2 in 3-D; a shift along (1, -1, 0) stays in its plane
         tri = convex_hull([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-        assert lattice_points(tri, (TENTH, TENTH, TENTH)) == set()
-        assert lattice_points(tri, (TENTH, -TENTH, Fraction(0))) == {(1, 0, 1), (1, 1, 0), (2, 0, 0)}
+        assert lattice_points(tri, [(TENTH, TENTH, TENTH)])[0] == set()
+        assert lattice_points(tri, [(TENTH, -TENTH, Fraction(0))])[0] == {(1, 0, 1), (1, 1, 0), (2, 0, 0)}
 
     def test_equal_offsets_equal_points(self):
         # n.delta differs between the two grids, yet its floor often does not
@@ -169,7 +168,7 @@ class TestLatticePoints:
         by_offsets: dict = {}
         for delta in displacement_grid(2, TENTH) + displacement_grid(2, MILLI):
             expected = brute_force_points(q, delta, (-1, -1), (7, 6))
-            assert lattice_points(q, delta) == expected
+            assert lattice_points(q, [delta])[0] == expected
             by_offsets.setdefault(shifted_offsets(q, delta), []).append(expected)
         assert len(by_offsets) < 17  # some distinct displacements share offsets
         for sets in by_offsets.values():
@@ -181,9 +180,23 @@ class TestLatticePoints:
         # the diagonal's equation x - y = 0 bounds |x| + |y| by 2^63 + 2 only
         diagonal = convex_hull([(big, big), (big + 1, big + 1)])
         with pytest.raises(OverflowError):
-            lattice_points(diagonal, zero)
+            lattice_points(diagonal, [zero])
+        with pytest.raises(OverflowError):
+            lattice_points(diagonal, [zero, (MILLI, MILLI)])
         axis = convex_hull([(big, 0), (big + 1, 0)])
-        assert lattice_points(axis, zero) == {(big, 0), (big + 1, 0)}
+        assert lattice_points(axis, [zero]) == [{(big, 0), (big + 1, 0)}]
+        # the offsets scaled by 1000 leave int64; the offsets themselves do not
+        assert lattice_points(axis, [zero, (MILLI, Fraction(0))]) == [{(big, 0), (big + 1, 0)}, {(big + 1, 0)}]
+
+    def test_int64_guard_per_displacement(self):
+        # each shift's box keeps |x| + |y| below 2^63, the box of both does not
+        top = 2**62 - 1
+        diagonal = convex_hull([(top - 1, top - 1), (top, top)])
+        one, zero = Fraction(1), Fraction(0)
+        assert lattice_points(diagonal, [(one, zero), (zero, one)]) == [
+            {(top, top - 1), (top + 1, top)},
+            {(top - 1, top), (top, top + 1)},
+        ]
 
 
 class TestDisplacement:
@@ -225,10 +238,37 @@ def point_sets_4d(draw):
     }
 
 
+def contains(q, num, den=1):
+    """Exact membership of the rational point num / den in q, num an integer
+    vector, on its equations and facets."""
+    return all(_dot(eq.normal, num) == eq.offset * den for eq in q.equations) and all(
+        _dot(hs.normal, num) <= hs.offset * den for hs in q.facets
+    )
+
+
+def shifted_offsets(q, delta):
+    """The right-hand sides that decide q + delta's lattice points, one
+    displacement at a time in Python ints: (equation offsets, floored facet
+    offsets), or None when some equation has no integer solution."""
+    denom = math.lcm(*(x.denominator for x in delta))
+    num = [int(x * denom) for x in delta]
+    eq_rhs = []
+    for eq in q.equations:
+        rhs, rem = divmod(eq.offset * denom + _dot(eq.normal, num), denom)
+        if rem:
+            return None
+        eq_rhs.append(rhs)
+    hs_rhs = tuple((hs.offset * denom + _dot(hs.normal, num)) // denom for hs in q.facets)
+    return tuple(eq_rhs), hs_rhs
+
+
 def brute_force_points(q, delta, lo, hi):
-    """Integer z of the box [lo, hi] with z - delta in q, by Fraction tests."""
+    """Integer z of the box [lo, hi] with z - delta in q, by exact tests of
+    every z on the common denominator of delta."""
+    den = math.lcm(*(Fraction(d).denominator for d in delta))
+    shift = [int(d * den) for d in delta]
     box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-    return {z for z in box if q.contains(tuple(zi - d for zi, d in zip(z, delta)))}
+    return {z for z in box if contains(q, [zi * den - s for zi, s in zip(z, shift)], den)}
 
 
 class TestOracleEquivalence:
@@ -246,7 +286,7 @@ class TestOracleEquivalence:
             assert any(_dot(hs.normal, v) == hs.offset for v in hull.vertices)
         lo = [min(p[i] for p in pts) - 1 for i in range(3)]
         hi = [max(p[i] for p in pts) + 1 for i in range(3)]
-        assert lattice_points(hull, delta) == brute_force_points(hull, delta, lo, hi)
+        assert lattice_points(hull, [delta])[0] == brute_force_points(hull, delta, lo, hi)
 
     @given(
         pts=point_sets_4d(),
@@ -257,14 +297,14 @@ class TestOracleEquivalence:
         hull = convex_hull(pts)
         lo = [min(p[i] for p in pts) - 1 for i in range(4)]
         hi = [max(p[i] for p in pts) + 1 for i in range(4)]
-        assert lattice_points(hull, delta) == brute_force_points(hull, delta, lo, hi)
+        assert lattice_points(hull, [delta])[0] == brute_force_points(hull, delta, lo, hi)
 
     @given(pts=point_sets_2d, di=st.integers(-1, 1), dj=st.integers(-1, 1))
     @settings(max_examples=40)
     def test_membership_against_caratheodory(self, pts, di, dj):
         hull = convex_hull(pts)
         delta = (di * TENTH, dj * TENTH)
-        got = lattice_points(hull, delta)
+        got = lattice_points(hull, [delta])[0]
         lo = [min(p[i] for p in pts) - 1 for i in range(2)]
         hi = [max(p[i] for p in pts) + 1 for i in range(2)]
         for z in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
@@ -278,8 +318,43 @@ class TestOracleEquivalence:
         p, q = convex_hull(pts1), convex_hull(pts2)
         s = minkowski_sum([p, q])
         zero = (Fraction(0), Fraction(0))
-        np_, nq, ns = (len(lattice_points(x, zero)) for x in (p, q, s))
+        np_, nq, ns = (len(lattice_points(x, [zero])[0]) for x in (p, q, s))
         assert ns >= max(np_, nq)
+
+
+def check_displacement_lists(pts):
+    """One call per displacement list: the 1/10 grid, then both grids
+    together (the zero vector twice).  Every entry is the Fraction oracle's
+    set, and displacements with equal offsets get one set object."""
+    hull = convex_hull(pts)
+    n = hull.dim
+    for deltas in (displacement_grid(n, TENTH), displacement_grid(n, TENTH) + displacement_grid(n, MILLI)):
+        got = lattice_points(hull, deltas)
+        assert len(got) == len(deltas)
+        shared: dict = {}
+        for delta, points in zip(deltas, got):
+            # every point of the shifted hull lies in the shifted box of pts
+            lo = [math.ceil(min(p[i] for p in pts) + delta[i]) for i in range(n)]
+            hi = [math.floor(max(p[i] for p in pts) + delta[i]) for i in range(n)]
+            assert points == brute_force_points(hull, delta, lo, hi)
+            assert shared.setdefault(shifted_offsets(hull, delta), points) is points
+
+
+class TestBatchedKernel:
+    @given(pts=point_sets_2d)
+    @settings(max_examples=30)
+    def test_displacement_lists_2d(self, pts):
+        check_displacement_lists(pts)
+
+    @given(pts=point_sets_3d())
+    @settings(max_examples=30)
+    def test_displacement_lists_3d(self, pts):
+        check_displacement_lists(pts)
+
+    @given(pts=point_sets_4d())
+    @settings(max_examples=20)
+    def test_displacement_lists_4d(self, pts):
+        check_displacement_lists(pts)
 
 
 @st.composite

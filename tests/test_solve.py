@@ -213,6 +213,7 @@ class TestBenchmark:
         assert rep.fail_pct == 100.0
         assert rep.mean_log10 is None
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_roots_fail(self, two_conics_plan):
         with pytest.raises(SolveFailure, match="not finite"):
             solve_instance(two_conics_plan, NON_FINITE_CONICS)
