@@ -68,13 +68,6 @@ class AmPlan:
         return self.template.cols[self.n_excess : self.n_excess + self.n_reducible]
 
 
-
-@dataclass(frozen=True)
-class ActionMatrix:
-    matrix: np.ndarray
-    basis: tuple[Mono, ...]
-
-
 def _row_basis_modp(m: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """First row basis in row order plus the (intrinsic) pivot column set."""
     _, rows, cols = modp_eliminate(m, p)
@@ -153,10 +146,10 @@ def build_template(
     return AmPlan(reduced, action_var, n_e - len(removed), n_r)
 
 
-def extract_action_matrix(plan: AmPlan, coeffs) -> ActionMatrix:
-    """Fill the template, eliminate, and read the action matrix off the
-    reduced rows; unit rows appear where the action keeps a basis monomial
-    inside the basis."""
+def extract_action_matrix(plan: AmPlan, coeffs) -> np.ndarray:
+    """Fill the template, eliminate, and read the r x r action matrix on
+    ``plan.basis`` off the reduced rows; unit rows appear where the action
+    keeps a basis monomial inside the basis."""
     rref, pivots = float_rref(plan.template.instantiate(coeffs, 1.0, 0.0))
     n_left = plan.n_excess + plan.n_reducible
     if tuple(pivots) != tuple(range(n_left)):
@@ -176,7 +169,7 @@ def extract_action_matrix(plan: AmPlan, coeffs) -> ActionMatrix:
             mf[j, basis_pos[fm]] = 1.0
         else:
             mf[j, :] = -tail[plan.n_excess + red_pos[fm], :]
-    return ActionMatrix(mf, basis)
+    return mf
 
 
 def am_to_res(plan: AmPlan) -> SolverPlan:
@@ -329,9 +322,9 @@ def check_equivalence(
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         coeffs = {s: float(rng.standard_normal()) for s in slots}
-        x = schur_matrix(fill(resplan, coeffs))
+        x = schur_matrix(resplan, fill(resplan, coeffs))
         try:
-            mf = extract_action_matrix(amplan, coeffs).matrix
+            mf = extract_action_matrix(amplan, coeffs)
         except SingularTemplateError:
             ok = False
             worst = float("inf")

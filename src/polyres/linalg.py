@@ -11,7 +11,6 @@ a residual postcondition on every returned pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,14 +157,17 @@ def schur_complement(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
     return a[top:, :left] - (a[top:, left:] * col_scale) @ sol[:, :left]
 
 
-@dataclass(frozen=True, slots=True)
-class EigResult:
-    values: np.ndarray
-    vectors: np.ndarray  # column k pairs with values[k], unit 2-norm
+def scale_unit(a: np.ndarray) -> float:
+    """A power of two that brings max |a| into [0.5, 1), capped so that it
+    stays finite: multiplying by it is exact, and no norm of the product
+    overflows for a finite ``a``."""
+    _, e = math.frexp(float(np.abs(a).max(initial=0.0)))
+    return math.ldexp(1.0, -max(e, -1021))
 
 
-def eig(a: np.ndarray, tol: float = 1e-8) -> EigResult:
-    """All complex eigenpairs of a square matrix (LAPACK xGEEV via numpy).
+def eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """All complex eigenpairs of a square matrix (LAPACK xGEEV via numpy):
+    ``(values, vectors)``, column k of ``vectors`` pairing with ``values[k]``.
 
     Each returned pair satisfies ||A v - lambda v|| <= tol * ||A||_F with
     ||v|| = 1; a pair that misses the bound raises EigenConvergenceError
@@ -186,9 +188,12 @@ def eig(a: np.ndarray, tol: float = 1e-8) -> EigResult:
     values = values.astype(np.complex128, copy=False)
     vectors = vectors.astype(np.complex128, copy=False)
     if not len(values):
-        return EigResult(values, vectors)
-    residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
+        return values, vectors
+    # residuals and bound at an exact scale, where no finite matrix overflows them
+    unit = scale_unit(a)
+    scaled = a * unit
+    residuals = np.linalg.norm(scaled @ vectors - vectors * (values * unit), axis=0)
     worst = int(np.argmax(residuals))
-    if residuals[worst] > tol * max(float(np.linalg.norm(a)), 1e-300):
-        raise EigenConvergenceError(worst, float(residuals[worst]))
-    return EigResult(values, vectors)
+    if residuals[worst] > tol * np.linalg.norm(scaled):
+        raise EigenConvergenceError(worst, float(residuals[worst] / unit))
+    return values, vectors

@@ -262,22 +262,20 @@ def evaluate(f: PolynomialTemplate, coeffs: CoefficientAssignment, point: Sequen
 
 def normalized_residual(
     system: SystemTemplate, coeffs: CoefficientAssignment, points
-) -> float | np.ndarray:
-    """max_i |f_i(p)| / (sum_a |c_{i,a} p^a| + 1); zero iff every f_i vanishes.
+) -> np.ndarray:
+    """max_i |f_i(p)| / (sum_a |c_{i,a} p^a| + 1) of each row p of the
+    ``(N, n_vars)`` array ``points``; zero iff every f_i vanishes at p.
 
-    ``points`` is one point (length n_vars), giving a float, or an
-    ``(N, n_vars)`` array, giving N residuals.  Every operation is
-    elementwise over the points, so a point's residual does not depend on
-    the batch it is evaluated in.
+    Every operation is elementwise over the points, so a point's residual
+    does not depend on the batch it is evaluated in.
     """
     exps, terms = system.residual_table
     pts = np.asarray(points, dtype=np.complex128)
-    batch = pts.reshape(-1, system.n_vars)
-    # powers[d, j, v] = batch[j, v] ** d, by repeated multiplication
-    powers = np.empty((int(exps.max(initial=0)) + 1, *batch.shape), dtype=np.complex128)
+    # powers[d, j, v] = pts[j, v] ** d, by repeated multiplication
+    powers = np.empty((int(exps.max(initial=0)) + 1, *pts.shape), dtype=np.complex128)
     powers[0] = 1.0
     for d in range(1, len(powers)):
-        powers[d] = powers[d - 1] * batch
+        powers[d] = powers[d - 1] * pts
     # (polynomial, term, point) values of each p^a, then of c_{i,a} p^a
     mono = powers[exps[..., 0], :, 0]
     for v in range(1, system.n_vars):
@@ -289,8 +287,7 @@ def normalized_residual(
     for t in range(1, contrib.shape[1]):
         num += contrib[:, t]
         den += np.abs(contrib[:, t])
-    worst = np.max(np.abs(num) / den, axis=0)
-    return float(worst[0]) if pts.ndim == 1 else worst
+    return np.max(np.abs(num) / den, axis=0)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Online stage: fill one matrix per instance (the plan's partition variant
-picks its cells), Schur-reduce, eigendecompose.
+"""Online stage, array in and array out: ``fill`` writes one instance into
+the plan's matrix (its partition variant picks the cells), ``schur_matrix``
+reduces it to the eigenproblem X, ``eig`` decomposes X, ``recover`` reads
+the points off the eigenvectors and ``normalized_residual`` scores them.
 
 Failures that count toward the benchmark failure rate (singular pivot
-block, eigenpair failing its residual bound, unrecoverable eigenvector,
-non-finite root or residual) raise SolveFailure; caller bugs such as
-missing coefficient slots raise their own exceptions and are never
+block, non-finite X, eigenpair failing its residual bound, unrecoverable
+eigenvector, non-finite root or residual) raise SolveFailure; caller bugs
+such as missing coefficient slots raise their own exceptions and are never
 silently absorbed.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenConvergenceError, SingularPivotError, eig, schur_complement
+from .linalg import EigenConvergenceError, SingularPivotError, eig, scale_unit, schur_complement
 from .plan import SolverPlan
 from .poly import normalized_residual
 
@@ -35,29 +37,21 @@ class UnrecoverableVariableError(SolveFailure):
         super().__init__(f"no monomial pair in B1 recovers variable {var_name}")
 
 
-@dataclass(frozen=True, slots=True)
-class SolverInstance:
-    """A plan filled with one instance's numbers: the one matrix whose Schur
-    complement is the eigenproblem of the plan's partition variant."""
-
-    plan: SolverPlan
-    coeffs: dict
-    matrix: np.ndarray
-
-
-def fill(plan: SolverPlan, coeffs) -> SolverInstance:
-    """Write every layout cell from its (polynomial, term, multiplier) source.
+def fill(plan: SolverPlan, coeffs) -> np.ndarray:
+    """The plan's matrix for one instance: every layout cell written from its
+    (polynomial, term, multiplier) source.
 
     The lower rows multiply x_k - u0; v1 keeps their x_k cells (eigenvalue
     u0), v2 their u0 cells (eigenvalue -1/u0)."""
     literal, hidden = (1.0, 0.0) if plan.layout.variant == "v1" else (0.0, 1.0)
-    return SolverInstance(plan, dict(coeffs), plan.layout.template.instantiate(coeffs, literal, hidden))
+    return plan.layout.template.instantiate(coeffs, literal, hidden)
 
 
-def schur_matrix(inst: SolverInstance) -> np.ndarray:
-    """The eigenproblem matrix X: the Schur complement of the upper-right block."""
-    lay = inst.plan.layout
-    return schur_complement(inst.matrix, (lay.n_upper, lay.n_b1))
+def schur_matrix(plan: SolverPlan, m: np.ndarray) -> np.ndarray:
+    """The eigenproblem matrix X of a filled matrix ``m``: the Schur
+    complement of its upper-right block."""
+    lay = plan.layout
+    return schur_complement(m, (lay.n_upper, lay.n_b1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,26 +68,21 @@ class SolutionSet:
     n_solutions_bound: int
 
 
-def recover(eigvecs: np.ndarray, plan: SolverPlan, x_k_value) -> np.ndarray:
-    """Full solution vectors from eigenvectors over the B1 monomials.
+def recover(eigvecs: np.ndarray, plan: SolverPlan, x_k_values) -> np.ndarray:
+    """The (N, n_vars) points of an (n_b1, N) matrix whose columns are
+    eigenvectors over the B1 monomials, with N hidden values ``x_k_values``.
 
-    ``eigvecs`` is one vector, giving one point of length n_vars, or a
-    matrix whose columns are vectors, giving one row per column;
-    ``x_k_value`` is a scalar or one value per column.  Every
-    variable except x_k is read off as a least-squares ratio over the pairs
-    (m, x_i * m) lying in B1; x_k comes from the eigenvalue, not the vector.
-    Recovery is invariant under rescaling of each eigenvector.
+    Every variable except x_k is read off as a least-squares ratio over the
+    pairs (m, x_i * m) lying in B1; x_k comes from the eigenvalue, not the
+    vector.  Recovery is invariant under rescaling of each eigenvector.
     """
     lay = plan.layout
     free, src, dst, starts = lay.ratio_pairs
     v = np.asarray(eigvecs, dtype=np.complex128)
-    single = v.ndim == 1
-    if single:
-        v = v[:, None]
     if not v.any(axis=0).all():
         raise ValueError("eigenvector is zero")
     points = np.empty((v.shape[1], lay.template.system.n_vars), dtype=np.complex128)
-    points[:, lay.hidden_var - 1] = x_k_value
+    points[:, lay.hidden_var - 1] = x_k_values
     if free and v.shape[1]:
         names = lay.template.system.var_names
         no_pairs = np.flatnonzero(np.diff(starts, append=len(src)) == 0)
@@ -105,50 +94,53 @@ def recover(eigvecs: np.ndarray, plan: SolverPlan, x_k_value) -> np.ndarray:
         stuck = np.flatnonzero((den == 0.0).any(axis=1))
         if stuck.size:
             raise UnrecoverableVariableError(names[free[stuck[0]]])
-        with np.errstate(over="ignore", invalid="ignore"):  # solve reports non-finite roots
-            points[:, free] = (num / den).T
-    return points[0] if single else points
+        points[:, free] = (num / den).T
+    return points
 
 
-def solve(inst: SolverInstance, tol: float = 1e-8) -> SolutionSet:
-    """All roots recoverable from the plan's eigenproblem, in ascending order
-    of their eigenvalue (real part, then imaginary part), so the result does
-    not depend on the order the eigensolver returns pairs in.  Residuals are
-    recomputed from the original polynomial templates, never copied."""
-    plan = inst.plan
-    try:
-        x = schur_matrix(inst)
-        res = eig(x, tol=tol)
-    except (SingularPivotError, EigenConvergenceError) as e:
-        raise SolveFailure(str(e)) from e
-    lam, vecs = res.values, res.vectors
-    v1 = plan.layout.variant == "v1"
-    if not v1:
-        # For the alternate partition a root coordinate u0 appears as -1/u0,
-        # so lambda = 0 is never an affine root; zero eigenvalues are the
-        # parasitic ones the relaxation introduces.  A defective zero block
-        # of size m perturbs to magnitude (eps * scale)^(1/m); culling at the
-        # cube root keeps headroom for blocks up to size three.
-        eps = float(np.finfo(np.float64).eps)
-        keep = np.abs(lam) >= (eps * (1.0 + float(np.linalg.norm(x)))) ** (1.0 / 3.0)
-        lam, vecs = lam[keep], vecs[:, keep]
-    order = np.lexsort((lam.imag, lam.real))
-    lam, vecs = lam[order], vecs[:, order]
-    points = recover(vecs, plan, lam if v1 else -1.0 / lam)
-    resid = normalized_residual(plan.base_system, inst.coeffs, points)
-    if not (np.isfinite(points).all() and np.isfinite(resid).all()):
-        raise SolveFailure("a recovered point or its residual is not finite")
-    biggest = np.abs(points).max(axis=1, initial=0.0)
-    is_real = np.all(np.abs(points.imag) <= REAL_COORD_TOL * (1.0 + biggest)[:, None], axis=1)
-    pts = [tuple(p) for p in points.tolist()]
-    # a v1 eigenvalue is the hidden coordinate itself: share the object
-    lams = [p[plan.layout.hidden_var - 1] for p in pts] if v1 else lam.tolist()
-    roots = tuple(map(Root, pts, lams, resid.tolist(), is_real.tolist()))
-    return SolutionSet(roots, plan.n_solutions)
+def solve(plan: SolverPlan, coeffs, m: np.ndarray, tol: float = 1e-8) -> SolutionSet:
+    """All roots recoverable from the eigenproblem of ``m``, the plan filled
+    with ``coeffs``, in ascending order of their eigenvalue (real part, then
+    imaginary part), so the result does not depend on the order the
+    eigensolver returns pairs in.  Residuals are recomputed from the
+    original polynomial templates, never copied."""
+    # no overflow warnings: a non-finite X, point or residual is a SolveFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x = schur_matrix(plan, m)
+            if not np.isfinite(x).all():
+                raise SolveFailure("the eigenproblem matrix is not finite")
+            lam, vecs = eig(x, tol=tol)
+        except (SingularPivotError, EigenConvergenceError) as e:
+            raise SolveFailure(str(e)) from e
+        v1 = plan.layout.variant == "v1"
+        if not v1:
+            # For the alternate partition a root coordinate u0 appears as -1/u0,
+            # so lambda = 0 is never an affine root; zero eigenvalues are the
+            # parasitic ones the relaxation introduces.  A defective zero block
+            # of size m perturbs to magnitude (eps * scale)^(1/m); culling at the
+            # cube root keeps headroom for blocks up to size three.
+            eps = float(np.finfo(np.float64).eps)
+            unit = scale_unit(x)
+            keep = np.abs(lam) >= (eps * (1.0 + np.linalg.norm(x * unit) / unit)) ** (1.0 / 3.0)
+            lam, vecs = lam[keep], vecs[:, keep]
+        order = np.lexsort((lam.imag, lam.real))
+        lam, vecs = lam[order], vecs[:, order]
+        points = recover(vecs, plan, lam if v1 else -1.0 / lam)
+        resid = normalized_residual(plan.base_system, coeffs, points)
+        if not (np.isfinite(points).all() and np.isfinite(resid).all()):
+            raise SolveFailure("a recovered point or its residual is not finite")
+        biggest = np.abs(points).max(axis=1, initial=0.0)
+        is_real = np.all(np.abs(points.imag) <= REAL_COORD_TOL * (1.0 + biggest)[:, None], axis=1)
+        pts = [tuple(p) for p in points.tolist()]
+        # a v1 eigenvalue is the hidden coordinate itself: share the object
+        lams = [p[plan.layout.hidden_var - 1] for p in pts] if v1 else lam.tolist()
+        roots = tuple(map(Root, pts, lams, resid.tolist(), is_real.tolist()))
+        return SolutionSet(roots, plan.n_solutions)
 
 
 def solve_instance(plan: SolverPlan, coeffs, tol: float = 1e-8) -> SolutionSet:
-    return solve(fill(plan, coeffs), tol)
+    return solve(plan, coeffs, fill(plan, coeffs), tol)
 
 
 @dataclass(frozen=True)

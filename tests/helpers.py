@@ -8,6 +8,14 @@ import numpy as np
 # the golden plan recovers overflow to NaN
 NON_FINITE_CONICS = {"a": -1e65, "b": 1e-49, "c": -1e173, "d": -1e-153, "e": -1e-149}
 
+# finite two_conics coefficients whose Schur complement on the golden plan
+# overflows to inf
+INFINITE_SCHUR_CONICS = {"a": 1e-243, "b": -1e-157, "c": 1e59, "d": -0.5, "e": -1e223}
+
+# finite two_conics coefficients whose golden-plan solve overflows on the way
+# (a norm of X), yet gives 4 roots of size 1e100 with residuals near 1e-16
+HUGE_ROOT_CONICS = {"a": 1e-200, "b": -1e-200, "c": 1.0, "d": -1.0, "e": -1e200}
+
 
 def pair_max_dev(got, want) -> float:
     """Greedy minimum-distance pairing of two equal-size value multisets;

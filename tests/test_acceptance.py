@@ -59,7 +59,7 @@ def test_criterion_2_univariate_end_to_end(univariate_quadratic_plan, univariate
     sols = solve_instance(univariate_quadratic_plan, {"a": 1.0, "b": -5.0, "c": 6.0})
     dev = pair_max_dev([r.eigvalue for r in sols.roots], [2.0, 3.0])
     assert dev <= 1e-10
-    x = schur_matrix(fill(univariate_linear_plan, {"a": 1.0, "b": -2.0}))
+    x = schur_matrix(univariate_linear_plan, fill(univariate_linear_plan, {"a": 1.0, "b": -2.0}))
     assert x.shape == (1, 1)
     assert abs(x[0, 0] - 2.0) <= 1e-12
     report(2, f"eigenvalues {{2,3}} off by {dev:.2e}; Schur complement [2] off by {abs(x[0,0]-2.0):.2e}")
@@ -294,9 +294,9 @@ def test_criterion_9_eigen_kernel():
     worst = 0.0
     for _ in range(50):
         a = rng.standard_normal((20, 20))
-        res = eig(a)
+        values, vectors = eig(a)
         fro = np.linalg.norm(a)
-        for lam, v in zip(res.values, res.vectors.T):
+        for lam, v in zip(values, vectors.T):
             worst = max(worst, float(np.linalg.norm(a @ v - lam * v)) / fro)
     assert worst <= 1e-8
     report(9, f"worst relative residual {worst:.2e} over 1000 eigenpairs")

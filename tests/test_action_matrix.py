@@ -62,13 +62,13 @@ class TestExtractActionMatrix:
     def test_quadratic(self):
         plan = scratch_template("univariate_quadratic")
         mf = extract_action_matrix(plan, QUAD)
-        assert np.allclose(mf.matrix, [[0.0, 1.0], [-6.0, 5.0]])
-        assert pair_max_dev(np.linalg.eigvals(mf.matrix), [2.0, 3.0]) < 1e-12
+        assert np.allclose(mf, [[0.0, 1.0], [-6.0, 5.0]])
+        assert pair_max_dev(np.linalg.eigvals(mf), [2.0, 3.0]) < 1e-12
 
     def test_x_squared_minus_one(self):
         plan = scratch_template("univariate_quadratic")
         mf = extract_action_matrix(plan, {"a": 1.0, "b": 0.0, "c": -1.0})
-        assert np.allclose(mf.matrix, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(mf, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_two_conics_matches_oracle(self):
         plan = scratch_template("two_conics")
@@ -81,7 +81,7 @@ class TestExtractActionMatrix:
             g = numeric_poly(entry.system.polys[1], coeffs)
             pts = sylvester_bivariate(f, g, hide=2).points
             want = [p[entry.am_action_var - 1] for p in pts]
-            assert pair_max_dev(np.linalg.eigvals(mf.matrix), want) < 1e-8
+            assert pair_max_dev(np.linalg.eigvals(mf), want) < 1e-8
 
     def test_singular_elimination_reported(self):
         plan = scratch_template("univariate_quadratic")
@@ -93,8 +93,8 @@ class TestAmToRes:
     def test_univariate_schur_equals_action_matrix(self):
         amp = scratch_template("univariate_quadratic")
         rp = am_to_res(amp)
-        x = schur_matrix(fill(rp, QUAD))
-        mf = extract_action_matrix(amp, QUAD).matrix
+        x = schur_matrix(rp, fill(rp, QUAD))
+        mf = extract_action_matrix(amp, QUAD)
         assert np.allclose(x, mf, atol=1e-12)
 
     def test_three_quadrics_numeric_agreement(self):
@@ -105,8 +105,8 @@ class TestAmToRes:
         worst = 0.0
         for _ in range(100):
             coeffs = entry.random_instance(rng)
-            x = schur_matrix(fill(rp, coeffs))
-            mf = extract_action_matrix(amp, coeffs).matrix
+            x = schur_matrix(rp, fill(rp, coeffs))
+            mf = extract_action_matrix(amp, coeffs)
             worst = max(worst, float(np.max(np.abs(mf - x))))
             assert worst <= 1e-8 * (1.0 + np.linalg.norm(x))
 
@@ -116,9 +116,9 @@ class TestAmToRes:
         lay = rp.layout
         k = lay.hidden_var
         e_k = unit_mono(2, k - 1)
-        inst = fill(rp, CONIC)
-        x = schur_matrix(inst)
-        mf = extract_action_matrix(amp, CONIC).matrix
+        filled = fill(rp, CONIC)
+        x = schur_matrix(rp, filled)
+        mf = extract_action_matrix(amp, CONIC)
         b1 = lay.b1
         for j, m in enumerate(b1):
             fm = tuple(a + b for a, b in zip(m, e_k))
@@ -126,7 +126,7 @@ class TestAmToRes:
                 unit = np.zeros(len(b1))
                 unit[b1.index(fm)] = 1.0
                 # integer equality, no tolerance: these rows are structural
-                lower = inst.matrix[lay.n_upper + j]
+                lower = filled[lay.n_upper + j]
                 assert lower[: len(b1)].tolist() == unit.tolist()
                 assert lower[len(b1) :].tolist() == [0.0] * len(lay.b2)
                 assert x[j].tolist() == unit.tolist()
@@ -136,9 +136,9 @@ class TestAmToRes:
         amp = scratch_template("two_conics")
         rp = am_to_res(amp)
         lay = rp.layout
-        inst = fill(rp, CONIC)
-        a11 = inst.matrix[: lay.n_upper, : lay.n_b1]
-        a12 = inst.matrix[: lay.n_upper, lay.n_b1 :]
+        m = fill(rp, CONIC)
+        a11 = m[: lay.n_upper, : lay.n_b1]
+        a12 = m[: lay.n_upper, lay.n_b1 :]
         rref, pivots = float_rref(np.hstack([a12, a11]))
         assert tuple(pivots) == tuple(range(len(lay.b2)))
         tail = np.linalg.solve(a12, a11)
@@ -155,7 +155,7 @@ class TestResToAm:
     def test_univariate_linear(self, univariate_linear_plan):
         amp = res_to_am(univariate_linear_plan, 1)
         mf = extract_action_matrix(amp, {"a": 1.0, "b": -2.0})
-        assert np.allclose(mf.matrix, [[2.0]])
+        assert np.allclose(mf, [[2.0]])
 
     def test_two_conics_v1(self, two_conics_plan):
         amp = res_to_am(two_conics_plan, 4)
@@ -186,7 +186,7 @@ class TestResToAm:
         g = numeric_poly(entry.system.polys[1], CONIC)
         pts = sylvester_bivariate(f, g, hide=2).points
         want = [1.0 / p[k - 1] for p in pts]
-        assert pair_max_dev(np.linalg.eigvals(mf.matrix), want) < 1e-6
+        assert pair_max_dev(np.linalg.eigvals(mf), want) < 1e-6
 
     def test_reciprocal_is_negated_schur(self, two_conics_plan_v2):
         sols = solve_instance(two_conics_plan_v2, CONIC)
@@ -212,12 +212,12 @@ class TestCheckEquivalence:
     def test_rescaled_polynomial_stays_equivalent(self, two_conics_plan):
         amp = res_to_am(two_conics_plan, 4)
         for coeffs in (CONIC, {**CONIC, "a": 7.0, "b": 7.0, "c": -7.0}):
-            x = schur_matrix(fill(two_conics_plan, coeffs))
-            mf = extract_action_matrix(amp, coeffs).matrix
+            x = schur_matrix(two_conics_plan, fill(two_conics_plan, coeffs))
+            mf = extract_action_matrix(amp, coeffs)
             assert np.allclose(mf, x, atol=1e-9)
         # scaling one polynomial moves neither matrix: row scaling cancels
-        x0 = schur_matrix(fill(two_conics_plan, CONIC))
-        x7 = schur_matrix(fill(two_conics_plan, {**CONIC, "a": 7.0, "b": 7.0, "c": -7.0}))
+        x0 = schur_matrix(two_conics_plan, fill(two_conics_plan, CONIC))
+        x7 = schur_matrix(two_conics_plan, fill(two_conics_plan, {**CONIC, "a": 7.0, "b": 7.0, "c": -7.0}))
         assert np.allclose(x0, x7, atol=1e-9)
 
     def test_eigenvalue_multisets_match(self, two_conics_plan):
@@ -226,8 +226,8 @@ class TestCheckEquivalence:
         rng = np.random.default_rng(13)
         for _ in range(10):
             coeffs = entry.random_instance(rng)
-            x = schur_matrix(fill(two_conics_plan, coeffs))
-            mf = extract_action_matrix(amp, coeffs).matrix
+            x = schur_matrix(two_conics_plan, fill(two_conics_plan, coeffs))
+            mf = extract_action_matrix(amp, coeffs)
             assert pair_max_dev(np.linalg.eigvals(mf), np.linalg.eigvals(x)) < 1e-6
 
 

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import NON_FINITE_CONICS
+from helpers import HUGE_ROOT_CONICS, INFINITE_SCHUR_CONICS, NON_FINITE_CONICS
 
 import polyres.cli
 from polyres.cli import main
@@ -158,17 +158,36 @@ class TestSolve:
         assert "not finite" in captured.err
         assert "root" not in captured.out
 
-    def test_non_finite_root_stderr_is_the_message(self, tmp_path):
-        # numpy warnings in a fresh process would go to stderr before it
-        _, inst_path = write_problem(tmp_path, "two_conics", NON_FINITE_CONICS)
+    @staticmethod
+    def _solve_conics_fresh(tmp_path, instance):
+        """``polyres solve`` on the golden two_conics plan in a fresh process,
+        where numpy warnings would reach stderr."""
+        _, inst_path = write_problem(tmp_path, "two_conics", instance)
         src = Path(polyres.cli.__file__).resolve().parents[1]
         argv = ["solve", "--plan", str(GOLDEN / "two_conics.plan"), "--instance", str(inst_path)]
         script = f"import sys\nfrom polyres.cli import main\nsys.exit(main({argv!r}))\n"
         env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+
+    def test_non_finite_root_stderr_is_the_message(self, tmp_path):
+        proc = self._solve_conics_fresh(tmp_path, NON_FINITE_CONICS)
         assert proc.returncode == 4
         assert proc.stderr == "numeric failure: a recovered point or its residual is not finite\n"
         assert proc.stdout == ""
+
+    def test_infinite_schur_complement_exits_4(self, tmp_path):
+        proc = self._solve_conics_fresh(tmp_path, INFINITE_SCHUR_CONICS)
+        assert proc.returncode == 4
+        assert proc.stderr == "numeric failure: the eigenproblem matrix is not finite\n"
+        assert proc.stdout == ""
+
+    def test_overflow_on_the_way_prints_no_warning(self, tmp_path):
+        proc = self._solve_conics_fresh(tmp_path, HUGE_ROOT_CONICS)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4
+        assert all(float(line.split("residual=")[1].split()[0]) < 1e-14 for line in lines)
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -232,9 +232,9 @@ class TestPartition:
         from polyres.solve import fill
 
         coeffs = {"a": 1.0, "b": -2.0}
-        inst = fill(univariate_linear_plan, coeffs)
+        m = fill(univariate_linear_plan, coeffs)
         lay = univariate_linear_plan.layout
-        assert inst.matrix[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 = [0], A22 = [1]
+        assert m[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 = [0], A22 = [1]
         b = lay.template.instantiate(coeffs, 0.0, 1.0)
         assert b[lay.n_upper :].tolist() == [[-1.0, 0.0]]  # B21 = -I, B22 = 0
 

@@ -82,7 +82,7 @@ class TestOracleInvariants:
             g = numeric_poly(entry.system.polys[1], coeffs)
             rr = sylvester_bivariate(f, g, hide=2)
             for p in rr.points:
-                assert normalized_residual(entry.system, coeffs, p) <= 1e-8
+                assert normalized_residual(entry.system, coeffs, [p])[0] <= 1e-8
 
     def test_bezout_bound(self):
         rng = np.random.default_rng(21)

@@ -238,12 +238,13 @@ class TestEvaluate:
 class TestNormalizedResidual:
     def test_exact_root(self):
         sys1 = get("univariate_quadratic").system
-        assert normalized_residual(sys1, {"a": 1.0, "b": -5.0, "c": 6.0}, [3.0]) == 0.0
+        assert normalized_residual(sys1, {"a": 1.0, "b": -5.0, "c": 6.0}, [[3.0]])[0] == 0.0
 
     def test_linear_off_root(self):
         sys1 = get("univariate_linear").system
-        r = normalized_residual(sys1, {"a": 1.0, "b": -2.0}, [3.0])
-        assert r == pytest.approx(1.0 / 6.0)
+        r = normalized_residual(sys1, {"a": 1.0, "b": -2.0}, [[3.0]])
+        assert r.shape == (1,)
+        assert r[0] == pytest.approx(1.0 / 6.0)
 
     def test_batch_matches_single_points_and_loop_reference(self):
         entry = get("three_quadrics")
@@ -254,7 +255,7 @@ class TestNormalizedResidual:
         assert batch.shape == (9,)
         for p, r in zip(pts, batch):
             # elementwise arithmetic only: batching cannot change a bit
-            assert normalized_residual(entry.system, coeffs, p) == r
+            assert normalized_residual(entry.system, coeffs, [p])[0] == r
             want = max(
                 abs(evaluate(f, coeffs, p))
                 / (1.0 + sum(abs(term_value(t, coeffs) * np.prod(p ** np.array(t.exps))) for t in f.terms))
@@ -264,7 +265,7 @@ class TestNormalizedResidual:
 
     def test_all_zero_coefficients(self):
         sys1 = get("univariate_linear").system
-        assert normalized_residual(sys1, {"a": 0.0, "b": 0.0}, [3.0]) == 0.0
+        assert normalized_residual(sys1, {"a": 0.0, "b": 0.0}, [[3.0]])[0] == 0.0
 
 
 small_monos = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -306,7 +307,7 @@ class TestProperties:
     def test_residual_zero_iff_vanishes(self, x, y):
         sys1 = get("two_conics").system
         coeffs = {"a": 1.0, "b": 2.0, "c": -1.0, "d": 1.0, "e": -0.5}
-        r = normalized_residual(sys1, coeffs, [x, y])
+        r = normalized_residual(sys1, coeffs, [[x, y]])[0]
         vanishes = all(abs(evaluate(f, coeffs, [x, y])) == 0.0 for f in sys1.polys)
         assert (r == 0.0) == vanishes
 

@@ -1,12 +1,14 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import NON_FINITE_CONICS, contains_points, pair_max_dev
+from helpers import INFINITE_SCHUR_CONICS, NON_FINITE_CONICS, contains_points, pair_max_dev
 
 from polyres.generate import SearchConfig, generate_plan
 from polyres.oracle import numeric_poly, sylvester_bivariate
-from polyres.plan import MissingSlotError
+from polyres.plan import MissingSlotError, plan_from_json
 from polyres.poly import PolynomialTemplate, SystemTemplate, Term, normalized_residual
 from polyres.problems import get
 from polyres.solve import (
@@ -22,14 +24,20 @@ from polyres.solve import (
 
 CONIC_INSTANCE = {"a": 1.0, "b": 1.0, "c": -1.0, "d": 1.0, "e": -0.25}
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def golden_plan(name):
+    return plan_from_json((GOLDEN / f"{name}.plan").read_text(encoding="utf-8"))
+
 
 class TestFill:
     def test_univariate_blocks(self, univariate_linear_plan):
-        inst = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
+        m = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
         lay = univariate_linear_plan.layout
-        assert inst.matrix[: lay.n_upper, : lay.n_b1].tolist() == [[-2.0]]  # A11
-        assert inst.matrix[: lay.n_upper, lay.n_b1 :].tolist() == [[1.0]]  # A12
-        assert inst.matrix[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 | A22
+        assert m[: lay.n_upper, : lay.n_b1].tolist() == [[-2.0]]  # A11
+        assert m[: lay.n_upper, lay.n_b1 :].tolist() == [[1.0]]  # A12
+        assert m[lay.n_upper :].tolist() == [[0.0, 1.0]]  # A21 | A22
         b = lay.template.instantiate({"a": 1.0, "b": -2.0}, 0.0, 1.0)
         assert b[lay.n_upper :].tolist() == [[-1.0, 0.0]]  # B21 | B22
 
@@ -38,17 +46,17 @@ class TestFill:
             fill(univariate_linear_plan, {"a": 1.0})
 
     def test_all_zero_instance_fails_at_solve(self, univariate_linear_plan):
-        inst = fill(univariate_linear_plan, {"a": 0.0, "b": 0.0})
+        coeffs = {"a": 0.0, "b": 0.0}
         with pytest.raises(SolveFailure):
-            solve(inst)
+            solve(univariate_linear_plan, coeffs, fill(univariate_linear_plan, coeffs))
 
     def test_dimensions_match_plan(self, two_conics_plan):
         rng = np.random.default_rng(0)
         coeffs = {s: float(rng.standard_normal()) for s in get("two_conics").system.slots()}
-        inst = fill(two_conics_plan, coeffs)
-        assert inst.matrix.shape == two_conics_plan.layout.shape
+        m = fill(two_conics_plan, coeffs)
+        assert m.shape == two_conics_plan.layout.shape
         # a dropped u0 cell (-1 * 0.0) is stored as +0.0, like a cell no term writes
-        assert not np.signbit(inst.matrix[inst.matrix == 0]).any()
+        assert not np.signbit(m[m == 0]).any()
 
 
 class TestSolve:
@@ -58,8 +66,8 @@ class TestSolve:
         assert all(r.residual < 1e-12 for r in sols.roots)
 
     def test_linear_schur_is_two(self, univariate_linear_plan):
-        inst = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
-        assert np.allclose(schur_matrix(inst), [[2.0]], atol=1e-15)
+        m = fill(univariate_linear_plan, {"a": 1.0, "b": -2.0})
+        assert np.allclose(schur_matrix(univariate_linear_plan, m), [[2.0]], atol=1e-15)
 
     def test_two_conics_roots(self, two_conics_plan):
         sols = solve_instance(two_conics_plan, CONIC_INSTANCE)
@@ -79,15 +87,15 @@ class TestSolve:
         # the eigensolver's pair order must not reach the output: the same
         # pairs handed over reversed give the identical solution set
         import polyres.solve as solve_mod
-        from polyres.linalg import EigResult, eig
+        from polyres.linalg import eig
 
         sols = solve_instance(two_conics_plan, CONIC_INSTANCE)
         keys = [(r.eigvalue.real, r.eigvalue.imag) for r in sols.roots]
         assert keys == sorted(keys)
 
         def reversed_eig(a, tol=1e-8):
-            res = eig(a, tol)
-            return EigResult(res.values[::-1], res.vectors[:, ::-1])
+            values, vectors = eig(a, tol)
+            return values[::-1], vectors[:, ::-1]
 
         monkeypatch.setattr(solve_mod, "eig", reversed_eig)
         assert solve_instance(two_conics_plan, CONIC_INSTANCE) == sols
@@ -101,19 +109,19 @@ class TestRecover:
         vec = np.zeros(2, dtype=complex)
         vec[b1.index((0,))] = 1.0
         vec[b1.index((1,))] = 2.0
-        pt = recover(vec, plan, x_k_value=2.0)
-        assert pt[0] == pytest.approx(2.0)
+        pts = recover(vec[:, None], plan, [2.0])
+        assert pts.shape == (1, 1)
+        assert pts[0, 0] == pytest.approx(2.0)
 
     def test_scale_invariance(self, two_conics_plan):
         sols = solve_instance(two_conics_plan, CONIC_INSTANCE)
-        inst = fill(two_conics_plan, CONIC_INSTANCE)
         from polyres.linalg import eig
 
-        res = eig(schur_matrix(inst))
-        for lam, vec in zip(res.values, res.vectors.T):
-            p1 = recover(vec, two_conics_plan, lam)
-            p2 = recover(vec * (0.3 - 1.7j), two_conics_plan, lam)
-            assert max(abs(a - b) for a, b in zip(p1, p2)) < 1e-9
+        lam, vecs = eig(schur_matrix(two_conics_plan, fill(two_conics_plan, CONIC_INSTANCE)))
+        p1 = recover(vecs, two_conics_plan, lam)
+        # a different factor for each column
+        p2 = recover(vecs * (0.3 - 1.7j) ** np.arange(1, len(lam) + 1), two_conics_plan, lam)
+        assert np.abs(p1 - p2).max() < 1e-9
 
     def test_unrecoverable_variable(self):
         # hand-built square plan whose B1 = {1, x1} offers no ratio pair for
@@ -154,8 +162,9 @@ class TestRecover:
         sols = solve_instance(two_conics_plan, CONIC_INSTANCE)
         base = two_conics_plan.base_system
         for r in sols.roots:
-            direct = normalized_residual(base, CONIC_INSTANCE, r.point)
-            assert r.residual == direct
+            direct = normalized_residual(base, CONIC_INSTANCE, [r.point])
+            assert direct.shape == (1,)
+            assert r.residual == direct[0]
 
 
 class TestOracleAgreement:
@@ -226,6 +235,32 @@ class TestBenchmark:
         doc = json.loads(rep.to_json(), parse_constant=refuse)
         assert doc["mean_log10"] is None and doc["median_log10"] is None
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_schur_complement_fails(self):
+        # finite coefficients, but X overflows: a numeric failure, not a
+        # ValueError from eig
+        plan = golden_plan("two_conics")
+        with pytest.raises(SolveFailure, match="eigenproblem matrix is not finite"):
+            solve_instance(plan, INFINITE_SCHUR_CONICS)
+        rep = benchmark(plan, lambda rng: INFINITE_SCHUR_CONICS, trials=3, seed=0)
+        assert rep.fail_pct == 100.0
+
+    # solve.benchmark on the golden plans and the library's instance
+    # generators, 2000 trials at seed 1: the exact report bytes
+    PINNED_REPORTS = {
+        "two_conics": '{"fail_pct":0.0,"mean_log10":-16.323301616590218,"median_log10":-15.413311863927092,'
+        '"n_solutions_histogram":{"4":2000},"timing_us":null,"trials":2000}\n',
+        "three_quadrics": '{"fail_pct":0.0,"mean_log10":-13.72855828060999,"median_log10":-13.98892016877918,'
+        '"n_solutions_histogram":{"8":2000},"timing_us":null,"trials":2000}\n',
+        "rel_pose_f_lambda_8pt": '{"fail_pct":0.0,"mean_log10":-13.26788904778168,"median_log10":-13.576321509883732,'
+        '"n_solutions_histogram":{"10":8,"7":1,"8":1991},"timing_us":null,"trials":2000}\n',
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_golden_reports_pinned(self, name):
+        rep = benchmark(golden_plan(name), get(name).random_instance, 2000, seed=1)
+        assert rep.to_json() == self.PINNED_REPORTS[name]
+
     def test_singleton_stats(self, univariate_quadratic_plan):
         gen = self._gen(get("univariate_quadratic").system)
         rep = benchmark(univariate_quadratic_plan, gen, trials=1, seed=3)
@@ -250,6 +285,32 @@ class TestBenchmark:
         gen = self._gen(get("univariate_linear").system)
         rep = benchmark(univariate_linear_plan, gen, trials=5, seed=1, record_timing=True)
         assert rep.timing_us is not None and rep.timing_us["p95"] >= rep.timing_us["p50"]
+
+
+class TestExtremeInstances:
+    @pytest.mark.parametrize("name", ["two_conics", "three_quadrics"])
+    def test_roots_or_solve_failure(self, name):
+        # every slot +-10^U(-300, 300): finite input either solves or fails
+        # as a SolveFailure, with no other exception and no numpy warning
+        plan = golden_plan(name)
+        slots = plan.base_system.slots()
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            coeffs = {s: float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)) for s in slots}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    solve_instance(plan, coeffs)
+                except SolveFailure:
+                    pass
+
+    def test_v2_cull_survives_huge_x(self, two_conics_plan_v2):
+        # X is finite but ||X||_F overflows: taken unscaled, the cull bound
+        # is inf and culls all four good roots
+        coeffs = {"a": -7e123, "b": 2e-44, "c": 1e-44, "d": 1e173, "e": -5e11}
+        sols = solve_instance(two_conics_plan_v2, coeffs)
+        assert len(sols.roots) == 4
+        assert max(r.residual for r in sols.roots) < 1e-14
 
 
 class TestDetVanishing:
