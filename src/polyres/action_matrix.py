@@ -220,7 +220,8 @@ def res_to_am(plan: SolverPlan, root_count: int, probe_roots=None) -> AmPlan:
     Requires the eigenproblem size to equal the root count.  For the
     alternate partition variant the action variable is the adjoined
     reciprocal lam, which additionally requires that no root has x_k = 0;
-    ``probe_roots`` (solutions of any generic instance) witnesses that.
+    ``probe_roots`` (solutions of any generic instance) witnesses that, and
+    an empty probe witnesses nothing.
     """
     if plan.n_solutions != root_count:
         raise UnsupportedCaseError(
@@ -245,6 +246,8 @@ def res_to_am(plan: SolverPlan, root_count: int, probe_roots=None) -> AmPlan:
 
     # Alternate variant: Rabinowitsch-style reciprocal action.
     if probe_roots is not None:
+        if not probe_roots:
+            raise UnsupportedCaseError(f"no probe root witnesses x_{k} != 0")
         worst = min(abs(complex(r[k - 1])) for r in probe_roots)
         if worst <= 1e-9:
             raise UnsupportedCaseError(

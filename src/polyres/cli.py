@@ -79,6 +79,14 @@ def _writable(path) -> bool:
     return False
 
 
+def _at_least(flag: str, value: int, low: int) -> bool:
+    """Whether ``value`` is at least ``low``; if not, print why, naming ``flag``."""
+    if value >= low:
+        return True
+    print(f"error: {flag} must be at least {low}", file=sys.stderr)
+    return False
+
+
 def _load_system(path: str):
     try:
         return parse_system(_read(path))
@@ -106,8 +114,7 @@ def _delta_magnitudes(text: str | None) -> tuple[Fraction, ...]:
 
 
 def _search_config(args) -> SearchConfig:
-    if args.max_subset is not None and args.max_subset < 1:
-        print("error: --max-subset must be at least 1", file=sys.stderr)
+    if args.max_subset is not None and not _at_least("--max-subset", args.max_subset, 1):
         raise SystemExit(EXIT_USAGE)
     variants = ("v1", "v2") if args.variant == "both" else (args.variant,)
     return SearchConfig(
@@ -179,11 +186,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print("error: --seed must be at least 0", file=sys.stderr)
+    if not (_at_least("--trials", args.trials, 1) and _at_least("--seed", args.seed, 0)):
         return EXIT_USAGE
     plan = _load_plan(args.plan)
     slots = plan.base_system.slots()
@@ -230,14 +233,9 @@ def _root_count_for(system, plan, args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.roots is not None and args.roots < 1:
-        print("error: --roots must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print("error: --seed must be at least 0", file=sys.stderr)
+    if not (_at_least("--trials", args.trials, 1)
+            and (args.roots is None or _at_least("--roots", args.roots, 1))
+            and _at_least("--seed", args.seed, 0)):
         return EXIT_USAGE
     system = _load_system(args.system)
     variant = "v2" if args.direction == "resalt2am" else "v1"

@@ -149,13 +149,6 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     return out
 
 
-def recovery_pairs_exist(layout: MatrixLayout) -> bool:
-    """Instance-independent solvability of the eigenvector read-off: every
-    non-hidden variable needs a pair (m, x_i * m) inside B1."""
-    _, src, _, starts = layout.ratio_pairs
-    return bool(np.all(np.diff(starts, append=len(src)) > 0))
-
-
 def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
     """The first partition condition ``layout`` fails, by its reason name,
     or None.  Every polynomial keeps a row ("coverage"), the matrix has full
@@ -188,7 +181,10 @@ def verify_partition(layout: MatrixLayout, cfg: SearchConfig) -> bool:
 
 
 def _selection_key(layout: MatrixLayout):
-    """Smallest eigenproblem first, then smallest matrix, then layout order."""
+    """Smallest n_b1 = |T_last| first, then smallest matrix, then layout
+    order, all as laid out before any reduction.  Row removal can still
+    shrink n_b1: the golden rel_pose plan is picked at |T_last| = 30 and
+    ends at n_b1 = 10, so this is not the order of the final eigenproblems."""
     p, eps = layout.shape
     return (
         layout.n_b1,
@@ -383,7 +379,7 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     full_rank: dict[tuple, bool] = {}
     for seen, cand in enumerate(candidates, 1):
         failure = partition_failure(cand.layout, cfg, full_rank)
-        if failure is None and not recovery_pairs_exist(cand.layout):
+        if failure is None and cand.layout.unpaired:
             failure = "unrecoverable_b1"
         if failure is not None:
             _tick(reasons, failure)
@@ -393,7 +389,7 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
         except SquarifyExhausted:
             _tick(reasons, "squarify_exhausted")
             continue
-        if not recovery_pairs_exist(plan.layout):
+        if plan.layout.unpaired:
             # row removal can strip the pairs the eigenvector read-off needs
             _tick(reasons, "unrecoverable_b1")
             continue

@@ -260,7 +260,7 @@ def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> 
     share one set.  One bounding box covers every shift; its int64 dot
     products with the normals are taken once, and each distinct offset row
     costs one comparison.  Raises OverflowError when a coordinate, an
-    offset or a dot product over one displacement's box could leave int64.
+    offset or a dot product over the box could leave int64.
     """
     if any(len(d) != q.dim for d in deltas):
         raise ValueError("displacement dimension mismatch")
@@ -291,13 +291,7 @@ def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> 
     reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
     bound = max([*reach, *(abs(x) for r in rows for x in r)] + [_dot(map(abs, n), reach) for n in normals])
     if bound >= 2**63:
-        if len(live) == 1:
-            raise OverflowError("lattice box exceeds int64 range")
-        # the box of one displacement may fit where the box of all does not
-        for d, k in zip(deltas, keys):
-            if k not in sets:
-                sets[k] = lattice_points(q, [d])[0]
-        return [sets[k] for k in keys]
+        raise OverflowError("lattice box exceeds int64 range")
 
     # an equation n.x == c is the two inequalities n.x <= c and -n.x <= -c
     box = np.indices([b - a + 1 for a, b in zip(lo, hi)]).reshape(q.dim, -1).T + np.array(lo)

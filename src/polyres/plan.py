@@ -280,6 +280,14 @@ class MatrixLayout:
                     dst.append(k)
         return free, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(starts, dtype=np.intp)
 
+    @cached_property
+    def unpaired(self) -> tuple[int, ...]:
+        """The variables (0-based) other than x_k that no pair in B1 recovers,
+        whatever the instance: a layout with any cannot be solved."""
+        free, src, _, starts = self.ratio_pairs
+        counts = np.diff(starts, append=len(src)).tolist()
+        return tuple(i for i, c in zip(free, counts) if c == 0)
+
     def multiplier_sets(self) -> list[set[Mono]]:
         out = [set() for _ in self.template.system.polys]
         for poly_idx, mult in self.template.rows:

@@ -4,10 +4,10 @@ reduces it to the eigenproblem X, ``eig`` decomposes X, ``recover`` reads
 the points off the eigenvectors and ``normalized_residual`` scores them.
 
 Failures that count toward the benchmark failure rate (singular pivot
-block, non-finite X, eigenpair failing its residual bound, unrecoverable
-eigenvector, non-finite root or residual) raise SolveFailure; caller bugs
-such as missing coefficient slots raise their own exceptions and are never
-silently absorbed.
+block, non-finite X, eigenpair failing its residual bound, every v2
+eigenvalue culled, unrecoverable eigenvector, non-finite root or residual)
+raise SolveFailure; caller bugs such as missing coefficient slots raise
+their own exceptions and are never silently absorbed.
 """
 
 from __future__ import annotations
@@ -79,15 +79,12 @@ def recover(eigvecs: np.ndarray, plan: SolverPlan, x_k_values) -> np.ndarray:
     lay = plan.layout
     free, src, dst, starts = lay.ratio_pairs
     v = np.asarray(eigvecs, dtype=np.complex128)
-    if not v.any(axis=0).all():
-        raise ValueError("eigenvector is zero")
     points = np.empty((v.shape[1], lay.template.system.n_vars), dtype=np.complex128)
     points[:, lay.hidden_var - 1] = x_k_values
     if free and v.shape[1]:
         names = lay.template.system.var_names
-        no_pairs = np.flatnonzero(np.diff(starts, append=len(src)) == 0)
-        if no_pairs.size:
-            raise UnrecoverableVariableError(names[free[no_pairs[0]]])
+        if lay.unpaired:
+            raise UnrecoverableVariableError(names[lay.unpaired[0]])
         vs = v[src]
         num = np.add.reduceat(vs.conj() * v[dst], starts, axis=0)
         den = np.add.reduceat(vs.real**2 + vs.imag**2, starts, axis=0)
@@ -123,6 +120,8 @@ def solve(plan: SolverPlan, coeffs, m: np.ndarray, tol: float = 1e-8) -> Solutio
             eps = float(np.finfo(np.float64).eps)
             unit = scale_unit(x)
             keep = np.abs(lam) >= (eps * (1.0 + np.linalg.norm(x * unit) / unit)) ** (1.0 / 3.0)
+            if not keep.any():
+                raise SolveFailure("every eigenvalue lies below the v2 cull bound")
             lam, vecs = lam[keep], vecs[:, keep]
         order = np.lexsort((lam.imag, lam.real))
         lam, vecs = lam[order], vecs[:, order]
@@ -196,12 +195,9 @@ def benchmark(
             continue
         times.append(time.perf_counter() - t0)
         histogram[len(sols.roots)] = histogram.get(len(sols.roots), 0) + 1
-        bad = not sols.roots
         for r in sols.roots:
             logs.append(float(np.log10(max(r.residual, _LOG_FLOOR))))
-            if r.residual > FAILURE_RESIDUAL:
-                bad = True
-        if bad:
+        if any(r.residual > FAILURE_RESIDUAL for r in sols.roots):
             failures += 1
     mean = float(np.mean(logs)) if logs else None
     median = float(np.median(logs)) if logs else None

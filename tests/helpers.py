@@ -16,6 +16,10 @@ INFINITE_SCHUR_CONICS = {"a": 1e-243, "b": -1e-157, "c": 1e59, "d": -0.5, "e": -
 # (a norm of X), yet gives 4 roots of size 1e100 with residuals near 1e-16
 HUGE_ROOT_CONICS = {"a": 1e-200, "b": -1e-200, "c": 1.0, "d": -1.0, "e": -1e200}
 
+# finite two_conics coefficients whose nonzero eigenvalues on the seed-1 v2
+# plan (|lambda| = 1.77e9) all lie below its cull bound, which grows with ||X||
+ALL_CULLED_CONICS = {"a": -2e-164, "b": 8e73, "c": -4e199, "d": -2e172, "e": -8e225}
+
 
 def pair_max_dev(got, want) -> float:
     """Greedy minimum-distance pairing of two equal-size value multisets;

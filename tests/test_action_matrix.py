@@ -175,6 +175,11 @@ class TestResToAm:
         with pytest.raises(UnsupportedCaseError, match="x_"):
             res_to_am(two_conics_plan_v2, 4, probe_roots=probe)
 
+    def test_empty_probe_rejected(self, two_conics_plan_v2):
+        # the CLI probe keeps only roots with residual <= 1e-8 and may keep none
+        with pytest.raises(UnsupportedCaseError, match="no probe root"):
+            res_to_am(two_conics_plan_v2, 4, probe_roots=[])
+
     def test_reciprocal_eigenvalues_invert_roots(self, two_conics_plan_v2):
         sols = solve_instance(two_conics_plan_v2, CONIC)
         probe = [r.point for r in sols.roots]

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import HUGE_ROOT_CONICS, INFINITE_SCHUR_CONICS, NON_FINITE_CONICS
+from helpers import ALL_CULLED_CONICS, HUGE_ROOT_CONICS, INFINITE_SCHUR_CONICS, NON_FINITE_CONICS
 
 import polyres.cli
 from polyres.cli import main
@@ -159,12 +159,12 @@ class TestSolve:
         assert "root" not in captured.out
 
     @staticmethod
-    def _solve_conics_fresh(tmp_path, instance):
-        """``polyres solve`` on the golden two_conics plan in a fresh process,
-        where numpy warnings would reach stderr."""
+    def _solve_conics_fresh(tmp_path, instance, plan_path=GOLDEN / "two_conics.plan"):
+        """``polyres solve`` on a two_conics plan, the golden one by default,
+        in a fresh process, where numpy warnings would reach stderr."""
         _, inst_path = write_problem(tmp_path, "two_conics", instance)
         src = Path(polyres.cli.__file__).resolve().parents[1]
-        argv = ["solve", "--plan", str(GOLDEN / "two_conics.plan"), "--instance", str(inst_path)]
+        argv = ["solve", "--plan", str(plan_path), "--instance", str(inst_path)]
         script = f"import sys\nfrom polyres.cli import main\nsys.exit(main({argv!r}))\n"
         env = dict(os.environ, PYTHONPATH=str(src))
         return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
@@ -179,6 +179,14 @@ class TestSolve:
         proc = self._solve_conics_fresh(tmp_path, INFINITE_SCHUR_CONICS)
         assert proc.returncode == 4
         assert proc.stderr == "numeric failure: the eigenproblem matrix is not finite\n"
+        assert proc.stdout == ""
+
+    def test_every_eigenvalue_culled_exits_4(self, tmp_path, two_conics_plan_v2):
+        plan_path = tmp_path / "v2.plan"
+        plan_path.write_text(plan_to_json(two_conics_plan_v2))
+        proc = self._solve_conics_fresh(tmp_path, ALL_CULLED_CONICS, plan_path)
+        assert proc.returncode == 4
+        assert proc.stderr == "numeric failure: every eigenvalue lies below the v2 cull bound\n"
         assert proc.stdout == ""
 
     def test_overflow_on_the_way_prints_no_warning(self, tmp_path):
@@ -281,6 +289,23 @@ class TestBench:
         capsys.readouterr()
         code = main(["bench", "--plan", str(plan_path), "--trials", "0", "--seed", "1", "--report", str(tmp_path / "r")])
         assert code == 2
+
+    # polyres bench --trials 500 --seed 1 on the golden plans: the exact report bytes
+    PINNED_REPORTS = {
+        "two_conics": '{"fail_pct":0.0,"mean_log10":-16.65517068986041,"median_log10":-15.395855502171894,'
+        '"n_solutions_histogram":{"4":500},"timing_us":null,"trials":500}\n',
+        "three_quadrics": '{"fail_pct":0.0,"mean_log10":-13.751453041766915,"median_log10":-14.006713956343429,'
+        '"n_solutions_histogram":{"8":500},"timing_us":null,"trials":500}\n',
+        "rel_pose_f_lambda_8pt": '{"fail_pct":0.0,"mean_log10":-13.50028925672656,"median_log10":-13.714237644799013,'
+        '"n_solutions_histogram":{"9":500},"timing_us":null,"trials":500}\n',
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_golden_reports_pinned(self, tmp_path, name):
+        report = tmp_path / "r.json"
+        argv = ["bench", "--plan", str(GOLDEN / f"{name}.plan"), "--trials", "500", "--seed", "1"]
+        assert main([*argv, "--report", str(report)]) == 0
+        assert report.read_text(encoding="utf-8") == self.PINNED_REPORTS[name]
 
     def test_single_trial(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "univariate_quadratic")

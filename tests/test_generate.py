@@ -21,7 +21,6 @@ from polyres.generate import (
     augment,
     generate_plan,
     partition_failure,
-    recovery_pairs_exist,
     reduce_rowcol,
     search_candidates,
     squarify,
@@ -297,13 +296,13 @@ class TestSelection:
         survivors.sort(key=lambda c: _selection_key(c.layout))
         expected = None
         for cand in survivors:
-            if not recovery_pairs_exist(cand.layout):
+            if cand.layout.unpaired:
                 continue
             try:
                 plan = squarify(reduce_rowcol(cand, cfg), cfg)
             except SquarifyExhausted:
                 continue
-            if recovery_pairs_exist(plan.layout):
+            if not plan.layout.unpaired:
                 expected = plan
                 break
         assert expected is not None
@@ -458,7 +457,7 @@ def _first_partitioned(name):
     system = get(name).system
     cands = [c for k in range(1, system.n_vars + 1) for c in search_candidates(augment(system, k), k, cfg)]
     cands.sort(key=lambda c: _selection_key(c.layout))
-    return next(c for c in cands if verify_partition(c.layout, cfg) and recovery_pairs_exist(c.layout))
+    return next(c for c in cands if verify_partition(c.layout, cfg) and not c.layout.unpaired)
 
 
 def _replay_cases():

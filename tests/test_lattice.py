@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyres.lattice import (
@@ -131,6 +131,20 @@ class TestMinkowskiSum:
         assert all(set(q.vertices) == base for q in orders)
 
 
+@st.composite
+def edge_polytopes(draw):
+    """(corner, offsets, magnitudes): a hull of small offsets from a corner
+    whose coordinates lie near -2^62, 0 or 2^62, in 2-D or 3-D, and one or
+    two displacement magnitudes.  Near 2^62, a normal with two unit entries
+    puts a box's dot products at the edge of int64."""
+    n = draw(st.sampled_from([2, 3]))
+    corner = tuple(draw(st.sampled_from([-(2**62), 0, 2**62])) + draw(st.integers(-6, 6)) for _ in range(n))
+    offsets = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4))
+    mags = draw(st.lists(st.sampled_from([TENTH, MILLI, Fraction(1), Fraction(5, 2)]), min_size=1, max_size=2,
+                         unique=True))
+    return corner, offsets, tuple(mags)
+
+
 class TestLatticePoints:
     def test_example_minkowski_interior(self):
         q = minkowski_sum([convex_hull(A1), convex_hull(A2)])
@@ -188,15 +202,30 @@ class TestLatticePoints:
         # the offsets scaled by 1000 leave int64; the offsets themselves do not
         assert lattice_points(axis, [zero, (MILLI, Fraction(0))]) == [{(big, 0), (big + 1, 0)}, {(big + 1, 0)}]
 
-    def test_int64_guard_per_displacement(self):
-        # each shift's box keeps |x| + |y| below 2^63, the box of both does not
-        top = 2**62 - 1
-        diagonal = convex_hull([(top - 1, top - 1), (top, top)])
-        one, zero = Fraction(1), Fraction(0)
-        assert lattice_points(diagonal, [(one, zero), (zero, one)]) == [
-            {(top, top - 1), (top + 1, top)},
-            {(top - 1, top), (top, top + 1)},
-        ]
+    @given(case=edge_polytopes())
+    # at the edge: the boxes of the larger grid leave int64, those of the smaller do not
+    @example(case=((2**62 - 2, 2**62 - 2), ((0, 0),), (TENTH, Fraction(1))))
+    @example(case=((2**62 - 3, 0, 2**62 - 3), ((0, 0, 0),), (MILLI, Fraction(5, 2))))
+    @settings(max_examples=60)
+    def test_int64_guard_on_grid_lists(self, case):
+        # the lists the search passes: one list raises exactly when one of its
+        # displacements does, and otherwise gives the per-displacement sets
+        corner, offsets, mags = case
+        n = len(corner)
+        q = minkowski_sum([unit_simplex(n), convex_hull([tuple(map(sum, zip(corner, o))) for o in offsets])])
+        deltas = list(dict.fromkeys(d for mag in mags for d in displacement_grid(n, mag)))
+        singles = []
+        for delta in deltas:
+            try:
+                singles.append(lattice_points(q, [delta])[0])
+            except OverflowError:
+                singles.append(None)
+        try:
+            got = lattice_points(q, deltas)
+        except OverflowError:
+            assert None in singles
+        else:
+            assert got == singles
 
 
 class TestDisplacement:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import INFINITE_SCHUR_CONICS, NON_FINITE_CONICS, contains_points, pair_max_dev
+from helpers import ALL_CULLED_CONICS, INFINITE_SCHUR_CONICS, NON_FINITE_CONICS, contains_points, pair_max_dev
 
 from polyres.generate import SearchConfig, generate_plan
 from polyres.oracle import numeric_poly, sylvester_bivariate
@@ -244,6 +244,14 @@ class TestBenchmark:
             solve_instance(plan, INFINITE_SCHUR_CONICS)
         rep = benchmark(plan, lambda rng: INFINITE_SCHUR_CONICS, trials=3, seed=0)
         assert rep.fail_pct == 100.0
+
+    def test_every_eigenvalue_culled_fails(self, two_conics_plan_v2):
+        # no root is left to return: a numeric failure, not an empty solution
+        with pytest.raises(SolveFailure, match="every eigenvalue lies below the v2 cull bound"):
+            solve_instance(two_conics_plan_v2, ALL_CULLED_CONICS)
+        rep = benchmark(two_conics_plan_v2, lambda rng: ALL_CULLED_CONICS, trials=3, seed=0)
+        assert rep.fail_pct == 100.0
+        assert rep.n_solutions_histogram == {0: 3}
 
     # solve.benchmark on the golden plans and the library's instance
     # generators, 2000 trials at seed 1: the exact report bytes
