@@ -42,7 +42,7 @@ class SingularTemplateError(RuntimeError):
 
 
 class UnsupportedCaseError(RuntimeError):
-    """Bridge precondition violated (N > r, or a root with x_k = 0)."""
+    """Bridge precondition violated (N != r, or a root with x_k = 0)."""
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def res_to_am(plan: SolverPlan, root_count: int, probe_roots=None) -> AmPlan:
     """
     if plan.n_solutions != root_count:
         raise UnsupportedCaseError(
-            f"eigenproblem size {plan.n_solutions} exceeds root count {root_count}"
+            f"eigenproblem size {plan.n_solutions} differs from root count {root_count}"
         )
     lay = plan.layout
     base = plan.base_system

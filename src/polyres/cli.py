@@ -165,6 +165,8 @@ def cmd_solve(args) -> int:
     except SystemFormatError as e:
         print(f"error: bad instance file {args.instance}: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args.out and not _writable(args.out):
+        return EXIT_USAGE
     try:
         sols = solve_instance(plan, coeffs, tol=args.tol)
     except MissingSlotError as e:
@@ -189,6 +191,8 @@ def cmd_bench(args) -> int:
     if not (_at_least("--trials", args.trials, 1) and _at_least("--seed", args.seed, 0)):
         return EXIT_USAGE
     plan = _load_plan(args.plan)
+    if not _writable(args.report):
+        return EXIT_USAGE
     slots = plan.base_system.slots()
 
     def gen(rng):

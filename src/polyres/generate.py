@@ -153,7 +153,8 @@ def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[t
     """The first partition condition ``layout`` fails, by its reason name,
     or None.  Every polynomial keeps a row ("coverage"), the matrix has full
     column rank ("column_rank"), and the upper rows have full rank on the
-    columns outside B1 ("a12_rank"), so the Schur complement exists.
+    columns outside B1 ("a12_rank"), so the Schur complement exists.  Both
+    ranks are decided on one instantiation at the rank config's witness.
     ``full_rank`` memoizes full-rank verdicts by (system, rows): the v1 and
     v2 layouts of one set of multipliers share their rows and their columns
     up to order, so they share one verdict."""
@@ -161,13 +162,15 @@ def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[t
     if len({poly_idx for poly_idx, _ in tm.rows}) < len(tm.system.polys):
         return "coverage"
     key = (tm.system, tm.rows)
-    full = full_rank.get(key)
-    if full is None:
-        full = full_rank[key] = has_full_column_rank(tm, None, cfg.rank)
-    if not full:
+    if full_rank.get(key) is False:
         return "column_rank"
-    a12 = list(range(layout.n_b1, len(tm.cols)))
-    if not has_full_column_rank(tm, a12, cfg.rank, list(range(layout.n_upper))):
+    p, trial = cfg.rank.witness
+    m = cfg.rank.instantiate(tm, p, trial)
+    if key not in full_rank:
+        full_rank[key] = has_full_column_rank(m, p)
+    if not full_rank[key]:
+        return "column_rank"
+    if not has_full_column_rank(m[: layout.n_upper, layout.n_b1 :], p):
         return "a12_rank"
     return None
 
@@ -286,44 +289,41 @@ def _remove_row(m: np.ndarray, k1: np.ndarray, k2: np.ndarray, r: int, n_upper: 
 
 def _square_removals(cand: FavourableCandidate, cfg: SearchConfig) -> list[tuple[int, Mono]]:
     """The rows squarify removes from a candidate with more rows than
-    columns, in removal order."""
+    columns, in removal order.  An attempt draws trial rows without
+    replacement from per-polynomial row lists sorted by multiplier, the
+    lower block's first, and is a dead end if they run out first."""
     tm = cand.layout.template
     n_upper, n_b1, n_cols = cand.layout.n_upper, cand.layout.n_b1, len(tm.cols)
-    m_last = len(tm.system.polys) - 1
-    row_id = {row: r for r, row in enumerate(tm.rows)}
-    mults = [sorted(t) for t in cand.layout.multiplier_sets()]
+    pools = [[] for _ in tm.system.polys]
+    for r in sorted(range(len(tm.rows)), key=tm.rows.__getitem__):
+        pools[tm.rows[r][0]].append(r)
     p, trial = cfg.rank.witness
     m = cfg.rank.instantiate(tm, p, trial)
     kernels = modp_left_kernel(m, p), modp_left_kernel(m[:n_upper, n_b1:], p)
     # no removal mends a failed partition; with full column rank, a left
     # kernel has one vector per extra row
-    if (0 in map(len, mults) or len(kernels[0]) != len(tm.rows) - n_cols
+    if (not all(pools) or len(kernels[0]) != len(tm.rows) - n_cols
             or len(kernels[1]) != n_upper - (n_cols - n_b1)):
         raise SquarifyExhausted("the candidate fails its partition")
     for attempt in range(SQUARIFY_RETRIES):
         rng = random.Random(f"squarify:{cfg.seed}:{attempt}")
         k1, k2 = kernels
-        left = [len(t) for t in mults]  # surviving rows of each polynomial
+        *upper, lower = (list(pool) for pool in pools)
+        left = [len(pool) for pool in pools]  # surviving rows of each polynomial
         removed: list[tuple[int, Mono]] = []
-        tried: set[tuple[int, Mono]] = set()
         while len(k1):  # until the matrix is square
-            pool = [t for t in mults[m_last] if (m_last, t) not in tried]
-            if pool:
-                poly_idx, mult = m_last, pool[rng.randrange(len(pool))]
-            else:
-                open_polys = [i for i in range(m_last) if any((i, t) not in tried for t in mults[i])]
-                if not open_polys:
-                    break
-                poly_idx = open_polys[rng.randrange(len(open_polys))]
-                pool = [t for t in mults[poly_idx] if (poly_idx, t) not in tried]
-                mult = pool[rng.randrange(len(pool))]
-            tried.add((poly_idx, mult))
+            open_pools = [pool for pool in upper if pool]
+            if not (lower or open_pools):
+                break
+            pool = lower or open_pools[rng.randrange(len(open_pools))]
+            r = pool.pop(rng.randrange(len(pool)))
+            poly_idx = tm.rows[r][0]
             if left[poly_idx] == 1:
                 continue  # coverage
-            failure, k1, k2 = _remove_row(m, k1, k2, row_id[(poly_idx, mult)], n_upper, p)
+            failure, k1, k2 = _remove_row(m, k1, k2, r, n_upper, p)
             if failure is None:
                 left[poly_idx] -= 1
-                removed.append((poly_idx, mult))
+                removed.append(tm.rows[r])
         else:
             return removed
     raise SquarifyExhausted(f"no valid removal sequence after {SQUARIFY_RETRIES} attempts")

@@ -199,16 +199,9 @@ class RankCheckConfig:
                 yield p, t
 
 
-def has_full_column_rank(tm: TemplateMatrix, cols: list[int] | None, cfg: RankCheckConfig,
-                         row_ids: list[int] | None = None) -> bool:
-    """Exact full-column-rank test of a column (and optional row) selection,
-    decided at the config's witness."""
-    p, trial = cfg.witness
-    m = cfg.instantiate(tm, p, trial)
-    if row_ids is not None:
-        m = m[row_ids, :]
-    if cols is not None:
-        m = m[:, cols]
+def has_full_column_rank(m: np.ndarray, p: int) -> bool:
+    """Exact full-column-rank test of ``m`` over F_p.  For a template put
+    over F_p at a rank config's witness, this is the template's verdict."""
     return exact_rank(m, p) == m.shape[1]
 
 

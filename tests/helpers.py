@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from polyres.plan import has_full_column_rank
+
 # finite two_conics coefficients, scaled so far apart that two of the roots
 # the golden plan recovers overflow to NaN
 NON_FINITE_CONICS = {"a": -1e65, "b": 1e-49, "c": -1e173, "d": -1e-153, "e": -1e-149}
@@ -19,6 +21,14 @@ HUGE_ROOT_CONICS = {"a": 1e-200, "b": -1e-200, "c": 1.0, "d": -1.0, "e": -1e200}
 # finite two_conics coefficients whose nonzero eigenvalues on the seed-1 v2
 # plan (|lambda| = 1.77e9) all lie below its cull bound, which grows with ||X||
 ALL_CULLED_CONICS = {"a": -2e-164, "b": 8e73, "c": -4e199, "d": -2e172, "e": -8e225}
+
+
+def witness_full_rank(tm, cfg, n_rows=None, first_col=0) -> bool:
+    """Full column rank of the first ``n_rows`` rows of ``tm`` on its columns
+    from ``first_col`` on, at the witness of the rank config ``cfg``: the
+    whole matrix by default, A12 with ``(n_upper, n_b1)``."""
+    p, trial = cfg.witness
+    return has_full_column_rank(cfg.instantiate(tm, p, trial)[:n_rows, first_col:], p)
 
 
 def pair_max_dev(got, want) -> float:

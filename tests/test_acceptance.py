@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import contains_points, newton_polish, pair_max_dev
+from helpers import contains_points, newton_polish, pair_max_dev, witness_full_rank
 
 from polyres.action_matrix import am_to_res, check_equivalence, res_to_am
 from polyres.generate import (
@@ -22,7 +22,7 @@ from polyres.generate import (
 from polyres.lattice import convex_hull, lattice_points, minkowski_sum
 from polyres.linalg import PRIMES, eig
 from polyres.oracle import numeric_poly, sylvester_bivariate
-from polyres.plan import RankCheckConfig, has_full_column_rank
+from polyres.plan import RankCheckConfig
 from polyres.poly import dump_system, support
 from polyres.problems import get
 from polyres.solve import benchmark, fill, schur_matrix, solve_instance
@@ -221,10 +221,9 @@ def test_criterion_6_reduction_safety():
             t_sets = lay.multiplier_sets()
             assert sum(len(t) for t in t_sets) >= lay.shape[1]  # row count
             assert min(len(t) for t in t_sets) > 0  # coverage
-            upper, a12 = list(range(lay.n_upper)), list(range(lay.n_b1, lay.shape[1]))
             for fresh in FRESH:
-                assert has_full_column_rank(lay.template, None, fresh)  # full rank
-                assert has_full_column_rank(lay.template, a12, fresh, upper)
+                assert witness_full_rank(lay.template, fresh)  # full rank
+                assert witness_full_rank(lay.template, fresh, lay.n_upper, lay.n_b1)
             # locate the originating candidate: reduction must not grow B1
             aug = augment(system, lay.hidden_var)
             cands = search_candidates(aug, lay.hidden_var, cfg)

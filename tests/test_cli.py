@@ -373,6 +373,13 @@ class TestCompare:
         assert "error: --roots must be at least 1" in captured.err
         assert "equivalent" not in captured.out
 
+    def test_root_count_mismatch_named(self, tmp_path, capsys):
+        # the two_conics plan has N = 4; a larger root count is a mismatch too
+        sys_path, _ = write_problem(tmp_path, "two_conics")
+        code = main(["compare", "--system", str(sys_path), "--direction", "res2am", "--roots", "100"])
+        assert code == 3
+        assert "unsupported: eigenproblem size 4 differs from root count 100" in capsys.readouterr().err
+
     def test_zero_root_resalt_rejected(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "zero_coordinate_pair")
         code = main(
@@ -442,6 +449,27 @@ def test_unwritable_generate_output_fails_before_search(tmp_path, capsys, monkey
     assert main(["generate", "--system", str(sys_path), "--out", str(out)]) == 2
     assert f"error: cannot write {out}: {reason}" in capsys.readouterr().err
     assert (tmp_path / "a_file").read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_unwritable_output_fails_before_work(tmp_path, capsys, monkeypatch, univariate_quadratic_plan, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} did work it cannot write")
+
+    monkeypatch.setattr(polyres.cli, "solve_instance", refuse)
+    monkeypatch.setattr(polyres.cli, "benchmark", refuse)
+    _, inst_path = write_problem(tmp_path, "univariate_quadratic")
+    plan_path = tmp_path / "q.plan"
+    plan_path.write_text(plan_to_json(univariate_quadratic_plan))
+    out = tmp_path / "no" / "such" / "dir" / "out"
+    argv = {
+        "solve": ["solve", "--plan", str(plan_path), "--instance", str(inst_path), "--out", str(out)],
+        "bench": ["bench", "--plan", str(plan_path), "--trials", "3", "--report", str(out)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}: No such file or directory" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bad, reason", [("directory", "Is a directory"), ("not-utf8", "not UTF-8")],

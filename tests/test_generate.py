@@ -3,8 +3,10 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from helpers import witness_full_rank
 
 import polyres.generate
 import polyres.plan
@@ -34,7 +36,6 @@ from polyres.plan import (
     SolverPlan,
     TemplateMatrix,
     build_layout,
-    has_full_column_rank,
     plan_from_json,
     plan_to_json,
 )
@@ -140,15 +141,27 @@ class TestSearchCandidates:
     def test_no_rank_check_twice(self, monkeypatch):
         # over a whole generate_plan, no rank check runs twice on one input:
         # the same system, rows and set of column monomials, so the v1 and v2
-        # layouts of one set of multipliers share their full-rank check
-        checked = []
-        real = polyres.generate.has_full_column_rank
+        # layouts of one set of multipliers share their full-rank check.  A
+        # check takes an instantiated template or a block of it; the block's
+        # rows and columns are read off the view's offset and shape.
+        templates, checked = {}, []
+        real_instantiate = RankCheckConfig.instantiate
+        real_check = polyres.generate.has_full_column_rank
 
-        def recording(tm, cols, cfg, row_ids=None):
-            rows = tm.rows if row_ids is None else tuple(tm.rows[i] for i in row_ids)
-            checked.append((tm.system, rows, frozenset(tm.cols if cols is None else (tm.cols[j] for j in cols))))
-            return real(tm, cols, cfg, row_ids)
+        def instantiating(cfg, tm, prime, trial):
+            m = real_instantiate(cfg, tm, prime, trial)
+            templates[id(m)] = m, tm  # the matrix is kept, so its id is not reused
+            return m
 
+        def recording(m, p):
+            whole = m if m.base is None else m.base
+            tm = templates[id(whole)][1]
+            r0, c0 = divmod((m.ctypes.data - whole.ctypes.data) // m.itemsize, whole.shape[1])
+            rows, cols = tm.rows[r0 : r0 + m.shape[0]], tm.cols[c0 : c0 + m.shape[1]]
+            checked.append((tm.system, rows, frozenset(cols)))
+            return real_check(m, p)
+
+        monkeypatch.setattr(RankCheckConfig, "instantiate", instantiating)
         monkeypatch.setattr(polyres.generate, "has_full_column_rank", recording)
         outcome = generate_plan(get("zero_coordinate_pair").system, SearchConfig(seed=1))
         assert checked and len(checked) == len(set(checked))
@@ -156,6 +169,29 @@ class TestSearchCandidates:
         assert len(checked) == 40
         assert outcome.reasons == {"coverage": 100, "empty_lattice": 4, "unrecoverable_b1": 23, "a12_rank": 2}
         assert outcome.candidates_seen == 26
+
+    def test_one_instantiation_per_partition_test(self, monkeypatch):
+        # both rank conditions of a layout are decided on one instantiation
+        open_calls, per_call = [], []
+        real_instantiate = RankCheckConfig.instantiate
+        real_failure = polyres.generate.partition_failure
+
+        def counting(*args):
+            if open_calls:
+                open_calls[-1] += 1
+            return real_instantiate(*args)
+
+        def partition(*args):
+            open_calls.append(0)
+            try:
+                return real_failure(*args)
+            finally:
+                per_call.append(open_calls.pop())
+
+        monkeypatch.setattr(RankCheckConfig, "instantiate", counting)
+        monkeypatch.setattr(polyres.generate, "partition_failure", partition)
+        generate_plan(get("zero_coordinate_pair").system, SearchConfig(seed=1))
+        assert len(per_call) == 26 and max(per_call) == 1
 
     def test_search_checks_no_rank(self, monkeypatch):
         # the sweep only enumerates: its rejections are count-level
@@ -220,9 +256,9 @@ class TestSearchCandidates:
             return values_fn
 
         monkeypatch.setattr(polyres.plan, "exact_rank", counting)
-        assert has_full_column_rank(tm, None, RankCheckConfig(values_fn=zero_slots_on(1)))
+        assert witness_full_rank(tm, RankCheckConfig(values_fn=zero_slots_on(1)))
         assert primes == [PRIMES[0]]
-        assert not has_full_column_rank(tm, None, RankCheckConfig(values_fn=zero_slots_on(0)))
+        assert not witness_full_rank(tm, RankCheckConfig(values_fn=zero_slots_on(0)))
         assert primes == [PRIMES[0]] * 2
 
 
@@ -242,7 +278,7 @@ class TestPartition:
         aug = augment(get("univariate_linear").system, 1)
         cand = _candidate(aug, 1, ((0,), (1,), (2,)), (frozenset({(0,)}), frozenset({(0,), (1,)})), 0b11)
         # the whole matrix has full column rank; only A12 (no Schur complement) fails
-        assert has_full_column_rank(cand.layout.template, None, cfg.rank)
+        assert witness_full_rank(cand.layout.template, cfg.rank)
         assert not verify_partition(cand.layout, cfg)
 
     def test_empty_multiplier_set_rejected(self):
@@ -331,6 +367,9 @@ FAR_H = PolynomialTemplate((Term("h", (5, 5)),))
 PAIR_G = PolynomialTemplate((Term("g", (3, 3)), Term("g2", (4, 3))))
 PAIR_H = PolynomialTemplate((Term("h", (3, 3)), Term("h2", (4, 3))))
 ONE_X1 = ((0, 0), (1, 0))
+# two lines in x1 alone
+LINE_X1 = PolynomialTemplate((Term("a", (1,)), Term("b", (0,))))
+LINE2_X1 = PolynomialTemplate((Term("c", (1,)), Term("d", (0,))))
 
 
 def _padded_candidate():
@@ -362,7 +401,7 @@ class TestReduceRowcol:
         assert (4, 3) not in red.layout.template.cols
         assert red.layout.shape == (4, 4)
         # conditions re-validated from scratch on the reduced candidate
-        assert all(has_full_column_rank(red.layout.template, None, fresh) for fresh in FRESH_RANK)
+        assert all(witness_full_rank(red.layout.template, fresh) for fresh in FRESH_RANK)
         # the plan records the row-column removals ahead of any row removal
         assert squarify(red, cfg).deleted_rows == red.deleted
 
@@ -466,9 +505,7 @@ def _replay_cases():
     linear = _smallest(search_candidates(augment(get("univariate_linear").system, 1), 1, SearchConfig(seed=1)))
     # two lines in x1 over {1, x1, x1^2}, every T_i = {1, x1}: 6 rows, 3 columns,
     # so upper rows go too, and some trials would empty a T_i
-    line = PolynomialTemplate((Term("a", (1,)), Term("b", (0,))))
-    other = PolynomialTemplate((Term("c", (1,)), Term("d", (0,))))
-    aug = augment(SystemTemplate(1, ("x1",), (line, other)), 1)
+    aug = augment(SystemTemplate(1, ("x1",), (LINE_X1, LINE2_X1)), 1)
     lines = _candidate(aug, 1, ((0,), (1,), (2,)), (frozenset({(0,), (1,)}),) * 3, 0b111)
     # two even quadratics over {1, x1, x1^2}: no upper row touches x1, so
     # dropping the lower row of x1 keeps full column rank but moves a zero
@@ -488,7 +525,54 @@ def _replay_cases():
             yield f"{name}-{seed}", reduce_rowcol(_first_partitioned(name), cfg), cfg
 
 
+def _recorded_rng_seeds(monkeypatch) -> list[str]:
+    """The seeds of the generators polyres.generate makes from now on."""
+    seeds = []
+
+    def recording(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(polyres.generate, "random", SimpleNamespace(Random=recording))
+    return seeds
+
+
 class TestSquarifyReplay:
+    def test_dead_end_restarts(self, monkeypatch):
+        # a + b x1 and c x1, each times {1, x1, x1^2}, with B1 = {x1}: 7 rows,
+        # 4 columns.  Removing c x1^2 and c x1^3 leaves the columns 1 and x1^3
+        # one row each; then (a + b x1) x1 is needed for A12 and c x1 for
+        # coverage, a dead end at 5 rows.  Attempt 0 at seed 0 meets it,
+        # attempt 1 does not, and the rebuilt-layout replay restarts the same way.
+        aug = augment(SystemTemplate(1, ("x1",), (
+            PolynomialTemplate((Term("a", (0,)), Term("b", (1,)))),
+            PolynomialTemplate((Term("c", (1,)),)),
+        )), 1)
+        upper = frozenset({(0,), (1,), (2,)})
+        cand = _candidate(aug, 1, ((0,), (1,), (2,), (3,)), (upper, upper, frozenset({(1,)})), 0b111)
+        cfg = SearchConfig(seed=0)
+        want = _squarify_by_layouts(cand, cfg, [])
+        seeds = _recorded_rng_seeds(monkeypatch)
+        got = squarify(cand, cfg)
+        assert seeds == ["squarify:0:0", "squarify:0:1"]
+        assert plan_to_json(got) == plan_to_json(want)
+        assert got.layout.shape == (4, 4)
+
+    def test_retries_exhausted(self, monkeypatch):
+        # two lines in x1 and x1 - u0, once each, over {1, x1}: the partition
+        # holds, but no two rows keep a row of all three polynomials
+        aug = augment(SystemTemplate(1, ("x1",), (LINE_X1, LINE2_X1)), 1)
+        one = frozenset({(0,)})
+        cand = _candidate(aug, 1, ((0,), (1,)), (one, one, one), 0b111)
+        cfg = SearchConfig(seed=0)
+        assert verify_partition(cand.layout, cfg) and cand.layout.shape == (3, 2)
+        with pytest.raises(SquarifyExhausted):
+            _squarify_by_layouts(cand, cfg, [])
+        seeds = _recorded_rng_seeds(monkeypatch)
+        with pytest.raises(SquarifyExhausted, match="no valid removal sequence"):
+            squarify(cand, cfg)
+        assert seeds == [f"squarify:0:{attempt}" for attempt in range(SQUARIFY_RETRIES)]
+
     def test_index_sets_match_rebuilt_layouts(self):
         # squarify decides each trial on index sets of the candidate's one
         # template; rebuilding the trial layout must give the same verdicts
@@ -782,10 +866,9 @@ class TestPlanInvariants:
             t_sets = lay.multiplier_sets()
             assert sum(len(t) for t in t_sets) >= lay.shape[1]
             assert min(len(t) for t in t_sets) > 0
-            upper, a12 = list(range(lay.n_upper)), list(range(lay.n_b1, lay.shape[1]))
             for fresh in FRESH_RANK:
-                assert has_full_column_rank(lay.template, None, fresh)
-                assert has_full_column_rank(lay.template, a12, fresh, upper)
+                assert witness_full_rank(lay.template, fresh)
+                assert witness_full_rank(lay.template, fresh, lay.n_upper, lay.n_b1)
 
     def test_n_at_least_root_count(
         self, univariate_linear_plan, univariate_quadratic_plan, two_conics_plan, three_quadrics_plan
