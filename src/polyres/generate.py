@@ -5,7 +5,8 @@ sweeps subsets of Newton polytopes and displacement vectors to collect
 favourable monomial sets.  The candidates are then taken best first, by the
 size of their eigenproblem and matrix: the first whose coefficient matrix
 block partitions into an eigenvalue problem is shrunk by row-column removal
-and row removal until it is square.
+and row removal until it is square.  Only the candidates the loop reaches
+are laid out, and monomial translates of a candidate share its verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 
@@ -67,6 +69,21 @@ class FavourableCandidate:
     deleted: tuple[tuple[int, Mono], ...] = ()
 
 
+@dataclass(frozen=True)
+class SweptCandidate:
+    """A candidate as the sweep emits it, not laid out yet: the prefix of
+    ``_selection_key`` its multiplier sets fix, (|T_last|, Σ|T_i|·|B|,
+    Σ|T_i|, variant, k), and the arguments of ``build_layout``."""
+
+    prefix: tuple
+    layout_args: tuple
+    delta: tuple[Fraction, ...]
+    subset_mask: int
+
+    def laid_out(self) -> FavourableCandidate:
+        return FavourableCandidate(build_layout(*self.layout_args), self.delta, self.subset_mask)
+
+
 def _tick(reasons: dict[str, int], name: str):
     reasons[name] = reasons.get(name, 0) + 1
 
@@ -82,13 +99,15 @@ def _subset_masks(m_aug: int, cfg: SearchConfig):
 def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchConfig,
                       reasons: dict[str, int] | None = None,
                       sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] | None = None,
-                      ) -> list[FavourableCandidate]:
+                      ) -> list[SweptCandidate]:
     """Sweep (subset, displacement) pairs and emit unchecked candidates.
 
     The Minkowski sum always includes the unit simplex.  A pair is rejected
     only by counts: an empty lattice, an empty T_i (coverage) or fewer rows
     than columns.  The first pair that yields a set of multipliers T_i emits
-    one layout per variant; later pairs with the same T_i emit nothing.
+    one candidate per variant; later pairs with the same T_i emit nothing.
+    No layout is built: B1 is T_last (v1) or x_k T_last (v2), and both lie
+    in B, since t and t x_k are the monomials of t (x_k - u0).
     ``sums`` maps summand tuples without x_k - u0 to their Minkowski sums
     and the sums' lattice point sets, one per displacement.  A caller that
     passes one dict to several calls with the same displacement magnitudes
@@ -105,7 +124,7 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
     deltas = list(dict.fromkeys(d for grid in grids for d in grid))
 
-    out: list[FavourableCandidate] = []
+    out: list[SweptCandidate] = []
     own_sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] = {}
     ext_cache: dict[frozenset[Mono], tuple] = {}
     # the multiplier sets fix B, and hidden_var is fixed within this call
@@ -135,18 +154,28 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
             if min(len(t) for t in t_sets) == 0:
                 _tick(reasons, "coverage")
                 continue
-            if sum(len(t) for t in t_sets) < len(b_set):
+            n_rows = sum(len(t) for t in t_sets)
+            if n_rows < len(b_set):
                 _tick(reasons, "row_count")
                 continue
             if t_sets in emitted:
                 continue
             emitted.add(t_sets)
             for variant in cfg.variants:
-                layout = build_layout(aug_system, hidden_var, variant, b_set, t_sets)
-                out.append(FavourableCandidate(layout, delta, mask))
+                prefix = (len(t_sets[-1]), n_rows * len(b_set), n_rows, variant, hidden_var)
+                out.append(SweptCandidate(prefix, (aug_system, hidden_var, variant, b_set, t_sets), delta, mask))
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
+
+
+def _shifted(layout: MatrixLayout) -> tuple[tuple, tuple]:
+    """The layout's rows and columns, each shifted by the componentwise
+    minimum of its columns: equal for a layout and its monomial translates."""
+    tm = layout.template
+    low = tuple(map(min, zip(*tm.cols)))
+    rows = tuple((poly_idx, tuple(map(sub, mult, low))) for poly_idx, mult in tm.rows)
+    return rows, tuple(tuple(map(sub, m, low)) for m in tm.cols)
 
 
 def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
@@ -155,13 +184,15 @@ def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[t
     column rank ("column_rank"), and the upper rows have full rank on the
     columns outside B1 ("a12_rank"), so the Schur complement exists.  Both
     ranks are decided on one instantiation at the rank config's witness.
-    ``full_rank`` memoizes full-rank verdicts by (system, rows): the v1 and
-    v2 layouts of one set of multipliers share their rows and their columns
-    up to order, so they share one verdict."""
+    ``full_rank`` memoizes full-rank verdicts by the system and the shifted
+    rows (``_shifted``): the v1 and v2 layouts of one set of multipliers,
+    and of its monomial translates, share their rows and their columns up to
+    order and translation, so they share one verdict.  Like the sweep, this
+    takes the columns to be the monomials the rows reach."""
     tm = layout.template
     if len({poly_idx for poly_idx, _ in tm.rows}) < len(tm.system.polys):
         return "coverage"
-    key = (tm.system, tm.rows)
+    key = (tm.system, _shifted(layout)[0])
     if full_rank.get(key) is False:
         return "column_rank"
     p, trial = cfg.rank.witness
@@ -185,9 +216,12 @@ def verify_partition(layout: MatrixLayout, cfg: SearchConfig) -> bool:
 
 def _selection_key(layout: MatrixLayout):
     """Smallest n_b1 = |T_last| first, then smallest matrix, then layout
-    order, all as laid out before any reduction.  Row removal can still
-    shrink n_b1: the golden rel_pose plan is picked at |T_last| = 30 and
-    ends at n_b1 = 10, so this is not the order of the final eigenproblems."""
+    order, all as laid out before any reduction.  The first five entries
+    are a SweptCandidate's ``prefix``, fixed by its multiplier sets, so
+    candidates are ordered on them before any layout is built.  Row removal
+    can still shrink n_b1: the golden rel_pose plan is picked at
+    |T_last| = 30 and ends at n_b1 = 10, so this is not the order of the
+    final eigenproblems."""
     p, eps = layout.shape
     return (
         layout.n_b1,
@@ -355,15 +389,42 @@ class GenerateOutcome:
     reasons: dict[str, int]
 
 
+def _verdict(cand: FavourableCandidate, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> SolverPlan | str:
+    """The plan ``cand`` reduces to, or the name of the first condition it
+    fails: the partition, then recovery pairs, then the reduction."""
+    failure = partition_failure(cand.layout, cfg, full_rank)
+    if failure is None and cand.layout.unpaired:
+        failure = "unrecoverable_b1"
+    if failure is not None:
+        return failure
+    try:
+        plan = squarify(reduce_rowcol(cand, cfg), cfg)
+    except SquarifyExhausted:
+        return "squarify_exhausted"
+    # row removal can strip the pairs the eigenvector read-off needs
+    return "unrecoverable_b1" if plan.layout.unpaired else plan
+
+
 def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> GenerateOutcome:
     """Full offline pipeline over every choice of hidden variable.
 
-    Every candidate is laid out first and sorted by ``_selection_key``,
-    which needs no rank check.  The candidates are then checked in that
-    order, partition first, then recovery pairs and the reduction, and the
-    first that passes them all is the plan.  Rank verdicts are
-    deterministic, so this is the plan an exhaustive check would select.
-    ``candidates_seen`` counts the candidates whose partition was checked.
+    The candidates are taken in ``_selection_key`` order, which needs no
+    rank check.  They are sorted on the key's prefix, which needs no layout,
+    and laid out one group of equal prefix at a time, as the loop reaches
+    the group, which is then sorted on the full key.  Each is checked for
+    its partition, then its recovery pairs and the reduction, and the first
+    that passes them all is the plan.  Rank verdicts are deterministic, so
+    this is the plan an exhaustive check would select.  ``candidates_seen``
+    counts the candidates the loop reached.
+
+    A monomial translate of a layout (same system and variant, rows and
+    columns shifted by one exponent vector) keeps its row and column
+    order, since grevlex and tuple order are monomial orders.  It has the
+    same matrix over F_p at the witness, the same recovery pairs, and the
+    same index-level choices in reduce_rowcol and squarify, so it gets the
+    same verdict.  A failure is therefore decided once per translation
+    class (``_shifted``) and re-counted for the later members; the first
+    member to pass returns its own plan.
 
     Only the summand x_k - u0 differs between hidden variables, so the
     Minkowski sums of subsets without it, and their lattice points, are
@@ -372,26 +433,22 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
     sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] = {}
-    candidates: list[FavourableCandidate] = []
+    swept: list[SweptCandidate] = []
     for k in range(1, system.n_vars + 1):
-        candidates.extend(search_candidates(augment(system, k), k, cfg, reasons, sums))
-    candidates.sort(key=lambda c: _selection_key(c.layout))
+        swept.extend(search_candidates(augment(system, k), k, cfg, reasons, sums))
+    swept.sort(key=lambda c: c.prefix)
+    groups = (
+        sorted((c.laid_out() for c in group), key=lambda c: _selection_key(c.layout))
+        for _, group in itertools.groupby(swept, key=lambda c: c.prefix)
+    )
     full_rank: dict[tuple, bool] = {}
-    for seen, cand in enumerate(candidates, 1):
-        failure = partition_failure(cand.layout, cfg, full_rank)
-        if failure is None and cand.layout.unpaired:
-            failure = "unrecoverable_b1"
-        if failure is not None:
-            _tick(reasons, failure)
-            continue
-        try:
-            plan = squarify(reduce_rowcol(cand, cfg), cfg)
-        except SquarifyExhausted:
-            _tick(reasons, "squarify_exhausted")
-            continue
-        if plan.layout.unpaired:
-            # row removal can strip the pairs the eigenvector read-off needs
-            _tick(reasons, "unrecoverable_b1")
-            continue
-        return GenerateOutcome(plan, seen, reasons)
+    failures: dict[tuple, str] = {}  # translation class -> failure
+    for seen, cand in enumerate(itertools.chain.from_iterable(groups), 1):
+        cls = (cand.layout.template.system, cand.layout.variant, *_shifted(cand.layout))
+        if cls not in failures:
+            verdict = _verdict(cand, cfg, full_rank)
+            if isinstance(verdict, SolverPlan):
+                return GenerateOutcome(verdict, seen, reasons)
+            failures[cls] = verdict
+        _tick(reasons, failures[cls])
     raise NoSolverError(reasons)

@@ -1,15 +1,12 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
+from helpers import REL_POSE_CONFIG
 from hypothesis import settings
 
 from polyres.generate import SearchConfig, generate_plan
-from polyres.linalg import PRIMES
-from polyres.plan import RankCheckConfig
-from polyres.problems import get, rel_pose_field_instance
+from polyres.problems import get
 
 # property tests draw the same examples on every run and keep no example database
 settings.register_profile("polyres", derandomize=True, database=None, deadline=None)
@@ -58,15 +55,7 @@ def three_quadrics_plan(three_quadrics_outcome):
 @pytest.fixture(scope="session")
 def rel_pose_outcome():
     """The stretch problem, generated as its golden plan was."""
-    rank = RankCheckConfig(primes=PRIMES[:3], assignments=2, seed=0, values_fn=rel_pose_field_instance)
-    cfg = SearchConfig(
-        seed=1,
-        delta_magnitudes=(Fraction(1, 10),),
-        variants=("v2", "v1"),
-        max_subset_size=2,
-        rank=rank,
-    )
-    return generate_plan(get("rel_pose_f_lambda_8pt").system, cfg)
+    return generate_plan(get("rel_pose_f_lambda_8pt").system, REL_POSE_CONFIG)
 
 
 @pytest.fixture()

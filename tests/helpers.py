@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from polyres.plan import has_full_column_rank
+from polyres.generate import SearchConfig
+from polyres.linalg import PRIMES
+from polyres.plan import RankCheckConfig, has_full_column_rank
+from polyres.problems import rel_pose_field_instance
+
+# the search configuration of the golden rel_pose plan
+REL_POSE_CONFIG = SearchConfig(
+    seed=1,
+    delta_magnitudes=(Fraction(1, 10),),
+    variants=("v2", "v1"),
+    max_subset_size=2,
+    rank=RankCheckConfig(primes=PRIMES[:3], assignments=2, seed=0, values_fn=rel_pose_field_instance),
+)
 
 # finite two_conics coefficients, scaled so far apart that two of the roots
 # the golden plan recovers overflow to NaN

@@ -226,7 +226,7 @@ def test_criterion_6_reduction_safety():
                 assert witness_full_rank(lay.template, fresh, lay.n_upper, lay.n_b1)
             # locate the originating candidate: reduction must not grow B1
             aug = augment(system, lay.hidden_var)
-            cands = search_candidates(aug, lay.hidden_var, cfg)
+            cands = [c.laid_out() for c in search_candidates(aug, lay.hidden_var, cfg)]
             origin = [
                 c
                 for c in cands

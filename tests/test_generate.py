@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from helpers import witness_full_rank
+from helpers import REL_POSE_CONFIG, witness_full_rank
 
 import polyres.generate
 import polyres.plan
@@ -19,6 +19,7 @@ from polyres.generate import (
     SquarifyExhausted,
     _remove_row,
     _selection_key,
+    _shifted,
     _without,
     augment,
     generate_plan,
@@ -48,7 +49,7 @@ from polyres.poly import (
     mono_mul,
     support,
 )
-from polyres.problems import get
+from polyres.problems import LIBRARY, get
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 TENTH = Fraction(1, 10)
@@ -60,6 +61,11 @@ def _candidate(aug, hidden_var, b, multipliers, subset_mask):
     """A v1 candidate at zero displacement, laid out as the search lays it out."""
     layout = build_layout(aug, hidden_var, "v1", b, multipliers)
     return FavourableCandidate(layout, tuple(Fraction(0) for _ in range(aug.n_vars)), subset_mask)
+
+
+def _laid_out(aug, hidden_var, cfg):
+    """Every candidate one sweep emits, laid out."""
+    return [c.laid_out() for c in search_candidates(aug, hidden_var, cfg)]
 
 
 def _smallest(cands):
@@ -92,7 +98,7 @@ class TestAugment:
 class TestSearchCandidates:
     def test_univariate_linear_candidate(self):
         aug = augment(get("univariate_linear").system, 1)
-        cands = search_candidates(aug, 1, SearchConfig(seed=1))
+        cands = _laid_out(aug, 1, SearchConfig(seed=1))
         keys = set()
         for c in cands:
             t0, t1 = c.layout.multiplier_sets()
@@ -104,7 +110,7 @@ class TestSearchCandidates:
         entry = get("example_system")
         aug = augment(entry.system, 2)
         cfg = SearchConfig(seed=1, delta_magnitudes=(TENTH,), variants=("v1",))
-        cands = search_candidates(aug, 2, cfg)
+        cands = _laid_out(aug, 2, cfg)
         mask = 0b011  # {f1, f2}
         delta = (-TENTH, -TENTH)
         match = [c for c in cands if c.subset_mask == mask and c.delta == delta]
@@ -139,11 +145,13 @@ class TestSearchCandidates:
         assert reasons.get("coverage", 0) > 0
 
     def test_no_rank_check_twice(self, monkeypatch):
-        # over a whole generate_plan, no rank check runs twice on one input:
-        # the same system, rows and set of column monomials, so the v1 and v2
-        # layouts of one set of multipliers share their full-rank check.  A
-        # check takes an instantiated template or a block of it; the block's
-        # rows and columns are read off the view's offset and shape.
+        # over a whole generate_plan, no rank check runs twice on one input
+        # up to a monomial translation: the same system, and rows and set of
+        # column monomials shifted by the columns' componentwise minimum, so
+        # the v1 and v2 layouts of one set of multipliers and of its
+        # translates share their full-rank check.  A check takes an
+        # instantiated template or a block of it; the block's rows and
+        # columns are read off the view's offset and shape.
         templates, checked = {}, []
         real_instantiate = RankCheckConfig.instantiate
         real_check = polyres.generate.has_full_column_rank
@@ -158,7 +166,12 @@ class TestSearchCandidates:
             tm = templates[id(whole)][1]
             r0, c0 = divmod((m.ctypes.data - whole.ctypes.data) // m.itemsize, whole.shape[1])
             rows, cols = tm.rows[r0 : r0 + m.shape[0]], tm.cols[c0 : c0 + m.shape[1]]
-            checked.append((tm.system, rows, frozenset(cols)))
+            low = [min(e) for e in zip(*cols)]
+
+            def shift(mono):
+                return tuple(a - b for a, b in zip(mono, low))
+
+            checked.append((tm.system, tuple((i, shift(t)) for i, t in rows), frozenset(map(shift, cols))))
             return real_check(m, p)
 
         monkeypatch.setattr(RankCheckConfig, "instantiate", instantiating)
@@ -166,7 +179,7 @@ class TestSearchCandidates:
         outcome = generate_plan(get("zero_coordinate_pair").system, SearchConfig(seed=1))
         assert checked and len(checked) == len(set(checked))
         # partition checks only: squarify decides its trials on left kernels
-        assert len(checked) == 40
+        assert len(checked) == 22
         assert outcome.reasons == {"coverage": 100, "empty_lattice": 4, "unrecoverable_b1": 23, "a12_rank": 2}
         assert outcome.candidates_seen == 26
 
@@ -191,7 +204,7 @@ class TestSearchCandidates:
         monkeypatch.setattr(RankCheckConfig, "instantiate", counting)
         monkeypatch.setattr(polyres.generate, "partition_failure", partition)
         generate_plan(get("zero_coordinate_pair").system, SearchConfig(seed=1))
-        assert len(per_call) == 26 and max(per_call) == 1
+        assert len(per_call) == 14 and max(per_call) == 1
 
     def test_search_checks_no_rank(self, monkeypatch):
         # the sweep only enumerates: its rejections are count-level
@@ -261,6 +274,34 @@ class TestSearchCandidates:
         assert not witness_full_rank(tm, RankCheckConfig(values_fn=zero_slots_on(0)))
         assert primes == [PRIMES[0]] * 2
 
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_b1_inside_b_for_every_emitted_set(self, name):
+        # candidates are laid out only in the best-first loop, so build_layout's
+        # "b1 monomials escape" check never fires there: T_last is the
+        # multiplier set of x_k - u0, and t, t x_k are the monomials of
+        # t (x_k - u0), so B1 lies in B for v1 and v2.  rel_pose is swept in
+        # the configuration of its golden plan
+        cfg = REL_POSE_CONFIG if name == "rel_pose_f_lambda_8pt" else SearchConfig()
+        system = get(name).system
+        emitted = 0
+        for k in range(1, system.n_vars + 1):
+            e_k = tuple(int(i == k - 1) for i in range(system.n_vars))
+            for cand in search_candidates(augment(system, k), k, cfg):
+                _, hidden_var, variant, b_set, t_sets = cand.layout_args
+                assert hidden_var == k
+                b1 = t_sets[-1] if variant == "v1" else {mono_mul(t, e_k) for t in t_sets[-1]}
+                assert b1 <= b_set, (name, k, variant)
+                emitted += 1
+        assert emitted
+
+    def test_escaping_b1_still_refused(self):
+        # a caller's own B without x_k T_last is refused for v2 and kept for v1
+        aug = augment(get("univariate_linear").system, 1)
+        t_sets = (frozenset({(0,)}), frozenset({(0,)}))
+        assert build_layout(aug, 1, "v1", {(0,)}, t_sets).n_b1 == 1
+        with pytest.raises(ValueError, match="b1 monomials escape"):
+            build_layout(aug, 1, "v2", {(0,)}, t_sets)
+
 
 class TestPartition:
     def test_univariate_layout_blocks(self, univariate_linear_plan):
@@ -299,7 +340,7 @@ class TestSelection:
         entry = get("univariate_quadratic")
         aug = augment(entry.system, 1)
         cfg = SearchConfig(seed=1)
-        cands = [c for c in search_candidates(aug, 1, cfg) if verify_partition(c.layout, cfg)]
+        cands = [c for c in _laid_out(aug, 1, cfg) if verify_partition(c.layout, cfg)]
         assert cands
         assert min(c.layout.n_b1 for c in cands) == 2
         best = min(cands, key=lambda c: _selection_key(c.layout)).layout
@@ -311,7 +352,7 @@ class TestSelection:
     def test_generate_plan_reduces_first_candidate(self):
         cfg = SearchConfig(seed=1)
         system = get("univariate_quadratic").system
-        cands = [c for c in search_candidates(augment(system, 1), 1, cfg) if verify_partition(c.layout, cfg)]
+        cands = [c for c in _laid_out(augment(system, 1), 1, cfg) if verify_partition(c.layout, cfg)]
         best = min(cands, key=lambda c: _selection_key(c.layout))
         expected = squarify(reduce_rowcol(best, cfg), cfg)
         assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
@@ -326,7 +367,7 @@ class TestSelection:
         survivors = [
             c
             for k in range(1, system.n_vars + 1)
-            for c in search_candidates(augment(system, k), k, cfg)
+            for c in _laid_out(augment(system, k), k, cfg)
             if verify_partition(c.layout, cfg)
         ]
         survivors.sort(key=lambda c: _selection_key(c.layout))
@@ -343,6 +384,99 @@ class TestSelection:
                 break
         assert expected is not None
         assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
+
+
+def _decide_from_scratch(cand, cfg):
+    """The plan ``cand`` gives, or the failure the best-first loop ticks for
+    it, with no memo: the partition on a fresh memo, then recovery pairs,
+    then row-column removal and squarify, then recovery pairs again."""
+    failure = partition_failure(cand.layout, cfg, {})
+    if failure is None and cand.layout.unpaired:
+        failure = "unrecoverable_b1"
+    if failure is not None:
+        return failure
+    try:
+        plan = squarify(reduce_rowcol(cand, cfg), cfg)
+    except SquarifyExhausted:
+        return "squarify_exhausted"
+    return "unrecoverable_b1" if plan.layout.unpaired else plan
+
+
+def _sweep(system, cfg, reasons):
+    """Every candidate of every hidden variable, laid out, best first."""
+    cands = [c for k in range(1, system.n_vars + 1)
+             for c in search_candidates(augment(system, k), k, cfg, reasons)]
+    laid = [c.laid_out() for c in cands]
+    for c, lay in zip(cands, laid):
+        assert c.prefix == _selection_key(lay.layout)[:5]
+    return sorted(laid, key=lambda c: _selection_key(c.layout))
+
+
+# the small library problems, and three_quadrics as its golden plan was generated
+CLASS_CASES = {
+    "two_conics": SearchConfig(),
+    "zero_coordinate_pair": SearchConfig(),
+    "example_system": SearchConfig(),
+    "three_quadrics": SearchConfig(seed=1, variants=("v1",)),
+}
+
+
+class TestTranslationClasses:
+    @pytest.mark.parametrize("name", CLASS_CASES)
+    def test_class_decides_like_its_members(self, name):
+        # every member of a translation class (system, variant, rows and
+        # columns shifted by the columns' componentwise minimum) decided from
+        # scratch gives the verdict the class memo holds for it; members
+        # that pass reduce to translates of one plan
+        cfg = CLASS_CASES[name]
+        memo, shared = {}, 0
+        for cand in _sweep(get(name).system, cfg, {}):
+            lay = cand.layout
+            verdict = _decide_from_scratch(cand, cfg)
+            if not isinstance(verdict, str):
+                verdict = _shifted(verdict.layout)
+            cls = (lay.template.system, lay.variant, *_shifted(lay))
+            if cls in memo:
+                shared += 1
+                assert verdict == memo[cls], (name, lay.shape, lay.variant)
+            memo[cls] = verdict
+        # the memo is not vacuous: translates occur, and so do failures
+        assert shared > 0 and any(isinstance(v, str) for v in memo.values())
+
+    @pytest.mark.parametrize("name", CLASS_CASES)
+    def test_memo_matches_plain_loop(self, name):
+        # the loop without a memo: decide every candidate from scratch, best
+        # first, and stop at the first plan
+        cfg = CLASS_CASES[name]
+        system = get(name).system
+        reasons = {}
+        for seen, cand in enumerate(_sweep(system, cfg, reasons), 1):
+            verdict = _decide_from_scratch(cand, cfg)
+            if not isinstance(verdict, str):
+                break
+            reasons[verdict] = reasons.get(verdict, 0) + 1
+        outcome = generate_plan(system, cfg)
+        assert plan_to_json(outcome.plan) == plan_to_json(verdict)
+        assert outcome.candidates_seen == seen
+        assert outcome.reasons == reasons
+
+    def test_work_counts_three_quadrics(self, monkeypatch):
+        # the golden three_quadrics configuration lays out only the candidates
+        # the loop reaches and decides each translation class once: a
+        # regression that lays out or re-checks translates fails on a count
+        calls = dict.fromkeys(("build_layout", "partition_failure", "instantiate"), 0)
+        for owner, name in ((polyres.generate, "build_layout"), (polyres.generate, "partition_failure"),
+                            (RankCheckConfig, "instantiate")):
+            def counting(*args, _real=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        outcome = generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
+        assert outcome.candidates_seen == 43
+        # 10 translation classes are decided; squarify instantiates the one
+        # candidate it reduces
+        assert calls == {"build_layout": 50, "partition_failure": 10, "instantiate": 11}
 
 
 def _with_far(line, line2, far, far_mults):
@@ -385,7 +519,7 @@ class TestReduceRowcol:
     def test_univariate_plan_unchanged(self):
         cfg = SearchConfig(seed=1)
         aug = augment(get("univariate_linear").system, 1)
-        cands = search_candidates(aug, 1, cfg)
+        cands = _laid_out(aug, 1, cfg)
         cand = _smallest(cands)
         red = reduce_rowcol(cand, cfg)
         assert red.deleted == ()
@@ -415,7 +549,7 @@ class TestReduceRowcol:
     def test_b1_never_grows(self, two_conics_plan):
         cfg = SearchConfig(seed=1)
         aug = augment(get("two_conics").system, two_conics_plan.layout.hidden_var)
-        cands = search_candidates(aug, two_conics_plan.layout.hidden_var, cfg)
+        cands = _laid_out(aug, two_conics_plan.layout.hidden_var, cfg)
         for cand in [c for c in cands if verify_partition(c.layout, cfg)][:6]:
             assert reduce_rowcol(cand, cfg).layout.n_b1 <= cand.layout.n_b1
 
@@ -424,7 +558,7 @@ class TestSquarify:
     def test_already_square_identity(self):
         cfg = SearchConfig(seed=1)
         aug = augment(get("univariate_linear").system, 1)
-        cands = search_candidates(aug, 1, cfg)
+        cands = _laid_out(aug, 1, cfg)
         cand = _smallest(cands)
         assert cand.layout.shape[0] == cand.layout.shape[1]
         plan = squarify(cand, cfg)
@@ -494,7 +628,7 @@ def _first_partitioned(name):
     partition and recovery pairs (neither depends on the seed)."""
     cfg = SearchConfig(variants=("v1",))
     system = get(name).system
-    cands = [c for k in range(1, system.n_vars + 1) for c in search_candidates(augment(system, k), k, cfg)]
+    cands = [c for k in range(1, system.n_vars + 1) for c in _laid_out(augment(system, k), k, cfg)]
     cands.sort(key=lambda c: _selection_key(c.layout))
     return next(c for c in cands if verify_partition(c.layout, cfg) and not c.layout.unpaired)
 
@@ -502,7 +636,7 @@ def _first_partitioned(name):
 def _replay_cases():
     aug = augment(get("univariate_quadratic").system, 1)
     tall = _candidate(aug, 1, ((0,), (1,), (2,), (3,)), (frozenset({(0,), (1,)}), frozenset({(0,), (1,), (2,)})), 0b11)
-    linear = _smallest(search_candidates(augment(get("univariate_linear").system, 1), 1, SearchConfig(seed=1)))
+    linear = _smallest(_laid_out(augment(get("univariate_linear").system, 1), 1, SearchConfig(seed=1)))
     # two lines in x1 over {1, x1, x1^2}, every T_i = {1, x1}: 6 rows, 3 columns,
     # so upper rows go too, and some trials would empty a T_i
     aug = augment(SystemTemplate(1, ("x1",), (LINE_X1, LINE2_X1)), 1)
