@@ -29,7 +29,7 @@ from .lattice import (
 )
 from .linalg import modp_left_kernel
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
-from .poly import Mono, SystemTemplate, augment, extend_system, support
+from .poly import Extension, Mono, SystemTemplate, augment, extend_system, support
 
 
 class NoSolverError(RuntimeError):
@@ -96,9 +96,15 @@ def _subset_masks(m_aug: int, cfg: SearchConfig):
             yield sum(1 << i for i in combo)
 
 
+# a Minkowski sum, its lattice point sets (one per displacement) and the
+# T_i of the polynomials but x_k - u0 on each of those sets, as
+# extend_system has decided them so far
+SumEntry = tuple[LatticePolytope, list[frozenset[Mono]], dict[frozenset[Mono], tuple[frozenset[Mono], ...]]]
+
+
 def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchConfig,
                       reasons: dict[str, int] | None = None,
-                      sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] | None = None,
+                      sums: dict[tuple[LatticePolytope, ...], SumEntry] | None = None,
                       ) -> list[SweptCandidate]:
     """Sweep (subset, displacement) pairs and emit unchecked candidates.
 
@@ -108,11 +114,13 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     one candidate per variant; later pairs with the same T_i emit nothing.
     No layout is built: B1 is T_last (v1) or x_k T_last (v2), and both lie
     in B, since t and t x_k are the monomials of t (x_k - u0).
-    ``sums`` maps summand tuples without x_k - u0 to their Minkowski sums
-    and the sums' lattice point sets, one per displacement.  A caller that
-    passes one dict to several calls with the same displacement magnitudes
-    computes each sum once, from the sum of its summands but the last when
-    that is known, and enumerates it once, in one ``lattice_points`` call.
+    Each distinct point set is extended once per call, x_k - u0 first.
+    ``sums`` maps summand tuples without x_k - u0 to their ``SumEntry``.  A
+    caller that passes one dict to several calls with the same displacement
+    magnitudes and base polynomials computes each sum once, from the sum of
+    its summands but the last when that is known, enumerates it once, in
+    one ``lattice_points`` call, and decides the base polynomials' T_i on
+    each of its point sets once (``extend_system``'s memo).
     """
     reasons = reasons if reasons is not None else {}
     sums = sums if sums is not None else {}
@@ -125,8 +133,8 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     deltas = list(dict.fromkeys(d for grid in grids for d in grid))
 
     out: list[SweptCandidate] = []
-    own_sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] = {}
-    ext_cache: dict[frozenset[Mono], tuple] = {}
+    own_sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
+    exts: dict[frozenset[Mono], Extension | None] = {}
     # the multiplier sets fix B, and hidden_var is fixed within this call
     emitted: set[tuple[frozenset[Mono], ...]] = set()
 
@@ -140,20 +148,19 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
             # minkowski_sum folds left, so a cached prefix sum is its first step
             prefix = sums.get(summands[:-1])
             q = minkowski_sum(summands if prefix is None else (prefix[0], summands[-1]))
-            entry = cache[summands] = q, lattice_points(q, deltas)
+            entry = cache[summands] = q, lattice_points(q, deltas), {}
         for delta, pts in zip(deltas, entry[1]):
             if not pts:
                 _tick(reasons, "empty_lattice")
                 continue
-            ext = ext_cache.get(pts)
+            if pts not in exts:
+                exts[pts] = extend_system(aug_system.polys, pts, entry[2])
+            ext = exts[pts]
             if ext is None:
-                ext = extend_system(aug_system.polys, pts)
-                ext_cache[pts] = ext
-            b_set = ext.monomials
-            t_sets = ext.multipliers
-            if min(len(t) for t in t_sets) == 0:
                 _tick(reasons, "coverage")
                 continue
+            b_set = ext.monomials
+            t_sets = ext.multipliers
             n_rows = sum(len(t) for t in t_sets)
             if n_rows < len(b_set):
                 _tick(reasons, "row_count")
@@ -427,12 +434,15 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     member to pass returns its own plan.
 
     Only the summand x_k - u0 differs between hidden variables, so the
-    Minkowski sums of subsets without it, and their lattice points, are
-    computed once for all k.
+    Minkowski sums of subsets without it, their lattice points, and the T_i
+    of the base polynomials on each of those point sets are computed once
+    for all k; a point set extended again for another k only decides the
+    T_i of x_k - u0 and, when none is empty, mon(F').  Nothing is kept from
+    one call to the next.
     """
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
-    sums: dict[tuple[LatticePolytope, ...], tuple[LatticePolytope, list]] = {}
+    sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
     swept: list[SweptCandidate] = []
     for k in range(1, system.n_vars + 1):
         swept.extend(search_candidates(augment(system, k), k, cfg, reasons, sums))

@@ -2,9 +2,12 @@
 
 All geometry is exact and integral: hull facets and affine-hull equations
 carry primitive integer normals with integer offsets.  Rationals appear only
-in displacement vectors.  One integer Gauss-Jordan kernel, ``_rref``, finds
-facet normals and affine-hull equations as null vectors, picks a point set's
-independent directions and tests extreme vertices.  Lattice points of one
+in displacement vectors.  Hulls grow beneath-beyond from a seed simplex,
+farthest points first, and each insertion checks the ridges it touched, so
+the surface stays closed after every step.  One integer Gauss-Jordan kernel,
+``_rref``, finds facet normals and affine-hull equations as null vectors,
+picks a point set's independent directions and tests extreme vertices.
+Lattice points of one
 polytope under a whole list of displacements come from one pass: one box
 covering every shift, tested in int64 behind a guard that raises rather
 than let a dot product wrap.  Floating point is never consulted, so
@@ -137,43 +140,61 @@ def _make_facet(pts: list[IntVec], ids: frozenset[int], ref_sum: IntVec, k: int)
 
 
 def _hull_full_dim(pts: list[IntVec], seed: list[int]) -> tuple[list[int], list[tuple[IntVec, int]]]:
-    """Beneath-beyond hull of full-dimensional integer points.
+    """Beneath-beyond hull of full-dimensional integer points, farthest first.
 
-    seed holds the ids of d+1 affinely independent points.  Returns (extreme
-    point ids, deduplicated facet inequalities).  Visibility is strict, so
-    every horizon ridge spans a proper hyperplane with the new point;
-    coplanar insertions only create duplicate hyperplanes, which are merged
+    seed holds the ids of d+1 affinely independent points.  The others are
+    inserted by decreasing distance from the seed's centroid, compared in
+    integers as |(d+1) p - sum of the seed|^2, ties by id: the far points
+    build most of the hull early, so most near ones are inside when they
+    come and cost one visibility test.  Returns (extreme point ids,
+    deduplicated facet inequalities).  Visibility is strict, so every
+    horizon ridge spans a proper hyperplane with the new point; coplanar
+    insertions only create duplicate hyperplanes, which are merged
     afterwards.
+
+    ``ridges`` counts the facets on each ridge of the surface.  An insertion
+    updates it for the facets it deletes and creates, and every ridge it
+    touched must then lie on exactly two facets or on none: the others kept
+    their two, so the surface stays ridge-2-regular after every insertion.
     """
     d = len(pts[0])
     ref_sum = tuple(sum(pts[i][j] for i in seed) for j in range(d))
     k = d + 1
     facets = {ids: _make_facet(pts, ids, ref_sum, k) for ids in (frozenset(seed) - {v} for v in seed)}
+    ridges = {ids - {v}: 2 for ids in facets for v in ids}
 
-    for i in sorted(set(range(len(pts))) - set(seed)):
+    def nearness(i: int):
+        return -sum((k * x - s) ** 2 for x, s in zip(pts[i], ref_sum)), i
+
+    for i in sorted(set(range(len(pts))) - set(seed), key=nearness):
         p = pts[i]
         visible = [ids for ids, (n, b) in facets.items() if _dot(n, p) > b]
         if not visible:
             continue
-        ridge_count: dict[frozenset[int], int] = {}
-        for ids in visible:
-            for v in ids:
-                ridge = ids - {v}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+        # ridges of the visible facets, by how many of them each one bounds
+        step: dict[frozenset[int], int] = {}
         for ids in visible:
             del facets[ids]
-        for ridge, cnt in ridge_count.items():
+            for v in ids:
+                ridge = ids - {v}
+                step[ridge] = step.get(ridge, 0) + 1
+        touched = set(step)
+        for ridge, cnt in step.items():
+            ridges[ridge] -= cnt
             if cnt == 1:
                 new_ids = ridge | {i}
                 facets[new_ids] = _make_facet(pts, new_ids, ref_sum, k)
-        # Every ridge must separate exactly two facets, else the hull is torn.
-        check: dict[frozenset[int], int] = {}
-        for ids in facets:
-            for v in ids:
-                ridge = ids - {v}
-                check[ridge] = check.get(ridge, 0) + 1
-        if any(c != 2 for c in check.values()):
-            raise AssertionError("hull surface is not ridge-2-regular")
+                ridges[ridge] += 1
+                for v in ridge:
+                    side = new_ids - {v}
+                    ridges[side] = ridges.get(side, 0) + 1
+                    touched.add(side)
+        for ridge in touched:
+            if ridges[ridge] == 0:
+                del ridges[ridge]
+            elif ridges[ridge] != 2:
+                # a torn surface: some ridge no longer separates two facets
+                raise AssertionError("hull surface is not ridge-2-regular")
 
     ineqs = list(dict.fromkeys(facets.values()))
 

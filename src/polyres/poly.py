@@ -294,50 +294,84 @@ def normalized_residual(
 class Extension:
     """Result of extending a system over a monomial set B'.
 
-    ``multipliers[i]`` is T_i, the multipliers t with mon(t*f_i) inside B';
-    ``monomials`` is mon(F') for the extended set F' (a subset of B').
+    ``multipliers[i]`` is T_i, the multipliers t with mon(t*f_i) inside B',
+    none of them empty; ``monomials`` is mon(F') for the extended set F' (a
+    subset of B').
     """
 
     multipliers: tuple[frozenset[Mono], ...]
     monomials: frozenset[Mono]
 
 
-def extend_system(polys: Sequence[PolynomialTemplate], b_prime: Iterable[Mono]) -> Extension:
-    """Largest monomial-multiple extension of each polynomial inside B'.
+def _multipliers(supp: Sequence[Mono], mono_of: dict[int, Mono], key) -> dict[int, Mono]:
+    """T_i of one polynomial of sorted support ``supp`` inside the keyed B'
+    ``mono_of``, each t by the key of t + anchor: every t = b - anchor >= 0,
+    for b in B' and anchor the smallest support monomial, with t + a in B'
+    for each support monomial a."""
+    anchor = supp[0]
+    # b + (a - anchor) for every support monomial a but the anchor itself
+    steps = [key(a) - key(anchor) for a in supp[1:]]
+    fits = list(mono_of)
+    for s in steps:
+        fits = [k for k in fits if k + s in mono_of]
+    t_i = ((k, tuple(map(sub, mono_of[k], anchor))) for k in fits)
+    return {k: t for k, t in t_i if min(t) >= 0}
 
-    T_i holds every t = b - anchor >= 0, for b in B' and anchor the smallest
-    support monomial of f_i, with t + a in B' for each support monomial a.
-    Each monomial is keyed by one int in balanced base r; the entries of
-    every b - anchor + a lie strictly between -r/2 and r/2, so their keys
-    are distinct and a shift by a monomial is one integer addition.
-    Empty multiplier sets are a legal outcome, reported to the caller.
+
+def extend_system(polys: Sequence[PolynomialTemplate], b_prime: frozenset[Mono],
+                  known: dict[frozenset[Mono], tuple[frozenset[Mono], ...]] | None = None) -> Extension | None:
+    """Largest monomial-multiple extension of each polynomial inside B', or
+    None when some polynomial has no multiple there (an empty T_i).
+
+    The T_i are decided one polynomial at a time, the last first (in the
+    search, x_k - u0: two terms), then the others in order, and the first
+    empty one ends the work; mon(F') is built only when none is.  ``known``
+    holds, per B', the T_i of ``polys[:-1]`` up to the first empty one: it
+    is read instead of deciding them again and filled with those decided
+    here, so callers may share it only between systems that differ in the
+    last polynomial alone.  Each monomial is keyed by one int in balanced
+    base r; the entries of every b - anchor + a lie strictly between -r/2
+    and r/2, so their keys are distinct and a shift by a monomial is one
+    integer addition.  The keys live for one call.
     """
-    b_set = frozenset(b_prime)
-    if not b_set:
+    if not b_prime:
         raise ValueError("B' must be nonempty")
+    base = known.get(b_prime) if known is not None else None
+    if base and not base[-1]:
+        return None
+    if not polys:
+        return Extension((), frozenset())
     supps = [sorted(support(f)) for f in polys]
-    top = max(map(abs, chain.from_iterable(b_set))) + max((max(a) for supp in supps for a in supp), default=0)
-    places = [(2 * top + 3) ** j for j in range(len(next(iter(b_set))))]
+    top = max(map(abs, chain.from_iterable(b_prime))) + max(max(a) for supp in supps for a in supp)
+    places = [(2 * top + 3) ** j for j in range(len(next(iter(b_prime))))]
 
     def key(m: Mono) -> int:
         return sum(map(mul, m, places))
 
-    mono_of = {key(b): b for b in b_set}
-    multipliers = []
+    mono_of = {key(b): b for b in b_prime}
+    # the T_i decided in this call, by polynomial index
+    last = len(polys) - 1
+    found = {last: _multipliers(supps[last], mono_of, key)}
+    if not found[last]:
+        return None
+    if base is None:
+        decided = []
+        for i, supp in enumerate(supps[:-1]):
+            found[i] = _multipliers(supp, mono_of, key)
+            decided.append(frozenset(found[i].values()))
+            if not decided[-1]:
+                break
+        base = tuple(decided)
+        if known is not None:
+            known[b_prime] = base
+        if base and not base[-1]:
+            return None
+    t_sets = (*base, frozenset(found[last].values()))
     used: set[int] = set()
-    for supp in supps:
-        anchor = supp[0]
-        # b + (a - anchor) for every support monomial a but the anchor itself
-        steps = [key(a) - key(anchor) for a in supp[1:]]
-        fits = list(mono_of)
-        for s in steps:
-            fits = [k for k in fits if k + s in mono_of]
-        t_i = set()
-        for k in fits:
-            t = tuple(map(sub, mono_of[k], anchor))
-            if min(t) >= 0:
-                t_i.add(t)
-                used.add(k)
-                used.update(k + s for s in steps)
-        multipliers.append(frozenset(t_i))
-    return Extension(tuple(multipliers), frozenset(mono_of[k] for k in used))
+    for i, (supp, t_i) in enumerate(zip(supps, t_sets)):
+        k0 = key(supp[0])
+        # keys of the t + anchor
+        keys = found[i].keys() if i in found else [key(t) + k0 for t in t_i]
+        for a in supp:
+            used.update(map((key(a) - k0).__add__, keys))
+    return Extension(t_sets, frozenset(mono_of[k] for k in used))

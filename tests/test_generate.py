@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from helpers import REL_POSE_CONFIG, witness_full_rank
 
 import polyres.generate
+import polyres.lattice
 import polyres.plan
 import polyres.poly
 from polyres.generate import (
@@ -51,7 +53,8 @@ from polyres.poly import (
 )
 from polyres.problems import LIBRARY, get
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden"
 TENTH = Fraction(1, 10)
 # one single-witness config per fresh (prime, seed): six fresh points per check
 FRESH_RANK = tuple(RankCheckConfig(primes=(p,), assignments=1, seed=s) for p in PRIMES[3:6] for s in (99, 100))
@@ -138,8 +141,7 @@ class TestSearchCandidates:
                 PolynomialTemplate((Term("c", (9,)),)),
             ),
         )
-        ext = extend_system(sparse.polys, {(0,), (1,)})
-        assert ext.multipliers[1] == frozenset()
+        assert extend_system(sparse.polys, {(0,), (1,)}) is None
         reasons = {}
         search_candidates(augment(sparse, 1), 1, SearchConfig(seed=1), reasons)
         assert reasons.get("coverage", 0) > 0
@@ -301,6 +303,46 @@ class TestSearchCandidates:
         assert build_layout(aug, 1, "v1", {(0,)}, t_sets).n_b1 == 1
         with pytest.raises(ValueError, match="b1 monomials escape"):
             build_layout(aug, 1, "v2", {(0,)}, t_sets)
+
+    def test_geometry_work_counts_three_quadrics(self, monkeypatch):
+        # on the golden three_quadrics configuration, hulls insert farthest
+        # first, and extension decides one polynomial at a time, x_k - u0
+        # first, stops at the first empty T_i and decides the base
+        # polynomials' T_i once per point set for all hidden variables: a
+        # regression to sorted insertion (534 facets) or to whole extensions
+        # per hidden variable (900 multiplier sets) fails on a count
+        calls = dict.fromkeys(("_make_facet", "_multipliers"), 0)
+        for owner, name in ((polyres.lattice, "_make_facet"), (polyres.poly, "_multipliers")):
+            def counting(*args, _real=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        outcome = generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
+        assert outcome.candidates_seen == 43
+        assert calls == {"_make_facet": 330, "_multipliers": 564}
+
+    def test_sweep_reaches_every_traced_layer(self, monkeypatch):
+        # the benchmark's tracer binds the sweep's geometry and extension
+        # stages by name; a name kept only for the tracer would show no call
+        spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        layers = ("lattice.convex_hull", "lattice.minkowski_sum", "lattice.lattice_points", "poly.extend_system")
+        calls = dict.fromkeys(layers, 0)
+        for layer in layers:
+            module, attr = tracer.LAYERS[layer]
+            owner = importlib.import_module(module)
+
+            def counting(*args, _real=getattr(owner, attr), _layer=layer):
+                calls[_layer] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, attr, counting)
+        for name in ("two_conics", "three_quadrics", "rel_pose_f_lambda_8pt"):
+            cfg = REL_POSE_CONFIG if name == "rel_pose_f_lambda_8pt" else SearchConfig(seed=1, variants=("v1",))
+            generate_plan(get(name).system, cfg)
+        assert all(calls.values()), calls
 
 
 class TestPartition:

@@ -1,14 +1,17 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polyres.lattice
 from polyres.lattice import (
     _dot,
+    _hull_full_dim,
     _null_space,
     _rref,
     convex_hull,
@@ -426,6 +429,91 @@ class TestRref:
         for fc, vec in zip(free, basis):
             assert math.gcd(*vec) == 1 and vec[fc] > 0
             assert all(_dot(row, vec) == 0 for row in m)
+
+
+def _sorted_hull(pts, seed):
+    """``_hull_full_dim`` before farthest-first insertion, kept as its
+    oracle: the other points are inserted in sorted order, and the ridge
+    count of the whole surface is rebuilt and checked after every insertion.
+    Facets come from ``polyres.lattice._make_facet`` at call time, so a
+    patched one reaches this hull too."""
+    d = len(pts[0])
+    ref_sum = tuple(sum(pts[i][j] for i in seed) for j in range(d))
+    k = d + 1
+
+    def make(ids):
+        return polyres.lattice._make_facet(pts, ids, ref_sum, k)
+
+    facets = {ids: make(ids) for ids in (frozenset(seed) - {v} for v in seed)}
+    for i in sorted(set(range(len(pts))) - set(seed)):
+        p = pts[i]
+        visible = [ids for ids, (n, b) in facets.items() if _dot(n, p) > b]
+        if not visible:
+            continue
+        ridge_count = {}
+        for ids in visible:
+            for v in ids:
+                ridge = ids - {v}
+                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+        for ids in visible:
+            del facets[ids]
+        for ridge, cnt in ridge_count.items():
+            if cnt == 1:
+                facets[ridge | {i}] = make(ridge | {i})
+        check = {}
+        for ids in facets:
+            for v in ids:
+                ridge = ids - {v}
+                check[ridge] = check.get(ridge, 0) + 1
+        if any(c != 2 for c in check.values()):
+            raise AssertionError("hull surface is not ridge-2-regular")
+    ineqs = list(dict.fromkeys(facets.values()))
+    extreme = [
+        v for v in sorted({v for ids in facets for v in ids})
+        if len(_rref([n for (n, b) in ineqs if _dot(n, pts[v]) == b])[1]) == d
+    ]
+    return extreme, ineqs
+
+
+hull_inputs = st.one_of(
+    st.sets(st.tuples(st.integers(-4, 4)), min_size=1, max_size=6),
+    point_sets_2d,
+    point_sets_3d(),
+    point_sets_4d(),
+    # dense boxes: many points on every facet plane, most of them interior
+    st.sets(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=40),
+)
+
+
+class TestHullOracle:
+    @given(pts=hull_inputs)
+    @settings(max_examples=300)
+    def test_same_vertices_and_facets_as_sorted_insertion(self, pts):
+        got = convex_hull(pts)
+        with mock.patch.object(polyres.lattice, "_hull_full_dim", _sorted_hull):
+            want = convex_hull(pts)
+        assert got.vertices == want.vertices
+        assert got.equations == want.equations
+        assert len(got.facets) == len(set(got.facets))
+        assert set(got.facets) == set(want.facets)
+
+    @pytest.mark.parametrize("hull", [_hull_full_dim, _sorted_hull], ids=["farthest_first", "sorted_oracle"])
+    def test_misoriented_facet_tears_the_surface(self, hull, monkeypatch):
+        # one facet, the eighth made, gets its inequality reversed: the
+        # ridge check refuses the surface that grows from it
+        real = polyres.lattice._make_facet
+        made = itertools.count(1)
+
+        def misoriented(*args):
+            normal, offset = real(*args)
+            return (tuple(-x for x in normal), -offset) if next(made) == 8 else (normal, offset)
+
+        monkeypatch.setattr(polyres.lattice, "_make_facet", misoriented)
+        monkeypatch.setattr(polyres.lattice, "_hull_full_dim", hull)
+        pts = {((7 * i) % 5, (3 * i) % 7, (i * i) % 6) for i in range(40)}
+        assert len(pts) == 40
+        with pytest.raises(AssertionError, match="not ridge-2-regular"):
+            convex_hull(pts)
 
 
 class TestUnitSimplex:

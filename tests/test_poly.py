@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from helpers import REL_POSE_CONFIG
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyres.generate
+from polyres.generate import SearchConfig, generate_plan
 from polyres.poly import (
     Extension,
     PolynomialTemplate,
@@ -141,13 +144,13 @@ class TestExtendSystem:
 
     def test_empty_multiplier_is_reported(self):
         f = PolynomialTemplate((Term("a", (5,)),))
-        ext = extend_system([f], {(0,), (1,)})
-        assert ext.multipliers[0] == frozenset()
+        assert extend_system([f], {(0,), (1,)}) is None
 
 
 def _extend_by_sets(polys, b_prime):
-    """extend_system's set-based definition: divide each b in B' by the
-    anchor, then look up every product t * a in B'."""
+    """The set-based definition of every T_i, empty ones too, and mon(F'):
+    divide each b in B' by the anchor, then look up every product t * a in
+    B'."""
     b_set = frozenset(b_prime)
     multipliers, used = [], set()
     for f in polys:
@@ -187,12 +190,30 @@ def _extension_inputs(draw):
     return _polys([sorted(s) for s in supports]), b_set
 
 
+def _check_extension(polys, b_set, known=None):
+    """extend_system against the set-based definition: None exactly when
+    some T_i is empty, else every T_i and mon(F')."""
+    want = _extend_by_sets(polys, b_set)
+    got = extend_system(polys, frozenset(b_set), known)
+    assert got == (None if not all(want.multipliers) else want)
+
+
 class TestExtendByKeys:
     @given(_extension_inputs())
     @settings(max_examples=300)
     def test_matches_set_definition(self, case):
         polys, b_set = case
-        assert extend_system(polys, b_set) == _extend_by_sets(polys, b_set)
+        _check_extension(polys, b_set)
+
+    @given(_extension_inputs())
+    @settings(max_examples=200)
+    def test_shared_memo_matches_set_definition(self, case):
+        # systems that differ only in the last polynomial share the memo of
+        # the others' T_i: each of them, in turn, takes the last place
+        polys, b_set = case
+        known = {}
+        for last in (polys[-1], *polys):
+            _check_extension([*polys[:-1], last], b_set, known)
 
     @pytest.mark.parametrize(
         "supports, b_set",
@@ -210,8 +231,7 @@ class TestExtendByKeys:
         ],
     )
     def test_edge_cases(self, supports, b_set):
-        polys = _polys(supports)
-        assert extend_system(polys, b_set) == _extend_by_sets(polys, b_set)
+        _check_extension(_polys(supports), b_set)
 
     def test_empty_system(self):
         assert extend_system([], {(1, 2)}) == Extension((), frozenset())
@@ -220,6 +240,29 @@ class TestExtendByKeys:
         f = PolynomialTemplate((Term("a", (1,)),))
         with pytest.raises(ValueError):
             extend_system([f], set())
+
+
+class TestSweepExtensions:
+    @pytest.mark.parametrize("name", ["two_conics", "three_quadrics", "rel_pose_f_lambda_8pt"])
+    def test_golden_sweeps_match_set_definition(self, name, monkeypatch):
+        # every point set the golden configuration's sweep extends, for every
+        # hidden variable, through the memo the sweep shares between them:
+        # the coverage verdict, every T_i and mon(F') are the oracle's
+        calls, hits = [], []
+
+        def recording(polys, b_prime, known):
+            hits.append(b_prime in known)
+            ext = extend_system(polys, b_prime, known)
+            calls.append((polys, b_prime, ext))
+            return ext
+
+        monkeypatch.setattr(polyres.generate, "extend_system", recording)
+        cfg = REL_POSE_CONFIG if name == "rel_pose_f_lambda_8pt" else SearchConfig(seed=1, variants=("v1",))
+        generate_plan(get(name).system, cfg)
+        assert any(hits) and not all(hits)
+        for polys, b_prime, got in calls:
+            want = _extend_by_sets(polys, b_prime)
+            assert got == (None if not all(want.multipliers) else want)
 
 
 class TestEvaluate:
