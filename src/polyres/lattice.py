@@ -4,7 +4,8 @@ All geometry is exact and integral: hull facets and affine-hull equations
 carry primitive integer normals with integer offsets.  Rationals appear only
 in displacement vectors.  Hulls grow beneath-beyond from a seed simplex,
 farthest points first, and each insertion checks the ridges it touched, so
-the surface stays closed after every step.  One integer Gauss-Jordan kernel,
+the surface stays closed after every step; a last exact product checks
+that every point satisfies every facet.  One integer Gauss-Jordan kernel,
 ``_rref``, finds facet normals and affine-hull equations as null vectors,
 picks a point set's independent directions and tests extreme vertices.
 Lattice points of one
@@ -156,6 +157,9 @@ def _hull_full_dim(pts: list[IntVec], seed: list[int]) -> tuple[list[int], list[
     updates it for the facets it deletes and creates, and every ridge it
     touched must then lie on exactly two facets or on none: the others kept
     their two, so the surface stays ridge-2-regular after every insertion.
+    A reversed facet can keep the ridges two-regular and still cut points
+    off, so at the end every input point is checked against every facet
+    inequality in one exact integer product.
     """
     d = len(pts[0])
     ref_sum = tuple(sum(pts[i][j] for i in seed) for j in range(d))
@@ -197,6 +201,13 @@ def _hull_full_dim(pts: list[IntVec], seed: list[int]) -> tuple[list[int], list[
                 raise AssertionError("hull surface is not ridge-2-regular")
 
     ineqs = list(dict.fromkeys(facets.values()))
+    # int64 when no product can wrap, Python ints otherwise
+    normals = [n for n, _ in ineqs]
+    offsets = [b for _, b in ineqs]
+    wide = max(max(map(abs, p)) for p in pts) * max(sum(map(abs, n)) for n in normals)
+    dtype = np.int64 if max(wide, *map(abs, offsets)) < 2**63 else object
+    if (np.array(pts, dtype=dtype) @ np.array(normals, dtype=dtype).T > np.array(offsets, dtype=dtype)).any():
+        raise AssertionError("a hull facet cuts off an input point")
 
     candidates = sorted({v for ids in facets for v in ids})
     extreme = []

@@ -11,6 +11,7 @@ a residual postcondition on every returned pair.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,8 +133,11 @@ def schur_complement(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
     of two (the equilibration of LAPACK xGEEQU), with the column scaling
     carried into A22; the scaling is exact, so it leaves the result
     unchanged and only the conditioning of the pivot solve improves.  One
-    LU factorization of the scaled A12 yields both A12^{-1} A11 and the
-    1-norm reciprocal condition number that gates it.
+    LU factorization of the scaled A12 solves for A11 and a cached identity
+    block, written side by side into one right-hand side: it yields
+    A12^{-1} A11 and the inverse whose exact 1-norm gives the reciprocal
+    condition number that gates the solve.  The 1-norms are the reductions
+    ``np.linalg.norm(., 1)`` runs, without its wrapper.
     """
     top, left = split
     a = np.asarray(m)
@@ -142,45 +146,85 @@ def schur_complement(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
         raise ValueError(f"pivot block is {a12.shape}, not square")
     if a12.size == 0:
         return a[top:, :left].copy()
-    _, row_exp = np.frexp(np.max(np.abs(a[:top]), axis=1))
+    _, row_exp = np.frexp(np.abs(a[:top]).max(axis=1))
     upper = a[:top] * np.ldexp(1.0, -row_exp)[:, None]
-    _, col_exp = np.frexp(np.max(np.abs(upper[:, left:]), axis=0))
+    _, col_exp = np.frexp(np.abs(upper[:, left:]).max(axis=0))
     col_scale = np.ldexp(1.0, -col_exp)
     a12 = upper[:, left:] * col_scale
+    rhs = np.empty((top, left + top), dtype=upper.dtype)
+    rhs[:, :left] = upper[:, :left]
+    rhs[:, left:] = _identity(top)
     try:
-        sol = np.linalg.solve(a12, np.hstack([upper[:, :left], np.eye(top)]))
+        sol = np.linalg.solve(a12, rhs)
     except np.linalg.LinAlgError:
         raise SingularPivotError(0.0) from None
-    rcond = 1.0 / (np.linalg.norm(a12, 1) * np.linalg.norm(sol[:, left:], 1))
+    rcond = 1.0 / (_norm_1(a12) * _norm_1(sol[:, left:]))
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularPivotError(float(rcond))
     return a[top:, :left] - (a[top:, left:] * col_scale) @ sol[:, :left]
 
 
-def scale_unit(a: np.ndarray) -> float:
-    """A power of two that brings max |a| into [0.5, 1), capped so that it
-    stays finite: multiplying by it is exact, and no norm of the product
-    overflows for a finite ``a``."""
-    _, e = math.frexp(float(np.abs(a).max(initial=0.0)))
-    return math.ldexp(1.0, -max(e, -1021))
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, read-only: one per pivot block size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
-def eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def _norm_1(a: np.ndarray):
+    """``np.linalg.norm(a, 1)`` of a 2-D float array: its largest column sum
+    of magnitudes."""
+    return np.add.reduce(np.abs(a), axis=0).max(initial=0)
+
+
+def finite_scale(a: np.ndarray) -> tuple[float, float] | None:
+    """``(unit, norm)`` of a finite array, None when some entry is NaN or
+    infinite.
+
+    ``unit`` is a power of two that brings max |a| into [0.5, 1), capped so
+    that it stays finite: multiplying by it is exact, and no norm of the
+    product overflows.  ``norm`` is ||a * unit||_F.  The max that sets the
+    unit is also the one scan for non-finite entries; only a complex entry
+    whose magnitude overflows makes it look at the entries again.
+    """
+    top = float(np.abs(a).max(initial=0.0))
+    if not math.isfinite(top) and not np.isfinite(a).all():
+        return None
+    _, e = math.frexp(top)
+    unit = math.ldexp(1.0, -max(e, -1021))
+    # the Frobenius norm as np.linalg.norm takes it: dot products, real and
+    # imaginary parts apart
+    scaled = (a * unit).ravel(order="K")
+    if np.iscomplexobj(scaled):
+        return unit, np.sqrt(scaled.real.dot(scaled.real) + scaled.imag.dot(scaled.imag))
+    return unit, np.sqrt(scaled.dot(scaled))
+
+
+def eig(
+    a: np.ndarray, tol: float = 1e-8, scale: tuple[float, float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """All complex eigenpairs of a square matrix (LAPACK xGEEV via numpy):
     ``(values, vectors)``, column k of ``vectors`` pairing with ``values[k]``.
 
     Each returned pair satisfies ||A v - lambda v|| <= tol * ||A||_F with
     ||v|| = 1; a pair that misses the bound raises EigenConvergenceError
-    naming its index.  tol must be finite and >= 0: a NaN bound would pass
-    every pair unchecked.
+    naming its index.  Residuals and bound are taken at the exact scale
+    ``unit``, where no finite matrix overflows them.  tol must be finite
+    and >= 0: a NaN bound would pass every pair unchecked.  A non-finite
+    matrix raises ValueError.  ``scale`` is ``finite_scale(a)`` when the
+    caller has computed it already; it is then trusted, and ``a`` is not
+    scanned again.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    if scale is None:
+        scale = finite_scale(a)
+        if scale is None:
+            raise ValueError("matrix has non-finite entries")
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as e:
@@ -189,11 +233,11 @@ def eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     vectors = vectors.astype(np.complex128, copy=False)
     if not len(values):
         return values, vectors
-    # residuals and bound at an exact scale, where no finite matrix overflows them
-    unit = scale_unit(a)
-    scaled = a * unit
-    residuals = np.linalg.norm(scaled @ vectors - vectors * (values * unit), axis=0)
-    worst = int(np.argmax(residuals))
-    if residuals[worst] > tol * np.linalg.norm(scaled):
+    unit, norm = scale
+    r = (a * unit) @ vectors - vectors * (values * unit)
+    # the column norms of np.linalg.norm(r, axis=0)
+    residuals = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
+    worst = int(residuals.argmax())
+    if residuals[worst] > tol * norm:
         raise EigenConvergenceError(worst, float(residuals[worst] / unit))
     return values, vectors

@@ -84,6 +84,12 @@ class PolynomialTemplate:
         if len(slots) != len(set(slots)):
             raise SystemFormatError("coefficient slot reused within one polynomial")
 
+    @cached_property
+    def sorted_support(self) -> tuple[Mono, ...]:
+        """The exponent vectors of the terms in ascending tuple order, sorted
+        once per polynomial."""
+        return tuple(sorted(support(self)))
+
 
 @dataclass(frozen=True)
 class SystemTemplate:
@@ -102,17 +108,25 @@ class SystemTemplate:
                     )
 
     @cached_property
-    def residual_table(self) -> tuple[np.ndarray, tuple[tuple[Term | None, ...], ...]]:
-        """``(exps, terms)`` for normalized_residual: the terms of each
-        polynomial padded with None to a common count, and their exponent
-        vectors as an int array of shape (polynomials, terms, n_vars)."""
+    def residual_table(self) -> tuple[np.ndarray, int, tuple[str, ...], np.ndarray, np.ndarray]:
+        """``(exps, degree, slots, index, consts)`` for normalized_residual,
+        the terms of each polynomial padded to a common count: their
+        exponent vectors as an int array of shape (polynomials, terms,
+        n_vars) and its largest entry, the slot names in first-appearance
+        order, and per term the position of its value in the list of slot
+        values followed by 0.0 (padding) and 1.0 (literal terms), and its
+        constant (1.0 for padding).  Built once per system."""
         width = max(len(f.terms) for f in self.polys)
-        terms = tuple(f.terms + (None,) * (width - len(f.terms)) for f in self.polys)
-        exps = np.zeros((len(terms), width, self.n_vars), dtype=np.intp)
+        slots = list(dict.fromkeys(t.slot for f in self.polys for t in f.terms if t.slot is not None))
+        exps = np.zeros((len(self.polys), width, self.n_vars), dtype=np.intp)
+        index = np.full((len(self.polys), width), len(slots), dtype=np.intp)
+        consts = np.ones((len(self.polys), width))
         for i, f in enumerate(self.polys):
             for t, term in enumerate(f.terms):
                 exps[i, t] = term.exps
-        return exps, terms
+                index[i, t] = len(slots) + 1 if term.slot is None else slots.index(term.slot)
+                consts[i, t] = term.const
+        return exps, int(exps.max(initial=0)), tuple(slots), index, consts
 
     def slots(self) -> list[str]:
         """All user coefficient slot names, in first-appearance order."""
@@ -266,13 +280,23 @@ def normalized_residual(
     """max_i |f_i(p)| / (sum_a |c_{i,a} p^a| + 1) of each row p of the
     ``(N, n_vars)`` array ``points``; zero iff every f_i vanishes at p.
 
-    Every operation is elementwise over the points, so a point's residual
-    does not depend on the batch it is evaluated in.
+    The system's ``residual_table`` is built once; per call, one list of
+    the instance's slot values fills every c_{i,a} in one gather (complex
+    values stay complex), and the terms of each polynomial are summed left
+    to right, in term order, in one pass.  Every operation is elementwise
+    over the points, so a point's residual does not depend on the batch it
+    is evaluated in.
     """
-    exps, terms = system.residual_table
+    exps, degree, slots, index, consts = system.residual_table
+    try:
+        values = [coeffs[name] for name in slots]
+    except KeyError:
+        missing = next(name for name in slots if name not in coeffs)
+        raise KeyError(f"coefficient slot {missing!r} missing from assignment") from None
+    coef = consts * np.array(values + [0.0, 1.0])[index]
     pts = np.asarray(points, dtype=np.complex128)
     # powers[d, j, v] = pts[j, v] ** d, by repeated multiplication
-    powers = np.empty((int(exps.max(initial=0)) + 1, *pts.shape), dtype=np.complex128)
+    powers = np.empty((degree + 1, *pts.shape), dtype=np.complex128)
     powers[0] = 1.0
     for d in range(1, len(powers)):
         powers[d] = powers[d - 1] * pts
@@ -280,14 +304,14 @@ def normalized_residual(
     mono = powers[exps[..., 0], :, 0]
     for v in range(1, system.n_vars):
         mono = mono * powers[exps[..., v], :, v]
-    coef = np.array([[0.0 if t is None else term_value(t, coeffs) for t in row] for row in terms])
     contrib = coef[:, :, None] * mono
-    num = contrib[:, 0].copy()
-    den = 1.0 + np.abs(contrib[:, 0])
-    for t in range(1, contrib.shape[1]):
-        num += contrib[:, t]
-        den += np.abs(contrib[:, t])
-    return np.max(np.abs(num) / den, axis=0)
+    # accumulate adds term by term, left to right; the 1 leads the magnitudes
+    num = np.add.accumulate(contrib, axis=1)[:, -1]
+    mags = np.empty((contrib.shape[0], contrib.shape[1] + 1, contrib.shape[2]))
+    mags[:, 0] = 1.0
+    np.abs(contrib, out=mags[:, 1:])
+    den = np.add.accumulate(mags, axis=1)[:, -1]
+    return (np.abs(num) / den).max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -341,7 +365,7 @@ def extend_system(polys: Sequence[PolynomialTemplate], b_prime: frozenset[Mono],
         return None
     if not polys:
         return Extension((), frozenset())
-    supps = [sorted(support(f)) for f in polys]
+    supps = [f.sorted_support for f in polys]
     top = max(map(abs, chain.from_iterable(b_prime))) + max(max(a) for supp in supps for a in supp)
     places = [(2 * top + 3) ** j for j in range(len(next(iter(b_prime))))]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenConvergenceError, SingularPivotError, eig, scale_unit, schur_complement
+from .linalg import EigenConvergenceError, SingularPivotError, eig, finite_scale, schur_complement
 from .plan import SolverPlan
 from .poly import normalized_residual
 
@@ -100,14 +100,19 @@ def solve(plan: SolverPlan, coeffs, m: np.ndarray, tol: float = 1e-8) -> Solutio
     with ``coeffs``, in ascending order of their eigenvalue (real part, then
     imaginary part), so the result does not depend on the order the
     eigensolver returns pairs in.  Residuals are recomputed from the
-    original polynomial templates, never copied."""
+    original polynomial templates, never copied.
+
+    X is scanned for non-finite entries once, and its power-of-two unit and
+    scaled Frobenius norm are computed once (``finite_scale``): ``eig``
+    takes them for its residual bound and the v2 cull for its own."""
     # no overflow warnings: a non-finite X, point or residual is a SolveFailure
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             x = schur_matrix(plan, m)
-            if not np.isfinite(x).all():
+            scale = finite_scale(x)
+            if scale is None:
                 raise SolveFailure("the eigenproblem matrix is not finite")
-            lam, vecs = eig(x, tol=tol)
+            lam, vecs = eig(x, tol, scale)
         except (SingularPivotError, EigenConvergenceError) as e:
             raise SolveFailure(str(e)) from e
         v1 = plan.layout.variant == "v1"
@@ -118,8 +123,8 @@ def solve(plan: SolverPlan, coeffs, m: np.ndarray, tol: float = 1e-8) -> Solutio
             # of size m perturbs to magnitude (eps * scale)^(1/m); culling at the
             # cube root keeps headroom for blocks up to size three.
             eps = float(np.finfo(np.float64).eps)
-            unit = scale_unit(x)
-            keep = np.abs(lam) >= (eps * (1.0 + np.linalg.norm(x * unit) / unit)) ** (1.0 / 3.0)
+            unit, norm = scale
+            keep = np.abs(lam) >= (eps * (1.0 + norm / unit)) ** (1.0 / 3.0)
             if not keep.any():
                 raise SolveFailure("every eigenvalue lies below the v2 cull bound")
             lam, vecs = lam[keep], vecs[:, keep]
@@ -130,7 +135,7 @@ def solve(plan: SolverPlan, coeffs, m: np.ndarray, tol: float = 1e-8) -> Solutio
         if not (np.isfinite(points).all() and np.isfinite(resid).all()):
             raise SolveFailure("a recovered point or its residual is not finite")
         biggest = np.abs(points).max(axis=1, initial=0.0)
-        is_real = np.all(np.abs(points.imag) <= REAL_COORD_TOL * (1.0 + biggest)[:, None], axis=1)
+        is_real = (np.abs(points.imag) <= REAL_COORD_TOL * (1.0 + biggest)[:, None]).all(axis=1)
         pts = [tuple(p) for p in points.tolist()]
         # a v1 eigenvalue is the hidden coordinate itself: share the object
         lams = [p[plan.layout.hidden_var - 1] for p in pts] if v1 else lam.tolist()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import polyres.lattice
 from polyres.lattice import (
+    HalfSpace,
     _dot,
     _hull_full_dim,
     _null_space,
@@ -497,23 +498,42 @@ class TestHullOracle:
         assert len(got.facets) == len(set(got.facets))
         assert set(got.facets) == set(want.facets)
 
-    @pytest.mark.parametrize("hull", [_hull_full_dim, _sorted_hull], ids=["farthest_first", "sorted_oracle"])
-    def test_misoriented_facet_tears_the_surface(self, hull, monkeypatch):
-        # one facet, the eighth made, gets its inequality reversed: the
-        # ridge check refuses the surface that grows from it
+    @pytest.mark.parametrize(
+        ("hull", "facet", "message"),
+        [(_hull_full_dim, 8, "not ridge-2-regular"), (_sorted_hull, 8, "not ridge-2-regular")]
+        + [(_hull_full_dim, n, "cuts off an input point") for n in (1, 5, 7, 10)],
+        ids=["farthest_first", "sorted_oracle", *(f"farthest_first_facet_{n}" for n in (1, 5, 7, 10))],
+    )
+    def test_misoriented_facet_tears_the_surface(self, hull, facet, message, monkeypatch):
+        # one facet gets its inequality reversed.  The eighth made tears the
+        # ridges; the 1st, 5th, 7th and 10th of farthest-first insertion leave
+        # every ridge on two facets, and the final containment check refuses
+        # the hull instead
         real = polyres.lattice._make_facet
         made = itertools.count(1)
 
         def misoriented(*args):
             normal, offset = real(*args)
-            return (tuple(-x for x in normal), -offset) if next(made) == 8 else (normal, offset)
+            return (tuple(-x for x in normal), -offset) if next(made) == facet else (normal, offset)
 
         monkeypatch.setattr(polyres.lattice, "_make_facet", misoriented)
         monkeypatch.setattr(polyres.lattice, "_hull_full_dim", hull)
         pts = {((7 * i) % 5, (3 * i) % 7, (i * i) % 6) for i in range(40)}
         assert len(pts) == 40
-        with pytest.raises(AssertionError, match="not ridge-2-regular"):
+        with pytest.raises(AssertionError, match=message):
             convex_hull(pts)
+
+
+    def test_containment_check_past_int64(self):
+        # the facet x + y <= 2^63 + 2 takes its products past int64: the
+        # containment check runs them in Python ints
+        big = 2**62
+        pts = [(big, big), (big + 2, big), (big, big + 2), (big + 1, big), (big + 1, big + 1)]
+        hull = convex_hull(pts)
+        assert hull.vertices == ((big, big), (big, big + 2), (big + 2, big))
+        assert set(hull.facets) == {
+            HalfSpace((-1, 0), -big), HalfSpace((0, -1), -big), HalfSpace((1, 1), 2 * big + 2)
+        }
 
 
 class TestUnitSimplex:

@@ -3,10 +3,12 @@ import pytest
 
 from polyres.linalg import (
     PRIMES,
+    RCOND_MIN,
     EigenConvergenceError,
     SingularPivotError,
     eig,
     exact_rank,
+    finite_scale,
     float_rref,
     modp_eliminate,
     modp_left_kernel,
@@ -202,6 +204,86 @@ class TestSchurComplement:
             det_prod = np.linalg.det(m[:c2, c1:]) * np.linalg.det(x)
             sign = (-1.0) ** (c1 * c2)
             assert det_m == pytest.approx(sign * det_prod, rel=1e-6)
+
+
+def _schur_by_numpy(m, split):
+    """schur_complement with its right-hand side from np.hstack and np.eye
+    and its 1-norms from np.linalg.norm: the oracle of its one buffer and
+    its own reductions."""
+    top, left = split
+    a = np.asarray(m)
+    _, row_exp = np.frexp(np.max(np.abs(a[:top]), axis=1))
+    upper = a[:top] * np.ldexp(1.0, -row_exp)[:, None]
+    _, col_exp = np.frexp(np.max(np.abs(upper[:, left:]), axis=0))
+    col_scale = np.ldexp(1.0, -col_exp)
+    a12 = upper[:, left:] * col_scale
+    try:
+        sol = np.linalg.solve(a12, np.hstack([upper[:, :left], np.eye(top)]))
+    except np.linalg.LinAlgError:
+        return 0.0
+    rcond = 1.0 / (np.linalg.norm(a12, 1) * np.linalg.norm(sol[:, left:], 1))
+    if not np.isfinite(rcond) or rcond < RCOND_MIN:
+        return float(rcond)
+    return a[top:, :left] - (a[top:, left:] * col_scale) @ sol[:, :left]
+
+
+class TestSchurSameBits:
+    def test_matches_numpy_spelling(self, rng):
+        # random blocks at scales 1e-150..1e150, a few near-singular pivots
+        # and complex ones: the same X, or the same rcond verdict, bit for bit
+        for trial in range(200):
+            c1, c2 = (int(x) for x in rng.integers(1, 9, size=2))
+            m = rng.standard_normal((c1 + c2, c1 + c2)) * 10.0 ** rng.uniform(-150, 150, size=(c1 + c2, 1))
+            if trial % 5 == 0:
+                m[:c2, c1] = m[:c2, -1] * (1.0 + 1e-15)
+            if trial % 7 == 0:
+                m = m + 1j * rng.standard_normal(m.shape)
+            want = _schur_by_numpy(m, (c2, c1))
+            try:
+                got = schur_complement(m, (c2, c1))
+            except SingularPivotError as e:
+                assert isinstance(want, float) and (e.rcond == want or (np.isnan(want) and np.isnan(e.rcond)))
+                continue
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestFiniteScale:
+    def test_unit_and_norm(self):
+        a = np.array([[3.0, -4.0], [0.0, 1e-3]])
+        # max |a| = 4 = 0.5 * 2^3
+        assert finite_scale(a) == (0.125, np.linalg.norm(a * 0.125))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_non_finite_is_none(self, bad):
+        a = np.eye(3, dtype=type(bad))
+        a[1, 2] = bad
+        assert finite_scale(a) is None
+
+    def test_overflowing_complex_magnitude_is_finite(self):
+        # |1.5e308 + 1.5e308j| overflows, yet every entry is finite: the
+        # unit stays 1, as an infinite max sets it
+        a = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            assert finite_scale(a)[0] == 1.0
+
+    def test_norms_are_numpys(self, rng):
+        # Frobenius norm of the scaled matrix, bit for bit, in any memory order
+        for _ in range(50):
+            a = rng.standard_normal((9, 9)) * 10.0 ** rng.uniform(-300, 300)
+            for view in (a, a.T, a[::2, 1:], a + 1j * a.T):
+                unit, norm = finite_scale(view)
+                assert norm == np.linalg.norm(view * unit)
+                assert 0.5 <= np.abs(view * unit).max() < 1.0
+
+    def test_eig_trusts_a_given_scale(self, rng, monkeypatch):
+        import polyres.linalg
+
+        a = rng.standard_normal((8, 8))
+        want = eig(a)
+        scale = finite_scale(a)
+        monkeypatch.setattr(polyres.linalg, "finite_scale", None)
+        got = eig(a, 1e-8, scale)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestEig:

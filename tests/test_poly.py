@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from polyres.poly import (
     PolynomialTemplate,
     SystemFormatError,
     Term,
+    augment,
     dump_system,
     evaluate,
     extend_system,
@@ -265,6 +267,36 @@ class TestSweepExtensions:
             assert got == (None if not all(want.multipliers) else want)
 
 
+    def test_each_support_sorted_once(self, monkeypatch):
+        # the golden three_quadrics sweep extends hundreds of point sets, and
+        # sorts each of its six polynomials' supports (three base ones, and
+        # x_k - u0 for each hidden variable) once
+        sorted_by = []
+        build = PolynomialTemplate.__dict__["sorted_support"].func
+
+        def counting(f):
+            sorted_by.append(f)
+            return build(f)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(PolynomialTemplate, "sorted_support")
+        monkeypatch.setattr(PolynomialTemplate, "sorted_support", prop)
+        calls = []
+
+        def recording(polys, b_prime, known):
+            calls.append(polys)
+            return extend_system(polys, b_prime, known)
+
+        monkeypatch.setattr(polyres.generate, "extend_system", recording)
+        # a fresh copy: the library's polynomials may be sorted already
+        system = parse_system(dump_system(get("three_quadrics").system))
+        generate_plan(system, SearchConfig(seed=1, variants=("v1",)))
+        assert len(calls) > 100
+        assert len(sorted_by) == len({id(f) for f in sorted_by}) == 6
+        for f in sorted_by:
+            assert f.sorted_support == tuple(sorted(support(f)))
+
+
 class TestEvaluate:
     def test_quadratic_at_root(self):
         f = get("univariate_quadratic").system.polys[0]
@@ -309,6 +341,63 @@ class TestNormalizedResidual:
     def test_all_zero_coefficients(self):
         sys1 = get("univariate_linear").system
         assert normalized_residual(sys1, {"a": 0.0, "b": 0.0}, [[3.0]])[0] == 0.0
+
+    @pytest.mark.parametrize("name", ["two_conics", "three_quadrics", "rel_pose_f_lambda_8pt"])
+    def test_same_bits_as_term_loop(self, name):
+        # the table gather and the one-pass sums against the per-term loop:
+        # float, int, complex and signed-zero coefficients, and the augmented
+        # system with its literal x_k term and u0 slot
+        system = get(name).system
+        rng = np.random.default_rng(8)
+        for k, sys_ in ((0, system), (1, augment(system, 1))):
+            slots = list(dict.fromkeys(t.slot for f in sys_.polys for t in f.terms if t.slot is not None))
+            for coeffs in (
+                {s: float(rng.standard_normal()) for s in slots},
+                {s: int(rng.integers(-3, 4)) for s in slots},
+                {s: complex(rng.standard_normal(), rng.choice([-0.0, 1.5])) for s in slots},
+                {s: float(rng.choice([-0.0, 0.0, 2.0])) for s in slots},
+            ):
+                pts = rng.standard_normal((6, sys_.n_vars)) + 1j * rng.standard_normal((6, sys_.n_vars))
+                pts[0] = 0.0
+                got = normalized_residual(sys_, coeffs, pts)
+                want = _residual_by_terms(sys_, coeffs, pts)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, coeffs)
+
+    def test_complex_coefficients_stay_complex(self):
+        sys1 = get("univariate_linear").system
+        assert normalized_residual(sys1, {"a": 1j, "b": -2j}, [[2.0]])[0] == 0.0
+
+    def test_missing_slot_named(self):
+        sys1 = get("univariate_linear").system
+        with pytest.raises(KeyError, match="coefficient slot 'b' missing from assignment"):
+            normalized_residual(sys1, {"a": 1.0}, [[2.0]])
+
+
+def _residual_by_terms(system, coeffs, points):
+    """normalized_residual as one term_value per term and a sum over the
+    terms one at a time: the oracle of its table gather and one-pass sums."""
+    width = max(len(f.terms) for f in system.polys)
+    terms = [f.terms + (None,) * (width - len(f.terms)) for f in system.polys]
+    exps = np.zeros((len(terms), width, system.n_vars), dtype=np.intp)
+    for i, f in enumerate(system.polys):
+        for t, term in enumerate(f.terms):
+            exps[i, t] = term.exps
+    pts = np.asarray(points, dtype=np.complex128)
+    powers = np.empty((int(exps.max(initial=0)) + 1, *pts.shape), dtype=np.complex128)
+    powers[0] = 1.0
+    for d in range(1, len(powers)):
+        powers[d] = powers[d - 1] * pts
+    mono = powers[exps[..., 0], :, 0]
+    for v in range(1, system.n_vars):
+        mono = mono * powers[exps[..., v], :, v]
+    coef = np.array([[0.0 if t is None else term_value(t, coeffs) for t in row] for row in terms])
+    contrib = coef[:, :, None] * mono
+    num = contrib[:, 0].copy()
+    den = 1.0 + np.abs(contrib[:, 0])
+    for t in range(1, contrib.shape[1]):
+        num += contrib[:, t]
+        den += np.abs(contrib[:, t])
+    return np.max(np.abs(num) / den, axis=0)
 
 
 small_monos = st.tuples(st.integers(0, 4), st.integers(0, 4))

@@ -1,4 +1,7 @@
+import functools
+import hashlib
 import json
+import struct
 import warnings
 from pathlib import Path
 
@@ -93,8 +96,8 @@ class TestSolve:
         keys = [(r.eigvalue.real, r.eigvalue.imag) for r in sols.roots]
         assert keys == sorted(keys)
 
-        def reversed_eig(a, tol=1e-8):
-            values, vectors = eig(a, tol)
+        def reversed_eig(a, tol=1e-8, scale=None):
+            values, vectors = eig(a, tol, scale)
             return values[::-1], vectors[:, ::-1]
 
         monkeypatch.setattr(solve_mod, "eig", reversed_eig)
@@ -293,6 +296,89 @@ class TestBenchmark:
         gen = self._gen(get("univariate_linear").system)
         rep = benchmark(univariate_linear_plan, gen, trials=5, seed=1, record_timing=True)
         assert rep.timing_us is not None and rep.timing_us["p95"] >= rep.timing_us["p50"]
+
+
+class TestOnlineWork:
+    def test_coefficient_table_built_once(self, monkeypatch):
+        # 100 solves on the golden three_quadrics plan build the residual
+        # table once and read no coefficient term by term
+        import polyres.poly
+
+        built = []
+        build = SystemTemplate.__dict__["residual_table"].func
+
+        def counting(system):
+            built.append(system)
+            return build(system)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(SystemTemplate, "residual_table")
+        monkeypatch.setattr(SystemTemplate, "residual_table", prop)
+        read = []
+        term_value = polyres.poly.term_value
+        monkeypatch.setattr(polyres.poly, "term_value", lambda *args: read.append(args) or term_value(*args))
+        plan = golden_plan("three_quadrics")
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            solve_instance(plan, get("three_quadrics").random_instance(rng))
+        assert len(built) == 1
+        assert read == []
+
+    @pytest.mark.parametrize("name", ["three_quadrics", "rel_pose_f_lambda_8pt"])
+    def test_x_scanned_once(self, name, monkeypatch):
+        # one finite_scale per solve: eig takes the unit and norm it found,
+        # and so does the v2 cull
+        import polyres.linalg
+        import polyres.solve
+
+        scanned = []
+        finite_scale = polyres.linalg.finite_scale
+
+        def counting(a):
+            scanned.append(a)
+            return finite_scale(a)
+
+        monkeypatch.setattr(polyres.linalg, "finite_scale", counting)
+        monkeypatch.setattr(polyres.solve, "finite_scale", counting)
+        plan = golden_plan(name)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            solve_instance(plan, get(name).random_instance(rng))
+        assert len(scanned) == 10
+
+
+def _roots_digest(plan, instance_generator, seed: int, trials: int) -> str:
+    """SHA-256 over (point, eigenvalue, residual, is_real) of every root of
+    ``trials`` solves, drawn as solve.benchmark draws them; a failed solve
+    enters as its message."""
+    h = hashlib.sha256()
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        try:
+            sols = solve_instance(plan, instance_generator(rng))
+        except SolveFailure as e:
+            h.update(f"failure {e}\n".encode())
+            continue
+        h.update(struct.pack("<q", len(sols.roots)))
+        for r in sols.roots:
+            h.update(np.array(r.point, dtype=np.complex128).tobytes())
+            h.update(np.array(r.eigvalue, dtype=np.complex128).tobytes())
+            h.update(struct.pack("<d?", r.residual, r.is_real))
+    return h.hexdigest()
+
+
+class TestRootBits:
+    # 200 solves per golden plan at seed 5, which no pinned report uses: the
+    # root coordinates themselves, bit for bit
+    DIGESTS = {
+        "two_conics": "e583862bb779f767028be62eb0a5cd6e690e9d3fb77cc0549f78991c31b668e4",
+        "three_quadrics": "a03919a43fa06ab883a44b51075204e978d5734e5041eb0c185dc1f08cd91cf2",
+        "rel_pose_f_lambda_8pt": "96762ee11f984bac05ff4b89ca2fd2880f1afc56f3f4b30e89bcfa2b4d520fde",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_roots_bit_pinned(self, name):
+        assert _roots_digest(golden_plan(name), get(name).random_instance, 5, 200) == self.DIGESTS[name]
 
 
 class TestExtremeInstances:
