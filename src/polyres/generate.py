@@ -16,10 +16,12 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import (
+    LatticeBox,
     LatticePolytope,
     convex_hull,
     displacement_grid,
@@ -29,7 +31,7 @@ from .lattice import (
 )
 from .linalg import modp_left_kernel
 from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
-from .poly import Extension, Mono, SystemTemplate, augment, extend_system, support
+from .poly import Mono, SystemTemplate, augment, extend_system, extension_at, extension_monomials, support
 
 
 class NoSolverError(RuntimeError):
@@ -96,15 +98,55 @@ def _subset_masks(m_aug: int, cfg: SearchConfig):
             yield sum(1 << i for i in combo)
 
 
-# a Minkowski sum, its lattice point sets (one per displacement) and the
-# T_i of the polynomials but x_k - u0 on each of those sets, as
-# extend_system has decided them so far
-SumEntry = tuple[LatticePolytope, list[frozenset[Mono]], dict[frozenset[Mono], tuple[frozenset[Mono], ...]]]
+class SumEntry(NamedTuple):
+    """A Minkowski sum with its lattice box, and on each row of the box the
+    T_i masks of the polynomials but x_k - u0, their counts and the union
+    of their T_i + a (``extend_system`` and ``extension_monomials``)."""
+
+    polytope: LatticePolytope
+    lattice: LatticeBox
+    masks: np.ndarray
+    counts: np.ndarray
+    union: np.ndarray
+
+
+class SharedGeometry(NamedTuple):
+    """What the sweeps of one system share across hidden variables: the unit
+    simplex, the hulls of the base supports, by summand tuple the sums
+    without x_k - u0, for one list of displacement magnitudes, and one
+    tuple object per monomial of the emitted sets."""
+
+    simplex: LatticePolytope
+    hulls: tuple[LatticePolytope, ...]
+    sums: dict[tuple[LatticePolytope, ...], SumEntry]
+    monomials: dict[Mono, Mono]
+
+
+def shared_geometry(system: SystemTemplate) -> SharedGeometry:
+    """The unit simplex and the hull of every support of ``system``, the
+    base system the sweeps augment."""
+    return SharedGeometry(unit_simplex(system.n_vars), tuple(convex_hull(support(f)) for f in system.polys), {}, {})
+
+
+def _row_verdicts(entry: SumEntry, polys, masks) -> tuple[list, np.ndarray]:
+    """Per row of ``entry``'s box, the count-level reason it is rejected for
+    (None when it passes), and the union mask of mon(F'), given the T_i
+    ``masks`` of x_k - u0 alone."""
+    lat = entry.lattice
+    counts = masks.sum(axis=2)
+    union = entry.union | extension_monomials(polys[-1:], lat, masks)
+    covered = (entry.counts > 0).all(axis=0) & (counts[0] > 0)
+    short = entry.counts.sum(axis=0) + counts[0] < union.sum(axis=1)
+    reasons = [
+        "empty_lattice" if not filled else "coverage" if not ok else "row_count" if few else None
+        for filled, ok, few in zip(lat.inside.any(axis=1).tolist(), covered.tolist(), short.tolist())
+    ]
+    return reasons, union
 
 
 def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchConfig,
                       reasons: dict[str, int] | None = None,
-                      sums: dict[tuple[LatticePolytope, ...], SumEntry] | None = None,
+                      shared: SharedGeometry | None = None,
                       ) -> list[SweptCandidate]:
     """Sweep (subset, displacement) pairs and emit unchecked candidates.
 
@@ -114,63 +156,77 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     one candidate per variant; later pairs with the same T_i emit nothing.
     No layout is built: B1 is T_last (v1) or x_k T_last (v2), and both lie
     in B, since t and t x_k are the monomials of t (x_k - u0).
-    Each distinct point set is extended once per call, x_k - u0 first.
-    ``sums`` maps summand tuples without x_k - u0 to their ``SumEntry``.  A
-    caller that passes one dict to several calls with the same displacement
-    magnitudes and base polynomials computes each sum once, from the sum of
-    its summands but the last when that is known, enumerates it once, in
-    one ``lattice_points`` call, and decides the base polynomials' T_i on
-    each of its point sets once (``extend_system``'s memo).
+
+    Each sum is enumerated in one ``lattice_points`` call, and every T_i,
+    every count and mon(F') are masks on its box (``extend_system``,
+    ``extension_monomials``): the verdicts of all its displacements come
+    from mask counts, and monomial sets are built only for a candidate
+    whose multiplier sets were not emitted before, keyed on the T_i points.
+    ``shared`` holds what does not depend on the hidden variable (a fresh
+    one when None): a caller that passes one ``shared_geometry`` of the
+    base system to the calls for every hidden variable, with the same
+    displacement magnitudes, hulls each base support once, computes each
+    sum of base polytopes once, from the sum of its summands but the last
+    when that is known, and decides the base polynomials' T_i on its box
+    once.  Only x_k - u0's hull, sums and T_i are per call.
     """
     reasons = reasons if reasons is not None else {}
-    sums = sums if sums is not None else {}
+    polys = aug_system.polys
+    shared = shared if shared is not None else shared_geometry(replace(aug_system, polys=polys[:-1]))
     n = aug_system.n_vars
-    m_aug = len(aug_system.polys)
-    polytopes = [convex_hull(support(f)) for f in aug_system.polys]
-    np0 = unit_simplex(n)
+    m_aug = len(polys)
+    polytopes = (*shared.hulls, convex_hull(support(polys[-1])))
     # every grid holds the zero vector: visit each distinct displacement once
     grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
     deltas = list(dict.fromkeys(d for grid in grids for d in grid))
 
     out: list[SweptCandidate] = []
     own_sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
-    exts: dict[frozenset[Mono], Extension | None] = {}
+    # per sum, by identity: x_k - u0's T_i masks, the row verdicts, mon(F')
+    # masks and the rows handled
+    visited: dict[int, tuple] = {}
     # the multiplier sets fix B, and hidden_var is fixed within this call
-    emitted: set[tuple[frozenset[Mono], ...]] = set()
+    emitted: set[tuple[bytes, ...]] = set()
 
     for mask in _subset_masks(m_aug, cfg):
-        summands = (np0, *(polytopes[i] for i in range(m_aug) if mask >> i & 1))
+        summands = (shared.simplex, *(polytopes[i] for i in range(m_aug) if mask >> i & 1))
         # x_k - u0, the last polynomial, differs between calls: its sums are
         # kept for this call only
-        cache = own_sums if mask >> (m_aug - 1) & 1 else sums
+        cache = own_sums if mask >> (m_aug - 1) & 1 else shared.sums
         entry = cache.get(summands)
         if entry is None:
             # minkowski_sum folds left, so a cached prefix sum is its first step
-            prefix = sums.get(summands[:-1])
-            q = minkowski_sum(summands if prefix is None else (prefix[0], summands[-1]))
-            entry = cache[summands] = q, lattice_points(q, deltas), {}
-        for delta, pts in zip(deltas, entry[1]):
-            if not pts:
-                _tick(reasons, "empty_lattice")
+            prefix = shared.sums.get(summands[:-1])
+            q = minkowski_sum(summands if prefix is None else (prefix.polytope, summands[-1]))
+            lat = lattice_points(q, deltas)
+            base = extend_system(polys[:-1], lat)
+            entry = cache[summands] = SumEntry(q, lat, base, base.sum(axis=2),
+                                               extension_monomials(polys[:-1], lat, base))
+        if id(entry) not in visited:
+            last = extend_system(polys[-1:], entry.lattice)
+            visited[id(entry)] = (last, *_row_verdicts(entry, polys, last), set())
+        last, verdicts, union, done = visited[id(entry)]
+        lat = entry.lattice
+        for delta, row in zip(deltas, lat.row_of):
+            failure = "empty_lattice" if row is None else verdicts[row]
+            if failure is not None:
+                _tick(reasons, failure)
                 continue
-            if pts not in exts:
-                exts[pts] = extend_system(aug_system.polys, pts, entry[2])
-            ext = exts[pts]
-            if ext is None:
-                _tick(reasons, "coverage")
+            # a row met again in this call has its multiplier sets emitted
+            if row in done:
                 continue
-            b_set = ext.monomials
-            t_sets = ext.multipliers
-            n_rows = sum(len(t) for t in t_sets)
-            if n_rows < len(b_set):
-                _tick(reasons, "row_count")
+            done.add(row)
+            masks = (*entry.masks, last[0])
+            key = tuple(lat.points[m[row]].tobytes() for m in masks)
+            if key in emitted:
                 continue
-            if t_sets in emitted:
-                continue
-            emitted.add(t_sets)
+            emitted.add(key)
+            ext = extension_at(polys, lat, masks, union, row, shared.monomials)
+            n_rows = sum(map(len, ext.multipliers))
             for variant in cfg.variants:
-                prefix = (len(t_sets[-1]), n_rows * len(b_set), n_rows, variant, hidden_var)
-                out.append(SweptCandidate(prefix, (aug_system, hidden_var, variant, b_set, t_sets), delta, mask))
+                prefix = (len(ext.multipliers[-1]), n_rows * len(ext.monomials), n_rows, variant, hidden_var)
+                out.append(SweptCandidate(prefix, (aug_system, hidden_var, variant, ext.monomials, ext.multipliers),
+                                          delta, mask))
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
@@ -185,7 +241,8 @@ def _shifted(layout: MatrixLayout) -> tuple[tuple, tuple]:
     return rows, tuple(tuple(map(sub, m, low)) for m in tm.cols)
 
 
-def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
+def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool],
+                      shifted_rows: tuple | None = None) -> str | None:
     """The first partition condition ``layout`` fails, by its reason name,
     or None.  Every polynomial keeps a row ("coverage"), the matrix has full
     column rank ("column_rank"), and the upper rows have full rank on the
@@ -194,12 +251,13 @@ def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[t
     ``full_rank`` memoizes full-rank verdicts by the system and the shifted
     rows (``_shifted``): the v1 and v2 layouts of one set of multipliers,
     and of its monomial translates, share their rows and their columns up to
-    order and translation, so they share one verdict.  Like the sweep, this
-    takes the columns to be the monomials the rows reach."""
+    order and translation, so they share one verdict; a caller that holds
+    ``_shifted(layout)[0]`` passes it as ``shifted_rows``.  Like the sweep,
+    this takes the columns to be the monomials the rows reach."""
     tm = layout.template
     if len({poly_idx for poly_idx, _ in tm.rows}) < len(tm.system.polys):
         return "coverage"
-    key = (tm.system, _shifted(layout)[0])
+    key = (tm.system, _shifted(layout)[0] if shifted_rows is None else shifted_rows)
     if full_rank.get(key) is False:
         return "column_rank"
     p, trial = cfg.rank.witness
@@ -396,10 +454,12 @@ class GenerateOutcome:
     reasons: dict[str, int]
 
 
-def _verdict(cand: FavourableCandidate, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> SolverPlan | str:
+def _verdict(cand: FavourableCandidate, cfg: SearchConfig, full_rank: dict[tuple, bool],
+             shifted_rows: tuple) -> SolverPlan | str:
     """The plan ``cand`` reduces to, or the name of the first condition it
-    fails: the partition, then recovery pairs, then the reduction."""
-    failure = partition_failure(cand.layout, cfg, full_rank)
+    fails: the partition, then recovery pairs, then the reduction.
+    ``shifted_rows`` is ``_shifted(cand.layout)[0]``."""
+    failure = partition_failure(cand.layout, cfg, full_rank, shifted_rows)
     if failure is None and cand.layout.unpaired:
         failure = "unrecoverable_b1"
     if failure is not None:
@@ -434,18 +494,19 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     member to pass returns its own plan.
 
     Only the summand x_k - u0 differs between hidden variables, so the
-    Minkowski sums of subsets without it, their lattice points, and the T_i
-    of the base polynomials on each of those point sets are computed once
-    for all k; a point set extended again for another k only decides the
-    T_i of x_k - u0 and, when none is empty, mon(F').  Nothing is kept from
-    one call to the next.
+    hulls of the base supports, the unit simplex, the Minkowski sums of
+    subsets without x_k - u0, their lattice boxes and the base polynomials'
+    T_i masks on them are computed once for all k (``shared_geometry``); a
+    sum visited again for another k only erodes x_k - u0's T_i.  The
+    emitted monomial sets share one tuple per monomial.  Nothing is kept
+    from one call to the next.
     """
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
-    sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
+    shared = shared_geometry(system)
     swept: list[SweptCandidate] = []
     for k in range(1, system.n_vars + 1):
-        swept.extend(search_candidates(augment(system, k), k, cfg, reasons, sums))
+        swept.extend(search_candidates(augment(system, k), k, cfg, reasons, shared))
     swept.sort(key=lambda c: c.prefix)
     groups = (
         sorted((c.laid_out() for c in group), key=lambda c: _selection_key(c.layout))
@@ -454,9 +515,10 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     full_rank: dict[tuple, bool] = {}
     failures: dict[tuple, str] = {}  # translation class -> failure
     for seen, cand in enumerate(itertools.chain.from_iterable(groups), 1):
-        cls = (cand.layout.template.system, cand.layout.variant, *_shifted(cand.layout))
+        shifted = _shifted(cand.layout)
+        cls = (cand.layout.template.system, cand.layout.variant, *shifted)
         if cls not in failures:
-            verdict = _verdict(cand, cfg, full_rank)
+            verdict = _verdict(cand, cfg, full_rank, shifted[0])
             if isinstance(verdict, SolverPlan):
                 return GenerateOutcome(verdict, seen, reasons)
             failures[cls] = verdict

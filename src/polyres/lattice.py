@@ -8,10 +8,11 @@ the surface stays closed after every step; a last exact product checks
 that every point satisfies every facet.  One integer Gauss-Jordan kernel,
 ``_rref``, finds facet normals and affine-hull equations as null vectors,
 picks a point set's independent directions and tests extreme vertices.
-Lattice points of one
-polytope under a whole list of displacements come from one pass: one box
-covering every shift, tested in int64 behind a guard that raises rather
-than let a dot product wrap.  Floating point is never consulted, so
+Lattice points of one polytope under a whole list of displacements come
+from one pass: one box covering every shift, its dot products with the
+normals in int64 behind a guard that raises rather than let one wrap, and
+one row of floored offsets per distinct shift; point sets are masks on the
+box, built as sets only on request.  Floating point is never consulted, so
 displacement vectors that graze lattice hyperplanes cannot flip membership.
 """
 
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -281,17 +282,72 @@ def unit_simplex(n: int) -> LatticePolytope:
     return convex_hull(pts)
 
 
-def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> list[frozenset[IntVec]]:
-    """For each delta of ``deltas``, the integer z with z - delta inside or on q.
+def _below(dots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(len(offsets), points) mask of ``dots[:, z] <= offsets[r]``, one
+    comparison per normal: the normals are few, and a reduction over so
+    short an axis is slow."""
+    out = np.ones((len(offsets), dots.shape[1]), dtype=bool)
+    for d, bounds in zip(dots, offsets.T):
+        out &= d <= bounds[:, None]
+    return out
+
+
+class LatticeBox(NamedTuple):
+    """The lattice points of q + delta for a list of displacements, as masks
+    on one integer box.
+
+    ``points`` is the box [lo, hi] in C order, which is lexicographic order,
+    so a unit step along coordinate j is a step of ``strides[j]`` in its
+    flat index.  ``normals`` holds q's facet normals and each equation's
+    normal twice, once negated; ``dots[k]`` holds the products of normal k
+    with every box point and ``rows`` the distinct floored offsets, so the
+    lattice points of the displacement ``deltas[j]`` are the z of the box
+    with ``dots[:, z] <= rows[row_of[j]]``, marked in ``inside[row_of[j]]``.
+    ``row_of[j]`` is None when no integer point meets q's equations after
+    that shift.  An empty box has no points.  No coordinate, offset or dot
+    product exceeds ``bound`` in absolute value.
+    """
+
+    points: np.ndarray
+    strides: tuple[int, ...]
+    normals: np.ndarray
+    dots: np.ndarray
+    rows: np.ndarray
+    row_of: tuple[int | None, ...]
+    bound: int
+    inside: np.ndarray
+
+    def below(self, offsets: np.ndarray) -> np.ndarray:
+        """(len(offsets), points) mask of the box points z with
+        ``dots[:, z] <= offsets[r]``."""
+        return _below(self.dots, offsets)
+
+    def step(self, v: Sequence[int]) -> int:
+        """The flat index step from a box point z to z + v, when both lie in
+        the box."""
+        return _dot(v, self.strides)
+
+    def point_sets(self) -> list[frozenset[IntVec]]:
+        """The lattice point set of each displacement; displacements with
+        one offset row share one set object."""
+        sets = [frozenset(map(tuple, self.points[m].tolist())) for m in self.inside]
+        empty = frozenset()
+        return [empty if r is None else sets[r] for r in self.row_of]
+
+
+def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> LatticeBox:
+    """The integer z with z - delta inside or on q, for every delta of
+    ``deltas``, as one ``LatticeBox``.
 
     Normals and z are integral, so n.(z - delta) <= c holds exactly when
     n.z <= floor(c + n.delta), and n.(z - delta) == c needs c + n.delta to
     be an integer.  These floored offsets, exact from one matrix product
     (int64 when it cannot wrap, Python ints otherwise), therefore decide
     every lattice point of q + delta: displacements with equal offsets
-    share one set.  One bounding box covers every shift; its int64 dot
-    products with the normals are taken once, and each distinct offset row
-    costs one comparison.  Raises OverflowError when a coordinate, an
+    share one row.  The displacements are scaled to integer numerators
+    over their common denominator once, and the box that covers every
+    shift is bounded from those integers; its int64 dot products with the
+    normals are taken once.  Raises OverflowError when a coordinate, an
     offset or a dot product over the box could leave int64.
     """
     if any(len(d) != q.dim for d in deltas):
@@ -310,26 +366,35 @@ def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> 
     rhs = scaled // denom
     solvable = (scaled[:, :n_eq] % denom == 0).all(axis=1)
     keys = [tuple(r) if ok else None for r, ok in zip(rhs.tolist(), solvable.tolist())]
-    live = [d for d, k in zip(deltas, keys) if k is not None]
-    rows = list(dict.fromkeys(k for k in keys if k is not None))
-    sets: dict[IntVec | None, frozenset[IntVec]] = {None: frozenset()}
-    if not rows:
-        return [frozenset()] * len(keys)
-    lo = [math.ceil(min(v[i] for v in q.vertices) + min(d[i] for d in live)) for i in range(q.dim)]
-    hi = [math.floor(max(v[i] for v in q.vertices) + max(d[i] for d in live)) for i in range(q.dim)]
+    index = {k: i for i, k in enumerate(dict.fromkeys(k for k in keys if k is not None))}
+    row_of = tuple(None if k is None else index[k] for k in keys)
+    rows = list(index)
+    live = [d for d, k in zip(nums, keys) if k is not None]
+    lo, hi = [0] * q.dim, [-1] * q.dim
+    if live:
+        for i in range(q.dim):
+            coords = [v[i] for v in q.vertices]
+            shifts = [d[i] for d in live]
+            lo[i] = -((-min(coords) * denom - min(shifts)) // denom)
+            hi[i] = (max(coords) * denom + max(shifts)) // denom
     if any(a > b for a, b in zip(lo, hi)):
-        return [frozenset()] * len(keys)
-
-    reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-    bound = max([*reach, *(abs(x) for r in rows for x in r)] + [_dot(map(abs, n), reach) for n in normals])
-    if bound >= 2**63:
-        raise OverflowError("lattice box exceeds int64 range")
+        # no point to test: the offsets need not fit int64
+        lo, hi = [0] * q.dim, [-1] * q.dim
+        rows = [[0] * len(normals) for _ in rows]
+        bound = 0
+    else:
+        reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
+        bound = max([*reach, *(abs(x) for r in rows for x in r)] + [_dot(map(abs, n), reach) for n in normals])
+        if bound >= 2**63:
+            raise OverflowError("lattice box exceeds int64 range")
 
     # an equation n.x == c is the two inequalities n.x <= c and -n.x <= -c
-    box = np.indices([b - a + 1 for a, b in zip(lo, hi)]).reshape(q.dim, -1).T + np.array(lo)
-    a = np.array(normals, dtype=np.int64)
-    dots = box @ np.concatenate([a, -a[:n_eq]]).T
-    b = np.array(rows, dtype=np.int64)
-    for k, r in zip(rows, np.concatenate([b, -b[:, :n_eq]], axis=1)):
-        sets[k] = frozenset(map(tuple, box[(dots <= r).all(axis=1)].tolist()))
-    return [sets[k] for k in keys]
+    sizes = [b - a + 1 for a, b in zip(lo, hi)]
+    box = np.indices(sizes, dtype=np.int64).reshape(q.dim, -1).T + np.array(lo, dtype=np.int64)
+    strides = tuple(math.prod(sizes[i + 1:]) for i in range(q.dim))
+    a = np.array(normals, dtype=np.int64).reshape(-1, q.dim)
+    a = np.concatenate([a, -a[:n_eq]])
+    b = np.array(rows, dtype=np.int64).reshape(-1, len(normals))
+    b = np.concatenate([b, -b[:, :n_eq]], axis=1)
+    dots = a @ box.T
+    return LatticeBox(box, strides, a, dots, b, row_of, bound, _below(dots, b))

@@ -13,8 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import mul, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -316,86 +315,71 @@ def normalized_residual(
 
 @dataclass(frozen=True)
 class Extension:
-    """Result of extending a system over a monomial set B'.
+    """A system extended over one monomial set B'.
 
-    ``multipliers[i]`` is T_i, the multipliers t with mon(t*f_i) inside B',
-    none of them empty; ``monomials`` is mon(F') for the extended set F' (a
-    subset of B').
+    ``multipliers[i]`` is T_i, the multipliers t with mon(t*f_i) inside B';
+    ``monomials`` is mon(F') for the extended set F' (a subset of B').
     """
 
     multipliers: tuple[frozenset[Mono], ...]
     monomials: frozenset[Mono]
 
 
-def _multipliers(supp: Sequence[Mono], mono_of: dict[int, Mono], key) -> dict[int, Mono]:
-    """T_i of one polynomial of sorted support ``supp`` inside the keyed B'
-    ``mono_of``, each t by the key of t + anchor: every t = b - anchor >= 0,
-    for b in B' and anchor the smallest support monomial, with t + a in B'
-    for each support monomial a."""
-    anchor = supp[0]
-    # b + (a - anchor) for every support monomial a but the anchor itself
-    steps = [key(a) - key(anchor) for a in supp[1:]]
-    fits = list(mono_of)
-    for s in steps:
-        fits = [k for k in fits if k + s in mono_of]
-    t_i = ((k, tuple(map(sub, mono_of[k], anchor))) for k in fits)
-    return {k: t for k, t in t_i if min(t) >= 0}
+def extend_system(polys: Sequence[PolynomialTemplate], lattice) -> np.ndarray:
+    """T_i of each polynomial inside each point set B' of ``lattice``, a
+    ``LatticeBox``, by erosion: a bool array ``(len(polys), rows, points)``
+    whose entry [i, r, z] marks the box point z = t + a_i for each t of T_i
+    on row r, a_i the smallest support monomial of f_i (its anchor).
 
-
-def extend_system(polys: Sequence[PolynomialTemplate], b_prime: frozenset[Mono],
-                  known: dict[frozenset[Mono], tuple[frozenset[Mono], ...]] | None = None) -> Extension | None:
-    """Largest monomial-multiple extension of each polynomial inside B', or
-    None when some polynomial has no multiple there (an empty T_i).
-
-    The T_i are decided one polynomial at a time, the last first (in the
-    search, x_k - u0: two terms), then the others in order, and the first
-    empty one ends the work; mon(F') is built only when none is.  ``known``
-    holds, per B', the T_i of ``polys[:-1]`` up to the first empty one: it
-    is read instead of deciding them again and filled with those decided
-    here, so callers may share it only between systems that differ in the
-    last polynomial alone.  Each monomial is keyed by one int in balanced
-    base r; the entries of every b - anchor + a lie strictly between -r/2
-    and r/2, so their keys are distinct and a shift by a monomial is one
-    integer addition.  The keys live for one call.
+    B' is {z : N z <= r} on the box, so t + a lies in B' for every a of
+    supp f_i exactly when N t <= r - h_i, h_i the facet-wise maximum of
+    N a over supp f_i.  With z = t + a_i that is N z <= r - (h_i - N a_i),
+    read off the box's dot products (``LatticeBox.below``), and t >= 0 is
+    z >= a_i.  Every such z lies in B', so in the box.  Raises
+    OverflowError when an offset less h_i - N a_i could leave int64.
     """
-    if not b_prime:
-        raise ValueError("B' must be nonempty")
-    base = known.get(b_prime) if known is not None else None
-    if base and not base[-1]:
-        return None
+    out = np.empty((len(polys), len(lattice.rows), len(lattice.points)), dtype=bool)
     if not polys:
-        return Extension((), frozenset())
-    supps = [f.sorted_support for f in polys]
-    top = max(map(abs, chain.from_iterable(b_prime))) + max(max(a) for supp in supps for a in supp)
-    places = [(2 * top + 3) ** j for j in range(len(next(iter(b_prime))))]
+        return out
+    top = max(max(a) for f in polys for a in f.sorted_support)
+    if lattice.bound + 2 * top * int(np.abs(lattice.normals).sum(axis=1).max(initial=0)) >= 2**63:
+        raise OverflowError("eroded offsets exceed int64 range")
+    for f, mask in zip(polys, out):
+        supp = np.array(f.sorted_support, dtype=np.int64)
+        prods = supp @ lattice.normals.T
+        rhs = lattice.rows - (prods.max(axis=0) - prods[0])
+        np.logical_and(lattice.below(rhs), (lattice.points >= supp[0]).all(axis=1), out=mask)
+    return out
 
-    def key(m: Mono) -> int:
-        return sum(map(mul, m, places))
 
-    mono_of = {key(b): b for b in b_prime}
-    # the T_i decided in this call, by polynomial index
-    last = len(polys) - 1
-    found = {last: _multipliers(supps[last], mono_of, key)}
-    if not found[last]:
-        return None
-    if base is None:
-        decided = []
-        for i, supp in enumerate(supps[:-1]):
-            found[i] = _multipliers(supp, mono_of, key)
-            decided.append(frozenset(found[i].values()))
-            if not decided[-1]:
-                break
-        base = tuple(decided)
-        if known is not None:
-            known[b_prime] = base
-        if base and not base[-1]:
-            return None
-    t_sets = (*base, frozenset(found[last].values()))
-    used: set[int] = set()
-    for i, (supp, t_i) in enumerate(zip(supps, t_sets)):
-        k0 = key(supp[0])
-        # keys of the t + anchor
-        keys = found[i].keys() if i in found else [key(t) + k0 for t in t_i]
-        for a in supp:
-            used.update(map((key(a) - k0).__add__, keys))
-    return Extension(t_sets, frozenset(mono_of[k] for k in used))
+def extension_monomials(polys: Sequence[PolynomialTemplate], lattice, masks) -> np.ndarray:
+    """mon(F') of the polynomials' T_i ``masks`` (``extend_system``'s) on
+    each row of ``lattice``, as a bool ``(rows, points)`` mask: the union of
+    the T_i + a over a in supp f_i.  A mask marks t + a_i, so each a is one
+    flat index shift by a - a_i, which stays inside the box from every
+    marked point; a shift that leaves it meets no marked point."""
+    n_rows, n_pts = len(lattice.rows), len(lattice.points)
+    union = np.zeros(n_rows * n_pts, dtype=bool)
+    for f, mask in zip(polys, masks):
+        flat = mask.reshape(-1)
+        anchor = f.sorted_support[0]
+        for a in f.sorted_support:
+            s = lattice.step(map(sub, a, anchor))
+            if 0 <= s < n_pts:
+                union[s:] |= flat[: flat.size - s]
+    return union.reshape(n_rows, n_pts)
+
+
+def extension_at(polys: Sequence[PolynomialTemplate], lattice, masks, union, row: int,
+                 canon: dict[Mono, Mono] | None = None) -> Extension:
+    """The T_i and mon(F') on one row of ``lattice``, as monomial sets, from
+    ``extend_system``'s masks and ``extension_monomials``' union.  With
+    ``canon``, each monomial is the first equal tuple met there, so the
+    extensions built with one dict share their tuples."""
+    def monomials(arr: np.ndarray) -> frozenset[Mono]:
+        monos = list(map(tuple, arr.tolist()))
+        return frozenset(monos if canon is None else map(canon.setdefault, monos, monos))
+
+    pts = lattice.points
+    t_sets = tuple(monomials(pts[mask[row]] - f.sorted_support[0]) for f, mask in zip(polys, masks))
+    return Extension(t_sets, monomials(pts[union[row]]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,10 @@ def schur_matrix(plan: SolverPlan, m: np.ndarray) -> np.ndarray:
     return schur_complement(m, (lay.n_upper, lay.n_b1))
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(NamedTuple):
+    """One recovered root; a named tuple, since ``solve`` builds one per
+    eigenpair."""
+
     point: tuple[complex, ...]
     eigvalue: complex
     residual: float

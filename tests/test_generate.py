@@ -48,6 +48,8 @@ from polyres.poly import (
     SystemTemplate,
     Term,
     extend_system,
+    extension_at,
+    extension_monomials,
     mono_mul,
     support,
 )
@@ -122,8 +124,10 @@ class TestSearchCandidates:
         # reproduce the expected favourable set through the lattice layer
         polys = [convex_hull(support(f)) for f in aug.polys]
         q = minkowski_sum([unit_simplex(2), polys[0], polys[1]])
-        pts = lattice_points(q, [delta])[0]
-        ext = extend_system(aug.polys, pts)
+        lattice = lattice_points(q, [delta])
+        (pts,) = lattice.point_sets()
+        masks = extend_system(aug.polys, lattice)
+        ext = extension_at(aug.polys, lattice, masks, extension_monomials(aug.polys, lattice, masks), 0)
         assert frozenset(cand.layout.template.cols) == ext.monomials
         # the example's 17 monomials survive inside the extended set
         example_b = {
@@ -141,7 +145,10 @@ class TestSearchCandidates:
                 PolynomialTemplate((Term("c", (9,)),)),
             ),
         )
-        assert extend_system(sparse.polys, {(0,), (1,)}) is None
+        segment = lattice_points(convex_hull([(0,), (1,)]), [(Fraction(0),)])
+        assert segment.point_sets() == [{(0,), (1,)}]
+        masks = extend_system(sparse.polys, segment)
+        assert masks[0].any() and not masks[1].any()
         reasons = {}
         search_candidates(augment(sparse, 1), 1, SearchConfig(seed=1), reasons)
         assert reasons.get("coverage", 0) > 0
@@ -306,13 +313,17 @@ class TestSearchCandidates:
 
     def test_geometry_work_counts_three_quadrics(self, monkeypatch):
         # on the golden three_quadrics configuration, hulls insert farthest
-        # first, and extension decides one polynomial at a time, x_k - u0
-        # first, stops at the first empty T_i and decides the base
-        # polynomials' T_i once per point set for all hidden variables: a
-        # regression to sorted insertion (534 facets) or to whole extensions
-        # per hidden variable (900 multiplier sets) fails on a count
-        calls = dict.fromkeys(("_make_facet", "_multipliers"), 0)
-        for owner, name in ((polyres.lattice, "_make_facet"), (polyres.poly, "_multipliers")):
+        # first and each base support is hulled once for all hidden
+        # variables: 3 base hulls and one x_k - u0 hull per hidden variable.
+        # The base polynomials' T_i are eroded once per Minkowski sum, 3
+        # sums without x_k - u0 shared by all hidden variables and 4 with
+        # it per hidden variable, and x_k - u0's once per sum each sweep
+        # visits, 7 per hidden variable.  A regression to sorted insertion,
+        # to hulls per hidden variable (12 hulls, 330 facets) or to base
+        # masks per visit (42 erosions) fails on a count
+        calls = dict.fromkeys(("_make_facet", "convex_hull", "extend_system"), 0)
+        for owner, name in ((polyres.lattice, "_make_facet"), (polyres.generate, "convex_hull"),
+                            (polyres.generate, "extend_system")):
             def counting(*args, _real=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -320,7 +331,7 @@ class TestSearchCandidates:
             monkeypatch.setattr(owner, name, counting)
         outcome = generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
         assert outcome.candidates_seen == 43
-        assert calls == {"_make_facet": 330, "_multipliers": 564}
+        assert calls == {"_make_facet": 244, "convex_hull": 6, "extend_system": 36}
 
     def test_sweep_reaches_every_traced_layer(self, monkeypatch):
         # the benchmark's tracer binds the sweep's geometry and extension

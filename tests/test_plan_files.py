@@ -4,17 +4,22 @@ they store."""
 import copy
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import REL_POSE_CONFIG
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyres.generate import SearchConfig, generate_plan
 from polyres.linalg import PRIMES
 from polyres.plan import PlanFormatError, TemplateMatrix, build_layout, plan_from_json, plan_to_json
 from polyres.poly import HIDDEN_SLOT, PolynomialTemplate, SystemTemplate, Term
+from polyres.problems import get
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 FUZZ = settings(max_examples=200)
@@ -46,6 +51,24 @@ def test_golden_plan_bytes(name, request):
     assert plan_to_json(outcome.plan) == (GOLDEN / f"{name}.plan").read_text(encoding="utf-8")
     assert outcome.candidates_seen == seen
     assert outcome.reasons == reasons
+
+
+def test_rel_pose_full_sweep_writes_the_golden_plan():
+    # the golden rel_pose configuration without its caps: every subset and
+    # both displacement magnitudes reach the same plan, later
+    cfg = replace(REL_POSE_CONFIG, max_subset_size=None, delta_magnitudes=SearchConfig().delta_magnitudes)
+    assert cfg.delta_magnitudes == (Fraction(1, 10), Fraction(1, 1000))
+    outcome = generate_plan(get("rel_pose_f_lambda_8pt").system, cfg)
+    assert plan_to_json(outcome.plan) == (GOLDEN / "rel_pose_f_lambda_8pt.plan").read_text(encoding="utf-8")
+    assert outcome.candidates_seen == 267
+    assert outcome.reasons == {
+        "coverage": 9172,
+        "row_count": 370,
+        "empty_lattice": 330,
+        "column_rank": 232,
+        "a12_rank": 23,
+        "unrecoverable_b1": 11,
+    }
 
 
 @cache

@@ -1,14 +1,18 @@
 import functools
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import REL_POSE_CONFIG
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyres.generate
-from polyres.generate import SearchConfig, generate_plan
+from polyres.generate import SearchConfig, SweptCandidate, generate_plan
+from polyres.lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
 from polyres.poly import (
     Extension,
     PolynomialTemplate,
@@ -18,6 +22,8 @@ from polyres.poly import (
     dump_system,
     evaluate,
     extend_system,
+    extension_at,
+    extension_monomials,
     grevlex_key,
     mono_div,
     mono_mul,
@@ -34,6 +40,8 @@ EXAMPLE_F1_SUPPORT = {
     (3, 3), (2, 3), (3, 2), (2, 2), (0, 3), (2, 1), (0, 2), (1, 1), (2, 0), (0, 1),
 }
 EXAMPLE_F2_SUPPORT = {(2, 0), (0, 1), (1, 0), (0, 0)}
+TENTH = Fraction(1, 10)
+MILLI = Fraction(1, 1000)
 
 
 def system_text(system):
@@ -118,35 +126,72 @@ class TestSupport:
         assert support(f) == {(0, 0, 0)}
 
 
+def _zero(n):
+    return tuple(Fraction(0) for _ in range(n))
+
+
+def _box(b_set):
+    """The lattice box of the hull of ``b_set`` at zero displacement: its
+    one row holds the lattice points of that hull."""
+    q = convex_hull(b_set)
+    return lattice_points(q, [_zero(q.dim)])
+
+
+def _erode(polys, lattice):
+    """Every row's extension, from extend_system's masks and
+    extension_monomials' union, decoded by extension_at."""
+    masks = extend_system(polys, lattice)
+    union = extension_monomials(polys, lattice, masks)
+    return [extension_at(polys, lattice, masks, union, r) for r in range(len(lattice.rows))]
+
+
 class TestExtendSystem:
     def test_linear_tight(self):
         f = PolynomialTemplate((Term("a", (1,)), Term("b", (0,))))
-        ext = extend_system([f], {(0,), (1,)})
+        (ext,) = _erode([f], _box({(0,), (1,)}))
         assert ext.multipliers[0] == {(0,)}
         assert ext.monomials == {(0,), (1,)}
 
     def test_linear_wider(self):
         f = PolynomialTemplate((Term("a", (1,)), Term("b", (0,))))
-        ext = extend_system([f], {(0,), (1,), (2,)})
+        (ext,) = _erode([f], _box({(0,), (2,)}))
         assert ext.multipliers[0] == {(0,), (1,)}
 
     def test_products_stay_inside(self):
         entry = get("example_system")
+        q = minkowski_sum([convex_hull(support(f)) for f in entry.system.polys])
+        lattice = lattice_points(q, [(-TENTH, -TENTH)])
         b = {
             (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1),
             (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
         }
-        ext = extend_system(entry.system.polys, b)
+        assert lattice.point_sets() == [b]
+        (ext,) = _erode(entry.system.polys, lattice)
         # oracle: re-expand every product and check membership
+        assert all(ext.multipliers)
         for f, t_set in zip(entry.system.polys, ext.multipliers):
             for t in t_set:
                 for alpha in support(f):
                     assert mono_mul(t, alpha) in b
         assert ext.monomials <= frozenset(b)
 
+    def test_int64_guard(self):
+        # the box of a segment near 2^62 fits int64; eroding it by a support
+        # that reaches 2^60 does too, by one that reaches 2^61 could wrap,
+        # and raises instead
+        big, far = 2**62, 2**60
+        lattice = lattice_points(convex_hull([(big, 0), (big + 1, 0)]), [_zero(2)])
+        (ext,) = _erode([PolynomialTemplate((Term("a", (far, 0)),))], lattice)
+        assert ext.multipliers == ({(big - far, 0), (big - far + 1, 0)},)
+        assert ext.monomials == {(big, 0), (big + 1, 0)}
+        with pytest.raises(OverflowError):
+            extend_system([PolynomialTemplate((Term("a", (2**61, 0)),))], lattice)
+
     def test_empty_multiplier_is_reported(self):
         f = PolynomialTemplate((Term("a", (5,)),))
-        assert extend_system([f], {(0,), (1,)}) is None
+        lattice = _box({(0,), (1,)})
+        assert not extend_system([f], lattice).any()
+        assert _erode([f], lattice) == [Extension((frozenset(),), frozenset())]
 
 
 def _extend_by_sets(polys, b_prime):
@@ -174,48 +219,92 @@ def _polys(supports):
     return [PolynomialTemplate(tuple(Term(f"c{i}_{j}", a) for j, a in enumerate(s))) for i, s in enumerate(supports)]
 
 
+def _enumerate(q, delta):
+    """The integer z with z - delta in q, by exact tests of every z of the
+    shifted vertex box on the common denominator of delta."""
+    den = math.lcm(*(d.denominator for d in delta))
+    shift = [int(d * den) for d in delta]
+    ranges = [range(math.ceil(min(v[i] for v in q.vertices) + d), math.floor(max(v[i] for v in q.vertices) + d) + 1)
+              for i, d in enumerate(delta)]
+    return {
+        z for z in itertools.product(*ranges)
+        if all(sum(n * (x * den - s) for n, x, s in zip(hs.normal, z, shift)) <= hs.offset * den for hs in q.facets)
+    }
+
+
 @st.composite
-def _extension_inputs(draw):
-    """1-4 variables, 1-4 polynomials without a constant term (so the anchor
-    is nonzero), and a B' made of some whole shifted supports, a few more
-    points (some with negative entries), minus a few points."""
-    n = draw(st.integers(1, 4))
-    mono = st.tuples(*[st.integers(0, 3)] * n)
-    supports = draw(st.lists(st.sets(mono.filter(any), min_size=1, max_size=4), min_size=1, max_size=4))
-    b_set = draw(st.sets(st.tuples(*[st.integers(-2, 5)] * n), max_size=12))
-    for _ in range(draw(st.integers(0, 6))):
-        supp = draw(st.sampled_from(supports))
-        shift = draw(mono)
-        b_set |= {mono_mul(shift, a) for a in supp}
-    b_set -= draw(st.sets(st.sampled_from(sorted(b_set)), max_size=3)) if b_set else set()
-    b_set = b_set or {draw(mono)}
-    return _polys([sorted(s) for s in supports]), b_set
+def _erosion_inputs(draw):
+    """2-4 variables, 1-4 polynomials, and a Minkowski sum of the unit
+    simplex and the hulls of some of their supports (none, some or all),
+    with the displacement grids of both magnitudes.  Supports outside the
+    sum often fit nowhere in it (empty T_i), and the two grids put several
+    displacements on one offset row.  Exponents stay small in more
+    variables, so the boxes stay small."""
+    n = draw(st.integers(2, 4))
+    mono = st.tuples(*[st.integers(0, 5 - n)] * n)
+    supports = draw(st.lists(st.sets(mono, min_size=1, max_size=4), min_size=1, max_size=4))
+    summed = draw(st.lists(st.sampled_from(range(len(supports))), unique=True, max_size=2))
+    q = minkowski_sum([unit_simplex(n), *(convex_hull(supports[i]) for i in summed)])
+    deltas = list(dict.fromkeys(d for mag in (TENTH, MILLI) for d in displacement_grid(n, mag)))
+    return _polys([sorted(s) for s in supports]), q, deltas
 
 
-def _check_extension(polys, b_set, known=None):
-    """extend_system against the set-based definition: None exactly when
-    some T_i is empty, else every T_i and mon(F')."""
-    want = _extend_by_sets(polys, b_set)
-    got = extend_system(polys, frozenset(b_set), known)
-    assert got == (None if not all(want.multipliers) else want)
+def _check_erosion(polys, q, deltas):
+    """extend_system on q's box over ``deltas`` against the set-based
+    definition on each displacement's point set, enumerated by exact tests:
+    every T_i, empty ones too, and mon(F').  Displacements that share an
+    offset row share its point set and its extension."""
+    lattice = lattice_points(q, deltas)
+    got = _erode(polys, lattice)
+    want = {}
+    for delta, row in zip(deltas, lattice.row_of):
+        if row not in want:
+            pts = _enumerate(q, delta)
+            want[row] = pts, _extend_by_sets(polys, pts)
+        pts, ext = want[row]
+        assert _enumerate(q, delta) == pts
+        assert got[row] == ext
+    return got
 
 
 class TestExtendByKeys:
-    @given(_extension_inputs())
-    @settings(max_examples=300)
-    def test_matches_set_definition(self, case):
-        polys, b_set = case
-        _check_extension(polys, b_set)
+    """extend_system's masks, decoded, against the set-based definition."""
 
-    @given(_extension_inputs())
-    @settings(max_examples=200)
+    @given(_erosion_inputs())
+    @example(([PolynomialTemplate((Term("a", (3, 0)), Term("b", (0, 3))))], unit_simplex(2),
+              list(dict.fromkeys(displacement_grid(2, TENTH) + displacement_grid(2, MILLI)))))
+    @settings(max_examples=60)
+    def test_matches_set_definition(self, case):
+        _check_erosion(*case)
+
+    def test_example_has_empty_multipliers_and_shared_rows(self):
+        # the explicit example above: a cubic binomial fits nowhere in the
+        # shifted unit simplex, and 17 displacements fall on fewer rows
+        polys = [PolynomialTemplate((Term("a", (3, 0)), Term("b", (0, 3))))]
+        deltas = list(dict.fromkeys(displacement_grid(2, TENTH) + displacement_grid(2, MILLI)))
+        got = _check_erosion(polys, unit_simplex(2), deltas)
+        assert len(got) < len(deltas)
+        assert all(ext == Extension((frozenset(),), frozenset()) for ext in got)
+
+    @given(_erosion_inputs())
+    @settings(max_examples=30)
     def test_shared_memo_matches_set_definition(self, case):
-        # systems that differ only in the last polynomial share the memo of
-        # the others' T_i: each of them, in turn, takes the last place
-        polys, b_set = case
-        known = {}
+        # the sweep keeps the masks of all polynomials but the last on each
+        # sum, for every hidden variable, and adds the last one's per call:
+        # each polynomial in turn takes the last place, and the split masks
+        # and their union are those of the whole system
+        polys, q, deltas = case
+        lattice = lattice_points(q, deltas)
+        base = extend_system(polys[:-1], lattice)
+        base_union = extension_monomials(polys[:-1], lattice, base)
         for last in (polys[-1], *polys):
-            _check_extension([*polys[:-1], last], b_set, known)
+            system = [*polys[:-1], last]
+            masks = extend_system([last], lattice)
+            union = base_union | extension_monomials([last], lattice, masks)
+            whole = extend_system(system, lattice)
+            assert (np.concatenate([base, masks]) == whole).all()
+            assert (union == extension_monomials(system, lattice, whole)).all()
+            _check_erosion(system, q, deltas)
 
     @pytest.mark.parametrize(
         "supports, b_set",
@@ -233,39 +322,110 @@ class TestExtendByKeys:
         ],
     )
     def test_edge_cases(self, supports, b_set):
-        _check_extension(_polys(supports), b_set)
+        q = convex_hull(b_set)
+        (got,) = _check_erosion(_polys(supports), q, [_zero(q.dim)])
+        assert len(got.multipliers) == len(supports)
 
     def test_empty_system(self):
-        assert extend_system([], {(1, 2)}) == Extension((), frozenset())
+        lattice = _box({(1, 2)})
+        assert extend_system([], lattice).shape == (0, 1, 1)
+        assert _erode([], lattice) == [Extension((), frozenset())]
 
-    def test_empty_b_prime_rejected(self):
-        f = PolynomialTemplate((Term("a", (1,)),))
-        with pytest.raises(ValueError):
-            extend_system([f], set())
+    def test_empty_b_prime_has_no_multipliers(self):
+        # a row whose point set is empty (the unit simplex shifted off every
+        # lattice point), and a displacement with no row (the segment's
+        # equation y = 0 has no integer solution after the shift)
+        f = PolynomialTemplate((Term("a", (0, 0)),))
+        shifted = lattice_points(unit_simplex(2), [(TENTH, TENTH)])
+        assert shifted.point_sets() == [set()] and len(shifted.points)
+        assert _erode([f], shifted) == [Extension((frozenset(),), frozenset())]
+        off = lattice_points(convex_hull([(0, 0), (3, 0)]), [(Fraction(0), -TENTH)])
+        assert off.row_of == (None,) and extend_system([f], off).shape == (1, 0, 0)
+
+
+def _parent_sweep(aug, hidden_var, cfg, reasons):
+    """search_candidates before erosion, kept as its oracle: every
+    (subset, displacement) pair's point set, each distinct one extended
+    once by the set-based definition, and the same count-level verdicts,
+    emission rule and candidates."""
+    n, m_aug = aug.n_vars, len(aug.polys)
+    hulls = [convex_hull(support(f)) for f in aug.polys]
+    grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
+    deltas = list(dict.fromkeys(d for grid in grids for d in grid))
+    out, exts, emitted = [], {}, set()
+    for mask in polyres.generate._subset_masks(m_aug, cfg):
+        q = minkowski_sum([unit_simplex(n), *(hulls[i] for i in range(m_aug) if mask >> i & 1)])
+        for delta, pts in zip(deltas, lattice_points(q, deltas).point_sets()):
+            if not pts:
+                reasons["empty_lattice"] = reasons.get("empty_lattice", 0) + 1
+                continue
+            if pts not in exts:
+                exts[pts] = _extend_by_sets(aug.polys, pts)
+            t_sets, b_set = exts[pts].multipliers, exts[pts].monomials
+            n_rows = sum(map(len, t_sets))
+            failure = "coverage" if not all(t_sets) else "row_count" if n_rows < len(b_set) else None
+            if failure:
+                reasons[failure] = reasons.get(failure, 0) + 1
+                continue
+            if t_sets in emitted:
+                continue
+            emitted.add(t_sets)
+            for variant in cfg.variants:
+                prefix = (len(t_sets[-1]), n_rows * len(b_set), n_rows, variant, hidden_var)
+                out.append(SweptCandidate(prefix, (aug, hidden_var, variant, b_set, t_sets), delta, mask))
+    return out
+
+
+GOLDEN_SWEEPS = {
+    "two_conics": SearchConfig(seed=1, variants=("v1",)),
+    "three_quadrics": SearchConfig(seed=1, variants=("v1",)),
+    "rel_pose_f_lambda_8pt": REL_POSE_CONFIG,
+}
 
 
 class TestSweepExtensions:
-    @pytest.mark.parametrize("name", ["two_conics", "three_quadrics", "rel_pose_f_lambda_8pt"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
     def test_golden_sweeps_match_set_definition(self, name, monkeypatch):
-        # every point set the golden configuration's sweep extends, for every
-        # hidden variable, through the memo the sweep shares between them:
-        # the coverage verdict, every T_i and mon(F') are the oracle's
-        calls, hits = [], []
+        # every extension the golden configuration's sweep decides, for
+        # every hidden variable: the base polynomials' masks once per sum,
+        # and x_k - u0's per hidden variable on each sum it visits.  Each
+        # row's T_i, empty ones too, are the oracle's on its point set
+        calls = []
 
-        def recording(polys, b_prime, known):
-            hits.append(b_prime in known)
-            ext = extend_system(polys, b_prime, known)
-            calls.append((polys, b_prime, ext))
-            return ext
+        def recording(polys, lattice):
+            masks = extend_system(polys, lattice)
+            calls.append((polys, lattice, masks))
+            return masks
 
         monkeypatch.setattr(polyres.generate, "extend_system", recording)
-        cfg = REL_POSE_CONFIG if name == "rel_pose_f_lambda_8pt" else SearchConfig(seed=1, variants=("v1",))
-        generate_plan(get(name).system, cfg)
-        assert any(hits) and not all(hits)
-        for polys, b_prime, got in calls:
-            want = _extend_by_sets(polys, b_prime)
-            assert got == (None if not all(want.multipliers) else want)
+        system = get(name).system
+        generate_plan(system, GOLDEN_SWEEPS[name])
+        base = [c for c in calls if c[0] == system.polys]
+        last = [c for c in calls if len(c[0]) == 1]
+        assert len(base) + len(last) == len(calls) and 0 < len(base) < len(last)
+        for polys, lattice, masks in calls:
+            union = extension_monomials(polys, lattice, masks)
+            sets = dict(zip(lattice.row_of, lattice.point_sets()))
+            for row, pts in sets.items():
+                if row is not None:
+                    want = _extend_by_sets(polys, pts)
+                    assert extension_at(polys, lattice, masks, union, row) == want
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+    def test_golden_sweeps_match_parent_sweep(self, name):
+        # candidate by candidate, in emission order, and reason by reason,
+        # for every hidden variable, through the geometry the calls share
+        system, cfg = get(name).system, GOLDEN_SWEEPS[name]
+        shared = polyres.generate.shared_geometry(system)
+        emitted = 0
+        for k in range(1, system.n_vars + 1):
+            aug = augment(system, k)
+            got_reasons, want_reasons = {}, {}
+            got = polyres.generate.search_candidates(aug, k, cfg, got_reasons, shared)
+            assert got == _parent_sweep(aug, k, cfg, want_reasons)
+            assert got_reasons == want_reasons
+            emitted += len(got)
+        assert emitted
 
     def test_each_support_sorted_once(self, monkeypatch):
         # the golden three_quadrics sweep extends hundreds of point sets, and
@@ -281,17 +441,17 @@ class TestSweepExtensions:
         prop = functools.cached_property(counting)
         prop.__set_name__(PolynomialTemplate, "sorted_support")
         monkeypatch.setattr(PolynomialTemplate, "sorted_support", prop)
-        calls = []
+        point_sets = []
 
-        def recording(polys, b_prime, known):
-            calls.append(polys)
-            return extend_system(polys, b_prime, known)
+        def recording(polys, lattice):
+            point_sets.extend(lattice.rows)
+            return extend_system(polys, lattice)
 
         monkeypatch.setattr(polyres.generate, "extend_system", recording)
         # a fresh copy: the library's polynomials may be sorted already
         system = parse_system(dump_system(get("three_quadrics").system))
         generate_plan(system, SearchConfig(seed=1, variants=("v1",)))
-        assert len(calls) > 100
+        assert len(point_sets) > 100
         assert len(sorted_by) == len({id(f) for f in sorted_by}) == 6
         for f in sorted_by:
             assert f.sorted_support == tuple(sorted(support(f)))
@@ -416,11 +576,15 @@ class TestProperties:
     @given(extra=st.sets(small_monos, max_size=6))
     @settings(max_examples=50)
     def test_extension_monotone(self, extra):
+        # the hull of b_small has no other lattice point; adding points
+        # grows the hull, and with it every T_i
         entry = get("two_conics")
         b_small = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)}
         b_big = b_small | extra
-        small = extend_system(entry.system.polys, b_small)
-        big = extend_system(entry.system.polys, b_big)
+        assert _box(b_small).point_sets() == [b_small]
+        (small,) = _erode(entry.system.polys, _box(b_small))
+        (big,) = _erode(entry.system.polys, _box(b_big))
+        assert all(small.multipliers)
         for ts, tb in zip(small.multipliers, big.multipliers):
             assert ts <= tb
 
