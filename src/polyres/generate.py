@@ -15,7 +15,6 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -232,32 +231,21 @@ def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchCo
     return out
 
 
-def _shifted(layout: MatrixLayout) -> tuple[tuple, tuple]:
-    """The layout's rows and columns, each shifted by the componentwise
-    minimum of its columns: equal for a layout and its monomial translates."""
-    tm = layout.template
-    low = tuple(map(min, zip(*tm.cols)))
-    rows = tuple((poly_idx, tuple(map(sub, mult, low))) for poly_idx, mult in tm.rows)
-    return rows, tuple(tuple(map(sub, m, low)) for m in tm.cols)
-
-
-def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool],
-                      shifted_rows: tuple | None = None) -> str | None:
+def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> str | None:
     """The first partition condition ``layout`` fails, by its reason name,
     or None.  Every polynomial keeps a row ("coverage"), the matrix has full
     column rank ("column_rank"), and the upper rows have full rank on the
     columns outside B1 ("a12_rank"), so the Schur complement exists.  Both
     ranks are decided on one instantiation at the rank config's witness.
     ``full_rank`` memoizes full-rank verdicts by the system and the shifted
-    rows (``_shifted``): the v1 and v2 layouts of one set of multipliers,
-    and of its monomial translates, share their rows and their columns up to
-    order and translation, so they share one verdict; a caller that holds
-    ``_shifted(layout)[0]`` passes it as ``shifted_rows``.  Like the sweep,
-    this takes the columns to be the monomials the rows reach."""
+    rows (``MatrixLayout.shifted``): the v1 and v2 layouts of one set of
+    multipliers, and of its monomial translates, share their rows and their
+    columns up to order and translation, so they share one verdict.  Like
+    the sweep, this takes the columns to be the monomials the rows reach."""
     tm = layout.template
     if len({poly_idx for poly_idx, _ in tm.rows}) < len(tm.system.polys):
         return "coverage"
-    key = (tm.system, _shifted(layout)[0] if shifted_rows is None else shifted_rows)
+    key = (tm.system, layout.shifted[0])
     if full_rank.get(key) is False:
         return "column_rank"
     p, trial = cfg.rank.witness
@@ -454,12 +442,10 @@ class GenerateOutcome:
     reasons: dict[str, int]
 
 
-def _verdict(cand: FavourableCandidate, cfg: SearchConfig, full_rank: dict[tuple, bool],
-             shifted_rows: tuple) -> SolverPlan | str:
+def _verdict(cand: FavourableCandidate, cfg: SearchConfig, full_rank: dict[tuple, bool]) -> SolverPlan | str:
     """The plan ``cand`` reduces to, or the name of the first condition it
-    fails: the partition, then recovery pairs, then the reduction.
-    ``shifted_rows`` is ``_shifted(cand.layout)[0]``."""
-    failure = partition_failure(cand.layout, cfg, full_rank, shifted_rows)
+    fails: the partition, then recovery pairs, then the reduction."""
+    failure = partition_failure(cand.layout, cfg, full_rank)
     if failure is None and cand.layout.unpaired:
         failure = "unrecoverable_b1"
     if failure is not None:
@@ -490,8 +476,8 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     same matrix over F_p at the witness, the same recovery pairs, and the
     same index-level choices in reduce_rowcol and squarify, so it gets the
     same verdict.  A failure is therefore decided once per translation
-    class (``_shifted``) and re-counted for the later members; the first
-    member to pass returns its own plan.
+    class (``MatrixLayout.shifted``) and re-counted for the later members;
+    the first member to pass returns its own plan.
 
     Only the summand x_k - u0 differs between hidden variables, so the
     hulls of the base supports, the unit simplex, the Minkowski sums of
@@ -515,10 +501,9 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     full_rank: dict[tuple, bool] = {}
     failures: dict[tuple, str] = {}  # translation class -> failure
     for seen, cand in enumerate(itertools.chain.from_iterable(groups), 1):
-        shifted = _shifted(cand.layout)
-        cls = (cand.layout.template.system, cand.layout.variant, *shifted)
+        cls = (cand.layout.template.system, cand.layout.variant, *cand.layout.shifted)
         if cls not in failures:
-            verdict = _verdict(cand, cfg, full_rank, shifted[0])
+            verdict = _verdict(cand, cfg, full_rank)
             if isinstance(verdict, SolverPlan):
                 return GenerateOutcome(verdict, seen, reasons)
             failures[cls] = verdict

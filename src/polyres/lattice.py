@@ -282,7 +282,7 @@ def unit_simplex(n: int) -> LatticePolytope:
     return convex_hull(pts)
 
 
-def _below(dots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def below(dots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """(len(offsets), points) mask of ``dots[:, z] <= offsets[r]``, one
     comparison per normal: the normals are few, and a reduction over so
     short an axis is slow."""
@@ -316,23 +316,6 @@ class LatticeBox(NamedTuple):
     row_of: tuple[int | None, ...]
     bound: int
     inside: np.ndarray
-
-    def below(self, offsets: np.ndarray) -> np.ndarray:
-        """(len(offsets), points) mask of the box points z with
-        ``dots[:, z] <= offsets[r]``."""
-        return _below(self.dots, offsets)
-
-    def step(self, v: Sequence[int]) -> int:
-        """The flat index step from a box point z to z + v, when both lie in
-        the box."""
-        return _dot(v, self.strides)
-
-    def point_sets(self) -> list[frozenset[IntVec]]:
-        """The lattice point set of each displacement; displacements with
-        one offset row share one set object."""
-        sets = [frozenset(map(tuple, self.points[m].tolist())) for m in self.inside]
-        empty = frozenset()
-        return [empty if r is None else sets[r] for r in self.row_of]
 
 
 def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> LatticeBox:
@@ -397,4 +380,4 @@ def lattice_points(q: LatticePolytope, deltas: Sequence[Sequence[Fraction]]) -> 
     b = np.array(rows, dtype=np.int64).reshape(-1, len(normals))
     b = np.concatenate([b, -b[:, :n_eq]], axis=1)
     dots = a @ box.T
-    return LatticeBox(box, strides, a, dots, b, row_of, bound, _below(dots, b))
+    return LatticeBox(box, strides, a, dots, b, row_of, bound, below(dots, b))

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 import numpy as np
 
@@ -251,6 +252,15 @@ class MatrixLayout:
     @property
     def b2(self) -> tuple[Mono, ...]:
         return self.template.cols[self.n_b1 :]
+
+    @cached_property
+    def shifted(self) -> tuple[tuple, tuple]:
+        """The rows and columns, each shifted by the componentwise minimum of
+        the columns: equal for a layout and its monomial translates."""
+        tm = self.template
+        low = tuple(map(min, zip(*tm.cols)))
+        rows = tuple((poly_idx, tuple(map(sub, mult, low))) for poly_idx, mult in tm.rows)
+        return rows, tuple(tuple(map(sub, m, low)) for m in tm.cols)
 
     @cached_property
     def ratio_pairs(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:

@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .lattice import below
 
 Mono = tuple[int, ...]
 
@@ -334,7 +335,7 @@ def extend_system(polys: Sequence[PolynomialTemplate], lattice) -> np.ndarray:
     B' is {z : N z <= r} on the box, so t + a lies in B' for every a of
     supp f_i exactly when N t <= r - h_i, h_i the facet-wise maximum of
     N a over supp f_i.  With z = t + a_i that is N z <= r - (h_i - N a_i),
-    read off the box's dot products (``LatticeBox.below``), and t >= 0 is
+    read off the box's dot products (``lattice.below``), and t >= 0 is
     z >= a_i.  Every such z lies in B', so in the box.  Raises
     OverflowError when an offset less h_i - N a_i could leave int64.
     """
@@ -348,7 +349,7 @@ def extend_system(polys: Sequence[PolynomialTemplate], lattice) -> np.ndarray:
         supp = np.array(f.sorted_support, dtype=np.int64)
         prods = supp @ lattice.normals.T
         rhs = lattice.rows - (prods.max(axis=0) - prods[0])
-        np.logical_and(lattice.below(rhs), (lattice.points >= supp[0]).all(axis=1), out=mask)
+        np.logical_and(below(lattice.dots, rhs), (lattice.points >= supp[0]).all(axis=1), out=mask)
     return out
 
 
@@ -364,21 +365,21 @@ def extension_monomials(polys: Sequence[PolynomialTemplate], lattice, masks) -> 
         flat = mask.reshape(-1)
         anchor = f.sorted_support[0]
         for a in f.sorted_support:
-            s = lattice.step(map(sub, a, anchor))
+            s = sum((x - y) * k for x, y, k in zip(a, anchor, lattice.strides))
             if 0 <= s < n_pts:
                 union[s:] |= flat[: flat.size - s]
     return union.reshape(n_rows, n_pts)
 
 
 def extension_at(polys: Sequence[PolynomialTemplate], lattice, masks, union, row: int,
-                 canon: dict[Mono, Mono] | None = None) -> Extension:
+                 canon: dict[Mono, Mono]) -> Extension:
     """The T_i and mon(F') on one row of ``lattice``, as monomial sets, from
-    ``extend_system``'s masks and ``extension_monomials``' union.  With
-    ``canon``, each monomial is the first equal tuple met there, so the
-    extensions built with one dict share their tuples."""
+    ``extend_system``'s masks and ``extension_monomials``' union.  Each
+    monomial is the first equal tuple met in ``canon``, so the extensions
+    built with one dict share their tuples."""
     def monomials(arr: np.ndarray) -> frozenset[Mono]:
         monos = list(map(tuple, arr.tolist()))
-        return frozenset(monos if canon is None else map(canon.setdefault, monos, monos))
+        return frozenset(map(canon.setdefault, monos, monos))
 
     pts = lattice.points
     t_sets = tuple(monomials(pts[mask[row]] - f.sorted_support[0]) for f, mask in zip(polys, masks))

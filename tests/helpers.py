@@ -110,3 +110,11 @@ def newton_polish(system, coeffs, point, steps: int = 4):
         except np.linalg.LinAlgError:
             break
     return tuple(x)
+
+
+def point_sets(lattice):
+    """The lattice point set of each displacement of a ``LatticeBox``, from
+    its masks; displacements with one offset row share one set object."""
+    sets = [frozenset(map(tuple, lattice.points[m].tolist())) for m in lattice.inside]
+    empty = frozenset()
+    return [empty if r is None else sets[r] for r in lattice.row_of]

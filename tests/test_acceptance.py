@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import contains_points, newton_polish, pair_max_dev, witness_full_rank
+from helpers import contains_points, newton_polish, pair_max_dev, point_sets, witness_full_rank
 
 from polyres.action_matrix import am_to_res, check_equivalence, res_to_am
 from polyres.generate import (
@@ -43,7 +43,7 @@ def test_criterion_1_lattice_fidelity():
     p2 = convex_hull(support(entry.system.polys[1]))
     q = minkowski_sum([p1, p2])
     tenth = Fraction(1, 10)
-    got = lattice_points(q, [(-tenth, -tenth)]).point_sets()[0]
+    got = point_sets(lattice_points(q, [(-tenth, -tenth)]))[0]
     expected = {
         (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1),
         (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),

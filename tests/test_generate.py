@@ -7,7 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from helpers import REL_POSE_CONFIG, witness_full_rank
+from helpers import REL_POSE_CONFIG, point_sets, witness_full_rank
 
 import polyres.generate
 import polyres.lattice
@@ -21,7 +21,6 @@ from polyres.generate import (
     SquarifyExhausted,
     _remove_row,
     _selection_key,
-    _shifted,
     _without,
     augment,
     generate_plan,
@@ -125,9 +124,9 @@ class TestSearchCandidates:
         polys = [convex_hull(support(f)) for f in aug.polys]
         q = minkowski_sum([unit_simplex(2), polys[0], polys[1]])
         lattice = lattice_points(q, [delta])
-        (pts,) = lattice.point_sets()
+        (pts,) = point_sets(lattice)
         masks = extend_system(aug.polys, lattice)
-        ext = extension_at(aug.polys, lattice, masks, extension_monomials(aug.polys, lattice, masks), 0)
+        ext = extension_at(aug.polys, lattice, masks, extension_monomials(aug.polys, lattice, masks), 0, {})
         assert frozenset(cand.layout.template.cols) == ext.monomials
         # the example's 17 monomials survive inside the extended set
         example_b = {
@@ -146,7 +145,7 @@ class TestSearchCandidates:
             ),
         )
         segment = lattice_points(convex_hull([(0,), (1,)]), [(Fraction(0),)])
-        assert segment.point_sets() == [{(0,), (1,)}]
+        assert point_sets(segment) == [{(0,), (1,)}]
         masks = extend_system(sparse.polys, segment)
         assert masks[0].any() and not masks[1].any()
         reasons = {}
@@ -487,8 +486,8 @@ class TestTranslationClasses:
             lay = cand.layout
             verdict = _decide_from_scratch(cand, cfg)
             if not isinstance(verdict, str):
-                verdict = _shifted(verdict.layout)
-            cls = (lay.template.system, lay.variant, *_shifted(lay))
+                verdict = verdict.layout.shifted
+            cls = (lay.template.system, lay.variant, *lay.shifted)
             if cls in memo:
                 shared += 1
                 assert verdict == memo[cls], (name, lay.shape, lay.variant)

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import point_sets
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -152,33 +153,33 @@ def edge_polytopes(draw):
 class TestLatticePoints:
     def test_example_minkowski_interior(self):
         q = minkowski_sum([convex_hull(A1), convex_hull(A2)])
-        pts = lattice_points(q, [(-TENTH, -TENTH)]).point_sets()[0]
+        pts = point_sets(lattice_points(q, [(-TENTH, -TENTH)]))[0]
         assert pts == EXAMPLE_B
 
     def test_unit_simplex_unshifted(self):
-        pts = lattice_points(unit_simplex(2), [(Fraction(0), Fraction(0))]).point_sets()[0]
+        pts = point_sets(lattice_points(unit_simplex(2), [(Fraction(0), Fraction(0))]))[0]
         assert pts == {(0, 0), (1, 0), (0, 1)}
 
     def test_unit_simplex_shifted(self):
-        pts = lattice_points(unit_simplex(2), [(-TENTH, -TENTH)]).point_sets()[0]
+        pts = point_sets(lattice_points(unit_simplex(2), [(-TENTH, -TENTH)]))[0]
         assert pts == {(0, 0)}
 
     def test_vertices_inside_unshifted(self):
         for poly in (convex_hull(A1), convex_hull(A2), unit_simplex(3)):
             zero = tuple(Fraction(0) for _ in range(poly.dim))
-            assert set(poly.vertices) <= lattice_points(poly, [zero]).point_sets()[0]
+            assert set(poly.vertices) <= point_sets(lattice_points(poly, [zero]))[0]
 
     def test_lower_dimensional_polytope(self):
         seg = convex_hull([(0, 0), (3, 0)])
         zero = (Fraction(0), Fraction(0))
-        assert lattice_points(seg, [zero]).point_sets()[0] == {(0, 0), (1, 0), (2, 0), (3, 0)}
-        assert lattice_points(seg, [(Fraction(0), -TENTH)]).point_sets()[0] == set()
+        assert point_sets(lattice_points(seg, [zero]))[0] == {(0, 0), (1, 0), (2, 0), (3, 0)}
+        assert point_sets(lattice_points(seg, [(Fraction(0), -TENTH)]))[0] == set()
 
     def test_displacement_off_the_affine_hull(self):
         # the triangle x + y + z = 2 in 3-D; a shift along (1, -1, 0) stays in its plane
         tri = convex_hull([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-        assert lattice_points(tri, [(TENTH, TENTH, TENTH)]).point_sets()[0] == set()
-        assert lattice_points(tri, [(TENTH, -TENTH, Fraction(0))]).point_sets()[0] == {(1, 0, 1), (1, 1, 0), (2, 0, 0)}
+        assert point_sets(lattice_points(tri, [(TENTH, TENTH, TENTH)]))[0] == set()
+        assert point_sets(lattice_points(tri, [(TENTH, -TENTH, Fraction(0))]))[0] == {(1, 0, 1), (1, 1, 0), (2, 0, 0)}
 
     def test_equal_offsets_equal_points(self):
         # n.delta differs between the two grids, yet its floor often does not
@@ -186,7 +187,7 @@ class TestLatticePoints:
         by_offsets: dict = {}
         for delta in displacement_grid(2, TENTH) + displacement_grid(2, MILLI):
             expected = brute_force_points(q, delta, (-1, -1), (7, 6))
-            assert lattice_points(q, [delta]).point_sets()[0] == expected
+            assert point_sets(lattice_points(q, [delta]))[0] == expected
             by_offsets.setdefault(shifted_offsets(q, delta), []).append(expected)
         assert len(by_offsets) < 17  # some distinct displacements share offsets
         for sets in by_offsets.values():
@@ -202,9 +203,9 @@ class TestLatticePoints:
         with pytest.raises(OverflowError):
             lattice_points(diagonal, [zero, (MILLI, MILLI)])
         axis = convex_hull([(big, 0), (big + 1, 0)])
-        assert lattice_points(axis, [zero]).point_sets() == [{(big, 0), (big + 1, 0)}]
+        assert point_sets(lattice_points(axis, [zero])) == [{(big, 0), (big + 1, 0)}]
         # the offsets scaled by 1000 leave int64; the offsets themselves do not
-        got = lattice_points(axis, [zero, (MILLI, Fraction(0))]).point_sets()
+        got = point_sets(lattice_points(axis, [zero, (MILLI, Fraction(0))]))
         assert got == [{(big, 0), (big + 1, 0)}, {(big + 1, 0)}]
 
     @given(case=edge_polytopes())
@@ -222,11 +223,11 @@ class TestLatticePoints:
         singles = []
         for delta in deltas:
             try:
-                singles.append(lattice_points(q, [delta]).point_sets()[0])
+                singles.append(point_sets(lattice_points(q, [delta]))[0])
             except OverflowError:
                 singles.append(None)
         try:
-            got = lattice_points(q, deltas).point_sets()
+            got = point_sets(lattice_points(q, deltas))
         except OverflowError:
             assert None in singles
         else:
@@ -320,7 +321,7 @@ class TestOracleEquivalence:
             assert any(_dot(hs.normal, v) == hs.offset for v in hull.vertices)
         lo = [min(p[i] for p in pts) - 1 for i in range(3)]
         hi = [max(p[i] for p in pts) + 1 for i in range(3)]
-        assert lattice_points(hull, [delta]).point_sets()[0] == brute_force_points(hull, delta, lo, hi)
+        assert point_sets(lattice_points(hull, [delta]))[0] == brute_force_points(hull, delta, lo, hi)
 
     @given(
         pts=point_sets_4d(),
@@ -331,14 +332,14 @@ class TestOracleEquivalence:
         hull = convex_hull(pts)
         lo = [min(p[i] for p in pts) - 1 for i in range(4)]
         hi = [max(p[i] for p in pts) + 1 for i in range(4)]
-        assert lattice_points(hull, [delta]).point_sets()[0] == brute_force_points(hull, delta, lo, hi)
+        assert point_sets(lattice_points(hull, [delta]))[0] == brute_force_points(hull, delta, lo, hi)
 
     @given(pts=point_sets_2d, di=st.integers(-1, 1), dj=st.integers(-1, 1))
     @settings(max_examples=40)
     def test_membership_against_caratheodory(self, pts, di, dj):
         hull = convex_hull(pts)
         delta = (di * TENTH, dj * TENTH)
-        got = lattice_points(hull, [delta]).point_sets()[0]
+        got = point_sets(lattice_points(hull, [delta]))[0]
         lo = [min(p[i] for p in pts) - 1 for i in range(2)]
         hi = [max(p[i] for p in pts) + 1 for i in range(2)]
         for z in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
@@ -352,7 +353,7 @@ class TestOracleEquivalence:
         p, q = convex_hull(pts1), convex_hull(pts2)
         s = minkowski_sum([p, q])
         zero = (Fraction(0), Fraction(0))
-        np_, nq, ns = (len(lattice_points(x, [zero]).point_sets()[0]) for x in (p, q, s))
+        np_, nq, ns = (len(point_sets(lattice_points(x, [zero]))[0]) for x in (p, q, s))
         assert ns >= max(np_, nq)
 
 
@@ -363,7 +364,7 @@ def check_displacement_lists(pts):
     hull = convex_hull(pts)
     n = hull.dim
     for deltas in (displacement_grid(n, TENTH), displacement_grid(n, TENTH) + displacement_grid(n, MILLI)):
-        got = lattice_points(hull, deltas).point_sets()
+        got = point_sets(lattice_points(hull, deltas))
         assert len(got) == len(deltas)
         shared: dict = {}
         for delta, points in zip(deltas, got):

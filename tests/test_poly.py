@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import REL_POSE_CONFIG
+from helpers import REL_POSE_CONFIG, point_sets
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -142,7 +142,7 @@ def _erode(polys, lattice):
     extension_monomials' union, decoded by extension_at."""
     masks = extend_system(polys, lattice)
     union = extension_monomials(polys, lattice, masks)
-    return [extension_at(polys, lattice, masks, union, r) for r in range(len(lattice.rows))]
+    return [extension_at(polys, lattice, masks, union, r, {}) for r in range(len(lattice.rows))]
 
 
 class TestExtendSystem:
@@ -165,7 +165,7 @@ class TestExtendSystem:
             (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1),
             (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
         }
-        assert lattice.point_sets() == [b]
+        assert point_sets(lattice) == [b]
         (ext,) = _erode(entry.system.polys, lattice)
         # oracle: re-expand every product and check membership
         assert all(ext.multipliers)
@@ -337,7 +337,7 @@ class TestExtendByKeys:
         # equation y = 0 has no integer solution after the shift)
         f = PolynomialTemplate((Term("a", (0, 0)),))
         shifted = lattice_points(unit_simplex(2), [(TENTH, TENTH)])
-        assert shifted.point_sets() == [set()] and len(shifted.points)
+        assert point_sets(shifted) == [set()] and len(shifted.points)
         assert _erode([f], shifted) == [Extension((frozenset(),), frozenset())]
         off = lattice_points(convex_hull([(0, 0), (3, 0)]), [(Fraction(0), -TENTH)])
         assert off.row_of == (None,) and extend_system([f], off).shape == (1, 0, 0)
@@ -355,7 +355,7 @@ def _parent_sweep(aug, hidden_var, cfg, reasons):
     out, exts, emitted = [], {}, set()
     for mask in polyres.generate._subset_masks(m_aug, cfg):
         q = minkowski_sum([unit_simplex(n), *(hulls[i] for i in range(m_aug) if mask >> i & 1)])
-        for delta, pts in zip(deltas, lattice_points(q, deltas).point_sets()):
+        for delta, pts in zip(deltas, point_sets(lattice_points(q, deltas))):
             if not pts:
                 reasons["empty_lattice"] = reasons.get("empty_lattice", 0) + 1
                 continue
@@ -405,11 +405,11 @@ class TestSweepExtensions:
         assert len(base) + len(last) == len(calls) and 0 < len(base) < len(last)
         for polys, lattice, masks in calls:
             union = extension_monomials(polys, lattice, masks)
-            sets = dict(zip(lattice.row_of, lattice.point_sets()))
+            sets = dict(zip(lattice.row_of, point_sets(lattice)))
             for row, pts in sets.items():
                 if row is not None:
                     want = _extend_by_sets(polys, pts)
-                    assert extension_at(polys, lattice, masks, union, row) == want
+                    assert extension_at(polys, lattice, masks, union, row, {}) == want
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
     def test_golden_sweeps_match_parent_sweep(self, name):
@@ -441,17 +441,17 @@ class TestSweepExtensions:
         prop = functools.cached_property(counting)
         prop.__set_name__(PolynomialTemplate, "sorted_support")
         monkeypatch.setattr(PolynomialTemplate, "sorted_support", prop)
-        point_sets = []
+        offset_rows = []
 
         def recording(polys, lattice):
-            point_sets.extend(lattice.rows)
+            offset_rows.extend(lattice.rows)
             return extend_system(polys, lattice)
 
         monkeypatch.setattr(polyres.generate, "extend_system", recording)
         # a fresh copy: the library's polynomials may be sorted already
         system = parse_system(dump_system(get("three_quadrics").system))
         generate_plan(system, SearchConfig(seed=1, variants=("v1",)))
-        assert len(point_sets) > 100
+        assert len(offset_rows) > 100
         assert len(sorted_by) == len({id(f) for f in sorted_by}) == 6
         for f in sorted_by:
             assert f.sorted_support == tuple(sorted(support(f)))
@@ -581,7 +581,7 @@ class TestProperties:
         entry = get("two_conics")
         b_small = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)}
         b_big = b_small | extra
-        assert _box(b_small).point_sets() == [b_small]
+        assert point_sets(_box(b_small)) == [b_small]
         (small,) = _erode(entry.system.polys, _box(b_small))
         (big,) = _erode(entry.system.polys, _box(b_big))
         assert all(small.multipliers)
