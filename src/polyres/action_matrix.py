@@ -10,10 +10,11 @@ hidden-variable plan and back, including the reciprocal-action construction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import float_rref, modp_eliminate
+from .linalg import SingularPivotError, float_rref, modp_eliminate
 from .plan import (
     MatrixLayout,
     RankCheckConfig,
@@ -38,7 +39,12 @@ class NoTemplateError(RuntimeError):
 
 
 class SingularTemplateError(RuntimeError):
-    """Numeric elimination failed to pivot every non-basis column."""
+    """Numeric elimination failed to pivot every non-basis column; ``member``
+    is the failing index in a stack, None for a single instance."""
+
+    def __init__(self, message: str, member: int | None = None):
+        self.member = member
+        super().__init__(message)
 
 
 class UnsupportedCaseError(RuntimeError):
@@ -66,6 +72,26 @@ class AmPlan:
     @property
     def reducible(self) -> tuple[Mono, ...]:
         return self.template.cols[self.n_excess : self.n_excess + self.n_reducible]
+
+    @cached_property
+    def action_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where each row of M_f comes from: ``(unit, unit_col, reduced,
+        source)``.  Basis monomial ``unit[i]`` times the action variable is
+        basis monomial ``unit_col[i]``, a unit row; the row of ``reduced[i]``
+        is minus the basis part of template row ``source[i]``, whose pivot
+        is its reducible image."""
+        e_f = unit_mono(self.template.system.n_vars, self.action_var - 1)
+        basis_pos = {m: i for i, m in enumerate(self.basis)}
+        red_row = {m: self.n_excess + i for i, m in enumerate(self.reducible)}
+        unit, reduced = [], []
+        for j, m in enumerate(self.basis):
+            fm = mono_mul(m, e_f)
+            if fm in basis_pos:
+                unit.append((j, basis_pos[fm]))
+            else:
+                reduced.append((j, red_row[fm]))
+        return (*np.array(unit, dtype=np.intp).reshape(-1, 2).T,
+                *np.array(reduced, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _row_basis_modp(m: np.ndarray, p: int) -> tuple[list[int], list[int]]:
@@ -149,26 +175,28 @@ def build_template(
 def extract_action_matrix(plan: AmPlan, coeffs) -> np.ndarray:
     """Fill the template, eliminate, and read the r x r action matrix on
     ``plan.basis`` off the reduced rows; unit rows appear where the action
-    keeps a basis monomial inside the basis."""
+    keeps a basis monomial inside the basis.
+
+    Slot values that are arrays of shape ``(T,)`` give the ``(T, r, r)``
+    stack of the T instances' action matrices, read off one stacked
+    elimination with one gather; the first member whose elimination does
+    not pivot the non-basis columns raises."""
     rref, pivots = float_rref(plan.template.instantiate(coeffs, 1.0, 0.0))
     n_left = plan.n_excess + plan.n_reducible
-    if tuple(pivots) != tuple(range(n_left)):
-        raise SingularTemplateError(
-            f"elimination pivoted columns {pivots}, expected the first {n_left}"
-        )
-    e_f = unit_mono(plan.template.system.n_vars, plan.action_var - 1)
-    basis = plan.basis
-    basis_pos = {m: i for i, m in enumerate(basis)}
-    red_pos = {m: i for i, m in enumerate(plan.reducible)}
-    r = len(basis)
-    mf = np.zeros((r, r))
-    tail = rref[:, n_left:]
-    for j, m in enumerate(basis):
-        fm = mono_mul(m, e_f)
-        if fm in basis_pos:
-            mf[j, basis_pos[fm]] = 1.0
-        else:
-            mf[j, :] = -tail[plan.n_excess + red_pos[fm], :]
+    left = list(range(n_left))
+    stacked = rref.ndim == 3
+    for k, p in enumerate(pivots if stacked else [pivots]):
+        if p != left:
+            where = f"of stack member {k} " if stacked else ""
+            raise SingularTemplateError(
+                f"elimination {where}pivoted columns {p}, expected the first {n_left}",
+                k if stacked else None,
+            )
+    unit, unit_col, reduced, source = plan.action_rows
+    r = len(plan.basis)
+    mf = np.zeros(rref.shape[:-2] + (r, r))
+    mf[..., unit, unit_col] = 1.0
+    mf[..., reduced, :] = -rref[..., source, n_left:]
     return mf
 
 
@@ -270,6 +298,9 @@ def res_to_am(plan: SolverPlan, root_count: int, probe_roots=None) -> AmPlan:
 
 
 EQUIVALENCE_TOL = 1e-8  # a trial passes when max |M_f - sign * X| <= this * (1 + ||X||)
+# Trials per stack: memory stays flat for any trial count, and at 32 the
+# stacks of a 35x35 plan peak near 1 MB, while longer stacks gain no speed.
+EQUIVALENCE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -288,6 +319,26 @@ class EquivalenceVerdict:
         )
 
 
+def trial_coefficients(slots, seed: int, trials: range) -> dict[str, np.ndarray]:
+    """Unit-normal coefficients of the given trials, one array per slot:
+    trial t draws ``slots`` in order from ``SeedSequence([seed, t])``."""
+    draws = np.array(
+        [np.random.default_rng(np.random.SeedSequence([seed, t])).standard_normal(len(slots)) for t in trials]
+    )
+    return {s: draws[:, i] for i, s in enumerate(slots)}
+
+
+def _stacked_x(resplan: SolverPlan, coeffs: dict, first: int) -> np.ndarray:
+    """X of every trial in ``coeffs``, trials counted from ``first``."""
+    # call-time lookup: perfbench/tracer.py patches polyres.solve.fill and schur_matrix after import
+    from .solve import fill, schur_matrix
+
+    try:
+        return schur_matrix(resplan, fill(resplan, coeffs))
+    except SingularPivotError as e:
+        raise SingularPivotError(e.rcond, first + e.member) from None
+
+
 def check_equivalence(
     amplan: AmPlan, resplan: SolverPlan, trials: int = 100, seed: int = 0
 ) -> EquivalenceVerdict:
@@ -298,10 +349,14 @@ def check_equivalence(
     by 1/x_k, whose derivation yields M_f = -X and a template enlarged by
     one identity block per basis monomial; the check applies that
     construction's own size and sign contract.
-    """
-    # call-time lookup: perfbench/tracer.py patches polyres.solve.fill and schur_matrix after import
-    from .solve import fill, schur_matrix
 
+    Trial t draws its coefficients from ``SeedSequence([seed, t])``.  The
+    trials run as stacks of up to ``EQUIVALENCE_CHUNK``, with the outcome of
+    running them one at a time, X before M_f: the first trial whose
+    template does not eliminate gives an infinite deviation, unless the
+    pivot block of that trial or an earlier one is singular, which raises
+    SingularPivotError naming the trial.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     lay = resplan.layout
@@ -317,24 +372,24 @@ def check_equivalence(
     am_basis = [strip(m) for m in amplan.basis]
     if sorted(am_basis) != sorted(lay.b1):
         return EquivalenceVerdict(False, float("inf"), size_match, 0, sign)
-    perm = [am_basis.index(m) for m in lay.b1]
+    perm = np.array([am_basis.index(m) for m in lay.b1], dtype=np.intp)
 
     slots = resplan.base_system.slots()
     worst = 0.0
     ok = size_match
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        coeffs = {s: float(rng.standard_normal()) for s in slots}
-        x = schur_matrix(resplan, fill(resplan, coeffs))
+    for first in range(0, trials, EQUIVALENCE_CHUNK):
+        coeffs = trial_coefficients(slots, seed, range(first, min(first + EQUIVALENCE_CHUNK, trials)))
         try:
             mf = extract_action_matrix(amplan, coeffs)
-        except SingularTemplateError:
-            ok = False
-            worst = float("inf")
-            break
-        mf_aligned = mf[np.ix_(perm, perm)]
-        dev = float(np.max(np.abs(mf_aligned - sign * x)))
-        worst = max(worst, dev)
-        if dev > EQUIVALENCE_TOL * (1.0 + float(np.linalg.norm(x))):
+        except SingularTemplateError as e:
+            # the trials up to this one reach their Schur step first
+            _stacked_x(resplan, {s: v[: e.member + 1] for s, v in coeffs.items()}, first)
+            return EquivalenceVerdict(False, float("inf"), size_match, trials, sign)
+        x = _stacked_x(resplan, coeffs, first)
+        devs = np.abs(mf[:, perm[:, None], perm] - sign * x).max(axis=(1, 2))
+        # a NaN deviation neither raises the worst nor fails the trial
+        worst = max(worst, *devs.tolist())
+        flat = x.reshape(len(x), -1)
+        if (devs > EQUIVALENCE_TOL * (1.0 + np.sqrt(np.vecdot(flat, flat)))).any():
             ok = False
     return EquivalenceVerdict(ok, worst, size_match, trials, sign)

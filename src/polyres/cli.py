@@ -26,6 +26,7 @@ from .action_matrix import (
     res_to_am,
 )
 from .generate import NoSolverError, SearchConfig, generate_plan
+from .linalg import SingularPivotError
 from .oracle import numeric_poly, sylvester_bivariate, univariate_roots
 from .plan import MissingSlotError, PlanFormatError, plan_from_json, plan_to_json
 from .poly import SystemFormatError, dump_system, parse_instance, parse_system
@@ -266,7 +267,11 @@ def cmd_compare(args) -> int:
     except (UnsupportedCaseError, SolveFailure) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_NO_SOLVER
-    verdict = check_equivalence(amplan, resplan, trials=args.trials, seed=args.seed)
+    try:
+        verdict = check_equivalence(amplan, resplan, trials=args.trials, seed=args.seed)
+    except SingularPivotError as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     print(f"direction {args.direction}: {verdict}")
     return EXIT_OK if verdict.equivalent else EXIT_NUMERIC
 

@@ -6,6 +6,11 @@ the numpy row operations stay exact.  The floating side provides RREF with parti
 pivoting, an equilibrated Schur complement of the pivot block, and the
 nonsymmetric eigensolver of the online stage: LAPACK through numpy, with
 a residual postcondition on every returned pair.
+
+``float_rref`` and ``schur_complement`` also take a stack of matrices,
+one optional leading axis: they run one code path, a single matrix being
+a stack of one, and every member of a stack comes out bit for bit as it
+would alone.
 """
 
 from __future__ import annotations
@@ -20,9 +25,14 @@ PRIMES = (2147483629, 2147483587, 2147483647, 2147483563, 2147483549, 2147483543
 
 
 class SingularPivotError(ValueError):
-    def __init__(self, rcond: float):
+    """A pivot block below the rcond gate; ``member`` is its index in a
+    stack, None for a single matrix."""
+
+    def __init__(self, rcond: float, member: int | None = None):
         self.rcond = rcond
-        super().__init__(f"pivot block numerically singular (rcond ~ {rcond:.3e})")
+        self.member = member
+        where = "" if member is None else f" in stack member {member}"
+        super().__init__(f"pivot block numerically singular (rcond ~ {rcond:.3e}){where}")
 
 
 class EigenConvergenceError(RuntimeError):
@@ -95,30 +105,58 @@ def modp_left_kernel(m: np.ndarray, p: int) -> np.ndarray:
     return k
 
 
-def float_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def float_rref(m: np.ndarray) -> tuple[np.ndarray, list]:
     """RREF with partial pivoting; pivots no larger than max(rows, cols) *
-    eps * max(max |m|, 1) are treated as zero."""
+    eps * max(max |m|, 1) are treated as zero.  Returns the eliminated
+    matrix and its pivot columns.
+
+    A stack ``(T, rows, cols)`` is eliminated member by member in lockstep,
+    one column at a time: each member has its own tolerance, its own pivot
+    row (the first largest magnitude at or below its current row) and its
+    own decision to skip the column, and clears exactly the rows whose
+    entry in the column is nonzero.  The pivots are then one list per
+    member, and every member equals the elimination of it alone.
+    """
     a = np.array(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64, copy=True)
-    rows, cols = a.shape
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    tol = max(rows, cols) * np.finfo(np.float64).eps * max(scale, 1.0)
-    pivots: list[int] = []
-    r = 0
+    stack = a if a.ndim == 3 else a[None]
+    n, rows, cols = stack.shape
+    scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    tol = max(rows, cols) * np.finfo(np.float64).eps * np.maximum(scale, 1.0)
+    members = np.arange(n)
+    below = np.zeros((n, rows), dtype=bool)  # the rows above each member's current row
+    r = np.zeros(n, dtype=np.intp)
+    pivots = np.empty((n, min(rows, cols)), dtype=np.intp)
+    update = np.empty_like(stack)
     for c in range(cols):
-        if r == rows:
+        live = r < rows
+        if not live.any():
             break
-        piv = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[piv, c]) <= tol:
+        mag = np.abs(stack[:, :, c])
+        mag[below] = -1.0
+        piv = mag.argmax(axis=1)
+        do = live & ~(mag[members, piv] <= tol)
+        t = np.flatnonzero(do)
+        if not t.size:
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] / a[r, c]
-        others = np.abs(a[:, c]) > 0
-        others[r] = False
-        a[others] -= np.outer(a[others, c], a[r])
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        rt, pt = r[t], piv[t]
+        prow = stack[t, pt]
+        stack[t, pt] = stack[t, rt]
+        prow = prow / prow[:, c, None]
+        stack[t, rt] = prow
+        others = np.abs(stack[:, :, c]) > 0
+        others[~do] = False
+        others[t, rt] = False
+        others = others[:, :, None]
+        scaled = np.zeros((n, cols), dtype=stack.dtype)
+        scaled[t] = prow
+        np.multiply(stack[:, :, c, None], scaled[:, None, :], out=update, where=others)
+        np.subtract(stack, update, out=stack, where=others)
+        pivots[t, rt] = c
+        below[t, rt] = True
+        r[t] += 1
+    if a.ndim == 3:
+        return a, [p[:k].tolist() for p, k in zip(pivots, r.tolist())]
+    return a, pivots[0, : r[0]].tolist()
 
 
 RCOND_MIN = 1e-12  # below this the pivot block counts as a solver failure
@@ -134,34 +172,56 @@ def schur_complement(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
     carried into A22; the scaling is exact, so it leaves the result
     unchanged and only the conditioning of the pivot solve improves.  One
     LU factorization of the scaled A12 solves for A11 and a cached identity
-    block, written side by side into one right-hand side: it yields
+    block, side by side in one right-hand side (the scaled rows, their A12
+    overwritten by the identity): it yields
     A12^{-1} A11 and the inverse whose exact 1-norm gives the reciprocal
     condition number that gates the solve.  The 1-norms are the reductions
     ``np.linalg.norm(., 1)`` runs, without its wrapper.
+
+    A stack ``(T, rows, cols)`` runs as one stacked solve and one stacked
+    product, with the rcond gate applied per member; SingularPivotError
+    names the first member that fails it and that member's rcond.
     """
     top, left = split
     a = np.asarray(m)
-    a12 = a[:top, left:]
-    if a12.shape[0] != a12.shape[1]:
-        raise ValueError(f"pivot block is {a12.shape}, not square")
+    a12 = a[..., :top, left:]
+    if a12.shape[-2] != a12.shape[-1]:
+        raise ValueError(f"pivot block is {a12.shape[-2:]}, not square")
     if a12.size == 0:
-        return a[top:, :left].copy()
-    _, row_exp = np.frexp(np.abs(a[:top]).max(axis=1))
-    upper = a[:top] * np.ldexp(1.0, -row_exp)[:, None]
-    _, col_exp = np.frexp(np.abs(upper[:, left:]).max(axis=0))
-    col_scale = np.ldexp(1.0, -col_exp)
-    a12 = upper[:, left:] * col_scale
-    rhs = np.empty((top, left + top), dtype=upper.dtype)
-    rhs[:, :left] = upper[:, :left]
-    rhs[:, left:] = _identity(top)
+        return a[..., top:, :left].copy()
+    _, row_exp = np.frexp(np.abs(a[..., :top, :]).max(axis=-1))
+    upper = a[..., :top, :] * np.ldexp(1.0, -row_exp)[..., None]
+    _, col_exp = np.frexp(np.abs(upper[..., left:]).max(axis=-2))
+    col_scale = np.ldexp(1.0, -col_exp)[..., None, :]
+    a12 = upper[..., left:] * col_scale
+    rhs = upper  # [A11 A12] becomes [A11 I] in place
+    rhs[..., left:] = _identity(top)
     try:
         sol = np.linalg.solve(a12, rhs)
     except np.linalg.LinAlgError:
-        raise SingularPivotError(0.0) from None
-    rcond = 1.0 / (_norm_1(a12) * _norm_1(sol[:, left:]))
-    if not np.isfinite(rcond) or rcond < RCOND_MIN:
-        raise SingularPivotError(float(rcond))
-    return a[top:, :left] - (a[top:, left:] * col_scale) @ sol[:, :left]
+        raise _first_failure(a12, rhs, left) from None
+    rcond = 1.0 / (_norm_1(a12) * _norm_1(sol[..., left:]))
+    bad = ~np.isfinite(rcond) | (rcond < RCOND_MIN)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularPivotError(float(np.ravel(rcond)[k]), k if a.ndim > 2 else None)
+    return a[..., top:, :left] - (a[..., top:, left:] * col_scale) @ sol[..., :left]
+
+
+def _first_failure(a12: np.ndarray, rhs: np.ndarray, left: int) -> SingularPivotError:
+    """The error of the first member of a stack whose pivot solve fails:
+    exactly singular (rcond 0) or below the gate.  Some member is exactly
+    singular, since the stacked solve refused."""
+    stacked = a12.ndim > 2
+    for k, i in enumerate(np.ndindex(a12.shape[:-2])):
+        try:
+            sol = np.linalg.solve(a12[i], rhs[i])
+        except np.linalg.LinAlgError:
+            return SingularPivotError(0.0, k if stacked else None)
+        rcond = 1.0 / (_norm_1(a12[i]) * _norm_1(sol[:, left:]))
+        if not np.isfinite(rcond) or rcond < RCOND_MIN:
+            return SingularPivotError(float(rcond), k if stacked else None)
+    raise AssertionError("the stacked pivot solve refused a nonsingular stack")
 
 
 @lru_cache(maxsize=16)
@@ -173,9 +233,9 @@ def _identity(n: int) -> np.ndarray:
 
 
 def _norm_1(a: np.ndarray):
-    """``np.linalg.norm(a, 1)`` of a 2-D float array: its largest column sum
-    of magnitudes."""
-    return np.add.reduce(np.abs(a), axis=0).max(initial=0)
+    """``np.linalg.norm(a, 1)`` of each matrix of a float array: its largest
+    column sum of magnitudes."""
+    return np.add.reduce(np.abs(a), axis=-2).max(axis=-1, initial=0)
 
 
 def finite_scale(a: np.ndarray) -> tuple[float, float] | None:

@@ -143,18 +143,27 @@ class TemplateMatrix:
         the pencil M(u0) = A + u0*B, ``(1, 0)`` is A, and ``(0, 1)`` is A
         with B in the rows of the extra polynomial.  No two terms of a row share a
         column, so a cell scaled by 0 is written as a plain zero; ``+ 0.0``
-        stores every zero as +0.0, like a cell no term writes."""
-        lookup = np.empty(len(self._slot_names) + 2, dtype=np.result_type(literal, hidden, 1.0))
+        stores every zero as +0.0, like a cell no term writes.
+
+        Slot values that are arrays of shape ``(T,)`` give the ``(T, rows,
+        cols)`` stack of T instances, each member equal to the matrix of
+        its instance alone."""
+        names = self._slot_names
+        try:
+            batch = np.shape(coeffs[names[0]]) if names else ()
+        except KeyError:
+            raise MissingSlotError(names[0]) from None
+        lookup = np.empty((len(names) + 2,) + batch, dtype=np.result_type(literal, hidden, 1.0))
         lookup[_SLOT_LITERAL + 2] = literal
         lookup[_SLOT_HIDDEN + 2] = hidden
-        for i, name in enumerate(self._slot_names):
+        for i, name in enumerate(names):
             try:
                 lookup[i + 2] = coeffs[name]
             except KeyError:
                 raise MissingSlotError(name) from None
         enc_rows, enc_cols, _, enc_slots, enc_consts = self._encoding
-        out = np.zeros(self.shape, dtype=lookup.dtype)
-        out[enc_rows, enc_cols] = enc_consts * lookup[enc_slots + 2] + 0.0
+        out = np.zeros(batch + self.shape, dtype=lookup.dtype)
+        out[..., enc_rows, enc_cols] = enc_consts * lookup[enc_slots + 2].T + 0.0
         return out
 
 

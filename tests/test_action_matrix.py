@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import pair_max_dev
 
+from polyres import action_matrix
 from polyres.action_matrix import (
+    EQUIVALENCE_CHUNK,
+    EQUIVALENCE_TOL,
+    EquivalenceVerdict,
     NoTemplateError,
     SingularTemplateError,
     UnsupportedCaseError,
@@ -12,8 +18,9 @@ from polyres.action_matrix import (
     extract_action_matrix,
     res_to_am,
 )
-from polyres.linalg import float_rref
+from polyres.linalg import SingularPivotError, float_rref
 from polyres.oracle import numeric_poly, sylvester_bivariate
+from polyres.plan import plan_from_json
 from polyres.poly import unit_mono
 from polyres.problems import get
 from polyres.solve import fill, schur_matrix, solve_instance
@@ -236,3 +243,160 @@ class TestCheckEquivalence:
             assert pair_max_dev(np.linalg.eigvals(mf), np.linalg.eigvals(x)) < 1e-6
 
 
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def _sequential_check(amplan, resplan, trials, seed, factor=lambda t: 1.0):
+    """check_equivalence as it ran one trial at a time, coefficients of
+    trial t scaled by ``factor(t)``: the oracle of the stacked check."""
+    lay = resplan.layout
+    n1 = lay.n_b1
+    if amplan.reciprocal:
+        expected_shape = (lay.n_upper + n1, lay.shape[1] + n1)
+    else:
+        expected_shape = (lay.n_upper, lay.shape[1])
+    size_match = amplan.template.shape == expected_shape
+    sign = -1 if amplan.reciprocal else 1
+    strip = (lambda m: m[:-1]) if amplan.reciprocal else (lambda m: m)
+    am_basis = [strip(m) for m in amplan.basis]
+    perm = [am_basis.index(m) for m in lay.b1]
+    slots = resplan.base_system.slots()
+    worst = 0.0
+    ok = size_match
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        coeffs = {s: float(rng.standard_normal()) * factor(t) for s in slots}
+        x = schur_matrix(resplan, fill(resplan, coeffs))
+        try:
+            mf = extract_action_matrix(amplan, coeffs)
+        except SingularTemplateError:
+            ok = False
+            worst = float("inf")
+            break
+        mf_aligned = mf[np.ix_(perm, perm)]
+        dev = float(np.max(np.abs(mf_aligned - sign * x)))
+        worst = max(worst, dev)
+        if dev > EQUIVALENCE_TOL * (1.0 + float(np.linalg.norm(x))):
+            ok = False
+    return EquivalenceVerdict(ok, worst, size_match, trials, sign)
+
+
+def _same_verdict(got, want):
+    return got == want and np.float64(got.max_deviation).tobytes() == np.float64(want.max_deviation).tobytes()
+
+
+@pytest.fixture(scope="module")
+def bridge_pairs():
+    """(name, amplan, resplan) of both golden bridge plans, direct and round trip."""
+    pairs = []
+    for name in ("two_conics", "three_quadrics"):
+        plan = plan_from_json((GOLDEN / f"{name}.plan").read_text())
+        amp = res_to_am(plan, get(name).root_count)
+        pairs += [(f"{name}-direct", amp, plan), (f"{name}-round-trip", amp, am_to_res(amp))]
+    return pairs
+
+
+class TestStackedCheckMatchesSequential:
+    @pytest.mark.parametrize("seed", [0, 3462287232, 2359033048])
+    def test_golden_pairs(self, bridge_pairs, seed):
+        verdicts = []
+        for label, amp, other in bridge_pairs:
+            got = check_equivalence(amp, other, trials=100, seed=seed)
+            want = _sequential_check(amp, other, 100, seed)
+            assert _same_verdict(got, want), label
+            verdicts.append(got.equivalent)
+        # seed 0 passes everywhere; the other two are the known false verdicts
+        assert all(verdicts) == (seed == 0)
+
+    def test_more_trials_than_one_stack(self, bridge_pairs):
+        trials = EQUIVALENCE_CHUNK + 5
+        for label, amp, other in bridge_pairs:
+            got = check_equivalence(amp, other, trials=trials, seed=3462287232)
+            assert _same_verdict(got, _sequential_check(amp, other, trials, 3462287232)), label
+
+    def test_reciprocal_pair(self, two_conics_plan_v2):
+        probe = [r.point for r in solve_instance(two_conics_plan_v2, CONIC).roots]
+        amp = res_to_am(two_conics_plan_v2, 4, probe_roots=probe)
+        for seed in (0, 3462287232, 2359033048):
+            got = check_equivalence(amp, two_conics_plan_v2, trials=100, seed=seed)
+            assert _same_verdict(got, _sequential_check(amp, two_conics_plan_v2, 100, seed))
+            assert got.sign == -1
+
+    # a trial scaled by 1e-20 has no template pivot above the elimination's
+    # absolute tolerance, while its equilibrated Schur step is fine; a trial
+    # scaled by 0 fails both, the Schur step first
+    @pytest.mark.parametrize(
+        "tiny,zero,trials,outcome",
+        [
+            (3, 7, 20, "verdict"),
+            (7, 3, 20, "raise"),
+            (5, 5, 20, "raise"),
+            (EQUIVALENCE_CHUNK + 1, EQUIVALENCE_CHUNK + 4, EQUIVALENCE_CHUNK + 8, "verdict"),
+            (EQUIVALENCE_CHUNK + 4, EQUIVALENCE_CHUNK + 1, EQUIVALENCE_CHUNK + 8, "raise"),
+            (EQUIVALENCE_CHUNK - 1, EQUIVALENCE_CHUNK + 1, EQUIVALENCE_CHUNK + 8, "verdict"),
+        ],
+    )
+    def test_failure_order(self, bridge_pairs, monkeypatch, tiny, zero, trials, outcome):
+        def factor(t):
+            return 0.0 if t == zero else 1e-20 if t == tiny else 1.0
+
+        draw = action_matrix.trial_coefficients
+
+        def scaled_draw(slots, seed, ts):
+            scale = np.array([factor(t) for t in ts])
+            return {s: v * scale for s, v in draw(slots, seed, ts).items()}
+
+        monkeypatch.setattr(action_matrix, "trial_coefficients", scaled_draw)
+        for label, amp, other in bridge_pairs:
+            if outcome == "verdict":
+                got = check_equivalence(amp, other, trials=trials, seed=0)
+                want = _sequential_check(amp, other, trials, 0, factor)
+                assert _same_verdict(got, want) and got.max_deviation == float("inf"), label
+                continue
+            with pytest.raises(SingularPivotError) as stacked:
+                check_equivalence(amp, other, trials=trials, seed=0)
+            with pytest.raises(SingularPivotError) as alone:
+                _sequential_check(amp, other, trials, 0, factor)
+            assert stacked.value.rcond == alone.value.rcond == 0.0, label
+            assert stacked.value.member == zero, label
+
+    def test_pivot_gate_before_any_template_failure(self, bridge_pairs, monkeypatch):
+        # every pivot block fails the gate: trial 0 raises, though trial 2's
+        # template fails inside the same stack
+        monkeypatch.setattr("polyres.linalg.RCOND_MIN", 2.0)
+        draw = action_matrix.trial_coefficients
+
+        def tiny_second(slots, seed, ts):
+            scale = np.array([1e-20 if t == 2 else 1.0 for t in ts])
+            return {s: v * scale for s, v in draw(slots, seed, ts).items()}
+
+        monkeypatch.setattr(action_matrix, "trial_coefficients", tiny_second)
+        for label, amp, other in bridge_pairs:
+            with pytest.raises(SingularPivotError) as stacked:
+                check_equivalence(amp, other, trials=10, seed=0)
+            with pytest.raises(SingularPivotError) as alone:
+                _sequential_check(amp, other, 10, 0, lambda t: 1e-20 if t == 2 else 1.0)
+            assert stacked.value.member == 0 and stacked.value.rcond == alone.value.rcond, label
+
+
+class TestStackedExtraction:
+    def test_members_match_single_extractions(self, bridge_pairs):
+        for label, amp, _ in bridge_pairs[::2]:
+            slots = amp.template.system.slots()
+            coeffs = action_matrix.trial_coefficients(slots, 5, range(12))
+            stack = extract_action_matrix(amp, coeffs)
+            for k in range(12):
+                alone = extract_action_matrix(amp, {s: float(v[k]) for s, v in coeffs.items()})
+                assert stack[k].tobytes() == alone.tobytes(), label
+
+    def test_first_failing_member_named(self):
+        plan = scratch_template("univariate_quadratic")
+        coeffs = {"a": np.array([1.0, 0.0, 0.0]), "b": np.array([-5.0, 0.0, 1.0]), "c": np.array([6.0, 0.0, 1.0])}
+        with pytest.raises(SingularTemplateError, match="stack member 1") as e:
+            extract_action_matrix(plan, coeffs)
+        assert e.value.member == 1
+        with pytest.raises(SingularTemplateError) as alone:
+            extract_action_matrix(plan, {"a": 0.0, "b": 0.0, "c": 0.0})
+        assert alone.value.member is None

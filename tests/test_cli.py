@@ -380,6 +380,17 @@ class TestCompare:
         assert code == 3
         assert "unsupported: eigenproblem size 4 differs from root count 100" in capsys.readouterr().err
 
+    def test_singular_pivot_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # a gate no pivot block passes: the check's first trial fails it
+        monkeypatch.setattr("polyres.linalg.RCOND_MIN", 2.0)
+        sys_path, _ = write_problem(tmp_path, "two_conics")
+        code = main(["compare", "--system", str(sys_path), "--direction", "res2am"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("numeric failure: pivot block numerically singular (rcond ~ ")
+        assert captured.err.endswith(" in stack member 0\n")
+        assert captured.out == ""
+
     def test_zero_root_resalt_rejected(self, tmp_path, capsys):
         sys_path, _ = write_problem(tmp_path, "zero_coordinate_pair")
         code = main(

@@ -247,6 +247,126 @@ class TestSchurSameBits:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStackedKernels:
+    """A stack is eliminated, or Schur-reduced, member by member exactly as
+    each member alone: same bytes, same pivots, same failure."""
+
+    @staticmethod
+    def _mixed_stack(rng, shape, complex_=False):
+        stack = rng.standard_normal((6, *shape))
+        if complex_:
+            stack = stack + 1j * rng.standard_normal(stack.shape)
+        stack[1, :, 0] = 0.0  # a column the other members pivot
+        stack[2, :, 2] = stack[2, :, 0] - 3.0 * stack[2, :, 1]  # a dependent column
+        stack[3, 1] = 0.0  # a zero row
+        stack[0] *= 1e8  # a tolerance far above the other members'
+        stack[4] *= 1e-18  # every entry under the tolerance
+        stack[5, :, 1] *= 1e-10  # a small column, above its own member's tolerance
+        return stack
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 9), (27, 35)])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_float_rref_members_match(self, rng, shape, complex_):
+        stack = self._mixed_stack(rng, shape, complex_)
+        rref, pivots = float_rref(stack)
+        assert len(pivots) == len(stack)
+        for k, member in enumerate(stack):
+            want, want_pivots = float_rref(member)
+            assert _same_bits(rref[k], want)
+            assert pivots[k] == want_pivots
+        # the patterns differ: the stack did not share one pivot sequence
+        assert len({tuple(p) for p in pivots}) > 1
+
+    def test_float_rref_sparse_members_match(self, rng):
+        # exact zeros the row updates must leave alone, and ties for the pivot
+        stack = rng.integers(-2, 3, size=(40, 8, 12)).astype(np.float64)
+        rref, pivots = float_rref(stack)
+        for k, member in enumerate(stack):
+            want, want_pivots = float_rref(member)
+            assert _same_bits(rref[k], want) and pivots[k] == want_pivots
+
+    @pytest.mark.parametrize("shape", [(0, 4, 5), (3, 0, 5), (3, 4, 0), (1, 0, 0)])
+    def test_float_rref_empty_stacks(self, shape):
+        rref, pivots = float_rref(np.zeros(shape))
+        assert rref.shape == shape and pivots == [[] for _ in range(shape[0])]
+
+    def test_float_rref_single_matrix_is_a_stack_of_one(self, rng):
+        m = self._mixed_stack(rng, (7, 10))[2]
+        rref, pivots = float_rref(m)
+        stacked, stacked_pivots = float_rref(m[None])
+        assert _same_bits(rref, stacked[0]) and [pivots] == stacked_pivots
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_schur_members_match(self, rng, complex_):
+        for c1, c2 in ((3, 4), (1, 1), (8, 5)):
+            stack = rng.standard_normal((5, c1 + c2, c1 + c2)) * 10.0 ** rng.uniform(-100, 100, size=(5, c1 + c2, 1))
+            if complex_:
+                stack = stack + 1j * rng.standard_normal(stack.shape)
+            got = schur_complement(stack, (c2, c1))
+            for k, member in enumerate(stack):
+                assert _same_bits(got[k], schur_complement(member, (c2, c1)))
+
+    def test_schur_empty_pivot_block_stack(self, rng):
+        stack = rng.standard_normal((3, 4, 4))
+        assert _same_bits(schur_complement(stack, (0, 4)), stack.copy())
+
+    def _singular_at(self, rng, near, exact):
+        stack = rng.standard_normal((6, 7, 7))
+        for k in near:
+            stack[k, :3, 5] = stack[k, :3, 4] * (1.0 + 1e-15)
+        for k in exact:
+            stack[k, :3, 4:] = 0.0
+        return stack
+
+    @pytest.mark.parametrize("near,exact,first", [((2,), (4,), 2), ((4,), (1,), 1), ((3, 5), (), 3)])
+    def test_schur_names_first_failing_member(self, rng, near, exact, first):
+        stack = self._singular_at(rng, near, exact)
+        with pytest.raises(SingularPivotError) as stacked:
+            schur_complement(stack, (3, 4))
+        with pytest.raises(SingularPivotError) as alone:
+            schur_complement(stack[first], (3, 4))
+        assert stacked.value.member == first and alone.value.member is None
+        assert stacked.value.rcond == alone.value.rcond
+        assert f"in stack member {first}" in str(stacked.value)
+        assert "member" not in str(alone.value)
+        # the members before it pass the gate on their own
+        for k in range(first):
+            schur_complement(stack[k], (3, 4))
+
+    def test_exactly_singular_fails_whatever_the_gate(self, rng, monkeypatch):
+        monkeypatch.setattr("polyres.linalg.RCOND_MIN", 0.0)
+        stack = self._singular_at(rng, (), (3,))
+        with pytest.raises(SingularPivotError) as e:
+            schur_complement(stack, (3, 4))
+        assert e.value.member == 3 and e.value.rcond == 0.0
+
+
+class TestStackedInstantiate:
+    @pytest.mark.parametrize("literal,hidden", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.5 - 0.25j)])
+    def test_array_slots_give_the_stack_of_instances(self, rng, three_quadrics_plan, literal, hidden):
+        tm = three_quadrics_plan.layout.template
+        slots = three_quadrics_plan.base_system.slots()
+        draws = rng.standard_normal((9, len(slots)))
+        draws[4] = 0.0
+        stack = tm.instantiate({s: draws[:, i] for i, s in enumerate(slots)}, literal, hidden)
+        assert stack.shape == (9, *tm.shape) and stack.flags.c_contiguous
+        for k, row in enumerate(draws):
+            alone = tm.instantiate(dict(zip(slots, row.tolist())), literal, hidden)
+            assert _same_bits(stack[k], alone)
+
+    def test_missing_slot_named(self, three_quadrics_plan):
+        from polyres.plan import MissingSlotError
+
+        slots = three_quadrics_plan.base_system.slots()
+        coeffs = {s: np.ones(3) for s in slots[1:]}
+        with pytest.raises(MissingSlotError):
+            three_quadrics_plan.layout.template.instantiate(coeffs, 1.0, 0.0)
+
+
 class TestFiniteScale:
     def test_unit_and_norm(self):
         a = np.array([[3.0, -4.0], [0.0, 1e-3]])
