@@ -1,12 +1,13 @@
 """Offline solver generation.
 
-The search augments the input system with an extra polynomial x_k - u0 and
-sweeps subsets of Newton polytopes and displacement vectors to collect
-favourable monomial sets.  The candidates are then taken best first, by the
-size of their eigenproblem and matrix: the first whose coefficient matrix
-block partitions into an eigenvalue problem is shrunk by row-column removal
-and row removal until it is square.  Only the candidates the loop reaches
-are laid out, and monomial translates of a candidate share its verdict.
+The search augments the input system with an extra polynomial x_k - u0 and,
+in one pass over every hidden variable x_k, sweeps subsets of Newton
+polytopes and displacement vectors to collect favourable monomial sets.
+The candidates are then taken best first, by the size of their eigenproblem
+and matrix: the first whose coefficient matrix block partitions into an
+eigenvalue problem is shrunk by row-column removal and row removal until it
+is square.  Only the candidates the loop reaches are laid out, and monomial
+translates of a candidate share its verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .lattice import (
     unit_simplex,
 )
 from .linalg import modp_left_kernel
-from .plan import MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
+from .plan import ROOT_TRANSFORMS, MatrixLayout, RankCheckConfig, SolverPlan, build_layout, has_full_column_rank
 from .poly import Mono, SystemTemplate, augment, extend_system, extension_at, extension_monomials, support
 
 
@@ -56,6 +57,10 @@ class SearchConfig:
     variants: tuple[str, ...] = ("v1", "v2")
     seed: int = 0
     rank: RankCheckConfig = RankCheckConfig()
+
+    def __post_init__(self):
+        if not self.variants or not set(self.variants) <= ROOT_TRANSFORMS.keys():
+            raise ValueError(f"variants must be a nonempty subset of {sorted(ROOT_TRANSFORMS)}, got {self.variants!r}")
 
 
 @dataclass(frozen=True)
@@ -99,32 +104,15 @@ def _subset_masks(m_aug: int, cfg: SearchConfig):
 
 class SumEntry(NamedTuple):
     """A Minkowski sum with its lattice box, and on each row of the box the
-    T_i masks of the polynomials but x_k - u0, their counts and the union
-    of their T_i + a (``extend_system`` and ``extension_monomials``)."""
+    T_i masks of the base polynomials, their counts and the union of their
+    T_i + a (``extend_system`` and ``extension_monomials``): everything of
+    the sum that does not depend on the hidden variable."""
 
     polytope: LatticePolytope
     lattice: LatticeBox
     masks: np.ndarray
     counts: np.ndarray
     union: np.ndarray
-
-
-class SharedGeometry(NamedTuple):
-    """What the sweeps of one system share across hidden variables: the unit
-    simplex, the hulls of the base supports, by summand tuple the sums
-    without x_k - u0, for one list of displacement magnitudes, and one
-    tuple object per monomial of the emitted sets."""
-
-    simplex: LatticePolytope
-    hulls: tuple[LatticePolytope, ...]
-    sums: dict[tuple[LatticePolytope, ...], SumEntry]
-    monomials: dict[Mono, Mono]
-
-
-def shared_geometry(system: SystemTemplate) -> SharedGeometry:
-    """The unit simplex and the hull of every support of ``system``, the
-    base system the sweeps augment."""
-    return SharedGeometry(unit_simplex(system.n_vars), tuple(convex_hull(support(f)) for f in system.polys), {}, {})
 
 
 def _row_verdicts(entry: SumEntry, polys, masks) -> tuple[list, np.ndarray]:
@@ -143,89 +131,89 @@ def _row_verdicts(entry: SumEntry, polys, masks) -> tuple[list, np.ndarray]:
     return reasons, union
 
 
-def search_candidates(aug_system: SystemTemplate, hidden_var: int, cfg: SearchConfig,
-                      reasons: dict[str, int] | None = None,
-                      shared: SharedGeometry | None = None,
-                      ) -> list[SweptCandidate]:
-    """Sweep (subset, displacement) pairs and emit unchecked candidates.
+def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[str, int]) -> list[SweptCandidate]:
+    """Sweep (subset, displacement) pairs of ``system`` augmented by x_k - u0,
+    for k = 1..n in turn, and emit unchecked candidates.
 
     The Minkowski sum always includes the unit simplex.  A pair is rejected
     only by counts: an empty lattice, an empty T_i (coverage) or fewer rows
-    than columns.  The first pair that yields a set of multipliers T_i emits
-    one candidate per variant; later pairs with the same T_i emit nothing.
-    No layout is built: B1 is T_last (v1) or x_k T_last (v2), and both lie
-    in B, since t and t x_k are the monomials of t (x_k - u0).
+    than columns, each ticked in ``reasons``.  For each k, the first pair
+    that yields a set of multipliers T_i emits one candidate per variant;
+    later pairs of that k with the same T_i emit nothing.  No layout is
+    built: B1 is T_last (v1) or x_k T_last (v2), and both lie in B, since
+    t and t x_k are the monomials of t (x_k - u0).
 
     Each sum is enumerated in one ``lattice_points`` call, and every T_i,
     every count and mon(F') are masks on its box (``extend_system``,
     ``extension_monomials``): the verdicts of all its displacements come
     from mask counts, and monomial sets are built only for a candidate
     whose multiplier sets were not emitted before, keyed on the T_i points.
-    ``shared`` holds what does not depend on the hidden variable (a fresh
-    one when None): a caller that passes one ``shared_geometry`` of the
-    base system to the calls for every hidden variable, with the same
-    displacement magnitudes, hulls each base support once, computes each
-    sum of base polytopes once, from the sum of its summands but the last
-    when that is known, and decides the base polynomials' T_i on its box
-    once.  Only x_k - u0's hull, sums and T_i are per call.
+
+    Only the summand x_k - u0 differs between hidden variables, so the unit
+    simplex, the hulls of the base supports, the Minkowski sums of subsets
+    without x_k - u0, their lattice boxes and the base polynomials' T_i
+    masks on them are computed once for all k (``base_sums``); a sum
+    visited again for another k only erodes x_k - u0's T_i.  What depends
+    on k, by summand tuple, is kept until k is done.  The emitted monomial
+    sets share one tuple per monomial.  Nothing is kept from one call to
+    the next.
     """
-    reasons = reasons if reasons is not None else {}
-    polys = aug_system.polys
-    shared = shared if shared is not None else shared_geometry(replace(aug_system, polys=polys[:-1]))
-    n = aug_system.n_vars
-    m_aug = len(polys)
-    polytopes = (*shared.hulls, convex_hull(support(polys[-1])))
+    n, m = system.n_vars, len(system.polys)
+    simplex = unit_simplex(n)
+    hulls = tuple(convex_hull(support(f)) for f in system.polys)
     # every grid holds the zero vector: visit each distinct displacement once
     grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
     deltas = list(dict.fromkeys(d for grid in grids for d in grid))
-
+    base_sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
+    monomials: dict[Mono, Mono] = {}
     out: list[SweptCandidate] = []
-    own_sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
-    # per sum, by identity: x_k - u0's T_i masks, the row verdicts, mon(F')
-    # masks and the rows handled
-    visited: dict[int, tuple] = {}
-    # the multiplier sets fix B, and hidden_var is fixed within this call
-    emitted: set[tuple[bytes, ...]] = set()
 
-    for mask in _subset_masks(m_aug, cfg):
-        summands = (shared.simplex, *(polytopes[i] for i in range(m_aug) if mask >> i & 1))
-        # x_k - u0, the last polynomial, differs between calls: its sums are
-        # kept for this call only
-        cache = own_sums if mask >> (m_aug - 1) & 1 else shared.sums
-        entry = cache.get(summands)
-        if entry is None:
-            # minkowski_sum folds left, so a cached prefix sum is its first step
-            prefix = shared.sums.get(summands[:-1])
-            q = minkowski_sum(summands if prefix is None else (prefix.polytope, summands[-1]))
-            lat = lattice_points(q, deltas)
-            base = extend_system(polys[:-1], lat)
-            entry = cache[summands] = SumEntry(q, lat, base, base.sum(axis=2),
-                                               extension_monomials(polys[:-1], lat, base))
-        if id(entry) not in visited:
-            last = extend_system(polys[-1:], entry.lattice)
-            visited[id(entry)] = (last, *_row_verdicts(entry, polys, last), set())
-        last, verdicts, union, done = visited[id(entry)]
-        lat = entry.lattice
-        for delta, row in zip(deltas, lat.row_of):
-            failure = "empty_lattice" if row is None else verdicts[row]
-            if failure is not None:
-                _tick(reasons, failure)
-                continue
-            # a row met again in this call has its multiplier sets emitted
-            if row in done:
-                continue
-            done.add(row)
-            masks = (*entry.masks, last[0])
-            key = tuple(lat.points[m[row]].tobytes() for m in masks)
-            if key in emitted:
-                continue
-            emitted.add(key)
-            ext = extension_at(polys, lat, masks, union, row, shared.monomials)
-            n_rows = sum(map(len, ext.multipliers))
-            for variant in cfg.variants:
-                prefix = (len(ext.multipliers[-1]), n_rows * len(ext.monomials), n_rows, variant, hidden_var)
-                out.append(SweptCandidate(prefix, (aug_system, hidden_var, variant, ext.monomials, ext.multipliers),
-                                          delta, mask))
+    for k in range(1, n + 1):
+        aug = augment(system, k)
+        polys = aug.polys
+        polytopes = (*hulls, convex_hull(support(polys[-1])))
+        # by summand tuple: the sum, x_k - u0's T_i masks, the row verdicts,
+        # mon(F') masks and the rows handled
+        seen: dict[tuple[LatticePolytope, ...], tuple] = {}
+        # the multiplier sets fix B, and k is fixed within this pass
+        emitted: set[tuple[bytes, ...]] = set()
+        for mask in _subset_masks(m + 1, cfg):
+            summands = (simplex, *(polytopes[i] for i in range(m + 1) if mask >> i & 1))
+            if summands not in seen:
+                entry = base_sums.get(summands)
+                if entry is None:
+                    # minkowski_sum folds left, so a known prefix sum is its first step
+                    prefix = base_sums.get(summands[:-1])
+                    q = minkowski_sum(summands if prefix is None else (prefix.polytope, summands[-1]))
+                    lat = lattice_points(q, deltas)
+                    base = extend_system(system.polys, lat)
+                    entry = SumEntry(q, lat, base, base.sum(axis=2), extension_monomials(system.polys, lat, base))
+                    # sums with x_k - u0 are kept for this k only, in ``seen``
+                    if not mask >> m & 1:
+                        base_sums[summands] = entry
+                last = extend_system(polys[-1:], entry.lattice)
+                seen[summands] = (entry, last, *_row_verdicts(entry, polys, last), set())
+            entry, last, verdicts, union, done = seen[summands]
+            lat = entry.lattice
+            for delta, row in zip(deltas, lat.row_of):
+                failure = "empty_lattice" if row is None else verdicts[row]
+                if failure is not None:
+                    _tick(reasons, failure)
+                    continue
+                # a row met again for this k has its multiplier sets emitted
+                if row in done:
+                    continue
+                done.add(row)
+                masks = (*entry.masks, last[0])
+                key = tuple(lat.points[t[row]].tobytes() for t in masks)
+                if key in emitted:
+                    continue
+                emitted.add(key)
+                ext = extension_at(polys, lat, masks, union, row, monomials)
+                n_rows = sum(map(len, ext.multipliers))
+                for variant in cfg.variants:
+                    prefix = (len(ext.multipliers[-1]), n_rows * len(ext.monomials), n_rows, variant, k)
+                    out.append(SweptCandidate(prefix, (aug, k, variant, ext.monomials, ext.multipliers), delta, mask))
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
@@ -461,10 +449,11 @@ def _verdict(cand: FavourableCandidate, cfg: SearchConfig, full_rank: dict[tuple
 def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> GenerateOutcome:
     """Full offline pipeline over every choice of hidden variable.
 
-    The candidates are taken in ``_selection_key`` order, which needs no
-    rank check.  They are sorted on the key's prefix, which needs no layout,
-    and laid out one group of equal prefix at a time, as the loop reaches
-    the group, which is then sorted on the full key.  Each is checked for
+    One ``search_candidates`` call sweeps every hidden variable.  The
+    candidates are taken in ``_selection_key`` order, which needs no rank
+    check.  They are sorted on the key's prefix, which needs no layout, and
+    laid out one group of equal prefix at a time, as the loop reaches the
+    group, which is then sorted on the full key.  Each is checked for
     its partition, then its recovery pairs and the reduction, and the first
     that passes them all is the plan.  Rank verdicts are deterministic, so
     this is the plan an exhaustive check would select.  ``candidates_seen``
@@ -478,21 +467,10 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     same verdict.  A failure is therefore decided once per translation
     class (``MatrixLayout.shifted``) and re-counted for the later members;
     the first member to pass returns its own plan.
-
-    Only the summand x_k - u0 differs between hidden variables, so the
-    hulls of the base supports, the unit simplex, the Minkowski sums of
-    subsets without x_k - u0, their lattice boxes and the base polynomials'
-    T_i masks on them are computed once for all k (``shared_geometry``); a
-    sum visited again for another k only erodes x_k - u0's T_i.  The
-    emitted monomial sets share one tuple per monomial.  Nothing is kept
-    from one call to the next.
     """
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
-    shared = shared_geometry(system)
-    swept: list[SweptCandidate] = []
-    for k in range(1, system.n_vars + 1):
-        swept.extend(search_candidates(augment(system, k), k, cfg, reasons, shared))
+    swept = search_candidates(system, cfg, reasons)
     swept.sort(key=lambda c: c.prefix)
     groups = (
         sorted((c.laid_out() for c in group), key=lambda c: _selection_key(c.layout))

@@ -35,17 +35,13 @@ def numeric_poly(f: PolynomialTemplate, coeffs) -> dict[tuple[int, ...], complex
     return out
 
 
-def univariate_roots(coeffs: Sequence[complex], degree: int | None = None) -> np.ndarray:
+def univariate_roots(coeffs: Sequence[complex]) -> np.ndarray:
     """Roots of c0 + c1 x + ... + cd x^d via the companion matrix.
 
     A zero leading coefficient reduces the degree and recurses; the zero
     polynomial is rejected.
     """
     c = np.asarray(list(coeffs), dtype=np.complex128)
-    if degree is not None:
-        if degree + 1 > len(c):
-            raise ValueError("degree exceeds the supplied coefficients")
-        c = c[: degree + 1]
     if c.size == 0 or not c.any():
         raise ValueError("zero polynomial has no well-defined root set")
     if c[-1] == 0:

@@ -31,7 +31,6 @@ class ProblemLibraryEntry:
     am_basis: tuple[Mono, ...] | None = None
     am_action_var: int = 1
     am_multiplier_degree: int | None = None
-    oracle_hide: int | None = None  # hidden variable for the bivariate oracle
     instance_fn: object = None  # structured float-instance sampler
 
     def random_instance(self, rng) -> dict:
@@ -110,7 +109,6 @@ def _two_conics() -> ProblemLibraryEntry:
         canonical_instance={"a": 1.0, "b": 1.0, "c": -1.0, "d": 1.0, "e": -0.25},
         am_basis=((0, 0), (1, 0), (0, 1), (0, 2)),
         am_multiplier_degree=2,
-        oracle_hide=2,
     )
 
 
@@ -281,7 +279,6 @@ def _zero_coordinate_pair() -> ProblemLibraryEntry:
         system,
         root_count=2,
         canonical_instance={"a": 1.0, "b": 1.0, "c": 1.0, "d": -1.0},
-        oracle_hide=2,
     )
 
 

@@ -14,7 +14,6 @@ from helpers import contains_points, newton_polish, pair_max_dev, point_sets, wi
 from polyres.action_matrix import am_to_res, check_equivalence, res_to_am
 from polyres.generate import (
     SearchConfig,
-    augment,
     generate_plan,
     search_candidates,
     verify_partition,
@@ -225,8 +224,7 @@ def test_criterion_6_reduction_safety():
                 assert witness_full_rank(lay.template, fresh)  # full rank
                 assert witness_full_rank(lay.template, fresh, lay.n_upper, lay.n_b1)
             # locate the originating candidate: reduction must not grow B1
-            aug = augment(system, lay.hidden_var)
-            cands = [c.laid_out() for c in search_candidates(aug, lay.hidden_var, cfg)]
+            cands = [c.laid_out() for c in search_candidates(system, cfg, {}) if c.prefix[4] == lay.hidden_var]
             origin = [
                 c
                 for c in cands

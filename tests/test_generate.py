@@ -67,9 +67,10 @@ def _candidate(aug, hidden_var, b, multipliers, subset_mask):
     return FavourableCandidate(layout, tuple(Fraction(0) for _ in range(aug.n_vars)), subset_mask)
 
 
-def _laid_out(aug, hidden_var, cfg):
-    """Every candidate one sweep emits, laid out."""
-    return [c.laid_out() for c in search_candidates(aug, hidden_var, cfg)]
+def _laid_out(system, cfg, hidden_var=None):
+    """Every candidate the sweep emits, laid out: only those of ``hidden_var``
+    when it is given."""
+    return [c.laid_out() for c in search_candidates(system, cfg, {}) if hidden_var in (None, c.prefix[4])]
 
 
 def _smallest(cands):
@@ -101,8 +102,7 @@ class TestAugment:
 
 class TestSearchCandidates:
     def test_univariate_linear_candidate(self):
-        aug = augment(get("univariate_linear").system, 1)
-        cands = _laid_out(aug, 1, SearchConfig(seed=1))
+        cands = _laid_out(get("univariate_linear").system, SearchConfig(seed=1))
         keys = set()
         for c in cands:
             t0, t1 = c.layout.multiplier_sets()
@@ -114,7 +114,7 @@ class TestSearchCandidates:
         entry = get("example_system")
         aug = augment(entry.system, 2)
         cfg = SearchConfig(seed=1, delta_magnitudes=(TENTH,), variants=("v1",))
-        cands = _laid_out(aug, 2, cfg)
+        cands = _laid_out(entry.system, cfg, 2)
         mask = 0b011  # {f1, f2}
         delta = (-TENTH, -TENTH)
         match = [c for c in cands if c.subset_mask == mask and c.delta == delta]
@@ -149,7 +149,7 @@ class TestSearchCandidates:
         masks = extend_system(sparse.polys, segment)
         assert masks[0].any() and not masks[1].any()
         reasons = {}
-        search_candidates(augment(sparse, 1), 1, SearchConfig(seed=1), reasons)
+        search_candidates(sparse, SearchConfig(seed=1), reasons)
         assert reasons.get("coverage", 0) > 0
 
     def test_no_rank_check_twice(self, monkeypatch):
@@ -221,20 +221,22 @@ class TestSearchCandidates:
 
         monkeypatch.setattr(polyres.generate, "has_full_column_rank", refuse)
         reasons = {}
-        cands = search_candidates(augment(get("zero_coordinate_pair").system, 1), 1, SearchConfig(seed=1), reasons)
-        assert reasons == {"coverage": 50, "empty_lattice": 2}
-        assert len(cands) == 36
+        cands = search_candidates(get("zero_coordinate_pair").system, SearchConfig(seed=1), reasons)
+        # both hidden variables: 36 candidates, coverage 50 and empty_lattice 2 each
+        assert reasons == {"coverage": 100, "empty_lattice": 4}
+        assert len(cands) == 72
 
     def test_repeated_displacement_visited_once(self):
         # a displacement that several magnitudes (here a repeated one) put on
         # the grid is one (subset, displacement) pair: its rejections count once
-        aug = augment(get("two_conics").system, 1)
+        system = get("two_conics").system
         runs = []
         for mags in ((TENTH,), (TENTH, TENTH)):
             reasons = {}
-            cands = search_candidates(aug, 1, SearchConfig(seed=1, delta_magnitudes=mags), reasons)
+            cands = search_candidates(system, SearchConfig(seed=1, delta_magnitudes=mags), reasons)
             runs.append((reasons, cands))
-        assert runs[0][0] == {"row_count": 8, "coverage": 28}
+        # row_count 8 and coverage 28 for each hidden variable
+        assert runs[0][0] == {"row_count": 16, "coverage": 56}
         assert runs[1] == runs[0]
 
     def test_polytope_stage_shared(self, monkeypatch):
@@ -291,16 +293,14 @@ class TestSearchCandidates:
         # the configuration of its golden plan
         cfg = REL_POSE_CONFIG if name == "rel_pose_f_lambda_8pt" else SearchConfig()
         system = get(name).system
-        emitted = 0
-        for k in range(1, system.n_vars + 1):
+        cands = search_candidates(system, cfg, {})
+        for cand in cands:
+            aug, k, variant, b_set, t_sets = cand.layout_args
+            assert aug == augment(system, k) and cand.prefix[4] == k
             e_k = tuple(int(i == k - 1) for i in range(system.n_vars))
-            for cand in search_candidates(augment(system, k), k, cfg):
-                _, hidden_var, variant, b_set, t_sets = cand.layout_args
-                assert hidden_var == k
-                b1 = t_sets[-1] if variant == "v1" else {mono_mul(t, e_k) for t in t_sets[-1]}
-                assert b1 <= b_set, (name, k, variant)
-                emitted += 1
-        assert emitted
+            b1 = t_sets[-1] if variant == "v1" else {mono_mul(t, e_k) for t in t_sets[-1]}
+            assert b1 <= b_set, (name, k, variant)
+        assert cands
 
     def test_escaping_b1_still_refused(self):
         # a caller's own B without x_k T_last is refused for v2 and kept for v1
@@ -390,9 +390,8 @@ class TestPartition:
 class TestSelection:
     def test_smallest_eigenproblem_wins(self):
         entry = get("univariate_quadratic")
-        aug = augment(entry.system, 1)
         cfg = SearchConfig(seed=1)
-        cands = [c for c in _laid_out(aug, 1, cfg) if verify_partition(c.layout, cfg)]
+        cands = [c for c in _laid_out(entry.system, cfg) if verify_partition(c.layout, cfg)]
         assert cands
         assert min(c.layout.n_b1 for c in cands) == 2
         best = min(cands, key=lambda c: _selection_key(c.layout)).layout
@@ -404,7 +403,7 @@ class TestSelection:
     def test_generate_plan_reduces_first_candidate(self):
         cfg = SearchConfig(seed=1)
         system = get("univariate_quadratic").system
-        cands = [c for c in _laid_out(augment(system, 1), 1, cfg) if verify_partition(c.layout, cfg)]
+        cands = [c for c in _laid_out(system, cfg) if verify_partition(c.layout, cfg)]
         best = min(cands, key=lambda c: _selection_key(c.layout))
         expected = squarify(reduce_rowcol(best, cfg), cfg)
         assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
@@ -416,12 +415,7 @@ class TestSelection:
         # keeps its recovery pairs and reduces to a square plan
         cfg = SearchConfig(seed=0)
         system = get(name).system
-        survivors = [
-            c
-            for k in range(1, system.n_vars + 1)
-            for c in _laid_out(augment(system, k), k, cfg)
-            if verify_partition(c.layout, cfg)
-        ]
+        survivors = [c for c in _laid_out(system, cfg) if verify_partition(c.layout, cfg)]
         survivors.sort(key=lambda c: _selection_key(c.layout))
         expected = None
         for cand in survivors:
@@ -456,8 +450,7 @@ def _decide_from_scratch(cand, cfg):
 
 def _sweep(system, cfg, reasons):
     """Every candidate of every hidden variable, laid out, best first."""
-    cands = [c for k in range(1, system.n_vars + 1)
-             for c in search_candidates(augment(system, k), k, cfg, reasons)]
+    cands = search_candidates(system, cfg, reasons)
     laid = [c.laid_out() for c in cands]
     for c, lay in zip(cands, laid):
         assert c.prefix == _selection_key(lay.layout)[:5]
@@ -570,9 +563,7 @@ def _padded_candidate():
 class TestReduceRowcol:
     def test_univariate_plan_unchanged(self):
         cfg = SearchConfig(seed=1)
-        aug = augment(get("univariate_linear").system, 1)
-        cands = _laid_out(aug, 1, cfg)
-        cand = _smallest(cands)
+        cand = _smallest(_laid_out(get("univariate_linear").system, cfg))
         red = reduce_rowcol(cand, cfg)
         assert red.deleted == ()
         assert red.layout.template.cols == cand.layout.template.cols
@@ -600,8 +591,7 @@ class TestReduceRowcol:
 
     def test_b1_never_grows(self, two_conics_plan):
         cfg = SearchConfig(seed=1)
-        aug = augment(get("two_conics").system, two_conics_plan.layout.hidden_var)
-        cands = _laid_out(aug, two_conics_plan.layout.hidden_var, cfg)
+        cands = _laid_out(get("two_conics").system, cfg, two_conics_plan.layout.hidden_var)
         for cand in [c for c in cands if verify_partition(c.layout, cfg)][:6]:
             assert reduce_rowcol(cand, cfg).layout.n_b1 <= cand.layout.n_b1
 
@@ -609,9 +599,7 @@ class TestReduceRowcol:
 class TestSquarify:
     def test_already_square_identity(self):
         cfg = SearchConfig(seed=1)
-        aug = augment(get("univariate_linear").system, 1)
-        cands = _laid_out(aug, 1, cfg)
-        cand = _smallest(cands)
+        cand = _smallest(_laid_out(get("univariate_linear").system, cfg))
         assert cand.layout.shape[0] == cand.layout.shape[1]
         plan = squarify(cand, cfg)
         assert plan.deleted_rows == ()
@@ -680,7 +668,7 @@ def _first_partitioned(name):
     partition and recovery pairs (neither depends on the seed)."""
     cfg = SearchConfig(variants=("v1",))
     system = get(name).system
-    cands = [c for k in range(1, system.n_vars + 1) for c in _laid_out(augment(system, k), k, cfg)]
+    cands = _laid_out(system, cfg)
     cands.sort(key=lambda c: _selection_key(c.layout))
     return next(c for c in cands if verify_partition(c.layout, cfg) and not c.layout.unpaired)
 
@@ -688,7 +676,7 @@ def _first_partitioned(name):
 def _replay_cases():
     aug = augment(get("univariate_quadratic").system, 1)
     tall = _candidate(aug, 1, ((0,), (1,), (2,), (3,)), (frozenset({(0,), (1,)}), frozenset({(0,), (1,), (2,)})), 0b11)
-    linear = _smallest(_laid_out(augment(get("univariate_linear").system, 1), 1, SearchConfig(seed=1)))
+    linear = _smallest(_laid_out(get("univariate_linear").system, SearchConfig(seed=1)))
     # two lines in x1 over {1, x1, x1^2}, every T_i = {1, x1}: 6 rows, 3 columns,
     # so upper rows go too, and some trials would empty a T_i
     aug = augment(SystemTemplate(1, ("x1",), (LINE_X1, LINE2_X1)), 1)
@@ -1089,3 +1077,24 @@ class TestNoSolver:
             assert e.reasons
         # if a plan is found instead, the search space was richer than the
         # construction assumed; both outcomes are legal for this input
+
+    @pytest.mark.parametrize("cfg", [SearchConfig(delta_magnitudes=()), SearchConfig(max_subset_size=0)],
+                             ids=["no_displacement", "no_subset"])
+    def test_empty_search_space(self, cfg):
+        # nothing to sweep for any hidden variable: one tick for the sweep
+        system = get("two_conics").system
+        reasons = {}
+        assert search_candidates(system, cfg, reasons) == []
+        assert reasons == {"empty_search_space": 1}
+        with pytest.raises(NoSolverError) as err:
+            generate_plan(system, cfg)
+        assert err.value.reasons == {"empty_search_space": 1}
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("variants", [(), ("v3",), ("v1", "v3")])
+    def test_unrunnable_variants_rejected(self, variants):
+        # no variant would drop every passing row silently; an unknown one
+        # would fail only when the loop lays out its first candidate
+        with pytest.raises(ValueError, match="variants"):
+            SearchConfig(variants=variants)

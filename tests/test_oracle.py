@@ -26,10 +26,6 @@ class TestUnivariateRoots:
         with pytest.raises(ValueError):
             univariate_roots([0.0, 0.0])
 
-    def test_degree_argument(self):
-        roots = univariate_roots([6.0, -5.0, 1.0, 999.0], degree=2)
-        assert pair_max_dev(roots, [2.0, 3.0]) < 1e-10
-
 
 class TestSylvesterBivariate:
     def test_conic_pair(self):

@@ -58,7 +58,7 @@ class TestLibraryInvariants:
                 coeffs = entry.random_instance(rng)
                 f = numeric_poly(entry.system.polys[0], coeffs)
                 g = numeric_poly(entry.system.polys[1], coeffs)
-                assert len(sylvester_bivariate(f, g, hide=entry.oracle_hide)) == entry.root_count
+                assert len(sylvester_bivariate(f, g, hide=2)) == entry.root_count
 
     def test_generators_cover_all_slots(self):
         rng = np.random.default_rng(1)
