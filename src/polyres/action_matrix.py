@@ -177,21 +177,21 @@ def extract_action_matrix(plan: AmPlan, coeffs) -> np.ndarray:
     ``plan.basis`` off the reduced rows; unit rows appear where the action
     keeps a basis monomial inside the basis.
 
-    Slot values that are arrays of shape ``(T,)`` give the ``(T, r, r)``
-    stack of the T instances' action matrices, read off one stacked
-    elimination with one gather; the first member whose elimination does
-    not pivot the non-basis columns raises."""
-    rref, pivots = float_rref(plan.template.instantiate(coeffs, 1.0, 0.0))
+    The template's left block [excess | reducible] is square by
+    construction, so its elimination is [I | A^{-1} B] with B the basis
+    columns, and an instance whose elimination is not ok raises
+    SingularTemplateError.  Slot values that are arrays of shape ``(T,)``
+    give the ``(T, r, r)`` stack of the T instances' action matrices, read
+    off one stacked elimination with one gather; the first member that is
+    not ok raises, with its index as ``member``."""
+    rref, ok = float_rref(plan.template.instantiate(coeffs, 1.0, 0.0))
     n_left = plan.n_excess + plan.n_reducible
-    left = list(range(n_left))
-    stacked = rref.ndim == 3
-    for k, p in enumerate(pivots if stacked else [pivots]):
-        if p != left:
-            where = f"of stack member {k} " if stacked else ""
-            raise SingularTemplateError(
-                f"elimination {where}pivoted columns {p}, expected the first {n_left}",
-                k if stacked else None,
-            )
+    if not np.all(ok):
+        k = int(np.argmin(ok)) if rref.ndim == 3 else None
+        where = "" if k is None else f" of stack member {k}"
+        raise SingularTemplateError(
+            f"elimination{where} finds no pivot above tolerance in the first {n_left} columns", k
+        )
     unit, unit_col, reduced, source = plan.action_rows
     r = len(plan.basis)
     mf = np.zeros(rref.shape[:-2] + (r, r))

@@ -285,49 +285,42 @@ def _without(layout: MatrixLayout, rows, cols) -> MatrixLayout:
     return build_layout(layout.template.system, layout.hidden_var, layout.variant, b_set, t_sets)
 
 
-def reduce_rowcol(cand: FavourableCandidate, cfg: SearchConfig) -> FavourableCandidate:
+def reduce_rowcol(cand: FavourableCandidate) -> FavourableCandidate:
     """Remove column groups and their supporting rows while every polynomial
-    keeps a row; loops to a fixpoint.  ``cand`` must pass the partition test.
+    keeps a row, in one pass in column order.  ``cand`` must pass the
+    partition test.
 
     A group is the rows of one column, taken only when no other row touches
     the group's columns; anything else would silently change the polynomials
     the rows stand for.  Such a group is a diagonal block of the matrix, so
     the rest keeps full column rank and full rank of A12, and only coverage
-    can refuse it.  A surviving column meets only surviving rows; the
-    result's layout is built once, if anything went.
+    can refuse it.  Groups are disjoint and a removal only tightens
+    coverage, so a refused group stays refused, and one pass, each group
+    tried at its first column, reaches the fixpoint.  The result's layout is
+    built once, if anything went.
     """
-    rng = random.Random(f"rowcol:{cfg.seed}")
     tm = cand.layout.template
-    # the group of each column that has one: its rows and the columns they
-    # touch, when no other row touches those; removals never change it
     rows_of = [set() for _ in tm.cols]
     cols_of = [set() for _ in tm.rows]
     for r, c, _, _ in tm.cells:
         rows_of[c].add(r)
         cols_of[r].add(c)
+    # the rows of each group and the columns they touch, in the order of
+    # the group's first column
     groups = {}
     for c, rows_hit in enumerate(rows_of):
         if rows_hit and all(rows_of[c2] <= rows_hit for r in rows_hit for c2 in cols_of[r]):
-            groups[c] = rows_hit, set().union(*(cols_of[r] for r in rows_hit))
-    rows, cols = set(range(len(tm.rows))), set(range(len(tm.cols)))
+            groups.setdefault(frozenset(rows_hit), set().union(*(cols_of[r] for r in rows_hit)))
+    rows = set(range(len(tm.rows)))
     deleted: list[tuple[int, Mono]] = []
-    while True:
-        col_order = sorted(cols)  # the order of a rebuilt layout's columns
-        rng.shuffle(col_order)
-        for c in col_order:
-            if c not in groups:
-                continue
-            rows_hit, cols_hit = groups[c]
-            if len({tm.rows[r][0] for r in rows - rows_hit}) == len(tm.system.polys):
-                rows -= rows_hit
-                cols -= cols_hit
-                deleted.extend(tm.rows[r] for r in sorted(rows_hit))
-                break
-        else:
-            break
+    gone: list[Mono] = []
+    for rows_hit, cols_hit in groups.items():
+        if len({tm.rows[r][0] for r in rows - rows_hit}) == len(tm.system.polys):
+            rows -= rows_hit
+            deleted.extend(tm.rows[r] for r in sorted(rows_hit))
+            gone.extend(tm.cols[c] for c in cols_hit)
     if deleted:
-        layout = _without(cand.layout, deleted, [m for c, m in enumerate(tm.cols) if c not in cols])
-        cand = replace(cand, layout=layout, deleted=cand.deleted + tuple(deleted))
+        cand = replace(cand, layout=_without(cand.layout, deleted, gone), deleted=cand.deleted + tuple(deleted))
     return cand
 
 
@@ -439,7 +432,7 @@ def _verdict(cand: FavourableCandidate, cfg: SearchConfig, full_rank: dict[tuple
     if failure is not None:
         return failure
     try:
-        plan = squarify(reduce_rowcol(cand, cfg), cfg)
+        plan = squarify(reduce_rowcol(cand), cfg)
     except SquarifyExhausted:
         return "squarify_exhausted"
     # row removal can strip the pairs the eigenvector read-off needs

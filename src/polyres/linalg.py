@@ -2,10 +2,12 @@
 
 One prime-field elimination backs the offline rank decisions; moduli
 are kept below 2^31 so products of two reduced entries fit in int64 and
-the numpy row operations stay exact.  The floating side provides RREF with partial
-pivoting, an equilibrated Schur complement of the pivot block, and the
-nonsymmetric eigensolver of the online stage: LAPACK through numpy, with
-a residual postcondition on every returned pair.
+the numpy row operations stay exact.  The floating side provides
+Gauss-Jordan elimination of a matrix whose left block is square, with
+partial pivoting and a flag for a pivot under tolerance, an equilibrated
+Schur complement of the pivot block, and the nonsymmetric eigensolver of
+the online stage: LAPACK through numpy, with a residual postcondition on
+every returned pair, at the scale of the caller's finiteness scan.
 
 ``float_rref`` and ``schur_complement`` also take a stack of matrices,
 one optional leading axis: they run one code path, a single matrix being
@@ -105,58 +107,43 @@ def modp_left_kernel(m: np.ndarray, p: int) -> np.ndarray:
     return k
 
 
-def float_rref(m: np.ndarray) -> tuple[np.ndarray, list]:
-    """RREF with partial pivoting; pivots no larger than max(rows, cols) *
-    eps * max(max |m|, 1) are treated as zero.  Returns the eliminated
-    matrix and its pivot columns.
+def float_rref(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Gauss-Jordan elimination of ``m = [L | R]`` with L square, by partial
+    pivoting on the columns of L: ``(a, ok)`` with ``a = [I | L^{-1} R]``.
+    ``ok`` is False when a pivot is no larger than max(rows, cols) * eps *
+    max(max |m|, 1); ``a`` then means nothing.  A tall ``m`` raises
+    ValueError.
 
-    A stack ``(T, rows, cols)`` is eliminated member by member in lockstep,
-    one column at a time: each member has its own tolerance, its own pivot
-    row (the first largest magnitude at or below its current row) and its
-    own decision to skip the column, and clears exactly the rows whose
-    entry in the column is nonzero.  The pivots are then one list per
-    member, and every member equals the elimination of it alone.
+    A stack ``(T, rows, cols)`` is eliminated in lockstep, one column at a
+    time: each member has its own tolerance and pivot row (the first largest
+    magnitude at or below the diagonal), and clears exactly the rows whose
+    entry in the column is nonzero.  ``ok`` is then one flag per member, and
+    every member equals the elimination of it alone.
     """
     a = np.array(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64, copy=True)
     stack = a if a.ndim == 3 else a[None]
     n, rows, cols = stack.shape
+    if rows > cols:
+        raise ValueError(f"a {rows} x {cols} matrix has no square left block")
     scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
     tol = max(rows, cols) * np.finfo(np.float64).eps * np.maximum(scale, 1.0)
     members = np.arange(n)
-    below = np.zeros((n, rows), dtype=bool)  # the rows above each member's current row
-    r = np.zeros(n, dtype=np.intp)
-    pivots = np.empty((n, min(rows, cols)), dtype=np.intp)
+    ok = np.ones(n, dtype=bool)
     update = np.empty_like(stack)
-    for c in range(cols):
-        live = r < rows
-        if not live.any():
-            break
-        mag = np.abs(stack[:, :, c])
-        mag[below] = -1.0
-        piv = mag.argmax(axis=1)
-        do = live & ~(mag[members, piv] <= tol)
-        t = np.flatnonzero(do)
-        if not t.size:
-            continue
-        rt, pt = r[t], piv[t]
-        prow = stack[t, pt]
-        stack[t, pt] = stack[t, rt]
-        prow = prow / prow[:, c, None]
-        stack[t, rt] = prow
-        others = np.abs(stack[:, :, c]) > 0
-        others[~do] = False
-        others[t, rt] = False
-        others = others[:, :, None]
-        scaled = np.zeros((n, cols), dtype=stack.dtype)
-        scaled[t] = prow
-        np.multiply(stack[:, :, c, None], scaled[:, None, :], out=update, where=others)
-        np.subtract(stack, update, out=stack, where=others)
-        pivots[t, rt] = c
-        below[t, rt] = True
-        r[t] += 1
-    if a.ndim == 3:
-        return a, [p[:k].tolist() for p, k in zip(pivots, r.tolist())]
-    return a, pivots[0, : r[0]].tolist()
+    # a failed member divides by its small or zero pivot
+    with np.errstate(all="ignore"):
+        for c in range(rows):
+            piv = c + np.abs(stack[:, c:, c]).argmax(axis=1)
+            prow = stack[members, piv]
+            ok &= ~(np.abs(prow[:, c]) <= tol)
+            stack[members, piv] = stack[members, c]
+            prow = prow / prow[:, c, None]
+            stack[:, c] = prow
+            others = np.abs(stack[:, :, c, None]) > 0
+            others[:, c] = False
+            np.multiply(stack[:, :, c, None], prow[:, None, :], out=update, where=others)
+            np.subtract(stack, update, out=stack, where=others)
+    return a, ok if a.ndim == 3 else bool(ok[0])
 
 
 RCOND_MIN = 1e-12  # below this the pivot block counts as a solver failure
@@ -261,30 +248,23 @@ def finite_scale(a: np.ndarray) -> tuple[float, float] | None:
     return unit, np.sqrt(scaled.dot(scaled))
 
 
-def eig(
-    a: np.ndarray, tol: float = 1e-8, scale: tuple[float, float] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """All complex eigenpairs of a square matrix (LAPACK xGEEV via numpy):
-    ``(values, vectors)``, column k of ``vectors`` pairing with ``values[k]``.
+def eig(a: np.ndarray, tol: float, scale: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """All complex eigenpairs of a finite square matrix (LAPACK xGEEV via
+    numpy): ``(values, vectors)``, column k of ``vectors`` pairing with
+    ``values[k]``.
 
     Each returned pair satisfies ||A v - lambda v|| <= tol * ||A||_F with
     ||v|| = 1; a pair that misses the bound raises EigenConvergenceError
-    naming its index.  Residuals and bound are taken at the exact scale
-    ``unit``, where no finite matrix overflows them.  tol must be finite
-    and >= 0: a NaN bound would pass every pair unchecked.  A non-finite
-    matrix raises ValueError.  ``scale`` is ``finite_scale(a)`` when the
-    caller has computed it already; it is then trusted, and ``a`` is not
-    scanned again.
+    naming its index.  ``scale`` is ``finite_scale(a)``: residuals and bound
+    are taken at its exact scale ``unit``, where no finite matrix overflows
+    them, and ``a`` is not scanned again.  tol must be finite and >= 0: a
+    NaN bound would pass every pair unchecked.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if scale is None:
-        scale = finite_scale(a)
-        if scale is None:
-            raise ValueError("matrix has non-finite entries")
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as e:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import modp_left_kernel
+from .linalg import float_rref, modp_left_kernel
 from .poly import Mono, PolynomialTemplate, SystemTemplate, Term, unit_mono
 
 
@@ -195,31 +195,29 @@ def _rel_pose_lifted_row(x1, y1, x2, y2, one):
     ]
 
 
+# the identity rows of every float instance's null-space basis; shared, so
+# the slots read off them hold the same float objects in every instance
+_UNIT_ROWS = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+
+
 def rel_pose_float_instance(rng) -> dict:
     """Slot values from eight random point correspondences.
 
-    The null-space basis is echelon-normalized so that float instances and
-    the exact mod-p instances used for offline rank decisions sample the
-    same coefficient manifold.
+    The null-space basis is echelon-normalized, [-L^{-1} R ; I] for the
+    8 x 12 correspondence matrix [L | R], so that float instances and the
+    exact mod-p instances used for offline rank decisions sample the same
+    coefficient manifold.  A draw whose L is singular is drawn again.
     """
-    from .linalg import float_rref
-
     m = np.array(
         [
             _rel_pose_lifted_row(*(float(v) for v in rng.standard_normal(4)), 1.0)
             for _ in range(8)
         ]
     )
-    rref, pivots = float_rref(m)
-    free = [c for c in range(12) if c not in pivots]
-    if len(free) != 4:
+    rref, ok = float_rref(m)
+    if not ok:
         return rel_pose_float_instance(rng)
-    cols = [[0.0] * 4 for _ in range(12)]
-    for i, fc in enumerate(free):
-        cols[fc][i] = 1.0
-        for row_idx, pc in enumerate(pivots):
-            cols[pc][i] = -float(rref[row_idx, fc])
-    return _rel_pose_slots_from_basis(cols)
+    return _rel_pose_slots_from_basis((-rref[:, 8:]).tolist() + _UNIT_ROWS)
 
 
 _FIELD_CACHE: dict[tuple, dict] = {}

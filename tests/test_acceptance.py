@@ -19,7 +19,7 @@ from polyres.generate import (
     verify_partition,
 )
 from polyres.lattice import convex_hull, lattice_points, minkowski_sum
-from polyres.linalg import PRIMES, eig
+from polyres.linalg import PRIMES, eig, finite_scale
 from polyres.oracle import numeric_poly, sylvester_bivariate
 from polyres.plan import RankCheckConfig
 from polyres.poly import dump_system, support
@@ -291,7 +291,7 @@ def test_criterion_9_eigen_kernel():
     worst = 0.0
     for _ in range(50):
         a = rng.standard_normal((20, 20))
-        values, vectors = eig(a)
+        values, vectors = eig(a, 1e-8, finite_scale(a))
         fro = np.linalg.norm(a)
         for lam, v in zip(values, vectors.T):
             worst = max(worst, float(np.linalg.norm(a @ v - lam * v)) / fro)

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +147,8 @@ class TestAmToRes:
         m = fill(rp, CONIC)
         a11 = m[: lay.n_upper, : lay.n_b1]
         a12 = m[: lay.n_upper, lay.n_b1 :]
-        rref, pivots = float_rref(np.hstack([a12, a11]))
-        assert tuple(pivots) == tuple(range(len(lay.b2)))
+        rref, ok = float_rref(np.hstack([a12, a11]))
+        assert ok
         tail = np.linalg.solve(a12, a11)
         assert np.allclose(rref[:, len(lay.b2) :], tail, atol=1e-9)
 
@@ -400,3 +401,15 @@ class TestStackedExtraction:
         with pytest.raises(SingularTemplateError) as alone:
             extract_action_matrix(plan, {"a": 0.0, "b": 0.0, "c": 0.0})
         assert alone.value.member is None
+
+
+def test_bridge_verdicts_pinned(bridge_pairs):
+    """The verdicts of both golden bridge plans, direct and round trip, at
+    four seeds, bit for bit: ``max_deviation`` enters as its float hex."""
+    digest = hashlib.sha256()
+    for label, amp, other in bridge_pairs:
+        for seed in (0, 1, 3462287232, 2359033048):
+            v = check_equivalence(amp, other, trials=100, seed=seed)
+            line = f"{label} {seed} {v.equivalent} {v.size_match} {v.sign} {v.max_deviation.hex()}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == "db3b2af3da8d8fafe1d3ffb3f62bee5e18c5aef83ea95f28d63b829380ed22a8"

@@ -405,7 +405,7 @@ class TestSelection:
         system = get("univariate_quadratic").system
         cands = [c for c in _laid_out(system, cfg) if verify_partition(c.layout, cfg)]
         best = min(cands, key=lambda c: _selection_key(c.layout))
-        expected = squarify(reduce_rowcol(best, cfg), cfg)
+        expected = squarify(reduce_rowcol(best), cfg)
         assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(expected)
 
     @pytest.mark.parametrize("name", ["univariate_quadratic", "two_conics", "zero_coordinate_pair", "example_system"])
@@ -422,7 +422,7 @@ class TestSelection:
             if cand.layout.unpaired:
                 continue
             try:
-                plan = squarify(reduce_rowcol(cand, cfg), cfg)
+                plan = squarify(reduce_rowcol(cand), cfg)
             except SquarifyExhausted:
                 continue
             if not plan.layout.unpaired:
@@ -442,7 +442,7 @@ def _decide_from_scratch(cand, cfg):
     if failure is not None:
         return failure
     try:
-        plan = squarify(reduce_rowcol(cand, cfg), cfg)
+        plan = squarify(reduce_rowcol(cand), cfg)
     except SquarifyExhausted:
         return "squarify_exhausted"
     return "unrecoverable_b1" if plan.layout.unpaired else plan
@@ -564,7 +564,7 @@ class TestReduceRowcol:
     def test_univariate_plan_unchanged(self):
         cfg = SearchConfig(seed=1)
         cand = _smallest(_laid_out(get("univariate_linear").system, cfg))
-        red = reduce_rowcol(cand, cfg)
+        red = reduce_rowcol(cand)
         assert red.deleted == ()
         assert red.layout.template.cols == cand.layout.template.cols
 
@@ -573,7 +573,7 @@ class TestReduceRowcol:
         cand = _padded_candidate()
         assert verify_partition(cand.layout, cfg)
         assert cand.layout.shape == (5, 5)
-        red = reduce_rowcol(cand, cfg)
+        red = reduce_rowcol(cand)
         assert red.deleted == ((2, (1, 0)),)
         assert (4, 3) not in red.layout.template.cols
         assert red.layout.shape == (4, 4)
@@ -583,8 +583,7 @@ class TestReduceRowcol:
         assert squarify(red, cfg).deleted_rows == red.deleted
 
     def test_emptying_removals_are_skipped(self):
-        cfg = SearchConfig(seed=5)
-        red = reduce_rowcol(_padded_candidate(), cfg)
+        red = reduce_rowcol(_padded_candidate())
         # the constant column's group would empty T_1 and T_{m+1}: skipped
         assert all(len(t) > 0 for t in red.layout.multiplier_sets())
         assert (0, 0) in red.layout.template.cols
@@ -593,7 +592,7 @@ class TestReduceRowcol:
         cfg = SearchConfig(seed=1)
         cands = _laid_out(get("two_conics").system, cfg, two_conics_plan.layout.hidden_var)
         for cand in [c for c in cands if verify_partition(c.layout, cfg)][:6]:
-            assert reduce_rowcol(cand, cfg).layout.n_b1 <= cand.layout.n_b1
+            assert reduce_rowcol(cand).layout.n_b1 <= cand.layout.n_b1
 
 
 class TestSquarify:
@@ -696,7 +695,7 @@ def _replay_cases():
         yield f"two_lines-{seed}", lines, cfg
         yield f"even_quadratics-{seed}", evens, cfg
         for name in ("two_conics", "three_quadrics", "zero_coordinate_pair"):
-            yield f"{name}-{seed}", reduce_rowcol(_first_partitioned(name), cfg), cfg
+            yield f"{name}-{seed}", reduce_rowcol(_first_partitioned(name)), cfg
 
 
 def _recorded_rng_seeds(monkeypatch) -> list[str]:
@@ -767,7 +766,7 @@ class TestSquarifyReplay:
             return real(*args)
 
         monkeypatch.setattr(polyres.generate, "build_layout", counting)
-        cand = reduce_rowcol(_first_partitioned("three_quadrics"), SearchConfig(seed=1))
+        cand = reduce_rowcol(_first_partitioned("three_quadrics"))
         calls.clear()
         plan = squarify(cand, SearchConfig(seed=1))
         assert plan.deleted_rows != cand.deleted and len(calls) == 1
@@ -894,18 +893,16 @@ def _rowcol_replay_cases():
     # each far polynomial can lose one multiple, not both (coverage)
     built = {
         "padded": _padded_candidate(),
-        # at every seed, one group of g and then one of h go
+        # one group of g and then one of h go
         "two_groups": _with_far(LINE, LINE2, (FAR_G, FAR_H), ONE_X1),
-        # at every seed, one group of two rows goes
+        # one group of two rows goes
         "pairs": _with_far(LINE, LINE2, (PAIR_G, PAIR_H), ((0, 0), (3, 0))),
     }
-    for seed in range(8):
-        cfg = SearchConfig(seed=seed)
-        for label, cand in built.items():
-            yield f"{label}-{seed}", cand, cfg
-    for seed in range(3):
-        for name in ("two_conics", "three_quadrics", "zero_coordinate_pair"):
-            yield f"{name}-{seed}", _first_partitioned(name), SearchConfig(seed=seed)
+    cfg = SearchConfig()
+    for label, cand in built.items():
+        yield label, cand, cfg
+    for name in ("two_conics", "three_quadrics", "zero_coordinate_pair"):
+        yield name, _first_partitioned(name), cfg
 
 
 def _structural_rows_of_col(tm, col):
@@ -919,14 +916,11 @@ def _structural_cols_of_rows(tm, row_ids):
 def _reduce_rowcol_by_layouts(cand, cfg, refusals):
     """reduce_rowcol with a rebuilt and re-verified layout for every trial
     removal; appends the reason of each refused trial to ``refusals``."""
-    rng = random.Random(f"rowcol:{cfg.seed}")
     while True:
         layout = cand.layout
         tm = layout.template
         p, eps = tm.shape
-        col_order = list(range(eps))
-        rng.shuffle(col_order)
-        for c in col_order:
+        for c in range(eps):
             rows_hit = _structural_rows_of_col(tm, c)
             if not rows_hit or len(rows_hit) == p:
                 continue
@@ -957,7 +951,7 @@ class TestReduceRowcolReplay:
         for label, cand, cfg in _rowcol_replay_cases():
             assert verify_partition(cand.layout, cfg), label
             want = _reduce_rowcol_by_layouts(cand, cfg, refusals)
-            assert reduce_rowcol(cand, cfg) == want, label
+            assert reduce_rowcol(cand) == want, label
             if label.startswith(("two_groups", "pairs")):
                 assert len(want.deleted) == 2, label
         assert set(refusals) == {"coverage"}
@@ -972,7 +966,7 @@ class TestReduceRowcolReplay:
 
         monkeypatch.setattr(polyres.generate, "has_full_column_rank", refuse)
         for label, cand, cfg, want in cases:
-            assert reduce_rowcol(cand, cfg) == want, label
+            assert reduce_rowcol(cand) == want, label
 
     def test_rank_deficient_inputs_never_reduced(self):
         # a far group next to two equal lines, or next to two lines that
@@ -994,15 +988,14 @@ class TestReduceRowcolReplay:
             return real(*args)
 
         monkeypatch.setattr(polyres.generate, "build_layout", counting)
-        cfg = SearchConfig(seed=5)
         # one layout for the result, however many groups go and trials run
         for cand in (_padded_candidate(), _with_far(LINE, LINE2, (FAR_G, FAR_H), ONE_X1)):
             calls.clear()
-            assert reduce_rowcol(cand, cfg).deleted and len(calls) == 1
+            assert reduce_rowcol(cand).deleted and len(calls) == 1
         # none when nothing goes
         calls.clear()
         cand = _first_partitioned("three_quadrics")
-        assert reduce_rowcol(cand, cfg) == cand and calls == []
+        assert reduce_rowcol(cand) == cand and calls == []
 
 
 class TestEmitPlan:

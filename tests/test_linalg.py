@@ -43,24 +43,58 @@ class TestExactRank:
         assert exact_rank(m, P) == 1
 
 
+def _float_gj_loop(m):
+    """float_rref of one matrix as a plain row loop: the reference."""
+    a = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64)
+    rows, cols = a.shape
+    tol = max(rows, cols) * np.finfo(np.float64).eps * max(np.abs(a).max(initial=0.0), 1.0)
+    ok = True
+    with np.errstate(all="ignore"):
+        for c in range(rows):
+            p = c + int(np.abs(a[c:, c]).argmax())
+            ok = ok and not abs(a[p, c]) <= tol
+            a[[c, p]] = a[[p, c]]
+            a[c] = a[c] / a[c, c]
+            for r in range(rows):
+                if r != c and abs(a[r, c]) > 0:
+                    a[r] = a[r] - a[r, c] * a[c]
+    return a, ok
+
+
 class TestGJEliminate:
     def test_invertible(self):
-        rref, pivots = float_rref(np.array([[2.0, 4.0], [1.0, 3.0]]))
+        rref, ok = float_rref(np.array([[2.0, 4.0], [1.0, 3.0]]))
         assert np.allclose(rref, np.eye(2))
-        assert pivots == [0, 1]
+        assert ok is True
 
     def test_rank_deficient(self):
-        rref, pivots = float_rref(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert np.allclose(rref, [[1.0, 2.0], [0.0, 0.0]])
-        assert pivots == [0]
+        rref, ok = float_rref(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0]]))
+        assert ok is False
+        # a pivot at the tolerance max(rows, cols) * eps counts as zero
+        tol = 3 * np.finfo(np.float64).eps
+        assert float_rref(np.array([[tol, 0.0, 1.0], [0.0, 1.0, 1.0]]))[1] is False
+        assert float_rref(np.array([[np.nextafter(tol, 1.0), 0.0, 1.0], [0.0, 1.0, 1.0]]))[1] is True
 
     def test_reconstruction(self, rng):
         m = rng.standard_normal((6, 9))
-        rref, pivots = float_rref(m)
-        assert len(pivots) == 6
-        # RREF rows span the same row space: every original row reconstructs
-        coeffs = m[:, pivots]
-        assert np.allclose(coeffs @ rref[:6], m, atol=1e-10)
+        rref, ok = float_rref(m)
+        assert ok and np.allclose(rref[:, :6], np.eye(6), atol=1e-12)
+        # [I | L^-1 R] spans the row space of m: L times it is m again
+        assert np.allclose(m[:, :6] @ rref, m, atol=1e-10)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_plain_loop(self, rng, complex_):
+        # bit for bit, signs of zeros included: a row is cleared only where
+        # its entry in the pivot column is nonzero
+        for _ in range(60):
+            rows = int(rng.integers(1, 9))
+            m = rng.integers(-2, 3, size=(rows, rows + int(rng.integers(0, 5)))).astype(np.float64)
+            m[m == 0] = rng.choice([0.0, -0.0], size=int((m == 0).sum()))
+            if complex_:
+                m = m + 1j * rng.integers(-1, 2, size=m.shape)
+            rref, ok = float_rref(m)
+            want, want_ok = _float_gj_loop(m)
+            assert _same_bits(rref, want) and ok == want_ok
 
     def test_field_rref_rank_matches_exact_rank(self, rng):
         m = rng.integers(0, P, size=(8, 5))
@@ -253,7 +287,7 @@ def _same_bits(got, want):
 
 class TestStackedKernels:
     """A stack is eliminated, or Schur-reduced, member by member exactly as
-    each member alone: same bytes, same pivots, same failure."""
+    each member alone: same bytes, same flag, same failure."""
 
     @staticmethod
     def _mixed_stack(rng, shape, complex_=False):
@@ -268,37 +302,46 @@ class TestStackedKernels:
         stack[5, :, 1] *= 1e-10  # a small column, above its own member's tolerance
         return stack
 
-    @pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 9), (27, 35)])
+    @pytest.mark.parametrize("shape", [(6, 6), (2, 7), (4, 9), (27, 35)])
     @pytest.mark.parametrize("complex_", [False, True])
     def test_float_rref_members_match(self, rng, shape, complex_):
         stack = self._mixed_stack(rng, shape, complex_)
-        rref, pivots = float_rref(stack)
-        assert len(pivots) == len(stack)
+        rref, ok = float_rref(stack)
+        assert ok.shape == (len(stack),)
         for k, member in enumerate(stack):
-            want, want_pivots = float_rref(member)
+            want, want_ok = float_rref(member)
             assert _same_bits(rref[k], want)
-            assert pivots[k] == want_pivots
-        # the patterns differ: the stack did not share one pivot sequence
-        assert len({tuple(p) for p in pivots}) > 1
+            assert ok[k] == want_ok
+        # the zero column and the member under its tolerance fail, the
+        # 1e8-scaled member does not
+        assert not ok[1] and not ok[4] and ok[0]
 
     def test_float_rref_sparse_members_match(self, rng):
-        # exact zeros the row updates must leave alone, and ties for the pivot
+        # exact zeros the row updates must leave alone, ties for the pivot
+        # and singular left blocks
         stack = rng.integers(-2, 3, size=(40, 8, 12)).astype(np.float64)
-        rref, pivots = float_rref(stack)
+        stack[::5, :, 4] = 0.0
+        rref, ok = float_rref(stack)
         for k, member in enumerate(stack):
-            want, want_pivots = float_rref(member)
-            assert _same_bits(rref[k], want) and pivots[k] == want_pivots
+            want, want_ok = float_rref(member)
+            assert _same_bits(rref[k], want) and ok[k] == want_ok
+        assert 0 < ok.sum() <= len(stack) - 8
 
-    @pytest.mark.parametrize("shape", [(0, 4, 5), (3, 0, 5), (3, 4, 0), (1, 0, 0)])
+    @pytest.mark.parametrize("shape", [(0, 4, 5), (3, 0, 5), (0, 0, 0), (1, 0, 0)])
     def test_float_rref_empty_stacks(self, shape):
-        rref, pivots = float_rref(np.zeros(shape))
-        assert rref.shape == shape and pivots == [[] for _ in range(shape[0])]
+        rref, ok = float_rref(np.zeros(shape))
+        assert rref.shape == shape and ok.tolist() == [True] * shape[0]
+
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 0), (2, 6, 5)])
+    def test_float_rref_tall_rejected(self, shape):
+        with pytest.raises(ValueError, match="no square left block"):
+            float_rref(np.ones(shape))
 
     def test_float_rref_single_matrix_is_a_stack_of_one(self, rng):
-        m = self._mixed_stack(rng, (7, 10))[2]
-        rref, pivots = float_rref(m)
-        stacked, stacked_pivots = float_rref(m[None])
-        assert _same_bits(rref, stacked[0]) and [pivots] == stacked_pivots
+        for m in self._mixed_stack(rng, (7, 10))[[0, 2]]:
+            rref, ok = float_rref(m)
+            stacked, stacked_ok = float_rref(m[None])
+            assert _same_bits(rref, stacked[0]) and type(ok) is bool and stacked_ok.tolist() == [ok]
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_schur_members_match(self, rng, complex_):
@@ -399,8 +442,8 @@ class TestFiniteScale:
         import polyres.linalg
 
         a = rng.standard_normal((8, 8))
-        want = eig(a)
         scale = finite_scale(a)
+        want = eig(a, 1e-8, scale)
         monkeypatch.setattr(polyres.linalg, "finite_scale", None)
         got = eig(a, 1e-8, scale)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
@@ -408,21 +451,24 @@ class TestFiniteScale:
 
 class TestEig:
     def test_diagonal(self):
-        values, _ = eig(np.diag([2.0, 3.0]))
+        a = np.diag([2.0, 3.0])
+        values, _ = eig(a, 1e-8, finite_scale(a))
         assert sorted(values.real) == pytest.approx([2.0, 3.0])
 
     def test_companion_quadratic(self):
-        values, _ = eig(np.array([[0.0, 1.0], [-6.0, 5.0]]))
+        a = np.array([[0.0, 1.0], [-6.0, 5.0]])
+        values, _ = eig(a, 1e-8, finite_scale(a))
         assert sorted(values.real) == pytest.approx([2.0, 3.0], abs=1e-12)
 
     def test_rotation(self):
-        values, _ = eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        values, _ = eig(a, 1e-8, finite_scale(a))
         assert sorted(values.imag) == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_residual_invariant_random(self, rng):
         for _ in range(10):
             a = rng.standard_normal((12, 12))
-            values, vectors = eig(a)
+            values, vectors = eig(a, 1e-8, finite_scale(a))
             fro = np.linalg.norm(a)
             for lam, v in zip(values, vectors.T):
                 assert np.linalg.norm(a @ v - lam * v) <= 1e-8 * fro
@@ -437,16 +483,12 @@ class TestEig:
             comp = np.zeros((k, k))
             comp[1:, :-1] = np.eye(k - 1)
             comp[:, -1] = -coeffs[:-1]
-            assert pair_max_dev(eig(comp)[0], univariate_roots(coeffs)) < 1e-8
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            assert pair_max_dev(eig(comp, 1e-8, finite_scale(comp))[0], univariate_roots(coeffs)) < 1e-8
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_bound_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
-            eig(np.eye(2), tol=tol)
+            eig(np.eye(2), tol, finite_scale(np.eye(2)))
 
     def test_unmeetable_tol_names_index(self):
         # a non-normal matrix leaves a rounding-level residual that no
@@ -455,6 +497,6 @@ class TestEig:
         a = np.array([[1.0, 3.0], [-2.0, 0.5]])
         for m in (a, 1e200 * a):
             with pytest.raises(EigenConvergenceError, match="eigenpair [01] ") as exc:
-                eig(m, tol=0.0)
+                eig(m, 0.0, finite_scale(m))
             assert exc.value.index in (0, 1)
             assert exc.value.residual > 0.0

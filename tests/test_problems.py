@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -13,6 +14,7 @@ from polyres.problems import (
     _rel_pose_slots_from_basis,
     get,
     rel_pose_field_instance,
+    rel_pose_float_instance,
 )
 
 
@@ -85,6 +87,33 @@ class TestLibraryInvariants:
                     got = rel_pose_field_instance(prime, trial, seed)
                     assert got == _field_instance_by_rref(prime, trial, seed), (prime, trial, seed)
                     assert all(type(v) is int for v in got.values())
+
+    def test_rel_pose_float_instances_pinned(self):
+        # 500 draws at one seed, every slot value bit for bit
+        rng = np.random.default_rng(1)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            slots = rel_pose_float_instance(rng)
+            assert all(type(v) is float for v in slots.values())
+            for name in sorted(slots):
+                digest.update(name.encode() + np.float64(slots[name]).tobytes())
+        assert digest.hexdigest() == "490aed859b98db390a16565a6cb708fc7178460f12e8155fd4fcf5f15879b442"
+
+    def test_rel_pose_float_instance_redraws_a_singular_left_block(self):
+        # the first eight correspondences all have x2 = 0: the columns of
+        # x2 x1, x2 y1 and x2 are zero, the left 8x8 block singular
+        rng = np.random.default_rng(4)
+        first = [np.array([*rng.standard_normal(2), 0.0, rng.standard_normal()]) for _ in range(8)]
+        rest = np.random.default_rng(5)
+        calls = []
+
+        class Stub:
+            def standard_normal(self, n):
+                calls.append(n)
+                return first.pop(0) if first else rest.standard_normal(n)
+
+        assert rel_pose_float_instance(Stub()) == rel_pose_float_instance(np.random.default_rng(5))
+        assert calls == [4] * 16
 
     @pytest.mark.parametrize("kind", [int, float])
     def test_rel_pose_f1_is_the_pencil_determinant(self, kind):

@@ -96,7 +96,7 @@ class TestSolve:
         keys = [(r.eigvalue.real, r.eigvalue.imag) for r in sols.roots]
         assert keys == sorted(keys)
 
-        def reversed_eig(a, tol=1e-8, scale=None):
+        def reversed_eig(a, tol, scale):
             values, vectors = eig(a, tol, scale)
             return values[::-1], vectors[:, ::-1]
 
@@ -118,9 +118,10 @@ class TestRecover:
 
     def test_scale_invariance(self, two_conics_plan):
         sols = solve_instance(two_conics_plan, CONIC_INSTANCE)
-        from polyres.linalg import eig
+        from polyres.linalg import eig, finite_scale
 
-        lam, vecs = eig(schur_matrix(two_conics_plan, fill(two_conics_plan, CONIC_INSTANCE)))
+        x = schur_matrix(two_conics_plan, fill(two_conics_plan, CONIC_INSTANCE))
+        lam, vecs = eig(x, 1e-8, finite_scale(x))
         p1 = recover(vecs, two_conics_plan, lam)
         # a different factor for each column
         p2 = recover(vecs * (0.3 - 1.7j) ** np.arange(1, len(lam) + 1), two_conics_plan, lam)
