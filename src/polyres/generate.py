@@ -6,12 +6,15 @@ polytopes and displacement vectors to collect favourable monomial sets.
 The candidates are then taken best first, by the size of their eigenproblem
 and matrix: the first whose coefficient matrix block partitions into an
 eigenvalue problem is shrunk by row-column removal and row removal until it
-is square.  Only the candidates the loop reaches are laid out, and monomial
-translates of a candidate share its verdict.
+is square.  Monomial translates of a candidate share its verdict, so the
+loop decides one candidate per translation class, and lays out little
+else: the sweep names each candidate's class and its place in the order
+from mask counts and points, with no monomial set built.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -75,19 +78,38 @@ class FavourableCandidate:
     deleted: tuple[tuple[int, Mono], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweptCandidate:
-    """A candidate as the sweep emits it, not laid out yet: the prefix of
-    ``_selection_key`` its multiplier sets fix, (|T_last|, Σ|T_i|·|B|,
-    Σ|T_i|, variant, k), and the arguments of ``build_layout``."""
+    """A candidate as the sweep emits it, not laid out yet.
+
+    ``prefix`` is the prefix of ``_selection_key`` its multiplier sets fix,
+    (|T_last|, Σ|T_i|·|B|, Σ|T_i|, variant, k), read off mask counts.
+    ``key`` names its translation class: (k, variant) and each T_i shifted
+    by ``low``, the componentwise minimum of mon(F'), as bytes.  Box points
+    are in lexicographic order, and so are the shifted T_i, so two
+    candidates share ``key`` exactly when their layouts share
+    ``MatrixLayout.shifted``.  The rest is what ``laid_out`` reads: the
+    augmented system, the lattice box, the T_i masks and the union of
+    mon(F') on it, the row, and the dict that interns monomials.  Equality
+    is identity: the masks are arrays."""
 
     prefix: tuple
-    layout_args: tuple
+    key: tuple
+    low: tuple[int, ...]
     delta: tuple[Fraction, ...]
     subset_mask: int
+    system: SystemTemplate
+    lattice: LatticeBox
+    masks: tuple[np.ndarray, ...]
+    union: np.ndarray
+    row: int
+    canon: dict[Mono, Mono]
 
     def laid_out(self) -> FavourableCandidate:
-        return FavourableCandidate(build_layout(*self.layout_args), self.delta, self.subset_mask)
+        _, _, _, variant, k = self.prefix
+        ext = extension_at(self.system.polys, self.lattice, self.masks, self.union, self.row, self.canon)
+        layout = build_layout(self.system, k, variant, ext.monomials, ext.multipliers)
+        return FavourableCandidate(layout, self.delta, self.subset_mask)
 
 
 def _tick(reasons: dict[str, int], name: str):
@@ -146,17 +168,19 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
     Each sum is enumerated in one ``lattice_points`` call, and every T_i,
     every count and mon(F') are masks on its box (``extend_system``,
     ``extension_monomials``): the verdicts of all its displacements come
-    from mask counts, and monomial sets are built only for a candidate
-    whose multiplier sets were not emitted before, keyed on the T_i points.
+    from mask counts.  A candidate is emitted once per set of multipliers,
+    keyed on its translation class and shift (``SweptCandidate``), both
+    read off the T_i points, and carries its masks: no monomial set is
+    built until ``laid_out``.
 
     Only the summand x_k - u0 differs between hidden variables, so the unit
     simplex, the hulls of the base supports, the Minkowski sums of subsets
     without x_k - u0, their lattice boxes and the base polynomials' T_i
     masks on them are computed once for all k (``base_sums``); a sum
     visited again for another k only erodes x_k - u0's T_i.  What depends
-    on k, by summand tuple, is kept until k is done.  The emitted monomial
-    sets share one tuple per monomial.  Nothing is kept from one call to
-    the next.
+    on k, by summand tuple, is kept until k is done.  The monomial sets
+    the candidates of one call lay out share one tuple per monomial.
+    Nothing is kept from one call to the next.
     """
     n, m = system.n_vars, len(system.polys)
     simplex = unit_simplex(n)
@@ -175,8 +199,10 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
         # by summand tuple: the sum, x_k - u0's T_i masks, the row verdicts,
         # mon(F') masks and the rows handled
         seen: dict[tuple[LatticePolytope, ...], tuple] = {}
-        # the multiplier sets fix B, and k is fixed within this pass
-        emitted: set[tuple[bytes, ...]] = set()
+        anchors = np.array([f.sorted_support[0] for f in polys], dtype=np.int64)
+        # the multiplier sets, as their shift and shifted bytes, fix B, and k
+        # is fixed within this pass
+        emitted: set[tuple] = set()
         for mask in _subset_masks(m + 1, cfg):
             summands = (simplex, *(polytopes[i] for i in range(m + 1) if mask >> i & 1))
             if summands not in seen:
@@ -205,15 +231,18 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
                     continue
                 done.add(row)
                 masks = (*entry.masks, last[0])
-                key = tuple(lat.points[t[row]].tobytes() for t in masks)
-                if key in emitted:
+                points = [lat.points[t[row]] for t in masks]
+                low = tuple(lat.points[union[row]].min(axis=0).tolist())
+                shifted = tuple((z - a).tobytes() for z, a in zip(points, anchors + low))
+                if (low, shifted) in emitted:
                     continue
-                emitted.add(key)
-                ext = extension_at(polys, lat, masks, union, row, monomials)
-                n_rows = sum(map(len, ext.multipliers))
+                emitted.add((low, shifted))
+                n_rows = sum(map(len, points))
+                n_cols = int(union[row].sum())
                 for variant in cfg.variants:
-                    prefix = (len(ext.multipliers[-1]), n_rows * len(ext.monomials), n_rows, variant, k)
-                    out.append(SweptCandidate(prefix, (aug, k, variant, ext.monomials, ext.multipliers), delta, mask))
+                    prefix = (len(points[-1]), n_rows * n_cols, n_rows, variant, k)
+                    out.append(SweptCandidate(prefix, (k, variant, *shifted), low, delta, mask,
+                                              aug, lat, masks, union, row, monomials))
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
@@ -259,7 +288,11 @@ def _selection_key(layout: MatrixLayout):
     """Smallest n_b1 = |T_last| first, then smallest matrix, then layout
     order, all as laid out before any reduction.  The first five entries
     are a SweptCandidate's ``prefix``, fixed by its multiplier sets, so
-    candidates are ordered on them before any layout is built.  Row removal
+    candidates are ordered on them before any layout is built.  The columns
+    order the translates of one class by their shift (``low``): each column
+    of one is the other's plus the difference of their shifts, so the first
+    columns differ already, and the member of smallest shift comes first.
+    Row removal
     can still shrink n_b1: the golden rel_pose plan is picked at
     |T_last| = 30 and ends at n_b1 = 10, so this is not the order of the
     final eigenproblems."""
@@ -444,39 +477,60 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
 
     One ``search_candidates`` call sweeps every hidden variable.  The
     candidates are taken in ``_selection_key`` order, which needs no rank
-    check.  They are sorted on the key's prefix, which needs no layout, and
-    laid out one group of equal prefix at a time, as the loop reaches the
-    group, which is then sorted on the full key.  Each is checked for
-    its partition, then its recovery pairs and the reduction, and the first
-    that passes them all is the plan.  Rank verdicts are deterministic, so
-    this is the plan an exhaustive check would select.  ``candidates_seen``
-    counts the candidates the loop reached.
+    check: sorted on the key's prefix, which needs no layout, one group of
+    equal prefix at a time.  Each is checked for its partition, then its
+    recovery pairs and the reduction, and the first that passes them all is
+    the plan.  Rank verdicts are deterministic, so this is the plan an
+    exhaustive check would select.  ``candidates_seen`` counts the
+    candidates the loop reached.
 
     A monomial translate of a layout (same system and variant, rows and
     columns shifted by one exponent vector) keeps its row and column
     order, since grevlex and tuple order are monomial orders.  It has the
     same matrix over F_p at the witness, the same recovery pairs, and the
     same index-level choices in reduce_rowcol and squarify, so it gets the
-    same verdict.  A failure is therefore decided once per translation
-    class (``MatrixLayout.shifted``) and re-counted for the later members;
-    the first member to pass returns its own plan.
+    same verdict.  A verdict is therefore decided once per translation
+    class (the sweep's ``key``; a class lies within one prefix group), on
+    the member of smallest ``low``: the first columns of translates differ
+    by their shift, so that member is the first of its class in key order.
+    In each group only these are laid out, and they are decided in key
+    order until one passes.  When none does, every member of the group
+    counts its class's failure.  When one does, it is the first member to
+    pass and returns its own plan; the members before it are the first
+    members of the failed classes and those later members of these classes
+    that sort before it, the only others laid out.
     """
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
     swept = search_candidates(system, cfg, reasons)
     swept.sort(key=lambda c: c.prefix)
-    groups = (
-        sorted((c.laid_out() for c in group), key=lambda c: _selection_key(c.layout))
-        for _, group in itertools.groupby(swept, key=lambda c: c.prefix)
-    )
     full_rank: dict[tuple, bool] = {}
-    failures: dict[tuple, str] = {}  # translation class -> failure
-    for seen, cand in enumerate(itertools.chain.from_iterable(groups), 1):
-        cls = (cand.layout.template.system, cand.layout.variant, *cand.layout.shifted)
-        if cls not in failures:
+    seen = 0
+    for _, group in itertools.groupby(swept, key=lambda c: c.prefix):
+        group = list(group)
+        firsts: dict[tuple, SweptCandidate] = {}  # translation class -> its first member
+        for c in group:
+            if c.key not in firsts or c.low < firsts[c.key].low:
+                firsts[c.key] = c
+        failures: dict[tuple, str] = {}  # translation class -> failure, in key order
+        plan = None
+        for key, cand in sorted(((key, c.laid_out()) for key, c in firsts.items()),
+                                key=lambda kc: _selection_key(kc[1].layout)):
             verdict = _verdict(cand, cfg, full_rank)
             if isinstance(verdict, SolverPlan):
-                return GenerateOutcome(verdict, seen, reasons)
-            failures[cls] = verdict
-        _tick(reasons, failures[cls])
+                plan, plan_key = verdict, _selection_key(cand.layout)
+                break
+            failures[key] = verdict
+        # the members reached: every member of a failed class, or, before a
+        # plan, the first ones and the later ones that sort before it
+        reached = collections.Counter(
+            c.key for c in group
+            if c.key in failures
+            and (plan is None or c is firsts[c.key] or _selection_key(c.laid_out().layout) < plan_key)
+        )
+        for key, failure in failures.items():
+            reasons[failure] = reasons.get(failure, 0) + reached[key]
+        seen += reached.total()
+        if plan is not None:
+            return GenerateOutcome(plan, seen + 1, reasons)
     raise NoSolverError(reasons)

@@ -111,7 +111,8 @@ def float_rref(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
     """Gauss-Jordan elimination of ``m = [L | R]`` with L square, by partial
     pivoting on the columns of L: ``(a, ok)`` with ``a = [I | L^{-1} R]``.
     ``ok`` is False when a pivot is no larger than max(rows, cols) * eps *
-    max(max |m|, 1); ``a`` then means nothing.  A tall ``m`` raises
+    max(max |m|, 1), or is not a number (a NaN or infinite entry makes the
+    tolerance so); ``a`` then means nothing.  A tall ``m`` raises
     ValueError.
 
     A stack ``(T, rows, cols)`` is eliminated in lockstep, one column at a
@@ -135,7 +136,7 @@ def float_rref(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
         for c in range(rows):
             piv = c + np.abs(stack[:, c:, c]).argmax(axis=1)
             prow = stack[members, piv]
-            ok &= ~(np.abs(prow[:, c]) <= tol)
+            ok &= np.abs(prow[:, c]) > tol
             stack[members, piv] = stack[members, c]
             prow = prow / prow[:, c, None]
             stack[:, c] = prow

@@ -96,6 +96,13 @@ class TestExtractActionMatrix:
         with pytest.raises(SingularTemplateError):
             extract_action_matrix(plan, {"a": 0.0, "b": 0.0, "c": 0.0})
 
+    def test_nan_coefficient_reported(self):
+        # a NaN pivot is no pivot: the elimination fails instead of
+        # returning a matrix of NaNs
+        plan = scratch_template("univariate_quadratic")
+        with pytest.raises(SingularTemplateError):
+            extract_action_matrix(plan, {"a": np.nan, "b": -5.0, "c": 6.0})
+
 
 class TestAmToRes:
     def test_univariate_schur_equals_action_matrix(self):

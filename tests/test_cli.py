@@ -517,6 +517,14 @@ class TestProblemsCommand:
         out = capsys.readouterr().out
         assert "two_conics" in out
 
+    def test_run_as_module(self):
+        # ``python -m polyres`` is the same command line as ``polyres``
+        src = Path(polyres.cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "polyres", "problems", "list"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and "two_conics" in proc.stdout
+
     def test_write(self, tmp_path, capsys):
         assert main(["problems", "write", "two_conics", "--dir", str(tmp_path)]) == 0
         assert (tmp_path / "two_conics.sys").exists()

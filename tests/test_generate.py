@@ -237,7 +237,12 @@ class TestSearchCandidates:
             runs.append((reasons, cands))
         # row_count 8 and coverage 28 for each hidden variable
         assert runs[0][0] == {"row_count": 16, "coverage": 56}
-        assert runs[1] == runs[0]
+        assert runs[1][0] == runs[0][0]
+        # the same candidates: their sweep fields and their layouts
+        (_, got), (_, want) = runs[1], runs[0]
+        fields = [[(c.prefix, c.key, c.low, c.delta, c.subset_mask) for c in cands] for cands in (got, want)]
+        assert fields[0] == fields[1]
+        assert [c.laid_out() for c in got] == [c.laid_out() for c in want]
 
     def test_polytope_stage_shared(self, monkeypatch):
         # one Minkowski sum per summand tuple over all hidden variables, one
@@ -295,8 +300,10 @@ class TestSearchCandidates:
         system = get(name).system
         cands = search_candidates(system, cfg, {})
         for cand in cands:
-            aug, k, variant, b_set, t_sets = cand.layout_args
-            assert aug == augment(system, k) and cand.prefix[4] == k
+            aug, (_, _, _, variant, k) = cand.system, cand.prefix
+            ext = extension_at(aug.polys, cand.lattice, cand.masks, cand.union, cand.row, {})
+            b_set, t_sets = ext.monomials, ext.multipliers
+            assert aug == augment(system, k) and cand.key[:2] == (k, variant)
             e_k = tuple(int(i == k - 1) for i in range(system.n_vars))
             b1 = t_sets[-1] if variant == "v1" else {mono_mul(t, e_k) for t in t_sets[-1]}
             assert b1 <= b_set, (name, k, variant)
@@ -466,7 +473,48 @@ CLASS_CASES = {
 }
 
 
+@cache
+def _swept_layouts(name):
+    """Every candidate the sweep emits for the library problem ``name``, with
+    its layout: rel_pose in the configuration of its golden plan."""
+    cfg = REL_POSE_CONFIG if name == "rel_pose_f_lambda_8pt" else SearchConfig()
+    return tuple((c, c.laid_out().layout) for c in search_candidates(get(name).system, cfg, {}))
+
+
 class TestTranslationClasses:
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_sweep_key_names_the_translation_class(self, name):
+        # two candidates share the sweep's key exactly when their layouts
+        # share system, variant and shifted rows and columns
+        pairs = _swept_layouts(name)
+        keys = [c.key for c, _ in pairs]
+        classes = [(lay.template.system, lay.variant, *lay.shifted) for _, lay in pairs]
+        assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
+        # translates occur
+        assert len(set(keys)) < len(keys)
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_sweep_prefix_and_shift_match_the_layout(self, name):
+        # the prefix is the selection key's, and the shift is the columns'
+        # componentwise minimum, with no layout built
+        for c, lay in _swept_layouts(name):
+            assert c.prefix == _selection_key(lay)[:5]
+            assert c.low == tuple(map(min, zip(*lay.template.cols)))
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_smallest_shift_first_of_its_class(self, name):
+        # the members of a class differ in their shift, and the one of
+        # smallest shift comes first of its class in selection-key order
+        pairs = _swept_layouts(name)
+        lows = {}
+        for c, _ in pairs:
+            lows.setdefault(c.key, []).append(c.low)
+        assert all(len(set(low)) == len(low) for low in lows.values())
+        first = {}
+        for c, _ in sorted(pairs, key=lambda p: _selection_key(p[1])):
+            first.setdefault(c.key, c.low)
+        assert first == {key: min(low) for key, low in lows.items()}
+
     @pytest.mark.parametrize("name", CLASS_CASES)
     def test_class_decides_like_its_members(self, name):
         # every member of a translation class (system, variant, rows and
@@ -505,23 +553,71 @@ class TestTranslationClasses:
         assert outcome.candidates_seen == seen
         assert outcome.reasons == reasons
 
-    def test_work_counts_three_quadrics(self, monkeypatch):
-        # the golden three_quadrics configuration lays out only the candidates
-        # the loop reaches and decides each translation class once: a
-        # regression that lays out or re-checks translates fails on a count
-        calls = dict.fromkeys(("build_layout", "partition_failure", "instantiate"), 0)
-        for owner, name in ((polyres.generate, "build_layout"), (polyres.generate, "partition_failure"),
-                            (RankCheckConfig, "instantiate")):
-            def counting(*args, _real=getattr(owner, name), _name=name):
+    @pytest.mark.parametrize("prefix, reached", [((8, 204, 17, "v1", 1), 1), ((12, 416, 26, "v1", 1), 2)])
+    def test_plan_after_a_failed_class_in_its_group(self, monkeypatch, prefix, reached):
+        # no library plan shares its prefix group with a failed class, so
+        # fail every two_conics candidate before the group ``prefix`` and the
+        # group's first class: its second class passes, with a member of the
+        # failed class after its first member (first case) or before it
+        # (second), and the loop counts it like the plain loop
+        system, cfg = get("two_conics").system, SearchConfig()
+        cands = _sweep(system, cfg, {})
+        group = [c for c in cands if _selection_key(c.layout)[:5] == prefix]
+        refused = (group[0].layout.variant, *group[0].layout.shifted)
+
+        def refusing(decide):
+            def verdict(cand, *args):
+                if _selection_key(cand.layout)[:5] < prefix or (cand.layout.variant, *cand.layout.shifted) == refused:
+                    return "column_rank"
+                return decide(cand, *args)
+
+            return verdict
+
+        reasons = {}
+        for seen, cand in enumerate(_sweep(system, cfg, reasons), 1):
+            verdict = refusing(_decide_from_scratch)(cand, cfg)
+            if not isinstance(verdict, str):
+                break
+            reasons[verdict] = reasons.get(verdict, 0) + 1
+        assert seen == cands.index(group[0]) + reached + 1
+        monkeypatch.setattr(polyres.generate, "_verdict", refusing(polyres.generate._verdict))
+        outcome = generate_plan(system, cfg)
+        assert plan_to_json(outcome.plan) == plan_to_json(verdict)
+        assert outcome.candidates_seen == seen
+        assert list(outcome.reasons.items()) == list(reasons.items())
+
+    @staticmethod
+    def _work_counts(monkeypatch, name, cfg):
+        calls = dict.fromkeys(("build_layout", "extension_at", "partition_failure", "instantiate"), 0)
+        for owner, attr in ((polyres.generate, "build_layout"), (polyres.generate, "extension_at"),
+                            (polyres.generate, "partition_failure"), (RankCheckConfig, "instantiate")):
+            def counting(*args, _real=getattr(owner, attr), _name=attr):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(owner, name, counting)
-        outcome = generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
+            monkeypatch.setattr(owner, attr, counting)
+        return generate_plan(get(name).system, cfg), calls
+
+    def test_work_counts_three_quadrics(self, monkeypatch):
+        # the golden three_quadrics configuration lays out only the first
+        # member of each translation class the loop decides, and decides each
+        # class once: a regression that lays out or re-checks translates
+        # fails on a count
+        outcome, calls = self._work_counts(monkeypatch, "three_quadrics", SearchConfig(seed=1, variants=("v1",)))
         assert outcome.candidates_seen == 43
-        # 10 translation classes are decided; squarify instantiates the one
-        # candidate it reduces
-        assert calls == {"build_layout": 50, "partition_failure": 10, "instantiate": 11}
+        # 10 translation classes are decided, the last one passes first in
+        # its group; squarify builds and instantiates the one candidate it
+        # reduces
+        assert calls == {"build_layout": 11, "extension_at": 10, "partition_failure": 10, "instantiate": 11}
+
+    def test_work_counts_rel_pose(self, monkeypatch):
+        # the golden rel_pose configuration: 30 translation classes decided
+        # for 221 candidates reached, 13 of them column_rank from the memo,
+        # with no instantiation; squarify builds and instantiates the two
+        # candidates it reduces: one loses its recovery pairs, one is the plan
+        outcome, calls = self._work_counts(monkeypatch, "rel_pose_f_lambda_8pt", REL_POSE_CONFIG)
+        assert outcome.candidates_seen == 221
+        assert calls == {"build_layout": 32, "extension_at": 30, "partition_failure": 30, "instantiate": 19}
 
 
 def _with_far(line, line2, far, far_mults):

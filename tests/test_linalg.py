@@ -327,6 +327,20 @@ class TestStackedKernels:
             assert _same_bits(rref[k], want) and ok[k] == want_ok
         assert 0 < ok.sum() <= len(stack) - 8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float_rref_non_finite_member_fails(self, rng, bad):
+        # a NaN or infinite entry fails its member's pivot test (a NaN
+        # tolerance compares false), and the other members keep their bytes
+        stack = rng.standard_normal((4, 3, 5))
+        alone = [float_rref(member) for member in stack]
+        stack[1, 0, 0] = bad
+        stack[2, 2, 4] = bad
+        rref, ok = float_rref(stack)
+        assert ok.tolist() == [True, False, False, True]
+        for k in (0, 3):
+            assert _same_bits(rref[k], alone[k][0])
+        assert float_rref(stack[1])[1] is False and float_rref(stack[2])[1] is False
+
     @pytest.mark.parametrize("shape", [(0, 4, 5), (3, 0, 5), (0, 0, 0), (1, 0, 0)])
     def test_float_rref_empty_stacks(self, shape):
         rref, ok = float_rref(np.zeros(shape))

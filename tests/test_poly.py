@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyres.generate
-from polyres.generate import SearchConfig, SweptCandidate, generate_plan
+from polyres.generate import SearchConfig, generate_plan
 from polyres.lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
+from polyres.plan import build_layout
 from polyres.poly import (
     Extension,
     PolynomialTemplate,
@@ -347,7 +348,9 @@ def _parent_sweep(aug, hidden_var, cfg, reasons):
     """search_candidates before erosion, kept as its oracle: every
     (subset, displacement) pair's point set, each distinct one extended
     once by the set-based definition, and the same count-level verdicts,
-    emission rule and candidates."""
+    emission rule and candidates, as (prefix, key, low, delta, subset mask,
+    layout); the key's T_i are sorted tuples shifted by the componentwise
+    minimum of B."""
     n, m_aug = aug.n_vars, len(aug.polys)
     hulls = [convex_hull(support(f)) for f in aug.polys]
     grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
@@ -370,9 +373,12 @@ def _parent_sweep(aug, hidden_var, cfg, reasons):
             if t_sets in emitted:
                 continue
             emitted.add(t_sets)
+            low = tuple(map(min, zip(*b_set)))
+            shifted = tuple((np.array(sorted(t), dtype=np.int64).reshape(-1, n) - low).tobytes() for t in t_sets)
             for variant in cfg.variants:
                 prefix = (len(t_sets[-1]), n_rows * len(b_set), n_rows, variant, hidden_var)
-                out.append(SweptCandidate(prefix, (aug, hidden_var, variant, b_set, t_sets), delta, mask))
+                layout = build_layout(aug, hidden_var, variant, b_set, t_sets)
+                out.append((prefix, (hidden_var, variant, *shifted), low, delta, mask, layout))
     return out
 
 
@@ -419,6 +425,7 @@ class TestSweepExtensions:
         system, cfg = get(name).system, GOLDEN_SWEEPS[name]
         got_reasons, want_reasons = {}, {}
         got = polyres.generate.search_candidates(system, cfg, got_reasons)
+        got = [(c.prefix, c.key, c.low, c.delta, c.subset_mask, c.laid_out().layout) for c in got]
         want = [c for k in range(1, system.n_vars + 1) for c in _parent_sweep(augment(system, k), k, cfg, want_reasons)]
         assert got and got == want
         assert got_reasons == want_reasons
