@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import solve
 from .linalg import SingularPivotError, float_rref, modp_eliminate
 from .plan import (
     MatrixLayout,
@@ -330,11 +331,9 @@ def trial_coefficients(slots, seed: int, trials: range) -> dict[str, np.ndarray]
 
 def _stacked_x(resplan: SolverPlan, coeffs: dict, first: int) -> np.ndarray:
     """X of every trial in ``coeffs``, trials counted from ``first``."""
-    # call-time lookup: perfbench/tracer.py patches polyres.solve.fill and schur_matrix after import
-    from .solve import fill, schur_matrix
-
+    # attribute lookup at call time: perfbench/tracer.py patches polyres.solve.fill and schur_matrix
     try:
-        return schur_matrix(resplan, fill(resplan, coeffs))
+        return solve.schur_matrix(resplan, solve.fill(resplan, coeffs))
     except SingularPivotError as e:
         raise SingularPivotError(e.rcond, first + e.member) from None
 

@@ -9,7 +9,9 @@ eigenvalue problem is shrunk by row-column removal and row removal until it
 is square.  Monomial translates of a candidate share its verdict, so the
 loop decides one candidate per translation class, and lays out little
 else: the sweep names each candidate's class and its place in the order
-from mask counts and points, with no monomial set built.
+from mask counts and points, with no monomial set built.  Rank verdicts
+are memoized by rows, which the v1 and v2 layouts of one set of
+multipliers share.
 """
 
 from __future__ import annotations
@@ -87,11 +89,12 @@ class SweptCandidate:
     ``key`` names its translation class: (k, variant) and each T_i shifted
     by ``low``, the componentwise minimum of mon(F'), as bytes.  Box points
     are in lexicographic order, and so are the shifted T_i, so two
-    candidates share ``key`` exactly when their layouts share
-    ``MatrixLayout.shifted``.  The rest is what ``laid_out`` reads: the
-    augmented system, the lattice box, the T_i masks and the union of
-    mon(F') on it, the row, and the dict that interns monomials.  Equality
-    is identity: the masks are arrays."""
+    candidates share ``key`` exactly when their layouts are monomial
+    translates: the same system and variant, and the same rows and columns
+    once each is shifted by the columns' componentwise minimum.  The rest is
+    what ``laid_out`` reads: the augmented system, the lattice box, the T_i
+    masks and the union of mon(F') on it, and the row.  Equality is
+    identity: the masks are arrays."""
 
     prefix: tuple
     key: tuple
@@ -103,12 +106,11 @@ class SweptCandidate:
     masks: tuple[np.ndarray, ...]
     union: np.ndarray
     row: int
-    canon: dict[Mono, Mono]
 
     def laid_out(self) -> FavourableCandidate:
         _, _, _, variant, k = self.prefix
-        ext = extension_at(self.system.polys, self.lattice, self.masks, self.union, self.row, self.canon)
-        layout = build_layout(self.system, k, variant, ext.monomials, ext.multipliers)
+        t_sets, monomials = extension_at(self.system.polys, self.lattice, self.masks, self.union, self.row)
+        layout = build_layout(self.system, k, variant, monomials, t_sets)
         return FavourableCandidate(layout, self.delta, self.subset_mask)
 
 
@@ -178,9 +180,8 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
     without x_k - u0, their lattice boxes and the base polynomials' T_i
     masks on them are computed once for all k (``base_sums``); a sum
     visited again for another k only erodes x_k - u0's T_i.  What depends
-    on k, by summand tuple, is kept until k is done.  The monomial sets
-    the candidates of one call lay out share one tuple per monomial.
-    Nothing is kept from one call to the next.
+    on k, by summand tuple, is kept until k is done.  Nothing is kept from
+    one call to the next.
     """
     n, m = system.n_vars, len(system.polys)
     simplex = unit_simplex(n)
@@ -189,7 +190,6 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
     grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
     deltas = list(dict.fromkeys(d for grid in grids for d in grid))
     base_sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
-    monomials: dict[Mono, Mono] = {}
     out: list[SweptCandidate] = []
 
     for k in range(1, n + 1):
@@ -242,7 +242,7 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
                 for variant in cfg.variants:
                     prefix = (len(points[-1]), n_rows * n_cols, n_rows, variant, k)
                     out.append(SweptCandidate(prefix, (k, variant, *shifted), low, delta, mask,
-                                              aug, lat, masks, union, row, monomials))
+                                              aug, lat, masks, union, row))
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
@@ -254,15 +254,17 @@ def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[t
     column rank ("column_rank"), and the upper rows have full rank on the
     columns outside B1 ("a12_rank"), so the Schur complement exists.  Both
     ranks are decided on one instantiation at the rank config's witness.
-    ``full_rank`` memoizes full-rank verdicts by the system and the shifted
-    rows (``MatrixLayout.shifted``): the v1 and v2 layouts of one set of
-    multipliers, and of its monomial translates, share their rows and their
-    columns up to order and translation, so they share one verdict.  Like
-    the sweep, this takes the columns to be the monomials the rows reach."""
+    ``full_rank`` memoizes full-rank verdicts by the system and the rows:
+    the v1 and v2 layouts of one set of multipliers share their rows, and
+    their columns up to order, so they share one verdict.  The loop decides
+    one member of each translation class, and the v1 and v2 classes of one
+    set of multipliers pick the same member, so no two layouts it decides
+    are translates and the rows need no shift.  Like the sweep, this takes
+    the columns to be the monomials the rows reach."""
     tm = layout.template
     if len({poly_idx for poly_idx, _ in tm.rows}) < len(tm.system.polys):
         return "coverage"
-    key = (tm.system, layout.shifted[0])
+    key = (tm.system, tm.rows)
     if full_rank.get(key) is False:
         return "column_rank"
     p, trial = cfg.rank.witness

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
 
 import numpy as np
 
@@ -231,7 +230,7 @@ class MatrixLayout:
     n_upper: int
 
     def __post_init__(self):
-        if self.variant not in ("v1", "v2"):
+        if self.variant not in ROOT_TRANSFORMS:
             raise ValueError(f"unknown variant {self.variant!r}")
         n = self.template.system.n_vars
         if not (1 <= self.hidden_var <= n):
@@ -261,15 +260,6 @@ class MatrixLayout:
     @property
     def b2(self) -> tuple[Mono, ...]:
         return self.template.cols[self.n_b1 :]
-
-    @cached_property
-    def shifted(self) -> tuple[tuple, tuple]:
-        """The rows and columns, each shifted by the componentwise minimum of
-        the columns: equal for a layout and its monomial translates."""
-        tm = self.template
-        low = tuple(map(min, zip(*tm.cols)))
-        rows = tuple((poly_idx, tuple(map(sub, mult, low))) for poly_idx, mult in tm.rows)
-        return rows, tuple(tuple(map(sub, m, low)) for m in tm.cols)
 
     @cached_property
     def ratio_pairs(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -470,14 +460,25 @@ def plan_from_json(text: str) -> SolverPlan:
         for name, value in (("n_solutions", layout.n_b1), ("root_transform", ROOT_TRANSFORMS[layout.variant])):
             if json_field(meta[name], name, type(value)) != value:
                 raise PlanFormatError(f"meta.{name} is {meta[name]!r}, but the layout gives {value!r}")
+        # the provenance must fit the augmented system, though nothing solves with it
+        n, m_aug = base.n_vars, len(tm.system.polys)
         delta = meta["delta"]
         if delta is not None:
             delta = tuple(Fraction(json_field(d, "delta", str)) for d in delta)
+            if len(delta) != n:
+                raise PlanFormatError(f"meta.delta has {len(delta)} entries for {n} variables")
+        subset_mask = json_field(meta["subset_mask"], "subset_mask", int, type(None))
+        if subset_mask is not None and not 0 <= subset_mask < 2**m_aug:
+            raise PlanFormatError(f"meta.subset_mask {subset_mask} is no subset of {m_aug} polynomials")
+        deleted = json_rows(doc["deleted_rows"])
+        for poly_idx, mult in deleted:
+            if not 0 <= poly_idx < m_aug or len(mult) != n or min(mult) < 0:
+                raise PlanFormatError(f"deleted row {(poly_idx, mult)} is no multiple of a polynomial of the system")
         return SolverPlan(
             layout,
             json_field(meta["seed"], "seed", int),
             delta,
-            json_field(meta["subset_mask"], "subset_mask", int, type(None)),
-            json_rows(doc["deleted_rows"]),
+            subset_mask,
+            deleted,
             json_field(meta.get("origin", "search"), "origin", str),
         )

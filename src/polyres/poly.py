@@ -314,18 +314,6 @@ def normalized_residual(
     return (np.abs(num) / den).max(axis=0)
 
 
-@dataclass(frozen=True)
-class Extension:
-    """A system extended over one monomial set B'.
-
-    ``multipliers[i]`` is T_i, the multipliers t with mon(t*f_i) inside B';
-    ``monomials`` is mon(F') for the extended set F' (a subset of B').
-    """
-
-    multipliers: tuple[frozenset[Mono], ...]
-    monomials: frozenset[Mono]
-
-
 def extend_system(polys: Sequence[PolynomialTemplate], lattice) -> np.ndarray:
     """T_i of each polynomial inside each point set B' of ``lattice``, a
     ``LatticeBox``, by erosion: a bool array ``(len(polys), rows, points)``
@@ -371,16 +359,13 @@ def extension_monomials(polys: Sequence[PolynomialTemplate], lattice, masks) -> 
     return union.reshape(n_rows, n_pts)
 
 
-def extension_at(polys: Sequence[PolynomialTemplate], lattice, masks, union, row: int,
-                 canon: dict[Mono, Mono]) -> Extension:
-    """The T_i and mon(F') on one row of ``lattice``, as monomial sets, from
-    ``extend_system``'s masks and ``extension_monomials``' union.  Each
-    monomial is the first equal tuple met in ``canon``, so the extensions
-    built with one dict share their tuples."""
-    def monomials(arr: np.ndarray) -> frozenset[Mono]:
-        monos = list(map(tuple, arr.tolist()))
-        return frozenset(map(canon.setdefault, monos, monos))
-
+def extension_at(polys: Sequence[PolynomialTemplate], lattice, masks, union,
+                 row: int) -> tuple[tuple[frozenset[Mono], ...], frozenset[Mono]]:
+    """``(t_sets, monomials)`` on one row of ``lattice``, as monomial sets,
+    from ``extend_system``'s masks and ``extension_monomials``' union:
+    T_i, the multipliers t with mon(t*f_i) inside B', and mon(F') for the
+    extended set F' (a subset of B')."""
     pts = lattice.points
-    t_sets = tuple(monomials(pts[mask[row]] - f.sorted_support[0]) for f, mask in zip(polys, masks))
-    return Extension(t_sets, monomials(pts[union[row]]))
+    t_sets = tuple(frozenset(map(tuple, (pts[mask[row]] - f.sorted_support[0]).tolist()))
+                   for f, mask in zip(polys, masks))
+    return t_sets, frozenset(map(tuple, pts[union[row]].tolist()))

@@ -20,6 +20,13 @@ REL_POSE_CONFIG = SearchConfig(
     rank=RankCheckConfig(primes=PRIMES[:3], assignments=2, seed=0, values_fn=rel_pose_field_instance),
 )
 
+# the search configurations of the golden plans
+GOLDEN_CONFIGS = {
+    "two_conics": SearchConfig(seed=1, variants=("v1",)),
+    "three_quadrics": SearchConfig(seed=1, variants=("v1",)),
+    "rel_pose_f_lambda_8pt": REL_POSE_CONFIG,
+}
+
 # finite two_conics coefficients, scaled so far apart that two of the roots
 # the golden plan recovers overflow to NaN
 NON_FINITE_CONICS = {"a": -1e65, "b": 1e-49, "c": -1e173, "d": -1e-153, "e": -1e-149}
@@ -43,6 +50,17 @@ def witness_full_rank(tm, cfg, n_rows=None, first_col=0) -> bool:
     whole matrix by default, A12 with ``(n_upper, n_b1)``."""
     p, trial = cfg.witness
     return has_full_column_rank(cfg.instantiate(tm, p, trial)[:n_rows, first_col:], p)
+
+
+def translation_class(layout):
+    """``(system, variant, rows, columns)`` of ``layout``, the rows and
+    columns each shifted by the componentwise minimum of the columns: equal
+    for a layout and its monomial translates."""
+    tm = layout.template
+    low = tuple(map(min, zip(*tm.cols)))
+    rows = tuple((poly_idx, tuple(e - s for e, s in zip(mult, low))) for poly_idx, mult in tm.rows)
+    cols = tuple(tuple(e - s for e, s in zip(m, low)) for m in tm.cols)
+    return tm.system, layout.variant, rows, cols
 
 
 def pair_max_dev(got, want) -> float:

@@ -208,9 +208,11 @@ class TestSolve:
             # and no eigenvalue block at all
             lambda doc: _set_blocks(doc, -4, 13),
             lambda doc: _set_blocks(doc, 9, 0),
+            # provenance that fits no augmented system
+            lambda doc: doc["deleted_rows"][0].__setitem__(0, 99),
         ],
         ids=["row-poly-index", "blocks-not-object", "infinite-seed", "zero-denominator-delta",
-             "negative-upper-block", "empty-b1"],
+             "negative-upper-block", "empty-b1", "deleted-row-poly-index"],
     )
     def test_corrupt_plan_exits_2(self, tmp_path, capsys, two_conics_plan, corrupt):
         _, inst_path = write_problem(tmp_path, "two_conics")

@@ -7,7 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from helpers import REL_POSE_CONFIG, point_sets, witness_full_rank
+from helpers import GOLDEN_CONFIGS, REL_POSE_CONFIG, point_sets, translation_class, witness_full_rank
 
 import polyres.generate
 import polyres.lattice
@@ -126,8 +126,8 @@ class TestSearchCandidates:
         lattice = lattice_points(q, [delta])
         (pts,) = point_sets(lattice)
         masks = extend_system(aug.polys, lattice)
-        ext = extension_at(aug.polys, lattice, masks, extension_monomials(aug.polys, lattice, masks), 0, {})
-        assert frozenset(cand.layout.template.cols) == ext.monomials
+        _, monomials = extension_at(aug.polys, lattice, masks, extension_monomials(aug.polys, lattice, masks), 0)
+        assert frozenset(cand.layout.template.cols) == monomials
         # the example's 17 monomials survive inside the extended set
         example_b = {
             (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1),
@@ -155,9 +155,10 @@ class TestSearchCandidates:
     def test_no_rank_check_twice(self, monkeypatch):
         # over a whole generate_plan, no rank check runs twice on one input
         # up to a monomial translation: the same system, and rows and set of
-        # column monomials shifted by the columns' componentwise minimum, so
-        # the v1 and v2 layouts of one set of multipliers and of its
-        # translates share their full-rank check.  A check takes an
+        # column monomials shifted by the columns' componentwise minimum.
+        # The v1 and v2 layouts of one set of multipliers share their
+        # full-rank check, and no two decided layouts are translates
+        # (test_decided_layouts_are_no_translates).  A check takes an
         # instantiated template or a block of it; the block's rows and
         # columns are read off the view's offset and shape.
         templates, checked = {}, []
@@ -301,8 +302,7 @@ class TestSearchCandidates:
         cands = search_candidates(system, cfg, {})
         for cand in cands:
             aug, (_, _, _, variant, k) = cand.system, cand.prefix
-            ext = extension_at(aug.polys, cand.lattice, cand.masks, cand.union, cand.row, {})
-            b_set, t_sets = ext.monomials, ext.multipliers
+            t_sets, b_set = extension_at(aug.polys, cand.lattice, cand.masks, cand.union, cand.row)
             assert aug == augment(system, k) and cand.key[:2] == (k, variant)
             e_k = tuple(int(i == k - 1) for i in range(system.n_vars))
             b1 = t_sets[-1] if variant == "v1" else {mono_mul(t, e_k) for t in t_sets[-1]}
@@ -464,6 +464,17 @@ def _sweep(system, cfg, reasons):
     return sorted(laid, key=lambda c: _selection_key(c.layout))
 
 
+# generate_plan runs by case: the golden configurations, rel_pose's without
+# its caps, and every library problem under one plain configuration
+DECISION_CASES = {
+    **{f"golden-{name}": (name, cfg) for name, cfg in GOLDEN_CONFIGS.items()},
+    "uncapped-rel_pose_f_lambda_8pt": (
+        "rel_pose_f_lambda_8pt",
+        replace(REL_POSE_CONFIG, max_subset_size=None, delta_magnitudes=SearchConfig().delta_magnitudes),
+    ),
+    **{name: (name, SearchConfig(seed=1)) for name in sorted(LIBRARY)},
+}
+
 # the small library problems, and three_quadrics as its golden plan was generated
 CLASS_CASES = {
     "two_conics": SearchConfig(),
@@ -488,7 +499,7 @@ class TestTranslationClasses:
         # share system, variant and shifted rows and columns
         pairs = _swept_layouts(name)
         keys = [c.key for c, _ in pairs]
-        classes = [(lay.template.system, lay.variant, *lay.shifted) for _, lay in pairs]
+        classes = [translation_class(lay) for _, lay in pairs]
         assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
         # translates occur
         assert len(set(keys)) < len(keys)
@@ -527,8 +538,8 @@ class TestTranslationClasses:
             lay = cand.layout
             verdict = _decide_from_scratch(cand, cfg)
             if not isinstance(verdict, str):
-                verdict = verdict.layout.shifted
-            cls = (lay.template.system, lay.variant, *lay.shifted)
+                verdict = translation_class(verdict.layout)
+            cls = translation_class(lay)
             if cls in memo:
                 shared += 1
                 assert verdict == memo[cls], (name, lay.shape, lay.variant)
@@ -563,11 +574,11 @@ class TestTranslationClasses:
         system, cfg = get("two_conics").system, SearchConfig()
         cands = _sweep(system, cfg, {})
         group = [c for c in cands if _selection_key(c.layout)[:5] == prefix]
-        refused = (group[0].layout.variant, *group[0].layout.shifted)
+        refused = translation_class(group[0].layout)
 
         def refusing(decide):
             def verdict(cand, *args):
-                if _selection_key(cand.layout)[:5] < prefix or (cand.layout.variant, *cand.layout.shifted) == refused:
+                if _selection_key(cand.layout)[:5] < prefix or translation_class(cand.layout) == refused:
                     return "column_rank"
                 return decide(cand, *args)
 
@@ -585,6 +596,29 @@ class TestTranslationClasses:
         assert plan_to_json(outcome.plan) == plan_to_json(verdict)
         assert outcome.candidates_seen == seen
         assert list(outcome.reasons.items()) == list(reasons.items())
+
+    @pytest.mark.parametrize("case", DECISION_CASES)
+    def test_decided_layouts_are_no_translates(self, monkeypatch, case):
+        # the rank memo keys on the rows as they are, with no shift: the loop
+        # decides one member of each translation class, the one of smallest
+        # shift, which the v1 and v2 classes of one set of multipliers
+        # share, so decided layouts whose rows are translates have the very
+        # same rows
+        decided = []
+        real = polyres.generate._verdict
+
+        def recording(cand, *args):
+            decided.append(cand.layout)
+            return real(cand, *args)
+
+        monkeypatch.setattr(polyres.generate, "_verdict", recording)
+        name, cfg = DECISION_CASES[case]
+        generate_plan(get(name).system, cfg)
+        rows = {}
+        for lay in decided:
+            system, _, shifted_rows, _ = translation_class(lay)
+            rows.setdefault((system, shifted_rows), set()).add(lay.template.rows)
+        assert decided and all(len(r) == 1 for r in rows.values())
 
     @staticmethod
     def _work_counts(monkeypatch, name, cfg):

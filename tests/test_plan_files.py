@@ -15,6 +15,7 @@ from helpers import REL_POSE_CONFIG
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyres.action_matrix import am_to_res, res_to_am
 from polyres.generate import SearchConfig, generate_plan
 from polyres.linalg import PRIMES
 from polyres.plan import PlanFormatError, TemplateMatrix, build_layout, plan_from_json, plan_to_json
@@ -122,7 +123,8 @@ def test_corrupt_plan_loads_or_raises_format_error(data):
 
 
 # (path, replacement): a value of the wrong JSON type, an unknown version or
-# order, a cell map or metadata that disagrees with the layout
+# order, a cell map or metadata that disagrees with the layout, provenance
+# that fits no augmented system (here three polynomials in two variables)
 JUNK_SECTIONS = [
     (("version",), 99),
     (("version",), 1.0),
@@ -149,6 +151,13 @@ JUNK_SECTIONS = [
     (("meta", "root_transform"), "-1/lambda"),
     (("meta", "n_solutions"), 99),
     (("meta", "n_solutions"), 4.0),
+    (("meta", "delta"), ["-1/10"]),
+    (("deleted_rows", 0, 0), 99),
+    (("deleted_rows", 0, 0), -1),
+    (("deleted_rows", 0, 1), [1]),
+    (("deleted_rows", 0, 1), [1, -1]),
+    (("meta", "subset_mask"), -5),
+    (("meta", "subset_mask"), 8),
 ]
 
 
@@ -158,6 +167,25 @@ JUNK_SECTIONS = [
 def test_junk_section_rejected(path, value):
     with pytest.raises(PlanFormatError):
         plan_from_json(json.dumps(_replaced(json.loads(_plan_text()), path, value)))
+
+
+def test_largest_subset_mask_loads():
+    # every polynomial of the augmented system, x_k - u0 too
+    doc = json.loads(_plan_text())
+    doc["meta"]["subset_mask"] = 7
+    assert plan_from_json(json.dumps(doc)).subset_mask == 7
+
+
+@pytest.mark.parametrize("name", GOLDEN_COUNTS)
+def test_golden_and_bridge_plans_round_trip(name):
+    # a golden plan, and the plan the action-matrix bridge rewrites it to,
+    # read back to the same bytes
+    text = (GOLDEN / f"{name}.plan").read_text(encoding="utf-8")
+    plan = plan_from_json(text)
+    assert plan_to_json(plan) == text
+    if name != "rel_pose_f_lambda_8pt":
+        bridged = plan_to_json(am_to_res(res_to_am(plan, get(name).root_count)))
+        assert plan_to_json(plan_from_json(bridged)) == bridged
 
 
 @pytest.mark.parametrize("n_upper, n_b1", [(-4, 13), (9, 0), (10, -1)])

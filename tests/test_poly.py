@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import REL_POSE_CONFIG, point_sets
+from helpers import GOLDEN_CONFIGS, point_sets
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from polyres.generate import SearchConfig, generate_plan
 from polyres.lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
 from polyres.plan import build_layout
 from polyres.poly import (
-    Extension,
     PolynomialTemplate,
     SystemFormatError,
     Term,
@@ -143,20 +142,20 @@ def _erode(polys, lattice):
     extension_monomials' union, decoded by extension_at."""
     masks = extend_system(polys, lattice)
     union = extension_monomials(polys, lattice, masks)
-    return [extension_at(polys, lattice, masks, union, r, {}) for r in range(len(lattice.rows))]
+    return [extension_at(polys, lattice, masks, union, r) for r in range(len(lattice.rows))]
 
 
 class TestExtendSystem:
     def test_linear_tight(self):
         f = PolynomialTemplate((Term("a", (1,)), Term("b", (0,))))
-        (ext,) = _erode([f], _box({(0,), (1,)}))
-        assert ext.multipliers[0] == {(0,)}
-        assert ext.monomials == {(0,), (1,)}
+        ((t_sets, monomials),) = _erode([f], _box({(0,), (1,)}))
+        assert t_sets[0] == {(0,)}
+        assert monomials == {(0,), (1,)}
 
     def test_linear_wider(self):
         f = PolynomialTemplate((Term("a", (1,)), Term("b", (0,))))
-        (ext,) = _erode([f], _box({(0,), (2,)}))
-        assert ext.multipliers[0] == {(0,), (1,)}
+        ((t_sets, _),) = _erode([f], _box({(0,), (2,)}))
+        assert t_sets[0] == {(0,), (1,)}
 
     def test_products_stay_inside(self):
         entry = get("example_system")
@@ -167,14 +166,14 @@ class TestExtendSystem:
             (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
         }
         assert point_sets(lattice) == [b]
-        (ext,) = _erode(entry.system.polys, lattice)
+        ((t_sets, monomials),) = _erode(entry.system.polys, lattice)
         # oracle: re-expand every product and check membership
-        assert all(ext.multipliers)
-        for f, t_set in zip(entry.system.polys, ext.multipliers):
+        assert all(t_sets)
+        for f, t_set in zip(entry.system.polys, t_sets):
             for t in t_set:
                 for alpha in support(f):
                     assert mono_mul(t, alpha) in b
-        assert ext.monomials <= frozenset(b)
+        assert monomials <= frozenset(b)
 
     def test_int64_guard(self):
         # the box of a segment near 2^62 fits int64; eroding it by a support
@@ -182,9 +181,9 @@ class TestExtendSystem:
         # and raises instead
         big, far = 2**62, 2**60
         lattice = lattice_points(convex_hull([(big, 0), (big + 1, 0)]), [_zero(2)])
-        (ext,) = _erode([PolynomialTemplate((Term("a", (far, 0)),))], lattice)
-        assert ext.multipliers == ({(big - far, 0), (big - far + 1, 0)},)
-        assert ext.monomials == {(big, 0), (big + 1, 0)}
+        ((t_sets, monomials),) = _erode([PolynomialTemplate((Term("a", (far, 0)),))], lattice)
+        assert t_sets == ({(big - far, 0), (big - far + 1, 0)},)
+        assert monomials == {(big, 0), (big + 1, 0)}
         with pytest.raises(OverflowError):
             extend_system([PolynomialTemplate((Term("a", (2**61, 0)),))], lattice)
 
@@ -192,7 +191,7 @@ class TestExtendSystem:
         f = PolynomialTemplate((Term("a", (5,)),))
         lattice = _box({(0,), (1,)})
         assert not extend_system([f], lattice).any()
-        assert _erode([f], lattice) == [Extension((frozenset(),), frozenset())]
+        assert _erode([f], lattice) == [((frozenset(),), frozenset())]
 
 
 def _extend_by_sets(polys, b_prime):
@@ -213,7 +212,7 @@ def _extend_by_sets(polys, b_prime):
                 t_i.add(t)
                 used.update(shifted)
         multipliers.append(frozenset(t_i))
-    return Extension(tuple(multipliers), frozenset(used))
+    return tuple(multipliers), frozenset(used)
 
 
 def _polys(supports):
@@ -285,7 +284,7 @@ class TestExtendByKeys:
         deltas = list(dict.fromkeys(displacement_grid(2, TENTH) + displacement_grid(2, MILLI)))
         got = _check_erosion(polys, unit_simplex(2), deltas)
         assert len(got) < len(deltas)
-        assert all(ext == Extension((frozenset(),), frozenset()) for ext in got)
+        assert all(ext == ((frozenset(),), frozenset()) for ext in got)
 
     @given(_erosion_inputs())
     @settings(max_examples=30)
@@ -324,13 +323,13 @@ class TestExtendByKeys:
     )
     def test_edge_cases(self, supports, b_set):
         q = convex_hull(b_set)
-        (got,) = _check_erosion(_polys(supports), q, [_zero(q.dim)])
-        assert len(got.multipliers) == len(supports)
+        ((t_sets, _),) = _check_erosion(_polys(supports), q, [_zero(q.dim)])
+        assert len(t_sets) == len(supports)
 
     def test_empty_system(self):
         lattice = _box({(1, 2)})
         assert extend_system([], lattice).shape == (0, 1, 1)
-        assert _erode([], lattice) == [Extension((), frozenset())]
+        assert _erode([], lattice) == [((), frozenset())]
 
     def test_empty_b_prime_has_no_multipliers(self):
         # a row whose point set is empty (the unit simplex shifted off every
@@ -339,7 +338,7 @@ class TestExtendByKeys:
         f = PolynomialTemplate((Term("a", (0, 0)),))
         shifted = lattice_points(unit_simplex(2), [(TENTH, TENTH)])
         assert point_sets(shifted) == [set()] and len(shifted.points)
-        assert _erode([f], shifted) == [Extension((frozenset(),), frozenset())]
+        assert _erode([f], shifted) == [((frozenset(),), frozenset())]
         off = lattice_points(convex_hull([(0, 0), (3, 0)]), [(Fraction(0), -TENTH)])
         assert off.row_of == (None,) and extend_system([f], off).shape == (1, 0, 0)
 
@@ -364,7 +363,7 @@ def _parent_sweep(aug, hidden_var, cfg, reasons):
                 continue
             if pts not in exts:
                 exts[pts] = _extend_by_sets(aug.polys, pts)
-            t_sets, b_set = exts[pts].multipliers, exts[pts].monomials
+            t_sets, b_set = exts[pts]
             n_rows = sum(map(len, t_sets))
             failure = "coverage" if not all(t_sets) else "row_count" if n_rows < len(b_set) else None
             if failure:
@@ -382,15 +381,8 @@ def _parent_sweep(aug, hidden_var, cfg, reasons):
     return out
 
 
-GOLDEN_SWEEPS = {
-    "two_conics": SearchConfig(seed=1, variants=("v1",)),
-    "three_quadrics": SearchConfig(seed=1, variants=("v1",)),
-    "rel_pose_f_lambda_8pt": REL_POSE_CONFIG,
-}
-
-
 class TestSweepExtensions:
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_golden_sweeps_match_set_definition(self, name, monkeypatch):
         # every extension the golden configuration's sweep decides, for
         # every hidden variable: the base polynomials' masks once per sum,
@@ -405,7 +397,7 @@ class TestSweepExtensions:
 
         monkeypatch.setattr(polyres.generate, "extend_system", recording)
         system = get(name).system
-        generate_plan(system, GOLDEN_SWEEPS[name])
+        generate_plan(system, GOLDEN_CONFIGS[name])
         base = [c for c in calls if c[0] == system.polys]
         last = [c for c in calls if len(c[0]) == 1]
         assert len(base) + len(last) == len(calls) and 0 < len(base) < len(last)
@@ -415,14 +407,14 @@ class TestSweepExtensions:
             for row, pts in sets.items():
                 if row is not None:
                     want = _extend_by_sets(polys, pts)
-                    assert extension_at(polys, lattice, masks, union, row, {}) == want
+                    assert extension_at(polys, lattice, masks, union, row) == want
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_golden_sweeps_match_parent_sweep(self, name):
         # candidate by candidate, in emission order, and reason by reason:
         # the one sweep over every hidden variable is the oracle's sweeps of
         # the augmented systems, one per k, in turn
-        system, cfg = get(name).system, GOLDEN_SWEEPS[name]
+        system, cfg = get(name).system, GOLDEN_CONFIGS[name]
         got_reasons, want_reasons = {}, {}
         got = polyres.generate.search_candidates(system, cfg, got_reasons)
         got = [(c.prefix, c.key, c.low, c.delta, c.subset_mask, c.laid_out().layout) for c in got]
@@ -585,10 +577,10 @@ class TestProperties:
         b_small = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)}
         b_big = b_small | extra
         assert point_sets(_box(b_small)) == [b_small]
-        (small,) = _erode(entry.system.polys, _box(b_small))
-        (big,) = _erode(entry.system.polys, _box(b_big))
-        assert all(small.multipliers)
-        for ts, tb in zip(small.multipliers, big.multipliers):
+        ((small, _),) = _erode(entry.system.polys, _box(b_small))
+        ((big, _),) = _erode(entry.system.polys, _box(b_big))
+        assert all(small)
+        for ts, tb in zip(small, big):
             assert ts <= tb
 
     @given(slot_bump=st.floats(-2, 2, allow_nan=False), x=st.floats(-3, 3, allow_nan=False))
