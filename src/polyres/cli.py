@@ -88,19 +88,14 @@ def _at_least(flag: str, value: int, low: int) -> bool:
     return False
 
 
-def _load_system(path: str):
+def _load(parse, path: str, kind: str):
+    """``parse`` applied to the text of ``path``, a system, plan or instance
+    file; a malformed one prints ``error: bad <kind> file <path>: <reason>``
+    and exits 2."""
     try:
-        return parse_system(_read(path))
-    except SystemFormatError as e:
-        print(f"error: bad system file {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _load_plan(path: str):
-    try:
-        return plan_from_json(_read(path))
-    except PlanFormatError as e:
-        print(f"error: bad plan file {path}: {e}", file=sys.stderr)
+        return parse(_read(path))
+    except (SystemFormatError, PlanFormatError) as e:
+        print(f"error: bad {kind} file {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -127,7 +122,7 @@ def _search_config(args) -> SearchConfig:
 
 
 def cmd_generate(args) -> int:
-    system = _load_system(args.system)
+    system = _load(parse_system, args.system, "system")
     cfg = _search_config(args)
     if not _writable(args.out):
         # the search can take minutes: fail before it, not after
@@ -160,12 +155,8 @@ def cmd_solve(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
         return EXIT_USAGE
-    plan = _load_plan(args.plan)
-    try:
-        coeffs = parse_instance(_read(args.instance))
-    except SystemFormatError as e:
-        print(f"error: bad instance file {args.instance}: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    plan = _load(plan_from_json, args.plan, "plan")
+    coeffs = _load(parse_instance, args.instance, "instance")
     if args.out and not _writable(args.out):
         return EXIT_USAGE
     try:
@@ -191,7 +182,7 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     if not (_at_least("--trials", args.trials, 1) and _at_least("--seed", args.seed, 0)):
         return EXIT_USAGE
-    plan = _load_plan(args.plan)
+    plan = _load(plan_from_json, args.plan, "plan")
     if not _writable(args.report):
         return EXIT_USAGE
     slots = plan.base_system.slots()
@@ -213,28 +204,20 @@ def cmd_bench(args) -> int:
 
 
 def _generic_points(system, plan, seed: int, salt: int) -> list:
-    """Points of one generic instance drawn from (seed, salt): the Sylvester
-    resultant's for 2 polynomials in 2 variables, otherwise the plan's
-    solutions with residual <= 1e-8."""
+    """Points of one generic instance drawn from (seed, salt): for one
+    variable the roots of the first polynomial, for 2 polynomials in 2
+    variables the Sylvester resultant's, otherwise the plan's solutions
+    with residual <= 1e-8."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
     coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
-    if system.n_vars == 2 and len(system.polys) == 2:
-        f = numeric_poly(system.polys[0], coeffs)
-        g = numeric_poly(system.polys[1], coeffs)
-        return list(sylvester_bivariate(f, g, hide=2).points)
-    return [r.point for r in solve_instance(plan, coeffs).roots if r.residual <= 1e-8]
-
-
-def _root_count_for(system, plan, args) -> int:
-    if args.roots is not None:
-        return args.roots
     if system.n_vars == 1:
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 991]))
-        coeffs = {s: float(rng.standard_normal()) for s in system.slots()}
         f = numeric_poly(system.polys[0], coeffs)
         deg = max(e for (e,) in f)
-        return len(univariate_roots([f.get((e,), 0.0) for e in range(deg + 1)]))
-    return len(_generic_points(system, plan, args.seed, 991))
+        return [(z,) for z in univariate_roots([f.get((e,), 0.0) for e in range(deg + 1)])]
+    if system.n_vars == 2 and len(system.polys) == 2:
+        f, g = (numeric_poly(p, coeffs) for p in system.polys)
+        return list(sylvester_bivariate(f, g, hide=2).points)
+    return [r.point for r in solve_instance(plan, coeffs).roots if r.residual <= 1e-8]
 
 
 def cmd_compare(args) -> int:
@@ -242,7 +225,7 @@ def cmd_compare(args) -> int:
             and (args.roots is None or _at_least("--roots", args.roots, 1))
             and _at_least("--seed", args.seed, 0)):
         return EXIT_USAGE
-    system = _load_system(args.system)
+    system = _load(parse_system, args.system, "system")
     variant = "v2" if args.direction == "resalt2am" else "v1"
     cfg = SearchConfig(seed=args.seed, variants=(variant,))
     try:
@@ -251,7 +234,7 @@ def cmd_compare(args) -> int:
         print(f"no solver: {e}", file=sys.stderr)
         return EXIT_NO_SOLVER
     try:
-        r = _root_count_for(system, plan, args)
+        r = args.roots if args.roots is not None else len(_generic_points(system, plan, args.seed, 991))
     except SolveFailure as e:
         print(f"numeric failure while probing the root count: {e}", file=sys.stderr)
         return EXIT_NUMERIC

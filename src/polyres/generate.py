@@ -64,8 +64,9 @@ class SearchConfig:
     rank: RankCheckConfig = RankCheckConfig()
 
     def __post_init__(self):
-        if not self.variants or not set(self.variants) <= ROOT_TRANSFORMS.keys():
-            raise ValueError(f"variants must be a nonempty subset of {sorted(ROOT_TRANSFORMS)}, got {self.variants!r}")
+        names = set(self.variants)
+        if not names or len(names) < len(self.variants) or not names <= ROOT_TRANSFORMS.keys():
+            raise ValueError(f"variants must be one or more distinct names from {sorted(ROOT_TRANSFORMS)}, got {self.variants!r}")
 
 
 @dataclass(frozen=True)

@@ -474,6 +474,8 @@ def plan_from_json(text: str) -> SolverPlan:
         for poly_idx, mult in deleted:
             if not 0 <= poly_idx < m_aug or len(mult) != n or min(mult) < 0:
                 raise PlanFormatError(f"deleted row {(poly_idx, mult)} is no multiple of a polynomial of the system")
+        if len(set(deleted)) != len(deleted) or not set(deleted).isdisjoint(tm.rows):
+            raise PlanFormatError("deleted_rows repeats a row, or names a row the layout keeps")
         return SolverPlan(
             layout,
             json_field(meta["seed"], "seed", int),

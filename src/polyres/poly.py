@@ -65,7 +65,7 @@ class Term:
 
     def __post_init__(self):
         if any(e < 0 for e in self.exps):
-            raise SystemFormatError(f"negative exponent in {self.exps}")
+            raise SystemFormatError(f"negative exponent in {list(self.exps)}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class SystemTemplate:
             for t in f.terms:
                 if len(t.exps) != self.n_vars:
                     raise SystemFormatError(
-                        f"exponent vector {t.exps} has length {len(t.exps)}, expected {self.n_vars}"
+                        f"exponent vector {list(t.exps)} has length {len(t.exps)}, expected {self.n_vars}"
                     )
 
     @cached_property
@@ -163,7 +163,10 @@ def sort_desc(monos: Iterable[Mono]) -> list[Mono]:
 
 
 def parse_system(text: str) -> SystemTemplate:
-    """Parse a system file (JSON with ``variables`` and ``polynomials``)."""
+    """Parse a system file (JSON with ``variables`` and ``polynomials``).
+
+    Each exponent's sign and each vector's length are checked once, by
+    ``Term`` and ``SystemTemplate``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -179,7 +182,6 @@ def parse_system(text: str) -> SystemTemplate:
         raise SystemFormatError("'variables' must be a non-empty list of names")
     if len(set(names)) != len(names):
         raise SystemFormatError(f"variable {max(names, key=names.count)!r} is named more than once")
-    n = len(names)
     if not isinstance(polys_doc, list) or not polys_doc:
         raise SystemFormatError("'polynomials' must be a non-empty list")
     polys = []
@@ -198,15 +200,9 @@ def parse_system(text: str) -> SystemTemplate:
                 raise SystemFormatError(f"slot name {HIDDEN_SLOT!r} is reserved")
             if not isinstance(exps, list) or not all(type(e) is int for e in exps):
                 raise SystemFormatError(f"exponents must be a list of ints, got {exps!r}")
-            if len(exps) != n:
-                raise SystemFormatError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {n}"
-                )
-            if any(e < 0 for e in exps):
-                raise SystemFormatError(f"negative exponent in {exps}")
             terms.append(Term(slot, tuple(exps)))
         polys.append(PolynomialTemplate(tuple(terms)))
-    return SystemTemplate(n, tuple(names), tuple(polys))
+    return SystemTemplate(len(names), tuple(names), tuple(polys))
 
 
 def dump_system(system: SystemTemplate) -> str:

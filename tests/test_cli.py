@@ -59,6 +59,17 @@ class TestGenerate:
         assert main(["generate", "--system", str(sys_path), "--out", str(out), "--seed", "-1"]) == 0
         assert out.exists()
 
+    def test_no_solver_exits_3(self, tmp_path, capsys):
+        sys_path, _ = write_problem(tmp_path, "zero_coordinate_pair")
+        out = tmp_path / "z.plan"
+        code = main(["generate", "--system", str(sys_path), "--out", str(out), "--variant", "v2", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("no solver: no solver candidate survived (")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--system", str(tmp_path / "nope.sys"), "--out", str(tmp_path / "o")])
@@ -210,9 +221,11 @@ class TestSolve:
             lambda doc: _set_blocks(doc, 9, 0),
             # provenance that fits no augmented system
             lambda doc: doc["deleted_rows"][0].__setitem__(0, 99),
+            # a deleted row the layout still keeps
+            lambda doc: doc["deleted_rows"].append(doc["rows"][0]),
         ],
         ids=["row-poly-index", "blocks-not-object", "infinite-seed", "zero-denominator-delta",
-             "negative-upper-block", "empty-b1", "deleted-row-poly-index"],
+             "negative-upper-block", "empty-b1", "deleted-row-poly-index", "deleted-row-kept"],
     )
     def test_corrupt_plan_exits_2(self, tmp_path, capsys, two_conics_plan, corrupt):
         _, inst_path = write_problem(tmp_path, "two_conics")
@@ -246,10 +259,11 @@ class TestSolve:
         bad = tmp_path / "bad.inst"
         bad.write_text('{"a": 1.0, "b": %s, "c": 6.0}' % value)
         capsys.readouterr()
-        code = main(["solve", "--plan", str(plan_path), "--instance", str(bad)])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--plan", str(plan_path), "--instance", str(bad)])
         err = capsys.readouterr().err
-        assert code == 2
-        assert "'b'" in err and "not a finite number" in err
+        assert exc.value.code == 2
+        assert err == f"error: bad instance file {bad}: value for slot 'b' is not a finite number\n"
 
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -347,6 +361,23 @@ class TestCompare:
         assert code == 0
         assert "equivalent" in out and "NOT" not in out
 
+    def test_root_count_from_certified_roots(self, tmp_path, capsys, monkeypatch):
+        # three variables: the root count is the number of the plan's roots
+        # with residual <= 1e-8 on one generic instance, solved once
+        sys_path, _ = write_problem(tmp_path, "three_quadrics")
+        solve_instance, solved = polyres.cli.solve_instance, []
+
+        def counting(*args, **kwargs):
+            solved.append(args)
+            return solve_instance(*args, **kwargs)
+
+        monkeypatch.setattr("polyres.cli.solve_instance", counting)
+        code = main(["compare", "--system", str(sys_path), "--direction", "res2am", "--trials", "5", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("direction res2am: equivalent: ") and "NOT" not in out
+        assert len(solved) == 1
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_usage_error(self, tmp_path, capsys, monkeypatch, trials):
         sys_path, _ = write_problem(tmp_path, "two_conics")
@@ -413,7 +444,7 @@ def test_negative_seed_usage_error(tmp_path, capsys, monkeypatch, command):
     def no_work(*args, **kwargs):
         raise AssertionError("started work for a negative seed")
 
-    monkeypatch.setattr("polyres.cli._load_plan", no_work)
+    monkeypatch.setattr("polyres.cli._load", no_work)
     monkeypatch.setattr("polyres.cli.generate_plan", no_work)
     argv = {
         "bench": ["bench", "--plan", str(tmp_path / "c.plan"), "--trials", "5", "--report", str(tmp_path / "r")],

@@ -1214,10 +1214,30 @@ class TestNoSolver:
         assert err.value.reasons == {"empty_search_space": 1}
 
 
+    def test_squarify_dead_end_counted(self, monkeypatch, two_conics_outcome):
+        # the first reduction dead-ends: its candidate is refused as
+        # squarify_exhausted, each member of its class reached counts it, and
+        # the search goes on to the next candidate
+        squarify, calls = polyres.generate.squarify, []
+
+        def first_exhausted(cand, cfg):
+            calls.append(cand)
+            if len(calls) == 1:
+                raise SquarifyExhausted("dead end")
+            return squarify(cand, cfg)
+
+        monkeypatch.setattr(polyres.generate, "squarify", first_exhausted)
+        outcome = generate_plan(get("two_conics").system, GOLDEN_CONFIGS["two_conics"])
+        assert len(calls) == 2
+        assert outcome.reasons == {**two_conics_outcome.reasons, "squarify_exhausted": 3}
+        assert outcome.candidates_seen == 4
+
+
 class TestSearchConfig:
-    @pytest.mark.parametrize("variants", [(), ("v3",), ("v1", "v3")])
+    @pytest.mark.parametrize("variants", [(), ("v3",), ("v1", "v3"), ("v1", "v1"), ("v2", "v1", "v2")])
     def test_unrunnable_variants_rejected(self, variants):
         # no variant would drop every passing row silently; an unknown one
-        # would fail only when the loop lays out its first candidate
+        # would fail only when the loop lays out its first candidate; a
+        # repeated one would sweep and count its candidates twice
         with pytest.raises(ValueError, match="variants"):
             SearchConfig(variants=variants)

@@ -72,6 +72,16 @@ def test_rel_pose_full_sweep_writes_the_golden_plan():
     }
 
 
+def test_variant_order_does_not_change_the_plan(rel_pose_outcome):
+    # candidates are taken in selection-key order, whatever order the
+    # variants are named in
+    cfg = replace(REL_POSE_CONFIG, variants=("v1", "v2"))
+    outcome = generate_plan(get("rel_pose_f_lambda_8pt").system, cfg)
+    assert plan_to_json(outcome.plan) == plan_to_json(rel_pose_outcome.plan)
+    assert outcome.candidates_seen == rel_pose_outcome.candidates_seen
+    assert list(outcome.reasons.items()) == list(rel_pose_outcome.reasons.items())
+
+
 @cache
 def _plan_text() -> str:
     """The golden two_conics plan."""
@@ -124,7 +134,8 @@ def test_corrupt_plan_loads_or_raises_format_error(data):
 
 # (path, replacement): a value of the wrong JSON type, an unknown version or
 # order, a cell map or metadata that disagrees with the layout, provenance
-# that fits no augmented system (here three polynomials in two variables)
+# that fits no augmented system (here three polynomials in two variables),
+# and deleted rows that are no distinct removed rows
 JUNK_SECTIONS = [
     (("version",), 99),
     (("version",), 1.0),
@@ -158,6 +169,9 @@ JUNK_SECTIONS = [
     (("deleted_rows", 0, 1), [1, -1]),
     (("meta", "subset_mask"), -5),
     (("meta", "subset_mask"), 8),
+    # a deleted row the layout keeps, and one deleted twice
+    (("deleted_rows",), [[2, [1, 1]], [2, [0, 0]], [0, [1, 0]]]),
+    (("deleted_rows",), [[2, [1, 1]], [2, [0, 0]], [2, [1, 1]]]),
 ]
 
 

@@ -15,6 +15,8 @@ from polyres.plan import MissingSlotError, plan_from_json
 from polyres.poly import PolynomialTemplate, SystemTemplate, Term, normalized_residual
 from polyres.problems import get
 from polyres.solve import (
+    FAILURE_RESIDUAL,
+    SolutionSet,
     SolveFailure,
     UnrecoverableVariableError,
     benchmark,
@@ -225,6 +227,24 @@ class TestBenchmark:
         rep = benchmark(univariate_linear_plan, gen, trials=10, seed=3)
         assert rep.fail_pct == 100.0
         assert rep.mean_log10 is None
+
+    def test_root_residual_above_threshold_fails(self, univariate_quadratic_plan, monkeypatch):
+        # no SolveFailure: a trial fails on a root residual above the
+        # threshold, not at it, and its roots still count in the histogram
+        import polyres.solve as solve_mod
+
+        residuals = iter([10 * FAILURE_RESIDUAL, FAILURE_RESIDUAL] * 2)
+
+        def one_root_off(plan, coeffs):
+            sols = solve_instance(plan, coeffs)
+            off = sols.roots[0]._replace(residual=next(residuals))
+            return SolutionSet((off, *sols.roots[1:]), sols.n_solutions_bound)
+
+        monkeypatch.setattr(solve_mod, "solve_instance", one_root_off)
+        gen = self._gen(get("univariate_quadratic").system)
+        rep = benchmark(univariate_quadratic_plan, gen, trials=4, seed=3)
+        assert rep.fail_pct == 50.0
+        assert rep.n_solutions_histogram == {2: 4}
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_roots_fail(self, two_conics_plan):
