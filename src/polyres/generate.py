@@ -7,16 +7,14 @@ The candidates are then taken best first, by the size of their eigenproblem
 and matrix: the first whose coefficient matrix block partitions into an
 eigenvalue problem is shrunk by row-column removal and row removal until it
 is square.  Monomial translates of a candidate share its verdict, so the
-loop decides one candidate per translation class, and lays out little
-else: the sweep names each candidate's class and its place in the order
-from mask counts and points, with no monomial set built.  Rank verdicts
-are memoized by rows, which the v1 and v2 layouts of one set of
-multipliers share.
+sweep emits one candidate per translation class and variant, the member
+of smallest shift, and names its place in the order from mask counts,
+with no monomial set built.  Rank verdicts are memoized by rows, which
+the v1 and v2 layouts of one set of multipliers share.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -86,20 +84,12 @@ class SweptCandidate:
     """A candidate as the sweep emits it, not laid out yet.
 
     ``prefix`` is the prefix of ``_selection_key`` its multiplier sets fix,
-    (|T_last|, Σ|T_i|·|B|, Σ|T_i|, variant, k), read off mask counts.
-    ``key`` names its translation class: (k, variant) and each T_i shifted
-    by ``low``, the componentwise minimum of mon(F'), as bytes.  Box points
-    are in lexicographic order, and so are the shifted T_i, so two
-    candidates share ``key`` exactly when their layouts are monomial
-    translates: the same system and variant, and the same rows and columns
-    once each is shifted by the columns' componentwise minimum.  The rest is
-    what ``laid_out`` reads: the augmented system, the lattice box, the T_i
-    masks and the union of mon(F') on it, and the row.  Equality is
+    (|T_last|, Σ|T_i|·|B|, Σ|T_i|, variant, k), read off mask counts.  The
+    rest is what ``laid_out`` reads: the augmented system, the lattice box,
+    the T_i masks and the union of mon(F') on it, and the row.  Equality is
     identity: the masks are arrays."""
 
     prefix: tuple
-    key: tuple
-    low: tuple[int, ...]
     delta: tuple[Fraction, ...]
     subset_mask: int
     system: SystemTemplate
@@ -162,18 +152,25 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
 
     The Minkowski sum always includes the unit simplex.  A pair is rejected
     only by counts: an empty lattice, an empty T_i (coverage) or fewer rows
-    than columns, each ticked in ``reasons``.  For each k, the first pair
-    that yields a set of multipliers T_i emits one candidate per variant;
-    later pairs of that k with the same T_i emit nothing.  No layout is
-    built: B1 is T_last (v1) or x_k T_last (v2), and both lie in B, since
-    t and t x_k are the monomials of t (x_k - u0).
+    than columns, each ticked in ``reasons``.  No layout is built: B1 is
+    T_last (v1) or x_k T_last (v2), and both lie in B, since t and t x_k
+    are the monomials of t (x_k - u0).
+
+    A translation class is k and a set of multipliers T_i up to a common
+    shift: k and the T_i shifted by their shift, the componentwise minimum
+    of mon(F'), as bytes.  Box points are in lexicographic order, and so
+    are the shifted T_i, so two passing pairs fall in one class exactly
+    when their layouts, for one variant, are monomial translates: the same
+    system, and the same rows and columns once each is shifted by the
+    columns' componentwise minimum.  Each class is emitted once per variant, at the
+    place of its first member, as its member of smallest shift by tuple
+    order: a later member replaces it only with a smaller shift, so a pair
+    with the same T_i as an earlier one emits nothing.
 
     Each sum is enumerated in one ``lattice_points`` call, and every T_i,
     every count and mon(F') are masks on its box (``extend_system``,
     ``extension_monomials``): the verdicts of all its displacements come
-    from mask counts.  A candidate is emitted once per set of multipliers,
-    keyed on its translation class and shift (``SweptCandidate``), both
-    read off the T_i points, and carries its masks: no monomial set is
+    from mask counts, and a candidate carries its masks: no monomial set is
     built until ``laid_out``.
 
     Only the summand x_k - u0 differs between hidden variables, so the unit
@@ -191,7 +188,9 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
     grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
     deltas = list(dict.fromkeys(d for grid in grids for d in grid))
     base_sums: dict[tuple[LatticePolytope, ...], SumEntry] = {}
-    out: list[SweptCandidate] = []
+    # translation class, as k and the shifted multiplier sets -> the shift
+    # of its member and the member's candidates, one per variant
+    emitted: dict[tuple, tuple[tuple[int, ...], list[SweptCandidate]]] = {}
 
     for k in range(1, n + 1):
         aug = augment(system, k)
@@ -201,9 +200,6 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
         # mon(F') masks and the rows handled
         seen: dict[tuple[LatticePolytope, ...], tuple] = {}
         anchors = np.array([f.sorted_support[0] for f in polys], dtype=np.int64)
-        # the multiplier sets, as their shift and shifted bytes, fix B, and k
-        # is fixed within this pass
-        emitted: set[tuple] = set()
         for mask in _subset_masks(m + 1, cfg):
             summands = (simplex, *(polytopes[i] for i in range(m + 1) if mask >> i & 1))
             if summands not in seen:
@@ -234,16 +230,18 @@ def search_candidates(system: SystemTemplate, cfg: SearchConfig, reasons: dict[s
                 masks = (*entry.masks, last[0])
                 points = [lat.points[t[row]] for t in masks]
                 low = tuple(lat.points[union[row]].min(axis=0).tolist())
-                shifted = tuple((z - a).tobytes() for z, a in zip(points, anchors + low))
-                if (low, shifted) in emitted:
+                cls = (k, *((z - a).tobytes() for z, a in zip(points, anchors + low)))
+                # a translate replaces its class's member only with a smaller shift
+                if cls in emitted and emitted[cls][0] <= low:
                     continue
-                emitted.add((low, shifted))
                 n_rows = sum(map(len, points))
                 n_cols = int(union[row].sum())
-                for variant in cfg.variants:
-                    prefix = (len(points[-1]), n_rows * n_cols, n_rows, variant, k)
-                    out.append(SweptCandidate(prefix, (k, variant, *shifted), low, delta, mask,
-                                              aug, lat, masks, union, row))
+                emitted[cls] = low, [
+                    SweptCandidate((len(points[-1]), n_rows * n_cols, n_rows, variant, k), delta, mask,
+                                   aug, lat, masks, union, row)
+                    for variant in cfg.variants
+                ]
+    out = [c for _, cands in emitted.values() for c in cands]
     if not out and not reasons:
         reasons["empty_search_space"] = 1
     return out
@@ -257,11 +255,11 @@ def partition_failure(layout: MatrixLayout, cfg: SearchConfig, full_rank: dict[t
     ranks are decided on one instantiation at the rank config's witness.
     ``full_rank`` memoizes full-rank verdicts by the system and the rows:
     the v1 and v2 layouts of one set of multipliers share their rows, and
-    their columns up to order, so they share one verdict.  The loop decides
+    their columns up to order, so they share one verdict.  The sweep emits
     one member of each translation class, and the v1 and v2 classes of one
-    set of multipliers pick the same member, so no two layouts it decides
-    are translates and the rows need no shift.  Like the sweep, this takes
-    the columns to be the monomials the rows reach."""
+    set of multipliers emit the same member, so no two layouts the loop
+    decides are translates and the rows need no shift.  Like the sweep,
+    this takes the columns to be the monomials the rows reach."""
     tm = layout.template
     if len({poly_idx for poly_idx, _ in tm.rows}) < len(tm.system.polys):
         return "coverage"
@@ -291,12 +289,8 @@ def _selection_key(layout: MatrixLayout):
     """Smallest n_b1 = |T_last| first, then smallest matrix, then layout
     order, all as laid out before any reduction.  The first five entries
     are a SweptCandidate's ``prefix``, fixed by its multiplier sets, so
-    candidates are ordered on them before any layout is built.  The columns
-    order the translates of one class by their shift (``low``): each column
-    of one is the other's plus the difference of their shifts, so the first
-    columns differ already, and the member of smallest shift comes first.
-    Row removal
-    can still shrink n_b1: the golden rel_pose plan is picked at
+    candidates are ordered on them before any layout is built.  Row
+    removal can still shrink n_b1: the golden rel_pose plan is picked at
     |T_last| = 30 and ends at n_b1 = 10, so this is not the order of the
     final eigenproblems."""
     p, eps = layout.shape
@@ -454,6 +448,13 @@ def squarify(cand: FavourableCandidate, cfg: SearchConfig) -> SolverPlan:
 
 @dataclass(frozen=True)
 class GenerateOutcome:
+    """The plan, the number of candidates decided (``_verdict`` calls, the
+    plan's included), and the rejections by reason: the sweep's
+    (``empty_lattice``, ``coverage``, ``row_count``) count (subset,
+    displacement) pairs, the loop's (``column_rank``, ``a12_rank``,
+    ``unrecoverable_b1``, ``squarify_exhausted``) decided candidates, one
+    per translation class and variant."""
+
     plan: SolverPlan
     candidates_seen: int
     reasons: dict[str, int]
@@ -480,28 +481,22 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
 
     One ``search_candidates`` call sweeps every hidden variable.  The
     candidates are taken in ``_selection_key`` order, which needs no rank
-    check: sorted on the key's prefix, which needs no layout, one group of
-    equal prefix at a time.  Each is checked for its partition, then its
-    recovery pairs and the reduction, and the first that passes them all is
-    the plan.  Rank verdicts are deterministic, so this is the plan an
-    exhaustive check would select.  ``candidates_seen`` counts the
-    candidates the loop reached.
+    check: sorted on the key's prefix, which needs no layout, and laid out
+    one group of equal prefix at a time.  Each is checked for its
+    partition, then its recovery pairs and the reduction; each failure is
+    ticked once, and the first that passes them all is the plan.  Rank
+    verdicts are deterministic, so this is the plan an exhaustive check
+    would select.
 
     A monomial translate of a layout (same system and variant, rows and
     columns shifted by one exponent vector) keeps its row and column
     order, since grevlex and tuple order are monomial orders.  It has the
     same matrix over F_p at the witness, the same recovery pairs, and the
     same index-level choices in reduce_rowcol and squarify, so it gets the
-    same verdict.  A verdict is therefore decided once per translation
-    class (the sweep's ``key``; a class lies within one prefix group), on
-    the member of smallest ``low``: the first columns of translates differ
-    by their shift, so that member is the first of its class in key order.
-    In each group only these are laid out, and they are decided in key
-    order until one passes.  When none does, every member of the group
-    counts its class's failure.  When one does, it is the first member to
-    pass and returns its own plan; the members before it are the first
-    members of the failed classes and those later members of these classes
-    that sort before it, the only others laid out.
+    same verdict.  The sweep therefore emits one member per translation
+    class, the one of smallest shift: the columns of translates differ by
+    their shift, so it is the first of its class in key order, the member
+    an exhaustive check would reach first.
     """
     cfg = cfg or SearchConfig()
     reasons: dict[str, int] = {}
@@ -510,30 +505,10 @@ def generate_plan(system: SystemTemplate, cfg: SearchConfig | None = None) -> Ge
     full_rank: dict[tuple, bool] = {}
     seen = 0
     for _, group in itertools.groupby(swept, key=lambda c: c.prefix):
-        group = list(group)
-        firsts: dict[tuple, SweptCandidate] = {}  # translation class -> its first member
-        for c in group:
-            if c.key not in firsts or c.low < firsts[c.key].low:
-                firsts[c.key] = c
-        failures: dict[tuple, str] = {}  # translation class -> failure, in key order
-        plan = None
-        for key, cand in sorted(((key, c.laid_out()) for key, c in firsts.items()),
-                                key=lambda kc: _selection_key(kc[1].layout)):
+        for cand in sorted((c.laid_out() for c in group), key=lambda c: _selection_key(c.layout)):
+            seen += 1
             verdict = _verdict(cand, cfg, full_rank)
             if isinstance(verdict, SolverPlan):
-                plan, plan_key = verdict, _selection_key(cand.layout)
-                break
-            failures[key] = verdict
-        # the members reached: every member of a failed class, or, before a
-        # plan, the first ones and the later ones that sort before it
-        reached = collections.Counter(
-            c.key for c in group
-            if c.key in failures
-            and (plan is None or c is firsts[c.key] or _selection_key(c.laid_out().layout) < plan_key)
-        )
-        for key, failure in failures.items():
-            reasons[failure] = reasons.get(failure, 0) + reached[key]
-        seen += reached.total()
-        if plan is not None:
-            return GenerateOutcome(plan, seen + 1, reasons)
+                return GenerateOutcome(verdict, seen, reasons)
+            _tick(reasons, verdict)
     raise NoSolverError(reasons)

@@ -186,6 +186,13 @@ class RankCheckConfig:
     seed: int = 0
     values_fn: object = None
 
+    def __post_init__(self):
+        # linalg's prime-field kernels multiply two reduced entries in int64
+        if not self.primes or not all(2 <= p < 1 << 31 for p in self.primes):
+            raise ValueError(f"primes must be one or more moduli in [2, 2^31), got {self.primes!r}")
+        if self.assignments < 1:
+            raise ValueError(f"assignments must be at least 1, got {self.assignments!r}")
+
     @property
     def witness(self) -> tuple[int, int]:
         """The (prime, assignment) trial that decides every rank verdict."""

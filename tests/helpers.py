@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyres.generate import SearchConfig
+from polyres.generate import SearchConfig, _subset_masks
+from polyres.lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
 from polyres.linalg import PRIMES
-from polyres.plan import RankCheckConfig, has_full_column_rank
+from polyres.plan import RankCheckConfig, build_layout, has_full_column_rank
+from polyres.poly import augment, mono_div, mono_mul, support
 from polyres.problems import rel_pose_field_instance
 
 # the search configuration of the golden rel_pose plan
@@ -136,3 +138,64 @@ def point_sets(lattice):
     sets = [frozenset(map(tuple, lattice.points[m].tolist())) for m in lattice.inside]
     empty = frozenset()
     return [empty if r is None else sets[r] for r in lattice.row_of]
+
+
+def extend_by_sets(polys, b_prime):
+    """The set-based definition of every T_i, empty ones too, and mon(F'):
+    divide each b in B' by the anchor, then look up every product t * a in
+    B'."""
+    b_set = frozenset(b_prime)
+    multipliers, used = [], set()
+    for f in polys:
+        supp = sorted(support(f))
+        t_i = set()
+        for b in b_set:
+            t = mono_div(b, supp[0])
+            if t is None:
+                continue
+            shifted = [mono_mul(t, a) for a in supp]
+            if all(s in b_set for s in shifted):
+                t_i.add(t)
+                used.update(shifted)
+        multipliers.append(frozenset(t_i))
+    return tuple(multipliers), frozenset(used)
+
+
+def member_sweep(system, cfg, reasons):
+    """The sweep by the set-based definition, kept as its oracle: for
+    k = 1..n, every (subset, displacement) pair's point set, each distinct
+    one extended once by ``extend_by_sets``, the same count-level verdicts
+    ticked in ``reasons``, and one member per variant for each distinct set
+    of multipliers T_i, translates included, as (prefix, shift, delta,
+    subset mask, layout); the shift is the componentwise minimum of B."""
+    n = system.n_vars
+    grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
+    deltas = list(dict.fromkeys(d for grid in grids for d in grid))
+    out = []
+    for k in range(1, n + 1):
+        aug = augment(system, k)
+        hulls = [convex_hull(support(f)) for f in aug.polys]
+        exts, emitted = {}, set()
+        for mask in _subset_masks(len(aug.polys), cfg):
+            q = minkowski_sum([unit_simplex(n), *(hulls[i] for i in range(len(aug.polys)) if mask >> i & 1)])
+            for delta, pts in zip(deltas, point_sets(lattice_points(q, deltas))):
+                if not pts:
+                    reasons["empty_lattice"] = reasons.get("empty_lattice", 0) + 1
+                    continue
+                if pts not in exts:
+                    exts[pts] = extend_by_sets(aug.polys, pts)
+                t_sets, b_set = exts[pts]
+                n_rows = sum(map(len, t_sets))
+                failure = "coverage" if not all(t_sets) else "row_count" if n_rows < len(b_set) else None
+                if failure:
+                    reasons[failure] = reasons.get(failure, 0) + 1
+                    continue
+                if t_sets in emitted:
+                    continue
+                emitted.add(t_sets)
+                low = tuple(map(min, zip(*b_set)))
+                for variant in cfg.variants:
+                    prefix = (len(t_sets[-1]), n_rows * len(b_set), n_rows, variant, k)
+                    out.append((prefix, low, delta, mask, build_layout(aug, k, variant, b_set, t_sets)))
+    return out
+

@@ -7,7 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from helpers import GOLDEN_CONFIGS, REL_POSE_CONFIG, point_sets, translation_class, witness_full_rank
+from helpers import GOLDEN_CONFIGS, REL_POSE_CONFIG, member_sweep, point_sets, translation_class, witness_full_rank
 
 import polyres.generate
 import polyres.lattice
@@ -189,8 +189,8 @@ class TestSearchCandidates:
         assert checked and len(checked) == len(set(checked))
         # partition checks only: squarify decides its trials on left kernels
         assert len(checked) == 22
-        assert outcome.reasons == {"coverage": 100, "empty_lattice": 4, "unrecoverable_b1": 23, "a12_rank": 2}
-        assert outcome.candidates_seen == 26
+        assert outcome.reasons == {"coverage": 100, "empty_lattice": 4, "unrecoverable_b1": 11, "a12_rank": 2}
+        assert outcome.candidates_seen == 14
 
     def test_one_instantiation_per_partition_test(self, monkeypatch):
         # both rank conditions of a layout are decided on one instantiation
@@ -223,9 +223,10 @@ class TestSearchCandidates:
         monkeypatch.setattr(polyres.generate, "has_full_column_rank", refuse)
         reasons = {}
         cands = search_candidates(get("zero_coordinate_pair").system, SearchConfig(seed=1), reasons)
-        # both hidden variables: 36 candidates, coverage 50 and empty_lattice 2 each
+        # both hidden variables: 36 sets of multipliers in 24 translation
+        # classes, coverage 50 and empty_lattice 2 each
         assert reasons == {"coverage": 100, "empty_lattice": 4}
-        assert len(cands) == 72
+        assert len(cands) == 48
 
     def test_repeated_displacement_visited_once(self):
         # a displacement that several magnitudes (here a repeated one) put on
@@ -241,7 +242,7 @@ class TestSearchCandidates:
         assert runs[1][0] == runs[0][0]
         # the same candidates: their sweep fields and their layouts
         (_, got), (_, want) = runs[1], runs[0]
-        fields = [[(c.prefix, c.key, c.low, c.delta, c.subset_mask) for c in cands] for cands in (got, want)]
+        fields = [[(c.prefix, c.delta, c.subset_mask) for c in cands] for cands in (got, want)]
         assert fields[0] == fields[1]
         assert [c.laid_out() for c in got] == [c.laid_out() for c in want]
 
@@ -303,7 +304,7 @@ class TestSearchCandidates:
         for cand in cands:
             aug, (_, _, _, variant, k) = cand.system, cand.prefix
             t_sets, b_set = extension_at(aug.polys, cand.lattice, cand.masks, cand.union, cand.row)
-            assert aug == augment(system, k) and cand.key[:2] == (k, variant)
+            assert aug == augment(system, k)
             e_k = tuple(int(i == k - 1) for i in range(system.n_vars))
             b1 = t_sets[-1] if variant == "v1" else {mono_mul(t, e_k) for t in t_sets[-1]}
             assert b1 <= b_set, (name, k, variant)
@@ -336,7 +337,7 @@ class TestSearchCandidates:
 
             monkeypatch.setattr(owner, name, counting)
         outcome = generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
-        assert outcome.candidates_seen == 43
+        assert outcome.candidates_seen == 10
         assert calls == {"_make_facet": 244, "convex_hull": 6, "extend_system": 36}
 
     def test_sweep_reaches_every_traced_layer(self, monkeypatch):
@@ -485,59 +486,76 @@ CLASS_CASES = {
 
 
 @cache
-def _swept_layouts(name):
-    """Every candidate the sweep emits for the library problem ``name``, with
-    its layout: rel_pose in the configuration of its golden plan."""
+def _members(name):
+    """Every member of every translation class the oracle sweep finds for
+    the library problem ``name``, and the candidates the sweep emits, with
+    their layouts: rel_pose in the configuration of its golden plan."""
     cfg = REL_POSE_CONFIG if name == "rel_pose_f_lambda_8pt" else SearchConfig()
-    return tuple((c, c.laid_out().layout) for c in search_candidates(get(name).system, cfg, {}))
+    system = get(name).system
+    swept = tuple((c, c.laid_out().layout) for c in search_candidates(system, cfg, {}))
+    return tuple(member_sweep(system, cfg, {})), swept
+
+
+def _shifts_by_class(members):
+    """The shifts of ``member_sweep``'s members, by translation class, in
+    emission order."""
+    shifts = {}
+    for _, low, _, _, lay in members:
+        shifts.setdefault(translation_class(lay), []).append(low)
+    return shifts
 
 
 class TestTranslationClasses:
     @pytest.mark.parametrize("name", sorted(LIBRARY))
     def test_sweep_key_names_the_translation_class(self, name):
-        # two candidates share the sweep's key exactly when their layouts
-        # share system, variant and shifted rows and columns
-        pairs = _swept_layouts(name)
-        keys = [c.key for c, _ in pairs]
-        classes = [translation_class(lay) for _, lay in pairs]
-        assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
+        # the sweep's class key, the T_i shifted by the componentwise minimum
+        # of mon(F') for one hidden variable, neither splits nor merges
+        # translation classes: the sweep emits one candidate for each class
+        # of the oracle's members, and no two of one class
+        members, swept = _members(name)
+        classes = [translation_class(lay) for _, lay in swept]
+        assert len(set(classes)) == len(classes)
+        assert set(classes) == set(_shifts_by_class(members))
         # translates occur
-        assert len(set(keys)) < len(keys)
+        assert len(classes) < len(members)
 
     @pytest.mark.parametrize("name", sorted(LIBRARY))
     def test_sweep_prefix_and_shift_match_the_layout(self, name):
-        # the prefix is the selection key's, and the shift is the columns'
-        # componentwise minimum, with no layout built
-        for c, lay in _swept_layouts(name):
+        # the prefix is the selection key's, read with no layout built, and
+        # the member emitted is the one of smallest shift of its class
+        members, swept = _members(name)
+        shifts = _shifts_by_class(members)
+        for c, lay in swept:
             assert c.prefix == _selection_key(lay)[:5]
-            assert c.low == tuple(map(min, zip(*lay.template.cols)))
+            assert tuple(map(min, zip(*lay.template.cols))) == min(shifts[translation_class(lay)])
 
     @pytest.mark.parametrize("name", sorted(LIBRARY))
     def test_smallest_shift_first_of_its_class(self, name):
         # the members of a class differ in their shift, and the one of
         # smallest shift comes first of its class in selection-key order
-        pairs = _swept_layouts(name)
-        lows = {}
-        for c, _ in pairs:
-            lows.setdefault(c.key, []).append(c.low)
-        assert all(len(set(low)) == len(low) for low in lows.values())
+        members, _ = _members(name)
+        shifts = _shifts_by_class(members)
+        assert all(len(set(low)) == len(low) for low in shifts.values())
         first = {}
-        for c, _ in sorted(pairs, key=lambda p: _selection_key(p[1])):
-            first.setdefault(c.key, c.low)
-        assert first == {key: min(low) for key, low in lows.items()}
+        for _, low, _, _, lay in sorted(members, key=lambda m: _selection_key(m[-1])):
+            first.setdefault(translation_class(lay), low)
+        assert first == {cls: min(low) for cls, low in shifts.items()}
 
     @pytest.mark.parametrize("name", CLASS_CASES)
     def test_class_decides_like_its_members(self, name):
         # every member of a translation class (system, variant, rows and
-        # columns shifted by the columns' componentwise minimum) decided from
-        # scratch gives the verdict the class memo holds for it; members
-        # that pass reduce to translates of one plan
+        # columns shifted by the columns' componentwise minimum), the
+        # oracle's translates included, decided from scratch gives the
+        # verdict of the class's other members; members that pass reduce to
+        # translates of one plan.  The plan of the first member to pass,
+        # best first, is generate_plan's
         cfg = CLASS_CASES[name]
-        memo, shared = {}, 0
-        for cand in _sweep(get(name).system, cfg, {}):
-            lay = cand.layout
-            verdict = _decide_from_scratch(cand, cfg)
+        system = get(name).system
+        memo, shared, plan = {}, 0, None
+        for _, _, delta, mask, lay in sorted(member_sweep(system, cfg, {}), key=lambda m: _selection_key(m[-1])):
+            verdict = _decide_from_scratch(FavourableCandidate(lay, delta, mask), cfg)
             if not isinstance(verdict, str):
+                plan = verdict if plan is None else plan
                 verdict = translation_class(verdict.layout)
             cls = translation_class(lay)
             if cls in memo:
@@ -546,6 +564,7 @@ class TestTranslationClasses:
             memo[cls] = verdict
         # the memo is not vacuous: translates occur, and so do failures
         assert shared > 0 and any(isinstance(v, str) for v in memo.values())
+        assert plan_to_json(generate_plan(system, cfg).plan) == plan_to_json(plan)
 
     @pytest.mark.parametrize("name", CLASS_CASES)
     def test_memo_matches_plain_loop(self, name):
@@ -564,46 +583,13 @@ class TestTranslationClasses:
         assert outcome.candidates_seen == seen
         assert outcome.reasons == reasons
 
-    @pytest.mark.parametrize("prefix, reached", [((8, 204, 17, "v1", 1), 1), ((12, 416, 26, "v1", 1), 2)])
-    def test_plan_after_a_failed_class_in_its_group(self, monkeypatch, prefix, reached):
-        # no library plan shares its prefix group with a failed class, so
-        # fail every two_conics candidate before the group ``prefix`` and the
-        # group's first class: its second class passes, with a member of the
-        # failed class after its first member (first case) or before it
-        # (second), and the loop counts it like the plain loop
-        system, cfg = get("two_conics").system, SearchConfig()
-        cands = _sweep(system, cfg, {})
-        group = [c for c in cands if _selection_key(c.layout)[:5] == prefix]
-        refused = translation_class(group[0].layout)
-
-        def refusing(decide):
-            def verdict(cand, *args):
-                if _selection_key(cand.layout)[:5] < prefix or translation_class(cand.layout) == refused:
-                    return "column_rank"
-                return decide(cand, *args)
-
-            return verdict
-
-        reasons = {}
-        for seen, cand in enumerate(_sweep(system, cfg, reasons), 1):
-            verdict = refusing(_decide_from_scratch)(cand, cfg)
-            if not isinstance(verdict, str):
-                break
-            reasons[verdict] = reasons.get(verdict, 0) + 1
-        assert seen == cands.index(group[0]) + reached + 1
-        monkeypatch.setattr(polyres.generate, "_verdict", refusing(polyres.generate._verdict))
-        outcome = generate_plan(system, cfg)
-        assert plan_to_json(outcome.plan) == plan_to_json(verdict)
-        assert outcome.candidates_seen == seen
-        assert list(outcome.reasons.items()) == list(reasons.items())
-
     @pytest.mark.parametrize("case", DECISION_CASES)
     def test_decided_layouts_are_no_translates(self, monkeypatch, case):
-        # the rank memo keys on the rows as they are, with no shift: the loop
-        # decides one member of each translation class, the one of smallest
-        # shift, which the v1 and v2 classes of one set of multipliers
-        # share, so decided layouts whose rows are translates have the very
-        # same rows
+        # the rank memo keys on the rows as they are, with no shift: the
+        # sweep emits one member of each translation class, the one of
+        # smallest shift, which the v1 and v2 classes of one set of
+        # multipliers share, so decided layouts whose rows are translates
+        # have the very same rows
         decided = []
         real = polyres.generate._verdict
 
@@ -620,6 +606,26 @@ class TestTranslationClasses:
             rows.setdefault((system, shifted_rows), set()).add(lay.template.rows)
         assert decided and all(len(r) == 1 for r in rows.values())
 
+    @pytest.mark.parametrize("case", DECISION_CASES)
+    def test_seen_counts_verdicts(self, monkeypatch, case):
+        # candidates_seen counts the candidates decided, and each of the
+        # loop's reasons the verdicts that returned it; the rest of the
+        # reasons are the sweep's
+        verdicts = []
+        real = polyres.generate._verdict
+
+        def recording(cand, *args):
+            verdicts.append(real(cand, *args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(polyres.generate, "_verdict", recording)
+        name, cfg = DECISION_CASES[case]
+        outcome = generate_plan(get(name).system, cfg)
+        assert outcome.candidates_seen == len(verdicts)
+        failures = [v for v in verdicts if isinstance(v, str)]
+        loop = {r: n for r, n in outcome.reasons.items() if r not in ("coverage", "row_count", "empty_lattice")}
+        assert loop == {r: failures.count(r) for r in failures}
+
     @staticmethod
     def _work_counts(monkeypatch, name, cfg):
         calls = dict.fromkeys(("build_layout", "extension_at", "partition_failure", "instantiate"), 0)
@@ -633,24 +639,24 @@ class TestTranslationClasses:
         return generate_plan(get(name).system, cfg), calls
 
     def test_work_counts_three_quadrics(self, monkeypatch):
-        # the golden three_quadrics configuration lays out only the first
-        # member of each translation class the loop decides, and decides each
-        # class once: a regression that lays out or re-checks translates
+        # the golden three_quadrics configuration lays out only the
+        # candidates the loop decides, one member of each translation class
+        # it reaches: a regression that lays out or re-checks translates
         # fails on a count
         outcome, calls = self._work_counts(monkeypatch, "three_quadrics", SearchConfig(seed=1, variants=("v1",)))
-        assert outcome.candidates_seen == 43
+        assert outcome.candidates_seen == 10
         # 10 translation classes are decided, the last one passes first in
         # its group; squarify builds and instantiates the one candidate it
         # reduces
         assert calls == {"build_layout": 11, "extension_at": 10, "partition_failure": 10, "instantiate": 11}
 
     def test_work_counts_rel_pose(self, monkeypatch):
-        # the golden rel_pose configuration: 30 translation classes decided
-        # for 221 candidates reached, 13 of them column_rank from the memo,
-        # with no instantiation; squarify builds and instantiates the two
-        # candidates it reduces: one loses its recovery pairs, one is the plan
+        # the golden rel_pose configuration: 30 translation classes decided,
+        # 13 of them column_rank from the memo, with no instantiation;
+        # squarify builds and instantiates the two candidates it reduces:
+        # one loses its recovery pairs, one is the plan
         outcome, calls = self._work_counts(monkeypatch, "rel_pose_f_lambda_8pt", REL_POSE_CONFIG)
-        assert outcome.candidates_seen == 221
+        assert outcome.candidates_seen == 30
         assert calls == {"build_layout": 32, "extension_at": 30, "partition_failure": 30, "instantiate": 19}
 
 
@@ -1216,8 +1222,8 @@ class TestNoSolver:
 
     def test_squarify_dead_end_counted(self, monkeypatch, two_conics_outcome):
         # the first reduction dead-ends: its candidate is refused as
-        # squarify_exhausted, each member of its class reached counts it, and
-        # the search goes on to the next candidate
+        # squarify_exhausted, counted once, and the search goes on to the
+        # next candidate
         squarify, calls = polyres.generate.squarify, []
 
         def first_exhausted(cand, cfg):
@@ -1229,8 +1235,26 @@ class TestNoSolver:
         monkeypatch.setattr(polyres.generate, "squarify", first_exhausted)
         outcome = generate_plan(get("two_conics").system, GOLDEN_CONFIGS["two_conics"])
         assert len(calls) == 2
-        assert outcome.reasons == {**two_conics_outcome.reasons, "squarify_exhausted": 3}
-        assert outcome.candidates_seen == 4
+        assert outcome.reasons == {**two_conics_outcome.reasons, "squarify_exhausted": 1}
+        assert outcome.candidates_seen == 2
+
+
+class TestRankCheckConfig:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("primes", {"primes": ()}),
+        ("primes", {"primes": (2**61 - 1,)}),
+        ("primes", {"primes": (PRIMES[0], 1)}),
+        ("assignments", {"assignments": 0}),
+    ], ids=["no_prime", "modulus_past_int64", "modulus_below_two", "no_assignment"])
+    def test_unrunnable_config_rejected(self, field, kwargs):
+        # no prime fails at the first partition check; a modulus of 2^31 or
+        # more overflows the int64 products of linalg's kernels silently;
+        # no assignment leaves build_template with no trial
+        with pytest.raises(ValueError, match=field):
+            RankCheckConfig(**kwargs)
+
+    def test_every_library_prime_accepted(self):
+        assert RankCheckConfig(primes=PRIMES).primes == PRIMES
 
 
 class TestSearchConfig:

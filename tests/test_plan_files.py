@@ -28,16 +28,16 @@ FUZZ = settings(max_examples=200)
 
 GOLDEN_COUNTS = {
     "two_conics": (1, {"row_count": 32, "coverage": 106}),
-    "three_quadrics": (43, {"row_count": 432, "coverage": 375, "column_rank": 42, "empty_lattice": 18}),
+    "three_quadrics": (10, {"row_count": 432, "coverage": 375, "column_rank": 9, "empty_lattice": 18}),
     "rel_pose_f_lambda_8pt": (
-        221,
+        30,
         {
             "coverage": 3532,
             "row_count": 176,
-            "column_rank": 190,
+            "column_rank": 26,
             "empty_lattice": 165,
-            "a12_rank": 19,
-            "unrecoverable_b1": 11,
+            "a12_rank": 2,
+            "unrecoverable_b1": 1,
         },
     ),
 }
@@ -61,14 +61,14 @@ def test_rel_pose_full_sweep_writes_the_golden_plan():
     assert cfg.delta_magnitudes == (Fraction(1, 10), Fraction(1, 1000))
     outcome = generate_plan(get("rel_pose_f_lambda_8pt").system, cfg)
     assert plan_to_json(outcome.plan) == (GOLDEN / "rel_pose_f_lambda_8pt.plan").read_text(encoding="utf-8")
-    assert outcome.candidates_seen == 267
+    assert outcome.candidates_seen == 30
     assert outcome.reasons == {
         "coverage": 9172,
         "row_count": 370,
         "empty_lattice": 330,
-        "column_rank": 232,
-        "a12_rank": 23,
-        "unrecoverable_b1": 11,
+        "column_rank": 26,
+        "a12_rank": 2,
+        "unrecoverable_b1": 1,
     }
 
 

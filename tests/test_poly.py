@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import GOLDEN_CONFIGS, point_sets
+from helpers import GOLDEN_CONFIGS, extend_by_sets, member_sweep, point_sets, translation_class
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyres.generate
 from polyres.generate import SearchConfig, generate_plan
 from polyres.lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
-from polyres.plan import build_layout
 from polyres.poly import (
     PolynomialTemplate,
     SystemFormatError,
@@ -25,7 +24,6 @@ from polyres.poly import (
     extension_at,
     extension_monomials,
     grevlex_key,
-    mono_div,
     mono_mul,
     normalized_residual,
     parse_instance,
@@ -194,27 +192,6 @@ class TestExtendSystem:
         assert _erode([f], lattice) == [((frozenset(),), frozenset())]
 
 
-def _extend_by_sets(polys, b_prime):
-    """The set-based definition of every T_i, empty ones too, and mon(F'):
-    divide each b in B' by the anchor, then look up every product t * a in
-    B'."""
-    b_set = frozenset(b_prime)
-    multipliers, used = [], set()
-    for f in polys:
-        supp = sorted(support(f))
-        t_i = set()
-        for b in b_set:
-            t = mono_div(b, supp[0])
-            if t is None:
-                continue
-            shifted = [mono_mul(t, a) for a in supp]
-            if all(s in b_set for s in shifted):
-                t_i.add(t)
-                used.update(shifted)
-        multipliers.append(frozenset(t_i))
-    return tuple(multipliers), frozenset(used)
-
-
 def _polys(supports):
     return [PolynomialTemplate(tuple(Term(f"c{i}_{j}", a) for j, a in enumerate(s))) for i, s in enumerate(supports)]
 
@@ -260,7 +237,7 @@ def _check_erosion(polys, q, deltas):
     for delta, row in zip(deltas, lattice.row_of):
         if row not in want:
             pts = _enumerate(q, delta)
-            want[row] = pts, _extend_by_sets(polys, pts)
+            want[row] = pts, extend_by_sets(polys, pts)
         pts, ext = want[row]
         assert _enumerate(q, delta) == pts
         assert got[row] == ext
@@ -343,44 +320,6 @@ class TestExtendByKeys:
         assert off.row_of == (None,) and extend_system([f], off).shape == (1, 0, 0)
 
 
-def _parent_sweep(aug, hidden_var, cfg, reasons):
-    """search_candidates before erosion, kept as its oracle: every
-    (subset, displacement) pair's point set, each distinct one extended
-    once by the set-based definition, and the same count-level verdicts,
-    emission rule and candidates, as (prefix, key, low, delta, subset mask,
-    layout); the key's T_i are sorted tuples shifted by the componentwise
-    minimum of B."""
-    n, m_aug = aug.n_vars, len(aug.polys)
-    hulls = [convex_hull(support(f)) for f in aug.polys]
-    grids = (displacement_grid(n, Fraction(mag)) for mag in cfg.delta_magnitudes)
-    deltas = list(dict.fromkeys(d for grid in grids for d in grid))
-    out, exts, emitted = [], {}, set()
-    for mask in polyres.generate._subset_masks(m_aug, cfg):
-        q = minkowski_sum([unit_simplex(n), *(hulls[i] for i in range(m_aug) if mask >> i & 1)])
-        for delta, pts in zip(deltas, point_sets(lattice_points(q, deltas))):
-            if not pts:
-                reasons["empty_lattice"] = reasons.get("empty_lattice", 0) + 1
-                continue
-            if pts not in exts:
-                exts[pts] = _extend_by_sets(aug.polys, pts)
-            t_sets, b_set = exts[pts]
-            n_rows = sum(map(len, t_sets))
-            failure = "coverage" if not all(t_sets) else "row_count" if n_rows < len(b_set) else None
-            if failure:
-                reasons[failure] = reasons.get(failure, 0) + 1
-                continue
-            if t_sets in emitted:
-                continue
-            emitted.add(t_sets)
-            low = tuple(map(min, zip(*b_set)))
-            shifted = tuple((np.array(sorted(t), dtype=np.int64).reshape(-1, n) - low).tobytes() for t in t_sets)
-            for variant in cfg.variants:
-                prefix = (len(t_sets[-1]), n_rows * len(b_set), n_rows, variant, hidden_var)
-                layout = build_layout(aug, hidden_var, variant, b_set, t_sets)
-                out.append((prefix, (hidden_var, variant, *shifted), low, delta, mask, layout))
-    return out
-
-
 class TestSweepExtensions:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_golden_sweeps_match_set_definition(self, name, monkeypatch):
@@ -406,20 +345,31 @@ class TestSweepExtensions:
             sets = dict(zip(lattice.row_of, point_sets(lattice)))
             for row, pts in sets.items():
                 if row is not None:
-                    want = _extend_by_sets(polys, pts)
+                    want = extend_by_sets(polys, pts)
                     assert extension_at(polys, lattice, masks, union, row) == want
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_golden_sweeps_match_parent_sweep(self, name):
         # candidate by candidate, in emission order, and reason by reason:
         # the one sweep over every hidden variable is the oracle's sweeps of
-        # the augmented systems, one per k, in turn
+        # the augmented systems, one per k, in turn, with each translation
+        # class collapsed to its member of smallest shift
         system, cfg = get(name).system, GOLDEN_CONFIGS[name]
         got_reasons, want_reasons = {}, {}
         got = polyres.generate.search_candidates(system, cfg, got_reasons)
-        got = [(c.prefix, c.key, c.low, c.delta, c.subset_mask, c.laid_out().layout) for c in got]
-        want = [c for k in range(1, system.n_vars + 1) for c in _parent_sweep(augment(system, k), k, cfg, want_reasons)]
+        got = [(c.prefix, c.delta, c.subset_mask, c.laid_out().layout) for c in got]
+        members = member_sweep(system, cfg, want_reasons)
+        # each class as its member of smallest shift (the first on a tie),
+        # at the place of its first member
+        best = {}
+        for member in members:
+            cls = translation_class(member[-1])
+            if cls not in best or member[1] < best[cls][1]:
+                best[cls] = member
+        want = [(prefix, delta, mask, layout) for prefix, _, delta, mask, layout in best.values()]
         assert got and got == want
+        # translates occur, so the collapse is not vacuous
+        assert len(want) < len(members)
         assert got_reasons == want_reasons
 
     def test_each_support_sorted_once(self, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 import polyres
 
 SRC = Path(polyres.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(text: str) -> list[str]:
@@ -32,6 +33,11 @@ def unused_imports(text: str) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_module_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_unused_test_imports(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
 
 
 def test_unused_import_caught():
