@@ -8,6 +8,11 @@ the surface stays closed after every step; a last exact product checks
 that every point satisfies every facet.  One integer Gauss-Jordan kernel,
 ``_rref``, finds facet normals and affine-hull equations as null vectors,
 picks a point set's independent directions and tests extreme vertices.
+Minkowski sums fold pairwise, and a full-dimensional pair sum in up to 4-D
+is built from its summands' faces rather than hulled: the candidate facet
+normals are the summands' own and integer cofactors of face pairs, each
+candidate's face on the vertex sums is a boolean row, and the facets are
+the rows no other contains (see ``_sum_pair``).
 Lattice points of one polytope under a whole list of displacements come
 from one pass: one box covering every shift, its dot products with the
 normals in int64 behind a guard that raises rather than let one wrap, and
@@ -259,8 +264,167 @@ def convex_hull(points: Iterable[IntVec]) -> LatticePolytope:
     return LatticePolytope(n, vertices, tuple(facets), tuple(equations))
 
 
+def _largest(vecs: Sequence[IntVec]) -> int:
+    """The largest absolute entry of some integer vectors, 0 for none."""
+    return max(max(map(max, vecs), default=0), -min(map(min, vecs), default=0))
+
+
+def _distinct(masks: np.ndarray) -> np.ndarray:
+    """Indices of the first row of each distinct boolean row, in row order."""
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)
+    return np.sort(first)
+
+
+def _maximal(masks: np.ndarray) -> np.ndarray:
+    """Indices of one row of each distinct mask that no other row strictly
+    contains, in row order.  Masks are deduplicated first, so the
+    inclusion counts are taken over distinct faces only."""
+    first = _distinct(masks)
+    m = masks[first].astype(np.int32)
+    common = m @ m.T
+    size = common.diagonal()
+    inside = (common == size[:, None]) & (size > size[:, None])
+    return first[~inside.any(axis=1)]
+
+
+def _edges(inc: np.ndarray, dim: int) -> np.ndarray:
+    """(k, 2) vertex ids of the edges of a polytope of dimension ``dim`` >= 2
+    from its (vertex, facet) incidence.  The smallest face holding vertices
+    u and v is the set of vertices on every facet through both, and u, v
+    span an edge exactly when it holds no other vertex.  An edge lies on at
+    least dim - 1 facets, so only pairs that share as many are tested."""
+    on = inc.astype(np.int32)
+    u, v = np.nonzero(np.triu(on @ on.T >= dim - 1, 1))
+    both = on[u] * on[v]
+    closed = (both @ on.T == both.sum(axis=1)[:, None]).sum(axis=1) == 2
+    return np.stack([u[closed], v[closed]], axis=1)
+
+
+def _face_bases(x: LatticePolytope, a: int, steps: np.ndarray) -> np.ndarray:
+    """(k, a, d) direction bases of x's faces of dimension a, 1 or 2, x
+    itself among them when it has that dimension, from ``steps``, x's
+    vertices less its first one.  An edge's basis is the step between its
+    two vertices, a polygon's the steps from one of its vertices to two
+    others: no three vertices of a convex polygon are collinear.  The
+    2-faces of a 3-polytope are its facets, those of a 4-polytope its
+    ridges: the intersections of two facets with three vertices or more,
+    since lower faces have two at most."""
+    dim = x.dim - len(x.equations)
+    if a > dim:
+        return np.zeros((0, a, x.dim), dtype=steps.dtype)
+    # inc[v, f]: vertex v lies on facet f, where n.v is largest
+    dots = steps @ np.array([h.normal for h in x.facets], dtype=steps.dtype).reshape(-1, x.dim).T
+    inc = dots == dots.max(axis=0)
+    if a == dim:
+        ids = np.arange(a + 1)[None, :]
+    elif a == 1:
+        ids = _edges(inc, dim)
+    else:
+        faces = inc.T
+        if dim == 4:
+            f, g = np.triu_indices(len(faces), 1)
+            pairs = faces[f] & faces[g]
+            pairs = pairs[pairs.sum(axis=1) >= 3]
+            faces = pairs[_distinct(pairs)]
+        ids = np.argsort(~faces, axis=1, kind="stable")[:, :3]
+    pts = steps[ids]
+    return pts[:, 1:] - pts[:, :1]
+
+
+def _cofactors(vecs: np.ndarray) -> np.ndarray:
+    """The cofactor vector of each stack of d - 1 vectors of Z^d, (k, d - 1,
+    d) -> (k, d): integer, orthogonal to every vector of its stack, and zero
+    exactly when they are dependent.  Entry l is (-1)^l times the minor off
+    column l, each minor grown one row at a time by Laplace expansion."""
+    k, rows, d = vecs.shape
+    subsets: list[tuple[int, ...]] = [()]
+    minors = np.ones((k, 1), dtype=vecs.dtype)
+    for r in range(rows):
+        grown = list(itertools.combinations(range(d), r + 1))
+        pos = {s: j for j, s in enumerate(subsets)}
+        # expansion along row r: term t of subset s takes column s[t]
+        terms = [(pos[s[:t] + s[t + 1:]], s[t], (-1) ** (r + t)) for t in range(r + 1) for s in grown]
+        src, col, sign = (np.array(a) for a in zip(*terms))
+        prods = minors[:, src] * vecs[:, r, col] * sign.astype(vecs.dtype)
+        minors, subsets = prods.reshape(k, r + 1, len(grown)).sum(axis=1), grown
+    # the (d - 1)-subsets come in lexicographic order: the one off column l is at d - 1 - l
+    return minors[:, ::-1] * np.array([(-1) ** l for l in range(d)], dtype=vecs.dtype)
+
+
+def _sum_pair(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
+    """P + Q, built from its summands' faces when it is full-dimensional and
+    d <= 4, and hulled from the vertex sums otherwise.
+
+    Every facet of P + Q is F_P(n) + F_Q(n) for its normal n, of dimension
+    d - 1, so n is normal to a (d - 1)-face of P or of Q (a facet, or the
+    summand itself when it has dimension d - 1), or to a pair of faces, one
+    of each summand, whose dimensions add up to d - 1: none in 2-D, edge
+    pairs in 3-D, edge and 2-face pairs in 4-D.  Those normals are the
+    candidates, the mixed ones as integer cofactors in both orientations.
+    Each candidate's face on the vertex sums is the set where n.p reaches
+    its largest value; every candidate face is proper and every facet is a
+    candidate face, so the facets are the distinct faces no other contains.
+    A vertex sum is a vertex when it is the only point on all the facets
+    through it.  The work runs on the summands moved to start at the
+    origin, in int64 when no product can wrap and in Python ints otherwise.
+    """
+    d = p.dim
+    # the summands are moved to start at the origin, so that int64 holds
+    # the work unless their extents are huge; the shift is added back last
+    steps = [[_sub(v, x.vertices[0]) for v in x.vertices] for x in (p, q)]
+    shift = tuple(a + b for a, b in zip(p.vertices[0], q.vertices[0]))
+    pts = sorted({tuple(a + b for a, b in zip(u, v)) for u in steps[0] for v in steps[1]})
+    # a sum of two lower-dimensional summands is full-dimensional exactly
+    # when their equations are independent
+    eqs = [h.normal for h in p.equations + q.equations]
+    if d > 4 or p.equations and q.equations and len(_rref(eqs)[1]) < len(eqs):
+        return convex_hull(tuple(a + b for a, b in zip(pt, shift)) for pt in pts)
+    # steps between vertices are at most 2 top, so are the moved vertex
+    # sums, and a cofactor is at most (d - 1)! (2 top)^(d - 1)
+    top = _largest(steps[0] + steps[1])
+    planes = p.facets + q.facets + p.equations + q.equations
+    normal_top = max(math.factorial(d - 1) * (2 * top) ** (d - 1), _largest([h.normal for h in planes]))
+    dtype = np.int64 if 2 * d * normal_top * top < 2**63 else object
+
+    # facet normals point outward; the others are taken both ways
+    outward, unsigned = [], []
+    for x in (p, q):
+        if not x.equations:
+            outward.extend(h.normal for h in x.facets)
+        elif len(x.equations) == 1:
+            unsigned.append(np.array([x.equations[0].normal], dtype=dtype))
+    moved = [np.array(st, dtype=dtype) for st in steps]
+    for a in range(1, d - 1):
+        right = _face_bases(q, d - 1 - a, moved[1])
+        if len(right):
+            left = _face_bases(p, a, moved[0])
+            stacks = np.concatenate([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1, 1))], axis=1)
+            unsigned.append(_cofactors(stacks))
+    both = np.concatenate(unsigned or [np.zeros((0, d), dtype=dtype)])
+    normals = np.concatenate([np.array(outward, dtype=dtype).reshape(-1, d), both, -both])
+    # dependent directions give a zero cofactor
+    normals = normals[normals.any(axis=1)]
+
+    dots = np.array(pts, dtype=dtype) @ normals.T
+    tops = dots.max(axis=0)
+    faces = (dots == tops).T
+    keep = _maximal(faces)
+    facets = []
+    for normal, offset in zip(normals[keep].tolist(), tops[keep].tolist()):
+        g = math.gcd(*normal)
+        normal = tuple(c // g for c in normal)
+        facets.append(HalfSpace(normal, offset // g + _dot(normal, shift)))
+    on = faces[keep].astype(np.int32)
+    # through[i, j]: every facet through point i passes through point j
+    through = on.T @ on == np.sum(on, axis=0)[:, None]
+    vertices = tuple(tuple(a + b for a, b in zip(pt, shift))
+                     for pt, n in zip(pts, through.sum(axis=1).tolist()) if n == 1)
+    return LatticePolytope(d, vertices, tuple(sorted(facets, key=lambda h: h.normal)), ())
+
+
 def minkowski_sum(polys: Sequence[LatticePolytope]) -> LatticePolytope:
-    """Fold pairwise vertex sums; hull after each step keeps the sets small."""
+    """Fold the summands pairwise, left to right, by ``_sum_pair``."""
     if not polys:
         raise ValueError("need at least one polytope")
     dims = {p.dim for p in polys}
@@ -268,8 +432,7 @@ def minkowski_sum(polys: Sequence[LatticePolytope]) -> LatticePolytope:
         raise ValueError("polytopes of mixed ambient dimension")
     acc = polys[0]
     for nxt in polys[1:]:
-        sums = {tuple(a + b for a, b in zip(u, v)) for u in acc.vertices for v in nxt.vertices}
-        acc = convex_hull(sums)
+        acc = _sum_pair(acc, nxt)
     return acc
 
 

@@ -70,6 +70,9 @@ class TemplateMatrix:
     def __post_init__(self):
         if len(set(self.cols)) != len(self.cols):
             raise ValueError("duplicate column monomials")
+        n = self.system.n_vars
+        if any(len(m) != n for m in self.cols) or any(len(mult) != n for _, mult in self.rows):
+            raise ValueError(f"column and multiplier monomials need n_vars = {n} exponents each")
         for poly_idx, mult in self.rows:
             if not 0 <= poly_idx < len(self.system.polys):
                 raise ValueError(f"row {(poly_idx, mult)} names no polynomial of the system")
@@ -82,32 +85,53 @@ class TemplateMatrix:
     def _encoding(self) -> tuple[np.ndarray, ...]:
         """(row, column, term, slot id, constant) arrays of every cell a term
         fills, row by row.  Built on first use: the offline search keeps many
-        layouts alive and checks few of them."""
-        col_index = {m: j for j, m in enumerate(self.cols)}
+        layouts alive and checks few of them.
+
+        One pass over arrays: every row repeats its polynomial's slice of a
+        flat term table, and each product monomial is found among the
+        columns by its integer key, the exponents shifted to start at 0 and
+        read as digits in base (range + 1), through ``searchsorted`` on the
+        sorted column keys.  Exponents are int64; the sums, shifts and keys
+        are too when none can wrap, and Python ints otherwise."""
+        n, polys = self.system.n_vars, self.system.polys
         slot_ids = {name: i for i, name in enumerate(self._slot_names)}
-        enc_rows, enc_cols, enc_terms, enc_slots, enc_consts = [], [], [], [], []
-        for r, (poly_idx, mult) in enumerate(self.rows):
-            for t_idx, term in enumerate(self.system.polys[poly_idx].terms):
-                mono = mono_mul(mult, term.exps)
-                j = col_index.get(mono)
-                if j is None:
-                    if self.project_missing:
-                        continue
-                    raise ValueError(
-                        f"row {(poly_idx, mult)} produces monomial {mono} outside the column set"
-                    )
-                enc_rows.append(r)
-                enc_cols.append(j)
-                enc_terms.append(t_idx)
-                if term.slot is None:
-                    enc_slots.append(_SLOT_LITERAL)
-                elif term.slot == HIDDEN_SLOT:
-                    enc_slots.append(_SLOT_HIDDEN)
-                else:
-                    enc_slots.append(slot_ids[term.slot])
-                enc_consts.append(term.const)
-        ints = (np.array(a, dtype=np.int64) for a in (enc_rows, enc_cols, enc_terms, enc_slots))
-        return (*ints, np.array(enc_consts, dtype=np.float64))
+        terms = [t for f in polys for t in f.terms]
+        exps = np.array([t.exps for t in terms], dtype=np.int64).reshape(-1, n)
+        slots = np.array([_SLOT_LITERAL if t.slot is None else _SLOT_HIDDEN if t.slot == HIDDEN_SLOT
+                          else slot_ids[t.slot] for t in terms], dtype=np.int64)
+        consts = np.array([t.const for t in terms], dtype=np.float64)
+        sizes = np.array([len(f.terms) for f in polys], dtype=np.int64)
+        first = np.cumsum(sizes) - sizes
+        row_poly = np.array([poly_idx for poly_idx, _ in self.rows], dtype=np.int64)
+        mults = np.array([mult for _, mult in self.rows], dtype=np.int64).reshape(-1, n)
+        cols = np.array(self.cols, dtype=np.int64).reshape(-1, n)
+        top = max(max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in (exps, mults, cols))
+        if (4 * top + 1) ** n >= 2**63:
+            exps, mults, cols = (a.astype(object) for a in (exps, mults, cols))
+
+        counts = sizes[row_poly]
+        cell_row = np.repeat(np.arange(len(self.rows)), counts)
+        cell_term = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        flat = first[row_poly][cell_row] + cell_term
+        monos = mults[cell_row] + exps[flat]
+        lo = min(monos.min(initial=0), cols.min(initial=0))
+        base = max(monos.max(initial=0), cols.max(initial=0)) - lo + 1
+        weights = np.array([base**i for i in reversed(range(n))], dtype=cols.dtype)
+        col_keys = (cols - lo) @ weights
+        order = np.argsort(col_keys, kind="stable")
+        # a key past the last column finds the sentinel -1, which no key equals
+        sorted_keys = np.append(col_keys[order], -1)
+        mono_keys = (monos - lo) @ weights
+        at = np.searchsorted(sorted_keys[:-1], mono_keys)
+        found = sorted_keys[at] == mono_keys
+        if not found.all():
+            if not self.project_missing:
+                miss = int(np.argmin(found))
+                poly_idx, mult = self.rows[cell_row[miss]]
+                mono = tuple(monos[miss].tolist())
+                raise ValueError(f"row {(poly_idx, mult)} produces monomial {mono} outside the column set")
+            cell_row, cell_term, flat, at = cell_row[found], cell_term[found], flat[found], at[found]
+        return cell_row, order[at].astype(np.int64), cell_term, slots[flat], consts[flat]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -166,6 +190,30 @@ class TemplateMatrix:
         return out
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the bases 2, 3, 5 and 7, exact for
+    every n below 3,215,031,751, so for every modulus below 2^31."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class RankCheckConfig:
     """Exact rank protocol over prime fields, one trial per (prime, assignment).
@@ -190,6 +238,10 @@ class RankCheckConfig:
         # linalg's prime-field kernels multiply two reduced entries in int64
         if not self.primes or not all(2 <= p < 1 << 31 for p in self.primes):
             raise ValueError(f"primes must be one or more moduli in [2, 2^31), got {self.primes!r}")
+        # elimination divides by pivots, so every modulus must be a prime
+        composite = [p for p in self.primes if not _is_prime(p)]
+        if composite:
+            raise ValueError(f"primes must all be prime, got the composite modulus {composite[0]!r}")
         if self.assignments < 1:
             raise ValueError(f"assignments must be at least 1, got {self.assignments!r}")
 

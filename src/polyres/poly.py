@@ -259,17 +259,6 @@ def term_value(t: Term, coeffs: CoefficientAssignment) -> complex:
         raise KeyError(f"coefficient slot {t.slot!r} missing from assignment") from None
 
 
-def evaluate(f: PolynomialTemplate, coeffs: CoefficientAssignment, point: Sequence[complex]) -> complex:
-    total = 0.0 + 0.0j
-    for t in f.terms:
-        mono_val = 1.0 + 0.0j
-        for x, e in zip(point, t.exps):
-            if e:
-                mono_val *= x**e
-        total += term_value(t, coeffs) * mono_val
-    return total
-
-
 def normalized_residual(
     system: SystemTemplate, coeffs: CoefficientAssignment, points
 ) -> np.ndarray:

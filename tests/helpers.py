@@ -9,8 +9,8 @@ import numpy as np
 from polyres.generate import SearchConfig, _subset_masks
 from polyres.lattice import convex_hull, displacement_grid, lattice_points, minkowski_sum, unit_simplex
 from polyres.linalg import PRIMES
-from polyres.plan import RankCheckConfig, build_layout, has_full_column_rank
-from polyres.poly import augment, mono_div, mono_mul, support
+from polyres.plan import _SLOT_HIDDEN, _SLOT_LITERAL, RankCheckConfig, build_layout, has_full_column_rank
+from polyres.poly import HIDDEN_SLOT, augment, mono_div, mono_mul, support, term_value
 from polyres.problems import rel_pose_field_instance
 
 # the search configuration of the golden rel_pose plan
@@ -101,11 +101,53 @@ def contains_points(haystack, needles, tol: float) -> bool:
     return True
 
 
+def evaluate(f, coeffs, point) -> complex:
+    """f at ``point`` under the slot values ``coeffs``, term by term in
+    complex arithmetic: the plain definition, kept as an oracle for the
+    batched residuals."""
+    total = 0.0 + 0.0j
+    for t in f.terms:
+        mono_val = 1.0 + 0.0j
+        for x, e in zip(point, t.exps):
+            if e:
+                mono_val *= x**e
+        total += term_value(t, coeffs) * mono_val
+    return total
+
+
+def loop_encoding(tm):
+    """``TemplateMatrix._encoding`` as a loop over rows and their terms, a
+    dict lookup per product monomial, kept as its oracle: the same five
+    arrays, or the same ValueError for the first row in row order that
+    reaches outside the columns."""
+    col_index = {m: j for j, m in enumerate(tm.cols)}
+    slot_ids = {name: i for i, name in enumerate(tm._slot_names)}
+    enc_rows, enc_cols, enc_terms, enc_slots, enc_consts = [], [], [], [], []
+    for r, (poly_idx, mult) in enumerate(tm.rows):
+        for t_idx, term in enumerate(tm.system.polys[poly_idx].terms):
+            mono = mono_mul(mult, term.exps)
+            j = col_index.get(mono)
+            if j is None:
+                if tm.project_missing:
+                    continue
+                raise ValueError(f"row {(poly_idx, mult)} produces monomial {mono} outside the column set")
+            enc_rows.append(r)
+            enc_cols.append(j)
+            enc_terms.append(t_idx)
+            if term.slot is None:
+                enc_slots.append(_SLOT_LITERAL)
+            elif term.slot == HIDDEN_SLOT:
+                enc_slots.append(_SLOT_HIDDEN)
+            else:
+                enc_slots.append(slot_ids[term.slot])
+            enc_consts.append(term.const)
+    ints = (np.array(a, dtype=np.int64) for a in (enc_rows, enc_cols, enc_terms, enc_slots))
+    return (*ints, np.array(enc_consts, dtype=np.float64))
+
+
 def newton_polish(system, coeffs, point, steps: int = 4):
     """Refine an approximate root of a square system by Newton iteration
     with the exact polynomial Jacobian."""
-    from polyres.poly import evaluate, term_value
-
     x = np.array(point, dtype=np.complex128)
     n = len(x)
 

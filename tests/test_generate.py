@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -37,6 +38,7 @@ from polyres.plan import (
     RankCheckConfig,
     SolverPlan,
     TemplateMatrix,
+    _is_prime,
     build_layout,
     plan_from_json,
     plan_to_json,
@@ -318,27 +320,56 @@ class TestSearchCandidates:
         with pytest.raises(ValueError, match="b1 monomials escape"):
             build_layout(aug, 1, "v2", {(0,)}, t_sets)
 
-    def test_geometry_work_counts_three_quadrics(self, monkeypatch):
-        # on the golden three_quadrics configuration, hulls insert farthest
-        # first and each base support is hulled once for all hidden
-        # variables: 3 base hulls and one x_k - u0 hull per hidden variable.
-        # The base polynomials' T_i are eroded once per Minkowski sum, 3
-        # sums without x_k - u0 shared by all hidden variables and 4 with
-        # it per hidden variable, and x_k - u0's once per sum each sweep
-        # visits, 7 per hidden variable.  A regression to sorted insertion,
-        # to hulls per hidden variable (12 hulls, 330 facets) or to base
-        # masks per visit (42 erosions) fails on a count
-        calls = dict.fromkeys(("_make_facet", "convex_hull", "extend_system"), 0)
-        for owner, name in ((polyres.lattice, "_make_facet"), (polyres.generate, "convex_hull"),
-                            (polyres.generate, "extend_system")):
-            def counting(*args, _real=getattr(owner, name), _name=name):
+    @staticmethod
+    def _geometry_counts(monkeypatch, name, cfg):
+        calls = dict.fromkeys(("_make_facet", "convex_hull", "_sum_pair", "extend_system"), 0)
+        faces = {"candidates": 0, "facets": 0}
+        for owner, attr in ((polyres.lattice, "_make_facet"), (polyres.generate, "convex_hull"),
+                            (polyres.lattice, "_sum_pair"), (polyres.generate, "extend_system")):
+            def counting(*args, _real=getattr(owner, attr), _name=attr):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(owner, name, counting)
-        outcome = generate_plan(get("three_quadrics").system, SearchConfig(seed=1, variants=("v1",)))
+            monkeypatch.setattr(owner, attr, counting)
+
+        def maximal(masks, _real=polyres.lattice._maximal):
+            kept = _real(masks)
+            faces["candidates"] += len(masks)
+            faces["facets"] += len(kept)
+            return kept
+
+        monkeypatch.setattr(polyres.lattice, "_maximal", maximal)
+        return generate_plan(get(name).system, cfg), calls, faces
+
+    def test_geometry_work_counts_three_quadrics(self, monkeypatch):
+        # on the golden three_quadrics configuration, hulls insert farthest
+        # first and each base support is hulled once for all hidden
+        # variables: 3 base hulls and one x_k - u0 hull per hidden variable,
+        # 49 facets made.  Minkowski sums are built from their summands'
+        # faces, one pair per sum, without a hull: 3 sums without x_k - u0
+        # shared by all hidden variables and 4 with it per hidden variable,
+        # whose 372 candidate normals give 72 facets.  The base
+        # polynomials' T_i are eroded once per Minkowski sum and x_k - u0's
+        # once per sum each sweep visits, 7 per hidden variable.  A
+        # regression to hulled sums (244 facets made), to sorted insertion
+        # (79), to hulls per hidden variable, to candidates from every
+        # (d - 1)-set of edge directions or to base masks per visit (42
+        # erosions) fails on a count
+        cfg = SearchConfig(seed=1, variants=("v1",))
+        outcome, calls, faces = self._geometry_counts(monkeypatch, "three_quadrics", cfg)
         assert outcome.candidates_seen == 10
-        assert calls == {"_make_facet": 244, "convex_hull": 6, "extend_system": 36}
+        assert calls == {"_make_facet": 49, "convex_hull": 6, "_sum_pair": 15, "extend_system": 36}
+        assert faces == {"candidates": 372, "facets": 72}
+
+    def test_geometry_work_counts_rel_pose(self, monkeypatch):
+        # the golden rel_pose configuration, in 4-D: 16 sums whose facets
+        # and edge x 2-face pairs give 2325 candidate normals and 113
+        # facets.  A wrong candidate does not change a sum, it only costs,
+        # so the count is what pins the pairs
+        outcome, calls, faces = self._geometry_counts(monkeypatch, "rel_pose_f_lambda_8pt", REL_POSE_CONFIG)
+        assert outcome.candidates_seen == 30
+        assert calls["_sum_pair"] == 16 and calls["_make_facet"] == 77
+        assert faces == {"candidates": 2325, "facets": 113}
 
     def test_sweep_reaches_every_traced_layer(self, monkeypatch):
         # the benchmark's tracer binds the sweep's geometry and extension
@@ -1244,17 +1275,37 @@ class TestRankCheckConfig:
         ("primes", {"primes": ()}),
         ("primes", {"primes": (2**61 - 1,)}),
         ("primes", {"primes": (PRIMES[0], 1)}),
+        ("primes", {"primes": (4,)}),
+        ("primes", {"primes": (6,)}),
+        ("primes", {"primes": (PRIMES[0], 2047)}),
+        ("primes", {"primes": (2**31 - 3,)}),
         ("assignments", {"assignments": 0}),
-    ], ids=["no_prime", "modulus_past_int64", "modulus_below_two", "no_assignment"])
+    ], ids=["no_prime", "modulus_past_int64", "modulus_below_two", "composite_4", "composite_6",
+            "strong_pseudoprime_to_base_2", "composite_below_2_31", "no_assignment"])
     def test_unrunnable_config_rejected(self, field, kwargs):
         # no prime fails at the first partition check; a modulus of 2^31 or
-        # more overflows the int64 products of linalg's kernels silently;
-        # no assignment leaves build_template with no trial
+        # more overflows the int64 products of linalg's kernels silently; a
+        # composite one has pivots with no inverse; no assignment leaves
+        # build_template with no trial
         with pytest.raises(ValueError, match=field):
             RankCheckConfig(**kwargs)
 
     def test_every_library_prime_accepted(self):
         assert RankCheckConfig(primes=PRIMES).primes == PRIMES
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+    def test_small_and_largest_primes_accepted(self, p):
+        # the bases of the primality test are primes themselves, and
+        # 2^31 - 1 is the largest prime below 2^31
+        assert RankCheckConfig(primes=(p,)).primes == (p,)
+
+    def test_primality_matches_trial_division(self):
+        def trial_division(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        # 3215031751 is the first composite that passes bases 2, 3, 5 and 7 together
+        ns = [*range(3000), 25326001, *range(2**31 - 200, 2**31)]
+        assert [_is_prime(n) for n in ns] == [trial_division(n) for n in ns]
 
 
 class TestSearchConfig:

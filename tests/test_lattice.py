@@ -112,6 +112,27 @@ class TestConvexHull:
         assert set(hull.vertices) == {(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)}
 
 
+@st.composite
+def summand_lists(draw):
+    """Two or three point sets in one dimension d from 1 to 4, each a corner
+    plus 0, 1 or d small directions with coefficients 0 to 2: points,
+    segments, lower-dimensional sets and full-dimensional ones.  One
+    summand in three has its corner near -2^62, 0 or 2^62 in each
+    coordinate, so vertex sums can leave int64 while the summands' extents
+    stay small."""
+    d = draw(st.integers(1, 4))
+    summands = []
+    for _ in range(draw(st.integers(2, 3))):
+        k = draw(st.sampled_from([0, 1, d, d]))
+        far = st.sampled_from([-(2**62), 0, 2**62]) if draw(st.sampled_from([False, False, True])) else st.just(0)
+        corner = [draw(far) + draw(st.integers(-2, 2)) for _ in range(d)]
+        dirs = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), min_size=k, max_size=k))
+        coefs = draw(st.sets(st.tuples(*[st.integers(0, 2)] * k), min_size=1, max_size=8))
+        summands.append({tuple(corner[i] + sum(c * u[i] for c, u in zip(cs, dirs)) for i in range(d))
+                         for cs in coefs})
+    return summands
+
+
 class TestMinkowskiSum:
     def test_origin_is_identity(self):
         p = convex_hull(A1)
@@ -134,6 +155,30 @@ class TestMinkowskiSum:
         ]
         base = set(orders[0].vertices)
         assert all(set(q.vertices) == base for q in orders)
+
+    @given(summands=summand_lists())
+    @example(summands=[{(0, 0), (1, 0)}, {(0, 0), (0, 1)}])
+    @example(summands=[{(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)},
+                       {(2**62, 2**62, 2**62), (2**62 + 1, 2**62, 2**62)}])
+    @example(summands=[{(2**62 + 1, 2**62)}, {(2**62, 2**62), (2**62 + 2, 2**62 + 1), (2**62, 2**62 + 3)},
+                       {(-(2**62), 0), (2 - 2**62, 0)}])
+    # summands whose extents leave int64 run in Python ints
+    @example(summands=[{(-(2**62), 0), (2**62, 1), (0, 2**62)}, {(0, 0), (1, 1)}])
+    @example(summands=[{(0, 0, 0), (2**62, 0, 0), (0, 1, 0), (0, 0, 1)}, {(0, 0, 0), (1, 1, 0)},
+                       {(0, 0, 0), (0, 1, 1), (1, 0, 1)}])
+    @example(summands=[{(0, 0, 0, 0), (2**61, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)},
+                       {(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)}])
+    @settings(max_examples=150)
+    def test_sum_matches_hull_of_vertex_sums(self, summands):
+        # the faces of the summands give the hull of every sum of their vertices
+        polys = [convex_hull(pts) for pts in summands]
+        got = minkowski_sum(polys)
+        want = convex_hull(tuple(map(sum, zip(*vs))) for vs in itertools.product(*(p.vertices for p in polys)))
+        assert got.dim == want.dim
+        assert got.vertices == want.vertices
+        assert got.equations == want.equations
+        assert len(got.facets) == len(set(got.facets))
+        assert set(got.facets) == set(want.facets)
 
 
 @st.composite

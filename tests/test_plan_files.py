@@ -4,6 +4,7 @@ they store."""
 import copy
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -11,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import REL_POSE_CONFIG
+from helpers import REL_POSE_CONFIG, loop_encoding
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyres.action_matrix import am_to_res, res_to_am
+from polyres.action_matrix import am_to_res, build_template, res_to_am
 from polyres.generate import SearchConfig, generate_plan
 from polyres.linalg import PRIMES
 from polyres.plan import PlanFormatError, TemplateMatrix, build_layout, plan_from_json, plan_to_json
@@ -244,6 +245,78 @@ def test_cell_map():
     assert projected.cells == ((0, 0, 0, 0),)
 
 
+@cache
+def _encoding_cases() -> dict[str, TemplateMatrix]:
+    """The templates of the golden plans, of their bridge images and of the
+    library's elimination templates, and projected ones: each action-matrix
+    plan without its first excess column and first row, its ``am_to_res``
+    image and that image's ``res_to_am`` image, which keep the projection."""
+    cases, amplans = {}, {}
+    for name in GOLDEN_COUNTS:
+        plan = plan_from_json((GOLDEN / f"{name}.plan").read_text(encoding="utf-8"))
+        cases[name] = plan.layout.template
+        if name != "rel_pose_f_lambda_8pt":
+            entry = get(name)
+            amplans[f"{name}-res_to_am"] = res_to_am(plan, entry.root_count), entry.root_count
+            amplans[f"{name}-template"] = build_template(entry.system, entry.am_basis, entry.am_action_var,
+                                                         entry.am_multipliers()), entry.root_count
+    for label, (amp, root_count) in amplans.items():
+        tm = amp.template
+        cases[label] = tm
+        cases[f"{label}-am_to_res"] = am_to_res(amp).layout.template
+        cut = TemplateMatrix(tm.system, tm.cols[1:], tm.rows[1:], project_missing=True)
+        projected = am_to_res(replace(amp, template=cut, n_excess=amp.n_excess - 1))
+        cases[f"{label}-projected"] = cut
+        cases[f"{label}-projected-am_to_res"] = projected.layout.template
+        cases[f"{label}-projected-res_to_am"] = res_to_am(projected, root_count).template
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_encoding_cases()))
+def test_cell_encoding_matches_loop(case):
+    # the array encoding gives the row-by-row loop's five arrays, dtypes
+    # too; without the projection, a template that reaches outside its
+    # columns raises the loop's error, naming the same first row
+    tm = _encoding_cases()[case]
+    assert tm.project_missing == ("projected" in case)
+    for t in (tm, replace(tm, project_missing=not tm.project_missing)):
+        try:
+            want = loop_encoding(t)
+        except ValueError as e:
+            assert not t.project_missing
+            with pytest.raises(ValueError) as got:
+                t._encoding
+            assert str(got.value) == str(e)
+            continue
+        got = t._encoding
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+PLANE = SystemTemplate(2, ("x", "y"), (PolynomialTemplate((Term("a", (1, 0)), Term("b", (0, 2**40)))),))
+
+
+@pytest.mark.parametrize("tm", [
+    TemplateMatrix(LINE, (), ((0, (0,)),), project_missing=True),
+    TemplateMatrix(LINE, (), ((0, (0,)),)),
+    TemplateMatrix(LINE, ((-2,), (-3,)), ((0, (-3,)),)),
+    TemplateMatrix(LINE, ((2**62 + 1,), (2**62,)), ((0, (2**62,)),)),
+    TemplateMatrix(PLANE, ((2**40, 0), (2**40 - 1, 2**40), (1, 0)), ((0, (2**40 - 1, 0)), (0, (0, 0))),
+                   project_missing=True),
+], ids=["no_column_projected", "no_column", "negative_exponents", "python_int_keys", "wide_keys_projected"])
+def test_cell_encoding_edge_cases(tm):
+    # no column to find, exponents below 0, and keys that leave int64
+    try:
+        want = loop_encoding(tm)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            tm._encoding
+    else:
+        got = tm._encoding
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("use", ["instantiate", "instantiate_modp", "cells"])
 def test_cell_encoding_built_on_first_use(use):
     # the offline search keeps every candidate's layout alive until its turn,
@@ -286,3 +359,13 @@ def test_zero_hidden_value_zeroes_exactly_the_hidden_cells():
 def test_row_naming_no_polynomial_rejected(poly_idx):
     with pytest.raises(ValueError, match="names no polynomial"):
         TemplateMatrix(LINE, ((1,), (0,)), ((poly_idx, (0,)),))
+
+
+@pytest.mark.parametrize("cols, rows", [(((1,), (0, 0)), ((0, (0,)),)), (((1, 0), (0, 0)), ((0, (0, 0)),)),
+                                        (((1,), (0,)), ((0, (0, 1)),)), (((1,), (0,)), ((0, ()),))],
+                         ids=["ragged_columns", "wide_columns", "wide_multiplier", "empty_multiplier"])
+def test_monomial_of_another_length_rejected(cols, rows):
+    # the cell encoding reads every monomial as one row of an array: a
+    # monomial of another length would shift the rows after it
+    with pytest.raises(ValueError, match="n_vars = 1 exponents"):
+        TemplateMatrix(LINE, cols, rows)

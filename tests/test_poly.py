@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import GOLDEN_CONFIGS, extend_by_sets, member_sweep, point_sets, translation_class
+from helpers import GOLDEN_CONFIGS, evaluate, extend_by_sets, member_sweep, point_sets, translation_class
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from polyres.poly import (
     Term,
     augment,
     dump_system,
-    evaluate,
     extend_system,
     extension_at,
     extension_monomials,
